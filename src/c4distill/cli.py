@@ -45,6 +45,8 @@ def _geom_grid(lo: float, hi: float, points: int) -> list[float]:
 def _lin_grid(lo: float, hi: float, points: int) -> list[float]:
     if not 0 < lo < hi:
         raise UsageError("grid needs 0 < min < max")
+    if points < 2:
+        raise UsageError("grid needs at least 2 points")
     step = (hi - lo) / (points - 1)
     return [lo + step * i for i in range(points)]
 
@@ -97,7 +99,13 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    from .planner import TABLE_SEQUENCES, curve_crossings, error_curves, step_cost_curve
+    from .planner import (
+        TABLE_SEQUENCES,
+        PlannerGoal,
+        curve_crossings,
+        error_curves,
+        step_cost_curve,
+    )
 
     models = _load_models(args.routines)
     lines = []
@@ -121,6 +129,10 @@ def cmd_curve(args) -> int:
                 lines.append(f"{a},{b},{_sci(p)}")
     elif args.figure == "distplot":
         grid = _geom_grid(args.eg_min or 1e-30, args.eg_max or 1e-3, args.points or 55)
+        try:
+            PlannerGoal(p0=args.p0, e_g=grid[-1], max_rounds=args.max_rounds).validate()
+        except ValueError as exc:
+            raise UsageError(str(exc))
         rows = step_cost_curve(args.p0, grid, models, max_rounds=args.max_rounds)
         lines.append("e_g,best_cost,best_sequence,b_only_cost,b_only_sequence")
         for eg, cost, name, bcost, bname in rows:
@@ -132,9 +144,14 @@ def cmd_curve(args) -> int:
 
 
 def cmd_table1(args) -> int:
-    from .planner import table_rows
+    from .planner import table_rows, threshold
 
     models = _load_models(args.routines)
+    # Improvement factors compare against 15-to-1-only sequences, which
+    # diverge from the 15-to-1 threshold up.
+    limit = threshold(models["B"])
+    if not 0 < args.p0 < (limit if limit is not None else 0.5):
+        raise UsageError(f"--p0 must lie in (0, {limit}), below the 15-to-1 threshold")
     rows = table_rows(p0=args.p0, available=models)
     lines = ["sequence,cost,output_error,improvement,cost_full,error_full"]
     for r in rows:

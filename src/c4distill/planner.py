@@ -7,22 +7,38 @@ deep sequences reach 1e-29, far below what double precision can carry
 through the polynomial evaluations, so the recursion runs under mpmath with
 60 significant digits; numerators and denominators are evaluated separately
 and divided once (the exact polynomial forms make this cancellation-free).
+Every reported cost and error comes from this recursion.
+
+The sequence search walks the tree of sequence prefixes once, in float: each
+prefix is one Horner step from its parent, and the subtree below a diverged
+prefix is skipped.  An error is carried as a mantissa and a binary exponent,
+so it keeps float's relative precision far below float's range.  Float
+decides only outside a relative guard band (``SEARCH_BAND``); a sequence
+whose input error lies within the band of a threshold, or whose error or
+cost lies within the band of the goal or of the best candidate, is decided
+by the 60-digit recursion, so the search returns what searching every
+sequence at 60 digits would.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from math import log
-from typing import Optional, Sequence
+from math import frexp, inf, ldexp, log
+from typing import Callable, Iterator, Optional, Sequence
 
-from mpmath import mp, mpf, workdps
+from mpmath import mpf, workdps
 
 from .routines import RoutineModel, builtin_models
 
 PLANNER_DPS = 60
 THRESHOLD_TOL = 1e-6
 THRESHOLD_BRACKET = (1e-6, 0.25)
+# Relative band within which the float search defers to the 60-digit
+# recursion; float Horner stays within ~1e-13 of it for the builtin routines.
+SEARCH_BAND = 1e-9
+# Float's subnormal grid step: below 2.2e-308 floats round on this absolute
+# grid, so comparisons there also allow two steps.
+_SUBNORMAL_STEP = 5e-324
 
 # The sequence set of the published comparison table, in cost order.
 # Leftmost letter is the first round applied.
@@ -97,6 +113,8 @@ class PlannerGoal:
         eg = self.goal_error()
         if not 0 < eg < self.p0 < 0.5:
             raise ValueError(f"need 0 < e_g < p0 < 1/2, got e_g={eg}, p0={self.p0}")
+        if self.max_rounds < 1:
+            raise ValueError(f"need max_rounds >= 1, got {self.max_rounds}")
 
 
 def parse_sequence(
@@ -117,11 +135,13 @@ def evaluate_sequence(
     """Run the cost/error recursion for one round sequence."""
     rounds = []
     diverged = False
+    distinct = {id(model): model for model in seq}
+    thresholds = {key: threshold(model) for key, model in distinct.items()}
     with workdps(dps):
         p = mpf(p0)
         cost = mpf(1)
         for model in seq:
-            thr = threshold(model)
+            thr = thresholds[id(model)]
             if thr is not None and p >= thr:
                 diverged = True
             a = model.acceptance(p)
@@ -178,6 +198,96 @@ def threshold(model: RoutineModel, tol: float = THRESHOLD_TOL) -> Optional[float
     return result
 
 
+class _FloatRound:
+    """One routine's round in float, on coefficient tuples converted once.
+
+    The input error is x * 2**s with x in [0.5, 1).  The error numerator's
+    lowest-order terms p**v are applied to the mantissa and the exponent
+    separately, so the output error keeps its relative precision however
+    small it gets; the rest of each polynomial is evaluated at the float p
+    (where p underflows, those terms are below float's relative precision).
+    """
+
+    __slots__ = ("ratio", "acc_num", "acc_den", "err_num", "err_den", "order")
+
+    def __init__(self, model: RoutineModel):
+        def highest_first(coefficients) -> tuple[float, ...]:
+            return tuple(float(c) for c in reversed(coefficients))
+
+        self.order, _ = model.error_fn.num.leading_term()
+        self.ratio = model.m / model.n
+        self.acc_num = highest_first(model.acceptance_fn.num.coefficients)
+        self.acc_den = highest_first(model.acceptance_fn.den.coefficients)
+        self.err_num = highest_first(model.error_fn.num.coefficients[self.order :])
+        self.err_den = highest_first(model.error_fn.den.coefficients)
+
+    def step(self, x: float, s: int, cost: float) -> tuple[float, int, float]:
+        """(mantissa, exponent, cost) after this round."""
+        p = ldexp(x, s)
+        a = _horner(self.acc_num, p) / _horner(self.acc_den, p)
+        q = _horner(self.err_num, p) / _horner(self.err_den, p)
+        x_out, s_out = frexp(x**self.order * q)
+        return x_out, s * self.order + s_out, cost * self.ratio / a
+
+
+def _horner(coefficients: tuple[float, ...], p: float) -> float:
+    acc = 0.0
+    for c in coefficients:
+        acc = acc * p + c
+    return acc
+
+
+def _near(x: float, y: float) -> bool:
+    """Whether float may misorder x and y: within the guard band, or within
+    two steps of the subnormal grid."""
+    return abs(x - y) <= SEARCH_BAND * max(abs(x), abs(y)) + 2 * _SUBNORMAL_STEP
+
+
+def _float_walk(
+    rounds: Sequence[tuple[str, _FloatRound, Optional[float]]],
+    p0: float,
+    max_rounds: int,
+    diverged: Callable[[tuple[str, ...]], bool],
+) -> Iterator[tuple[tuple[str, ...], float, float]]:
+    """(sequence, float error, float cost) of every sequence up to
+    ``max_rounds`` whose rounds all start below their threshold, depth first.
+
+    ``rounds`` holds (name, float round, threshold) per routine; a round whose
+    input error is within the band of its threshold asks ``diverged`` for the
+    60-digit verdict on the sequence it ends.  A diverged sequence's subtree
+    is skipped, since every extension of it diverges too.
+    """
+    x0, s0 = frexp(p0)
+    stack = [((), x0, s0, 1.0)]
+    while stack:
+        prefix, x, s, cost = stack.pop()
+        p = ldexp(x, s)
+        for name, rnd, thr in rounds:
+            seq = prefix + (name,)
+            if thr is not None and (diverged(seq) if _near(p, thr) else p >= thr):
+                continue
+            x1, s1, c1 = rnd.step(x, s, cost)
+            yield seq, ldexp(x1, s1), c1
+            if len(seq) < max_rounds:
+                stack.append((seq, x1, s1, c1))
+
+
+class _NearLeast:
+    """The items whose key is within the guard band of the least key added."""
+
+    def __init__(self):
+        self.least = inf
+        self.items: list[tuple[float, tuple[str, ...]]] = []
+
+    def add(self, key: float, item: tuple[str, ...]):
+        if key > self.least and not _near(key, self.least):
+            return
+        if key < self.least:
+            self.least = key
+            self.items = [kv for kv in self.items if _near(kv[0], key)]
+        self.items.append((key, item))
+
+
 @dataclass(frozen=True)
 class SearchResult:
     plan: Optional[DistillationPlan]  # cheapest plan meeting the goal
@@ -187,26 +297,50 @@ class SearchResult:
 def best_sequence(
     goal: PlannerGoal, available: Optional[dict[str, RoutineModel]] = None
 ) -> SearchResult:
-    """Exhaustive search over routine sequences up to ``max_rounds``.
+    """Cheapest sequence of up to ``max_rounds`` rounds that meets the goal.
 
-    Ties are broken by fewer rounds and then by sequence name.
+    Ties are broken by fewer rounds and then by sequence name.  When no
+    sequence meets the goal, ``closest`` is the first sequence, in order of
+    length and then of routine names, with the least error.  The search is
+    one float walk over the prefix tree; the 60-digit recursion decides every
+    sequence float cannot (see the module docstring) and gives every value
+    the result reports.
     """
     goal.validate()
     models = available or builtin_models()
     eg = goal.goal_error()
-    names = sorted(models)
-    feasible: list[DistillationPlan] = []
-    closest: Optional[DistillationPlan] = None
-    for length in range(1, goal.max_rounds + 1):
-        for combo in itertools.product(names, repeat=length):
-            plan = evaluate_sequence([models[c] for c in combo], goal.p0)
-            if plan.diverged:
-                continue
-            if closest is None or plan.final_error < closest.final_error:
-                closest = plan
-            if plan.final_error <= eg:
-                feasible.append(plan)
+    exact: dict[tuple[str, ...], DistillationPlan] = {}
+
+    def evaluate(seq: tuple[str, ...]) -> DistillationPlan:
+        if seq not in exact:
+            exact[seq] = evaluate_sequence([models[c] for c in seq], goal.p0)
+        return exact[seq]
+
+    rounds = [
+        (name, _FloatRound(models[name]), threshold(models[name])) for name in sorted(models)
+    ]
+    undecided: list[tuple[str, ...]] = []  # error within the band of e_g
+    cheapest = _NearLeast()  # surely feasible, by cost
+    least_error = _NearLeast()  # every sequence, by error
+    walk = _float_walk(rounds, goal.p0, goal.max_rounds, lambda seq: evaluate(seq).diverged)
+    for seq, error, cost in walk:
+        if _near(error, eg):
+            undecided.append(seq)
+        elif error < eg:
+            cheapest.add(cost, seq)
+        least_error.add(error, seq)
+
+    feasible = [plan for plan in map(evaluate, undecided) if plan.final_error <= eg]
+    ref = min([cheapest.least] + [plan.final_cost for plan in feasible])
+    feasible += [
+        evaluate(seq) for cost, seq in cheapest.items if cost <= ref or _near(cost, ref)
+    ]
     if not feasible:
+        closest = min(
+            (evaluate(seq) for _, seq in least_error.items),
+            key=lambda pl: (pl.final_error, len(pl.sequence), pl.sequence),
+            default=None,
+        )
         return SearchResult(plan=None, closest=closest)
     best = min(feasible, key=lambda pl: (pl.final_cost, len(pl.rounds), pl.name))
     return SearchResult(plan=best, closest=best)
@@ -240,15 +374,6 @@ def improvement_factor(
     if ref is None:
         raise ValueError("no 15-to-1-only sequence reaches the plan's error")
     return ref.final_cost / plan.final_cost
-
-
-def improvement_for_goal(
-    goal: PlannerGoal, available: Optional[dict[str, RoutineModel]] = None
-) -> float:
-    result = best_sequence(goal, available)
-    if result.plan is None:
-        raise ValueError("goal unreachable within max_rounds")
-    return improvement_factor(result.plan, available)
 
 
 def asymptotic_exponent(model: RoutineModel) -> Optional[float]:
@@ -375,13 +500,14 @@ def curve_crossings(
         for p in grid:
             g = gap(p)
             if prev_g is not None and prev_g * g < 0:
-                lo, hi = prev_p, p
+                lo, hi, g_lo = prev_p, p, prev_g
                 for _ in range(60):
                     mid = (lo + hi) / 2
-                    if gap(lo) * gap(mid) <= 0:
+                    g_mid = gap(mid)
+                    if g_lo * g_mid <= 0:
                         hi = mid
                     else:
-                        lo = mid
+                        lo, g_lo = mid, g_mid
                 out.append((name_a, name_b, (lo + hi) / 2))
             prev_p, prev_g = p, g
     return out

@@ -92,6 +92,12 @@ def test_usage_errors():
     assert run_cli(["threshold", "--routine", "Z"])[0] == EXIT_USAGE
     assert run_cli(["nonsense"])[0] == EXIT_USAGE
     assert run_cli(["curve", "--figure", "regionplot", "--pmin", "0.1", "--pmax", "0.01"])[0] == EXIT_USAGE
+    assert run_cli(["curve", "--figure", "both-thresh", "--points", "1"])[0] == EXIT_USAGE
+    for rounds in ("0", "-3"):
+        argv = ["plan", "--p0", "0.01", "--eg", "1e-5", "--max-rounds", rounds]
+        assert run_cli(argv)[0] == EXIT_USAGE
+    assert run_cli(["table1", "--p0", "0.2"])[0] == EXIT_USAGE  # above B's threshold
+    assert run_cli(["curve", "--figure", "distplot", "--max-rounds", "0"])[0] == EXIT_USAGE
 
 
 def test_mismatch_exit_code(monkeypatch):

@@ -2,18 +2,27 @@
 
 The multi-round oracle here is fully independent of the planner's mpmath
 path: it iterates the published coefficient lists with Fraction arithmetic,
-which is exact at every depth.
+which is exact at every depth.  The search's oracle is the exhaustive loop
+that evaluates every sequence with the 60-digit recursion; the float walk's
+accuracy is measured against a 60-digit ``decimal`` walk.
 """
 
+import decimal
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import c4distill.planner as planner
 from c4distill.exactalg import ExactPolynomial, RationalFunction
 from c4distill.planner import (
+    SEARCH_BAND,
     TABLE_SEQUENCES,
     PlannerGoal,
+    SearchResult,
     asymptotic_exponent,
     best_sequence,
     curve_crossings,
@@ -199,6 +208,8 @@ def test_best_sequence_unreachable():
 def test_goal_validation():
     with pytest.raises(ValueError):
         PlannerGoal(p0=0.01, e_g=0.02).validate()
+    with pytest.raises(ValueError):
+        PlannerGoal(p0=0.01, e_g=1e-5, max_rounds=0).validate()
     goal = PlannerGoal(p0=0.01, R=1e10)
     assert goal.goal_error() == pytest.approx(1e-11)
 
@@ -288,3 +299,164 @@ def test_curve_crossings_found():
     a_err = evaluate_sequence(parse_sequence("AA"), p_cross).final_error
     b_err = evaluate_sequence(parse_sequence("B"), p_cross).final_error
     assert a_err == pytest.approx(b_err, rel=1e-6)
+
+
+def _exhaustive(goal: PlannerGoal, models) -> SearchResult:
+    """Every sequence up to max_rounds through the 60-digit recursion, in
+    order of length and then of routine names."""
+    goal.validate()
+    eg = goal.goal_error()
+    names = sorted(models)
+    feasible = []
+    closest = None
+    for length in range(1, goal.max_rounds + 1):
+        for combo in itertools.product(names, repeat=length):
+            plan = evaluate_sequence([models[c] for c in combo], goal.p0)
+            if plan.diverged:
+                continue
+            if closest is None or plan.final_error < closest.final_error:
+                closest = plan
+            if plan.final_error <= eg:
+                feasible.append(plan)
+    if not feasible:
+        return SearchResult(plan=None, closest=closest)
+    best = min(feasible, key=lambda pl: (pl.final_cost, len(pl.rounds), pl.name))
+    return SearchResult(plan=best, closest=best)
+
+
+@given(
+    p0=st.floats(min_value=0.001, max_value=0.2, exclude_min=True, exclude_max=True),
+    log_ratio=st.floats(min_value=-100, max_value=-1e-3),
+    max_rounds=st.integers(min_value=1, max_value=6),
+)
+def test_search_matches_exhaustive(models, p0, log_ratio, max_rounds):
+    goal = PlannerGoal(p0=p0, e_g=p0 * 10.0**log_ratio, max_rounds=max_rounds)
+    assert best_sequence(goal, models) == _exhaustive(goal, models)
+
+
+def _boundary_goals(models):
+    """Goals on the search's decision boundaries."""
+    goals = []
+    # e_g equal to a sequence's own error (feasible), and one float below it.
+    for p0 in (0.01, 0.05):
+        for seq in ("A", "BB", "BBA", "AAB", "BBBB"):
+            err = evaluate_sequence(parse_sequence(seq, models), p0).final_error
+            for eg in (err, math.nextafter(err, 0)):
+                goals.append(PlannerGoal(p0=p0, e_g=eg, max_rounds=4))
+    # p0 on and around each threshold.
+    for name in ("A", "B"):
+        thr = threshold(models[name])
+        for dp in (0.0, 1e-7, -1e-7, 1e-16, -1e-16):
+            goals.append(PlannerGoal(p0=thr + dp, e_g=1e-9, max_rounds=4))
+    # Subnormal goals; at p0 = 0.005, BABBAA's error is the least subnormal
+    # float and BABABA's is 2e-323.
+    for eg in (1e-310, 2e-323, 5e-324):
+        goals.append(PlannerGoal(p0=0.005, e_g=eg, max_rounds=6))
+    return goals
+
+
+def test_search_matches_exhaustive_on_boundaries(models):
+    for goal in _boundary_goals(models):
+        assert best_sequence(goal, models) == _exhaustive(goal, models), goal
+
+
+def test_search_on_subnormal_goal_error(models):
+    babbaa = evaluate_sequence(parse_sequence("BABBAA", models), 0.005)
+    assert babbaa.final_error == 5e-324
+    res = best_sequence(PlannerGoal(p0=0.005, e_g=5e-324, max_rounds=6), models)
+    assert res.plan is not None and res.plan.final_error <= 5e-324
+
+
+@given(
+    p0=st.floats(min_value=0.001, max_value=0.2, exclude_min=True, exclude_max=True),
+    log_low=st.floats(min_value=-100, max_value=-1e-3),
+    log_high=st.floats(min_value=-100, max_value=-1e-3),
+    max_rounds=st.integers(min_value=1, max_value=6),
+)
+def test_best_cost_non_increasing_in_goal_error(models, p0, log_low, log_high, max_rounds):
+    lo, hi = sorted((p0 * 10.0**log_low, p0 * 10.0**log_high))
+    strict = best_sequence(PlannerGoal(p0=p0, e_g=lo, max_rounds=max_rounds), models)
+    loose = best_sequence(PlannerGoal(p0=p0, e_g=hi, max_rounds=max_rounds), models)
+    if strict.plan is not None:
+        assert loose.plan is not None
+        assert loose.plan.final_cost <= strict.plan.final_cost
+
+
+def test_search_evaluates_few_sequences_at_60_digits(models, monkeypatch):
+    calls = []
+
+    def counting(seq, p0, *args):
+        calls.append(len(seq))
+        return evaluate_sequence(seq, p0, *args)
+
+    monkeypatch.setattr(planner, "evaluate_sequence", counting)
+    res = best_sequence(PlannerGoal(p0=0.01, e_g=1e-25, max_rounds=12), models)
+    assert res.plan is not None and res.plan.final_error <= 1e-25
+    assert len(calls) <= 3  # of 8190 sequences
+
+
+def _decimal_walk(models, p0: float, max_rounds: int) -> dict:
+    """(error, cost) of every sequence up to max_rounds by the recursion at
+    60 significant digits, with an exponent range no sequence leaves."""
+    ctx = decimal.Context(prec=60, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
+
+    def coefficients(poly):
+        return [ctx.divide(c.numerator, c.denominator) for c in reversed(poly.coefficients)]
+
+    def horner(cs, p):
+        acc = decimal.Decimal(0)
+        for c in cs:
+            acc = ctx.add(ctx.multiply(acc, p), c)
+        return acc
+
+    polys = {
+        name: (
+            model.m / decimal.Decimal(model.n),
+            coefficients(model.acceptance_fn.num),
+            coefficients(model.acceptance_fn.den),
+            coefficients(model.error_fn.num),
+            coefficients(model.error_fn.den),
+        )
+        for name, model in models.items()
+    }
+    out = {}
+
+    def visit(prefix, p, cost):
+        for name, (ratio, an, ad, en, ed) in polys.items():
+            acc = ctx.divide(horner(an, p), horner(ad, p))
+            err = ctx.divide(horner(en, p), horner(ed, p))
+            seq = prefix + (name,)
+            out[seq] = (err, ctx.divide(ctx.multiply(cost, ratio), acc))
+            if len(seq) < max_rounds:
+                visit(seq, err, out[seq][1])
+
+    visit((), decimal.Decimal(p0), decimal.Decimal(1))
+    return out
+
+
+@pytest.mark.parametrize("p0", [0.005, 0.01, 0.05])
+def test_float_walk_gap_far_inside_guard_band(models, p0):
+    """Worst relative gap between the float walk and the 60-digit recursion
+    over every sequence up to 12 rounds.  Errors are compared as floats: on
+    the subnormal grid a gap of one grid step is rounding, as the search
+    allows, and errors below the grid must come out as 0 or one step."""
+    names = sorted(models)
+    rounds = [(n, planner._FloatRound(models[n]), threshold(models[n])) for n in names]
+
+    def no_threshold_in_band(seq):
+        raise AssertionError(f"{seq} starts within the band of a threshold")
+
+    step = 5e-324
+    reference = _decimal_walk(models, p0, 12)
+    seen = 0
+    worst = 0.0
+    for seq, error, cost in planner._float_walk(rounds, p0, 12, no_threshold_in_band):
+        want_error, want_cost = (float(v) for v in reference[seq])
+        worst = max(worst, abs(cost - want_cost) / want_cost)
+        if want_error > 0:
+            worst = max(worst, max(0.0, abs(error - want_error) - step) / want_error)
+        else:
+            assert error <= step, seq
+        seen += 1
+    assert seen == len(reference) == 2**13 - 2
+    assert worst <= SEARCH_BAND / 100, worst
