@@ -58,9 +58,6 @@ class Circuit:
     def count_op(self, op: str) -> int:
         return sum(1 for el in self.elements if el.op == op)
 
-    def measurement_labels(self) -> tuple[str, ...]:
-        return tuple(el.label for el in self.elements if el.op in ("mx", "my", "mz"))
-
     def with_insertions(self, insertions: Sequence[tuple[int, Element]]) -> "Circuit":
         """Insert elements, each before the element index given (pre-insertion
         indices; stable for equal indices)."""

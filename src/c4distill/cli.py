@@ -61,7 +61,11 @@ def _emit(text: str, out: Optional[str]):
     outdir = os.environ.get("C4DISTILL_OUTDIR")
     if outdir and not os.path.isabs(path):
         path = os.path.join(outdir, path)
-    with open(path, "w") as fh:
+    try:
+        fh = open(path, "w")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}")
+    with fh:
         fh.write(text if text.endswith("\n") else text + "\n")
 
 
@@ -70,7 +74,10 @@ def _load_models(config: Optional[str]):
 
     models = builtin_models()
     if config:
-        models.update(load_routines_config(config))
+        try:
+            models.update(load_routines_config(config))
+        except (OSError, ValueError) as exc:
+            raise UsageError(f"--routines {config}: {exc}")
     return models
 
 
@@ -208,6 +215,10 @@ def cmd_pipeline(args) -> int:
 
     if not set(args.seq) <= {"A", "B"}:
         raise UsageError("--seq must name builtin routines, e.g. 'BA'")
+    if args.k0 < 1:
+        raise UsageError("--k0 must be positive")
+    if not 0 <= args.p0 < 0.5:
+        raise UsageError("--p0 must be in [0, 0.5)")
     result = run_blocked_pipeline(
         args.k0, args.seq, args.p0, args.seed, grouping=args.grouping
     )

@@ -10,8 +10,9 @@ Two classifiers cover every pattern:
   a common reference point, checked against the stabilizers, and reduced to
   logical operators; the accepted-branch Kraus operator of the encoded
   measurement is then assembled in a 4-dimensional exact algebra over
-  Q(i, sqrt2).  Acceptance and per-output error weights come out as exact
-  rationals, which is what makes the polynomial coefficients exact.
+  Q(i, sqrt2), once per distinct (data bits, logical terms, sign) key.
+  Acceptance and per-output error weights come out as exact rationals,
+  which is what makes the polynomial coefficients exact.
 
 Both classifiers must agree on all 1024 patterns; the derived acceptance and
 undetected-error polynomials must equal the published integer coefficient
@@ -23,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from .circuits import (
     CODE,
@@ -154,6 +156,10 @@ class FrameClassifier:
         # controlled-H pair targeted (the third code wire).
         w1, w2, w3, w4 = ly.code_wires
         self._hless = [("h", (w1,)), ("h", (w2,)), ("h", (w4,))]
+        # The Kraus assembly depends on a pattern only through the key
+        # (d1, d2, term1, term2, sign), and the 1024 patterns share a few
+        # dozen keys; each is assembled once per classifier.
+        self._assembled: dict[tuple, ExactVerdict] = {}
 
     def _split_ancilla(self, p: PauliString) -> tuple[int, PauliString]:
         a = self.layout.ancilla
@@ -213,35 +219,45 @@ class FrameClassifier:
         term2 = self._logical_term(late_code * flipped)
         if term1 is None and term2 is None:
             return _REJECTED
+        key = (d1, d2, term1, term2, sign)
+        verdict = self._assembled.get(key)
+        if verdict is None:
+            verdict = self._assembled[key] = _assemble(*key)
+        return verdict
 
-        base = HBasisState.basis((d1 << 1) | d2)
-        if d1:
-            base = base.scaled(Exact.i_power(1))
-        if d2:
-            base = base.scaled(Exact.i_power(1))
-        half = Exact.rational(Fraction(1, 2))
-        acc = HBasisState([Exact(), Exact(), Exact(), Exact()])
-        if term1 is not None:
-            om, (a1, b1, a2, b2) = term1
-            t = base.apply_1q("H", 1)
-            t = t.apply_xz(a2, b2, 1)
-            t = t.apply_xz(a1, b1, 0)
-            acc = acc + t.scaled(Exact.i_power(om) * half)
-        if term2 is not None:
-            om, (a1, b1, a2, b2) = term2
-            t = base.apply_1q("H", 0)
-            t = t.apply_xz(a2, b2, 1)
-            t = t.apply_xz(a1, b1, 0)
-            acc = acc + t.scaled(Exact.i_power(om + 2 * sign) * half)
-        w = acc.weights()
-        norm = acc.norm2()
-        return ExactVerdict(
-            accept=norm,
-            err1=w[2] + w[3],
-            err2=w[1] + w[3],
-            both=w[3],
-            either=norm - w[0],
-        )
+
+def _assemble(d1: int, d2: int, term1, term2, sign: int) -> ExactVerdict:
+    """Exact verdict of the encoded measurement's accepted branch, from the
+    data-qubit error bits, the two logical terms (i-power, X1,Z1,X2,Z2
+    exponents; None when detected) and the ancilla sign between them."""
+    base = HBasisState.basis((d1 << 1) | d2)
+    if d1:
+        base = base.scaled(Exact.i_power(1))
+    if d2:
+        base = base.scaled(Exact.i_power(1))
+    half = Exact.rational(Fraction(1, 2))
+    acc = HBasisState([Exact(), Exact(), Exact(), Exact()])
+    if term1 is not None:
+        om, (a1, b1, a2, b2) = term1
+        t = base.apply_1q("H", 1)
+        t = t.apply_xz(a2, b2, 1)
+        t = t.apply_xz(a1, b1, 0)
+        acc = acc + t.scaled(Exact.i_power(om) * half)
+    if term2 is not None:
+        om, (a1, b1, a2, b2) = term2
+        t = base.apply_1q("H", 0)
+        t = t.apply_xz(a2, b2, 1)
+        t = t.apply_xz(a1, b1, 0)
+        acc = acc + t.scaled(Exact.i_power(om + 2 * sign) * half)
+    w = acc.weights()
+    norm = acc.norm2()
+    return ExactVerdict(
+        accept=norm,
+        err1=w[2] + w[3],
+        err2=w[1] + w[3],
+        both=w[3],
+        either=norm - w[0],
+    )
 
 
 class DenseClassifier:
@@ -282,7 +298,7 @@ class PolynomialSet:
     either: ExactPolynomial
     both: ExactPolynomial
     accept_by_weight: tuple[Fraction, ...]
-    pattern_counts: dict[str, int]
+    pattern_counts: Mapping[str, int]
 
     def conditional_errors(self) -> tuple[RationalFunction, RationalFunction]:
         return (
@@ -310,6 +326,17 @@ def exact_verdicts() -> tuple[ExactVerdict, ...]:
 
 
 def derive_polynomials(validate: bool = True) -> PolynomialSet:
+    """The routine's exact polynomials, derived once per process.  With
+    ``validate`` every call checks them against the published coefficients
+    and raises ``CoefficientMismatch`` on a difference."""
+    result = _cached_polynomials()
+    if validate:
+        _validate(result)
+    return result
+
+
+@lru_cache(maxsize=1)
+def _cached_polynomials() -> PolynomialSet:
     """Sum the per-pattern weights into exact polynomials in p.
 
     Patterns reduce by Hamming weight; the reduction is a plain sum, so any
@@ -351,17 +378,14 @@ def derive_polynomials(validate: bool = True) -> PolynomialSet:
         poly[name] = total
     if poly["u"].coefficients != poly["u_second"].coefficients:
         raise AssertionError("marginal error polynomials differ between outputs")
-    result = PolynomialSet(
+    return PolynomialSet(
         acceptance=poly["a"],
         marginal=poly["u"],
         either=poly["u2"],
         both=poly["both"],
         accept_by_weight=accept_by_weight,
-        pattern_counts=counts,
+        pattern_counts=MappingProxyType(counts),
     )
-    if validate:
-        _validate(result)
-    return result
 
 
 def _validate(ps: PolynomialSet):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 _PAULI_FROM_BITS = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
 _PHASE_LABEL = {0: "+", 1: "+i", 2: "-", 3: "-i"}
@@ -87,10 +87,6 @@ class PauliString:
     def weight(self) -> int:
         return bin(self.x | self.z).count("1")
 
-    def support(self) -> tuple[int, ...]:
-        mask = self.x | self.z
-        return tuple(j for j in range(self.n) if mask >> j & 1)
-
     def __mul__(self, other: "PauliString") -> "PauliString":
         if self.n != other.n:
             raise DimensionError(f"qubit counts differ: {self.n} != {other.n}")
@@ -101,9 +97,6 @@ class PauliString:
     def inverse(self) -> "PauliString":
         phase = -self.phase + 2 * _parity(self.x & self.z)
         return PauliString(self.n, self.x, self.z, phase)
-
-    def times_i(self, k: int = 1) -> "PauliString":
-        return PauliString(self.n, self.x, self.z, self.phase + k)
 
     def commutes(self, other: "PauliString") -> bool:
         """True iff the symplectic inner product of the bit vectors is even."""
@@ -139,61 +132,6 @@ class CliffordAction:
             if p.z >> j & 1:
                 out = out * self.image_of_z[j]
         return out
-
-    def compose(self, inner: "CliffordAction") -> "CliffordAction":
-        """Action of (self o inner), i.e. apply ``inner`` first."""
-        if inner.n != self.n:
-            raise DimensionError("qubit counts differ")
-        return CliffordAction(
-            self.n,
-            tuple(self.conjugate(q) for q in inner.image_of_x),
-            tuple(self.conjugate(q) for q in inner.image_of_z),
-        )
-
-    def inverse(self) -> "CliffordAction":
-        """Invert by Gaussian elimination on the symplectic matrix."""
-        n = self.n
-        # Row per generator image, columns = (x bits | z bits) of the image.
-        rows = []
-        for j in range(n):
-            rows.append(_sympl_row(self.image_of_x[j]))
-        for j in range(n):
-            rows.append(_sympl_row(self.image_of_z[j]))
-        inv = _invert_gf2(rows)
-        gens_x, gens_z = [], []
-        for j in range(n):
-            gens_x.append(_row_to_pauli(inv[j], n))
-            gens_z.append(_row_to_pauli(inv[n + j], n))
-        # Fix phases: require conjugate(candidate) == generator exactly.
-        fixed_x, fixed_z = [], []
-        for j, cand in enumerate(gens_x):
-            img = self.conjugate(cand)
-            fixed_x.append(cand.times_i(-img.phase))
-        for j, cand in enumerate(gens_z):
-            img = self.conjugate(cand)
-            fixed_z.append(cand.times_i(-img.phase))
-        return CliffordAction(n, tuple(fixed_x), tuple(fixed_z))
-
-
-def _sympl_row(p: PauliString) -> int:
-    return p.x | (p.z << p.n)
-
-
-def _row_to_pauli(row: int, n: int) -> PauliString:
-    return PauliString(n, row & ((1 << n) - 1), row >> n)
-
-
-def _invert_gf2(rows: Sequence[int]) -> list[int]:
-    """Invert a square bit matrix (rows as ints) over GF(2)."""
-    m = len(rows)
-    aug = [rows[i] | (1 << (m + i)) for i in range(m)]
-    for col in range(m):
-        pivot = next(r for r in range(col, m) if aug[r] >> col & 1)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        for r in range(m):
-            if r != col and aug[r] >> col & 1:
-                aug[r] ^= aug[col]
-    return [row >> m for row in aug]
 
 
 def _action_from_labels(pairs: Iterable[tuple[str, str]]) -> CliffordAction:

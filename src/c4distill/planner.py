@@ -28,6 +28,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from mpmath import mpf, workdps
 
+from .exactalg import RationalFunction
 from .routines import RoutineModel, builtin_models
 
 PLANNER_DPS = 60
@@ -163,18 +164,21 @@ def evaluate_sequence(
     )
 
 
-_threshold_cache: dict[tuple, Optional[float]] = {}
+# id(error_fn) -> (error_fn, threshold).  The threshold depends on the error
+# function alone; keying on its identity hashes none of its Fraction
+# coefficients, and holding the function keeps its id from being reused.
+_threshold_cache: dict[int, tuple[RationalFunction, Optional[float]]] = {}
 
 
-def threshold(model: RoutineModel, tol: float = THRESHOLD_TOL) -> Optional[float]:
+def threshold(model: RoutineModel) -> Optional[float]:
     """Smallest fixed point of e(p) = p in the bracket, by bisection.
 
     Returns None when e(p) - p has no sign change on the bracket (a routine
     that improves everywhere, or never does).
     """
-    key = (model.name, model.m, model.n, model.error_fn)
-    if key in _threshold_cache:
-        return _threshold_cache[key]
+    hit = _threshold_cache.get(id(model.error_fn))
+    if hit is not None:
+        return hit[1]
 
     def f(p: float) -> float:
         return float(model.output_error(p)) - p
@@ -187,14 +191,14 @@ def threshold(model: RoutineModel, tol: float = THRESHOLD_TOL) -> Optional[float
     elif flo * fhi > 0:
         result = None
     else:
-        while hi - lo > tol / 4:
+        while hi - lo > THRESHOLD_TOL / 4:
             mid = (lo + hi) / 2
             if flo * f(mid) <= 0:
                 hi = mid
             else:
                 lo = mid
         result = (lo + hi) / 2
-    _threshold_cache[key] = result
+    _threshold_cache[id(model.error_fn)] = (model.error_fn, result)
     return result
 
 

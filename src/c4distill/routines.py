@@ -101,21 +101,32 @@ def load_routines_config(path: str) -> dict[str, RoutineModel]:
         acceptance = 1 -21 189 ...   ; polynomial in p, ascending degree
         undetected = 0 0 0 35 ...    ; ditto; output error is undetected/acceptance
 
-    Coefficients may be integers or fractions like ``3/16``.
+    Coefficients may be integers or fractions like ``3/16``.  A malformed
+    file, a section missing a key, m or n below 1, or a coefficient that is
+    not a number raises ValueError.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ValueError(f"malformed routines config: {exc}") from exc
     if not read:
-        raise FileNotFoundError(path)
+        raise FileNotFoundError(f"cannot read {path}")
     models = {}
     for name in parser.sections():
         sec = parser[name]
+        missing = [key for key in ("m", "n", "acceptance", "undetected") if key not in sec]
+        if missing:
+            raise ValueError(f"routine [{name}] lacks {', '.join(missing)}")
+        m, n = sec.getint("m"), sec.getint("n")
+        if m < 1 or n < 1:
+            raise ValueError(f"routine [{name}] needs m >= 1 and n >= 1, got m={m}, n={n}")
         acc = ExactPolynomial.make(_coeffs(sec["acceptance"]))
         und = ExactPolynomial.make(_coeffs(sec["undetected"]))
         models[name] = RoutineModel(
             name=name,
-            m=sec.getint("m"),
-            n=sec.getint("n"),
+            m=m,
+            n=n,
             acceptance_fn=RationalFunction(acc, ExactPolynomial.make([1])),
             error_fn=RationalFunction(und, acc),
         )
@@ -123,4 +134,7 @@ def load_routines_config(path: str) -> dict[str, RoutineModel]:
 
 
 def _coeffs(text: str) -> list[Fraction]:
-    return [Fraction(tok) for tok in text.split()]
+    try:
+        return [Fraction(tok) for tok in text.split()]
+    except ZeroDivisionError as exc:
+        raise ValueError(f"coefficient with a zero denominator in {text!r}") from exc

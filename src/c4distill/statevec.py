@@ -227,15 +227,6 @@ def _merge_equal_branches(branches: list[Branch]) -> list[Branch]:
     return merged
 
 
-def reduced_density(state: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
-    """Reduced density matrix on ``keep`` wires (row-major over keep order)."""
-    n = state.ndim
-    traced = [a for a in range(n) if a not in keep]
-    rho = np.tensordot(state, state.conj(), axes=(traced, traced))
-    d = 2 ** len(keep)
-    return rho.reshape(d, d)
-
-
 def reduced_fidelity_with_h(state: np.ndarray, wire: int) -> float:
     """<H| rho_wire |H> for a normalized state tensor."""
     v = np.tensordot(H_STATE.conj(), state, axes=([0], [wire]))

@@ -83,7 +83,7 @@ def test_plan_from_computation_size():
     assert payload["goal_error"] == pytest.approx(1e-5)
 
 
-def test_usage_errors():
+def test_usage_errors(tmp_path):
     assert run_cli(["plan", "--p0", "0.01"])[0] == EXIT_USAGE  # no goal
     assert run_cli(["plan", "--p0", "0.01", "--eg", "0.5"])[0] == EXIT_USAGE
     assert run_cli(["simulate", "--p", "0.9", "--trials", "10"])[0] == EXIT_USAGE
@@ -98,6 +98,20 @@ def test_usage_errors():
         assert run_cli(argv)[0] == EXIT_USAGE
     assert run_cli(["table1", "--p0", "0.2"])[0] == EXIT_USAGE  # above B's threshold
     assert run_cli(["curve", "--figure", "distplot", "--max-rounds", "0"])[0] == EXIT_USAGE
+    assert run_cli(["pipeline", "--k0", "-5", "--seq", "A", "--p0", "0.01"])[0] == EXIT_USAGE
+    assert run_cli(["pipeline", "--k0", "100", "--seq", "A", "--p0", "0.7"])[0] == EXIT_USAGE
+    missing = str(tmp_path / "no_such_dir" / "out.json")
+    assert run_cli(["simulate", "--p", "0.1", "--trials", "10", "-o", missing])[0] == EXIT_USAGE
+    argv = ["pipeline", "--k0", "100", "--seq", "A", "--p0", "0.01", "-o", missing]
+    assert run_cli(argv)[0] == EXIT_USAGE
+    cfg = tmp_path / "routines.cfg"
+    for body in (
+        "m = 5\nn = 1\nacceptance = 1 -5 10\n",  # no undetected
+        "m = 0\nn = 1\nacceptance = 1 -5 10\nundetected = 0 0 10\n",
+        "m = 5\nn = 1\nacceptance = 1 -5 10\nundetected = 0 0 1/0\n",
+    ):
+        cfg.write_text("[C]\n" + body)
+        assert run_cli(["threshold", "--routine", "C", "--routines", str(cfg)])[0] == EXIT_USAGE
 
 
 def test_mismatch_exit_code(monkeypatch):

@@ -4,16 +4,115 @@ from fractions import Fraction
 
 import pytest
 
+from c4distill import exactalg
 from c4distill.enumeration import (
     N_PATTERNS,
     PUBLISHED_ACCEPTANCE,
     PUBLISHED_EITHER,
     PUBLISHED_MARGINAL,
     DenseClassifier,
+    ExactVerdict,
+    FrameClassifier,
     classification_report,
     derive_polynomials,
     exact_verdicts,
 )
+from c4distill.exactalg import QS_ZERO, Exact, HBasisState
+from c4distill.pauli import PauliString, conjugate_through
+
+
+def _unmemoized_classify(fc: FrameClassifier, bits: int) -> ExactVerdict:
+    """Reference: propagate one pattern and assemble its Kraus branch from
+    scratch, with no memo shared between patterns."""
+    ly = fc.layout
+    n = ly.width
+    d1 = bits & 1
+    d2 = bits >> 1 & 1
+    mid_total = PauliString.identity(n)
+    late_total = PauliString.identity(n)
+    for loc_id in range(2, 6):
+        if bits >> loc_id & 1:
+            mid_total = fc.concentrated[loc_id] * mid_total
+    for loc_id in range(6, 10):
+        if bits >> loc_id & 1:
+            late_total = fc.block2[loc_id] * late_total
+    s1, mid_code = fc._split_ancilla(mid_total)
+    s2, late_code = fc._split_ancilla(late_total)
+    sign = (s1 + s2) & 1
+
+    term1 = fc._logical_term(late_code * mid_code)
+    flipped = conjugate_through(mid_code, fc._hless, n)
+    term2 = fc._logical_term(late_code * flipped)
+    if term1 is None and term2 is None:
+        return ExactVerdict(QS_ZERO, QS_ZERO, QS_ZERO, QS_ZERO, QS_ZERO)
+
+    base = HBasisState.basis((d1 << 1) | d2)
+    if d1:
+        base = base.scaled(Exact.i_power(1))
+    if d2:
+        base = base.scaled(Exact.i_power(1))
+    half = Exact.rational(Fraction(1, 2))
+    acc = HBasisState([Exact(), Exact(), Exact(), Exact()])
+    if term1 is not None:
+        om, (a1, b1, a2, b2) = term1
+        t = base.apply_1q("H", 1)
+        t = t.apply_xz(a2, b2, 1)
+        t = t.apply_xz(a1, b1, 0)
+        acc = acc + t.scaled(Exact.i_power(om) * half)
+    if term2 is not None:
+        om, (a1, b1, a2, b2) = term2
+        t = base.apply_1q("H", 0)
+        t = t.apply_xz(a2, b2, 1)
+        t = t.apply_xz(a1, b1, 0)
+        acc = acc + t.scaled(Exact.i_power(om + 2 * sign) * half)
+    w = acc.weights()
+    norm = acc.norm2()
+    return ExactVerdict(
+        accept=norm,
+        err1=w[2] + w[3],
+        err2=w[1] + w[3],
+        both=w[3],
+        either=norm - w[0],
+    )
+
+
+def test_memoized_verdicts_equal_unmemoized_reference():
+    fc = FrameClassifier()
+    verdicts = exact_verdicts()
+    for bits in range(N_PATTERNS):
+        want = _unmemoized_classify(fc, bits)
+        # Exact QSqrt2 equality, field for field.
+        assert verdicts[bits] == want, bits
+        assert fc.classify(bits) == want, bits
+
+
+def test_assembly_memo_is_small_and_per_instance():
+    first, second = FrameClassifier(), FrameClassifier()
+    for bits in range(N_PATTERNS):
+        first.classify(bits)
+    assert 0 < len(first._assembled) <= 72
+    assert not second._assembled
+    for bits in range(N_PATTERNS):
+        second.classify(bits)
+    assert second._assembled.keys() == first._assembled.keys()
+    assert all(second._assembled[k] is not v for k, v in first._assembled.items())
+
+
+def test_classifying_all_patterns_makes_few_exact_products(monkeypatch):
+    calls = [0]
+    multiply = exactalg.Exact.__mul__
+
+    def counting(self, other):
+        calls[0] += 1
+        return multiply(self, other)
+
+    monkeypatch.setattr(exactalg.Exact, "__mul__", counting)
+    fc = FrameClassifier()
+    for bits in range(N_PATTERNS):
+        fc.classify(bits)
+    # One assembly per distinct key (about 36 products each); assembling
+    # every pattern anew took 18,432.
+    assert 0 < calls[0] <= 2500
 
 
 def test_polynomials_match_published_exactly(polyset):
@@ -168,6 +267,8 @@ def test_partial_patterns_are_correlated_half_flips():
 def test_coefficient_mismatch_reports_diff(monkeypatch):
     import c4distill.enumeration as en
 
+    # Derived once per process, validated on every call.
+    assert en.derive_polynomials() is en.derive_polynomials(validate=False)
     monkeypatch.setattr(en, "PUBLISHED_MARGINAL", (0, 0, 8, -56, 160, -256, 240, -128, 32))
     with pytest.raises(en.CoefficientMismatch) as err:
         en.derive_polynomials()

@@ -173,18 +173,3 @@ def test_conjugation_preserves_commutation():
         pc = conjugate_through(p, seq, n)
         qc = conjugate_through(q, seq, n)
         assert p.commutes(q) == pc.commutes(qc)
-
-
-def test_action_inverse_gives_bijection():
-    rng = random.Random(19)
-    for _ in range(40):
-        n = rng.randint(1, 3)
-        seq = _random_gate_sequence(rng, n, 3)
-        act = None
-        for name, wires in seq:
-            emb = embedded_action(name, wires, n)
-            act = emb if act is None else emb.compose(act)
-        inv = act.inverse()
-        p = PauliString(n, rng.getrandbits(n), rng.getrandbits(n), rng.randrange(4))
-        assert inv.conjugate(act.conjugate(p)) == p
-        assert act.conjugate(inv.conjugate(p)) == p

@@ -165,6 +165,32 @@ def test_threshold_none_for_always_improving():
     assert threshold(half) is None
 
 
+def test_threshold_cache_separates_error_functions(monkeypatch):
+    def model(undetected):
+        acc = ExactPolynomial.make([1, -5, 10])
+        return RoutineModel(
+            name="C", m=5, n=1,
+            acceptance_fn=RationalFunction(acc, ExactPolynomial.make([1])),
+            error_fn=RationalFunction(ExactPolynomial.make(undetected), acc),
+        )
+
+    first, second = model([0, 0, 10]), model([0, 0, 5])
+    # e(p) = 10p^2 / (1 - 5p + 10p^2) and 5p^2 / (1 - 5p + 10p^2).
+    want_first, want_second = (15 - 185**0.5) / 20, (5 - 15**0.5) / 10
+    assert threshold(first) == pytest.approx(want_first, abs=1e-5)
+    assert threshold(second) == pytest.approx(want_second, abs=1e-5)
+    again = model([0, 0, 10])
+    assert threshold(again) == threshold(first)
+
+    def unhashable(self):
+        raise AssertionError("threshold lookup hashed a Fraction")
+
+    # A cached lookup hashes none of the model's coefficients.
+    monkeypatch.setattr(Fraction, "__hash__", unhashable)
+    assert threshold(first) == pytest.approx(want_first, abs=1e-5)
+    assert threshold(second) == pytest.approx(want_second, abs=1e-5)
+
+
 def test_error_improves_below_threshold(models):
     p = 1e-3
     while p < 0.089:
