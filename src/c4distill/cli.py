@@ -14,6 +14,8 @@ import os
 import sys
 from typing import Optional, Sequence
 
+from .routines import VanishingDenominator
+
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MISMATCH = 2
@@ -51,16 +53,27 @@ def _lin_grid(lo: float, hi: float, points: int) -> list[float]:
     return [lo + step * i for i in range(points)]
 
 
-def _emit(text: str, out: Optional[str]):
+def _output_path(out: Optional[str]) -> Optional[str]:
+    """The file ``-o`` names, resolved against ``$C4DISTILL_OUTDIR``.  Its
+    directory is checked before the command runs, so a path that cannot be
+    written fails at once rather than after the work."""
     if out is None:
+        return None
+    path = os.path.join(os.environ.get("C4DISTILL_OUTDIR", ""), out)
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise UsageError(f"cannot write {path}: no directory {parent}")
+    if not os.access(parent, os.W_OK):
+        raise UsageError(f"cannot write {path}: directory {parent} is not writable")
+    return path
+
+
+def _emit(text: str, path: Optional[str]):
+    if path is None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
         return
-    path = out
-    outdir = os.environ.get("C4DISTILL_OUTDIR")
-    if outdir and not os.path.isabs(path):
-        path = os.path.join(outdir, path)
     try:
         fh = open(path, "w")
     except OSError as exc:
@@ -319,8 +332,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        args.output = _output_path(args.output)
         return args.fn(args)
-    except UsageError as exc:
+    except (UsageError, VanishingDenominator) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
     except BrokenPipeError:

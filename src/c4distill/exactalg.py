@@ -236,7 +236,7 @@ class ExactPolynomial:
 
     def __call__(self, p):
         """Evaluate by Horner's rule; exact for Fraction inputs, and works
-        unchanged for float/mpf arguments (coefficients enter as integer
+        unchanged for float/Decimal arguments (coefficients enter as integer
         numerator over integer denominator, which every numeric type takes).
         """
         zero = 0 * p

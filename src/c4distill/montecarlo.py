@@ -138,15 +138,9 @@ def sample_routine(p: float, trials: int, seed: int) -> SampleStats:
     rng_bits = _stream(seed, 0, "patterns")
     rng_acc = _stream(seed, 0, "accept")
     rng_joint = _stream(seed, 0, "joint")
-    patterns = np.zeros(trials, dtype=np.int64)
     bits = rng_bits.random((trials, 10)) < p
     patterns = (bits << np.arange(10)).sum(axis=1)
-    accepted = rng_acc.random(trials) < table.accept[patterns]
-    cat_u = rng_joint.random(trials)
-    cum = table.joint_cum[patterns[accepted]]
-    cat = (cat_u[accepted][:, None] > cum[:, :3]).sum(axis=1)
-    err1 = (cat == 2) | (cat == 3)
-    err2 = (cat == 1) | (cat == 3)
+    accepted, err1, err2 = _run_instances(table, patterns, rng_acc, rng_joint)
     return SampleStats(
         p=p,
         trials=trials,
@@ -154,8 +148,24 @@ def sample_routine(p: float, trials: int, seed: int) -> SampleStats:
         accepts=int(accepted.sum()),
         errors_out1=int(err1.sum()),
         errors_out2=int(err2.sum()),
-        errors_both=int((cat == 3).sum()),
+        errors_both=int((err1 & err2).sum()),
     )
+
+
+def _run_instances(
+    table: VerdictTable,
+    patterns: np.ndarray,
+    rng_acc: np.random.Generator,
+    rng_joint: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Accept each 10-to-2 instance with its pattern's probability and draw
+    the accepted instances' joint output category: (accepted mask, output-1
+    errors, output-2 errors), the last two over the accepted instances.
+    Each stream gives one draw per instance."""
+    accepted = rng_acc.random(len(patterns)) < table.accept[patterns]
+    cum = table.joint_cum[patterns[accepted]]
+    cat = (rng_joint.random(len(patterns))[accepted][:, None] > cum[:, :3]).sum(axis=1)
+    return accepted, (cat == 2) | (cat == 3), (cat == 1) | (cat == 3)
 
 
 @dataclass
@@ -231,11 +241,7 @@ def run_blocked_pipeline(
             groups = block[: nb * model.m].reshape(nb, model.m)
             if model.name == "A" and model.m == 10:
                 patterns = (groups.astype(np.int64) << np.arange(10)).sum(axis=1)
-                accepted = rng_acc.random(nb) < table.accept[patterns]
-                cum = table.joint_cum[patterns[accepted]]
-                cat = (rng_joint.random(nb)[accepted][:, None] > cum[:, :3]).sum(axis=1)
-                err1 = (cat == 2) | (cat == 3)
-                err2 = (cat == 1) | (cat == 3)
+                _, err1, err2 = _run_instances(table, patterns, rng_acc, rng_joint)
                 if grouping == "blocked":
                     new_blocks.append(err1)
                     new_blocks.append(err2)

@@ -2,44 +2,34 @@
 optimal sequences, asymptotic exponents, and curve/table exports.
 
 A sequence is evaluated by the recursion p_l = e_l(p_{l-1}) and
-c_l = m_l / (n_l * a_l(p_{l-1})) * c_{l-1} with c_0 = 1.  Output errors of
-deep sequences reach 1e-29, far below what double precision can carry
-through the polynomial evaluations, so the recursion runs under mpmath with
-60 significant digits; numerators and denominators are evaluated separately
-and divided once (the exact polynomial forms make this cancellation-free).
-Every reported cost and error comes from this recursion.
+c_l = m_l / (n_l * a_l(p_{l-1})) * c_{l-1} with c_0 = 1, in float, one
+``_FloatRound.step`` per round.  Output errors of deep sequences fall far
+below float's range (1e-29 after four rounds), so a step carries the error
+as a mantissa and a binary exponent: the error numerator's lowest power of p
+is applied to the exponent, the rest of each polynomial is evaluated by
+Horner's rule, and numerator and denominator are divided once (the exact
+polynomial forms make this cancellation-free).  The error thus keeps
+float's relative precision at any depth (within ~1e-13 of a 60-digit
+recursion for the builtin routines); it is rounded to a float, possibly a
+subnormal or zero, only where it is reported or compared.
 
-The sequence search walks the tree of sequence prefixes once, in float: each
-prefix is one Horner step from its parent, and the subtree below a diverged
-prefix is skipped.  An error is carried as a mantissa and a binary exponent,
-so it keeps float's relative precision far below float's range.  Float
-decides only outside a relative guard band (``SEARCH_BAND``); a sequence
-whose input error lies within the band of a threshold, or whose error or
-cost lies within the band of the goal or of the best candidate, is decided
-by the 60-digit recursion, so the search returns what searching every
-sequence at 60 digits would.
+The sequence search walks the tree of sequence prefixes once: each prefix
+is one step from its parent, and the subtree below a diverged prefix is
+skipped.  ``evaluate_sequence`` runs the same steps, so every value a plan
+reports is the value the search compared.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import frexp, inf, ldexp, log
-from typing import Callable, Iterator, Optional, Sequence
-
-from mpmath import mpf, workdps
+from typing import Iterator, Optional, Sequence
 
 from .exactalg import RationalFunction
-from .routines import RoutineModel, builtin_models
+from .routines import RoutineModel, VanishingDenominator, builtin_models
 
-PLANNER_DPS = 60
 THRESHOLD_TOL = 1e-6
 THRESHOLD_BRACKET = (1e-6, 0.25)
-# Relative band within which the float search defers to the 60-digit
-# recursion; float Horner stays within ~1e-13 of it for the builtin routines.
-SEARCH_BAND = 1e-9
-# Float's subnormal grid step: below 2.2e-308 floats round on this absolute
-# grid, so comparisons there also allow two steps.
-_SUBNORMAL_STEP = 5e-324
 
 # The sequence set of the published comparison table, in cost order.
 # Leftmost letter is the first round applied.
@@ -130,36 +120,27 @@ def parse_sequence(
     return out
 
 
-def evaluate_sequence(
-    seq: Sequence[RoutineModel], p0: float, dps: int = PLANNER_DPS
-) -> DistillationPlan:
+def evaluate_sequence(seq: Sequence[RoutineModel], p0: float) -> DistillationPlan:
     """Run the cost/error recursion for one round sequence."""
+    distinct = {id(model): model for model in seq}
+    steps = {key: _FloatRound(model) for key, model in distinct.items()}
     rounds = []
     diverged = False
-    distinct = {id(model): model for model in seq}
-    thresholds = {key: threshold(model) for key, model in distinct.items()}
-    with workdps(dps):
-        p = mpf(p0)
-        cost = mpf(1)
-        for model in seq:
-            thr = thresholds[id(model)]
-            if thr is not None and p >= thr:
-                diverged = True
-            a = model.acceptance(p)
-            p_next = model.output_error(p)
-            cost = cost * mpf(model.m) / (model.n * a)
-            rounds.append(
-                RoundResult(model.name, float(p), float(p_next), float(a), float(cost))
-            )
-            p = p_next
-        final_error = float(p)
-        final_cost = float(cost)
+    x, s = frexp(p0)
+    cost = 1.0
+    for model in seq:
+        rnd = steps[id(model)]
+        p = ldexp(x, s)
+        if p >= rnd.limit:
+            diverged = True
+        x, s, cost, a = rnd.step(x, s, cost)
+        rounds.append(RoundResult(model.name, p, ldexp(x, s), a, cost))
     return DistillationPlan(
         sequence=tuple(m.name for m in seq),
         p0=p0,
         rounds=tuple(rounds),
-        final_error=final_error,
-        final_cost=final_cost,
+        final_error=ldexp(x, s),
+        final_cost=cost,
         diverged=diverged,
     )
 
@@ -212,12 +193,17 @@ class _FloatRound:
     (where p underflows, those terms are below float's relative precision).
     """
 
-    __slots__ = ("ratio", "acc_num", "acc_den", "err_num", "err_den", "order")
+    __slots__ = (
+        "name", "limit", "ratio", "acc_num", "acc_den", "err_num", "err_den", "order"
+    )
 
     def __init__(self, model: RoutineModel):
         def highest_first(coefficients) -> tuple[float, ...]:
             return tuple(float(c) for c in reversed(coefficients))
 
+        self.name = model.name
+        limit = threshold(model)
+        self.limit = inf if limit is None else limit  # an input from here up diverges
         self.order, _ = model.error_fn.num.leading_term()
         self.ratio = model.m / model.n
         self.acc_num = highest_first(model.acceptance_fn.num.coefficients)
@@ -225,13 +211,17 @@ class _FloatRound:
         self.err_num = highest_first(model.error_fn.num.coefficients[self.order :])
         self.err_den = highest_first(model.error_fn.den.coefficients)
 
-    def step(self, x: float, s: int, cost: float) -> tuple[float, int, float]:
-        """(mantissa, exponent, cost) after this round."""
+    def step(self, x: float, s: int, cost: float) -> tuple[float, int, float, float]:
+        """(mantissa, exponent, cost, acceptance) after this round."""
         p = ldexp(x, s)
-        a = _horner(self.acc_num, p) / _horner(self.acc_den, p)
-        q = _horner(self.err_num, p) / _horner(self.err_den, p)
+        try:
+            a = _horner(self.acc_num, p) / _horner(self.acc_den, p)
+            q = _horner(self.err_num, p) / _horner(self.err_den, p)
+            cost_out = cost * self.ratio / a
+        except ZeroDivisionError:
+            raise VanishingDenominator(self.name, p) from None
         x_out, s_out = frexp(x**self.order * q)
-        return x_out, s * self.order + s_out, cost * self.ratio / a
+        return x_out, s * self.order + s_out, cost_out, a
 
 
 def _horner(coefficients: tuple[float, ...], p: float) -> float:
@@ -241,55 +231,26 @@ def _horner(coefficients: tuple[float, ...], p: float) -> float:
     return acc
 
 
-def _near(x: float, y: float) -> bool:
-    """Whether float may misorder x and y: within the guard band, or within
-    two steps of the subnormal grid."""
-    return abs(x - y) <= SEARCH_BAND * max(abs(x), abs(y)) + 2 * _SUBNORMAL_STEP
-
-
 def _float_walk(
-    rounds: Sequence[tuple[str, _FloatRound, Optional[float]]],
-    p0: float,
-    max_rounds: int,
-    diverged: Callable[[tuple[str, ...]], bool],
+    rounds: Sequence[_FloatRound], p0: float, max_rounds: int
 ) -> Iterator[tuple[tuple[str, ...], float, float]]:
-    """(sequence, float error, float cost) of every sequence up to
-    ``max_rounds`` whose rounds all start below their threshold, depth first.
-
-    ``rounds`` holds (name, float round, threshold) per routine; a round whose
-    input error is within the band of its threshold asks ``diverged`` for the
-    60-digit verdict on the sequence it ends.  A diverged sequence's subtree
-    is skipped, since every extension of it diverges too.
+    """(sequence, error, cost) of every sequence up to ``max_rounds`` whose
+    rounds all start below their threshold, depth first.  A diverged
+    sequence's subtree is skipped, since every extension of it diverges too.
     """
     x0, s0 = frexp(p0)
     stack = [((), x0, s0, 1.0)]
     while stack:
         prefix, x, s, cost = stack.pop()
         p = ldexp(x, s)
-        for name, rnd, thr in rounds:
-            seq = prefix + (name,)
-            if thr is not None and (diverged(seq) if _near(p, thr) else p >= thr):
+        for rnd in rounds:
+            if p >= rnd.limit:
                 continue
-            x1, s1, c1 = rnd.step(x, s, cost)
+            seq = prefix + (rnd.name,)
+            x1, s1, c1, _ = rnd.step(x, s, cost)
             yield seq, ldexp(x1, s1), c1
             if len(seq) < max_rounds:
                 stack.append((seq, x1, s1, c1))
-
-
-class _NearLeast:
-    """The items whose key is within the guard band of the least key added."""
-
-    def __init__(self):
-        self.least = inf
-        self.items: list[tuple[float, tuple[str, ...]]] = []
-
-    def add(self, key: float, item: tuple[str, ...]):
-        if key > self.least and not _near(key, self.least):
-            return
-        if key < self.least:
-            self.least = key
-            self.items = [kv for kv in self.items if _near(kv[0], key)]
-        self.items.append((key, item))
 
 
 @dataclass(frozen=True)
@@ -304,50 +265,28 @@ def best_sequence(
     """Cheapest sequence of up to ``max_rounds`` rounds that meets the goal.
 
     Ties are broken by fewer rounds and then by sequence name.  When no
-    sequence meets the goal, ``closest`` is the first sequence, in order of
-    length and then of routine names, with the least error.  The search is
-    one float walk over the prefix tree; the 60-digit recursion decides every
-    sequence float cannot (see the module docstring) and gives every value
-    the result reports.
+    sequence meets the goal, ``closest`` is the sequence with the least
+    error, ties broken the same way.  The search is one float walk over the
+    prefix tree; only the chosen sequence is evaluated again, for its rounds.
     """
     goal.validate()
     models = available or builtin_models()
     eg = goal.goal_error()
-    exact: dict[tuple[str, ...], DistillationPlan] = {}
+    rounds = [_FloatRound(models[name]) for name in sorted(models)]
+    cheapest = closest = None  # (cost or error, rounds, sequence)
+    for seq, error, cost in _float_walk(rounds, goal.p0, goal.max_rounds):
+        if error <= eg and (cheapest is None or (cost, len(seq), seq) < cheapest):
+            cheapest = (cost, len(seq), seq)
+        if closest is None or (error, len(seq), seq) < closest:
+            closest = (error, len(seq), seq)
 
-    def evaluate(seq: tuple[str, ...]) -> DistillationPlan:
-        if seq not in exact:
-            exact[seq] = evaluate_sequence([models[c] for c in seq], goal.p0)
-        return exact[seq]
+    def plan(ranked) -> DistillationPlan:
+        return evaluate_sequence([models[c] for c in ranked[2]], goal.p0)
 
-    rounds = [
-        (name, _FloatRound(models[name]), threshold(models[name])) for name in sorted(models)
-    ]
-    undecided: list[tuple[str, ...]] = []  # error within the band of e_g
-    cheapest = _NearLeast()  # surely feasible, by cost
-    least_error = _NearLeast()  # every sequence, by error
-    walk = _float_walk(rounds, goal.p0, goal.max_rounds, lambda seq: evaluate(seq).diverged)
-    for seq, error, cost in walk:
-        if _near(error, eg):
-            undecided.append(seq)
-        elif error < eg:
-            cheapest.add(cost, seq)
-        least_error.add(error, seq)
-
-    feasible = [plan for plan in map(evaluate, undecided) if plan.final_error <= eg]
-    ref = min([cheapest.least] + [plan.final_cost for plan in feasible])
-    feasible += [
-        evaluate(seq) for cost, seq in cheapest.items if cost <= ref or _near(cost, ref)
-    ]
-    if not feasible:
-        closest = min(
-            (evaluate(seq) for _, seq in least_error.items),
-            key=lambda pl: (pl.final_error, len(pl.sequence), pl.sequence),
-            default=None,
-        )
-        return SearchResult(plan=None, closest=closest)
-    best = min(feasible, key=lambda pl: (pl.final_cost, len(pl.rounds), pl.name))
-    return SearchResult(plan=best, closest=best)
+    if cheapest is not None:
+        best = plan(cheapest)
+        return SearchResult(plan=best, closest=best)
+    return SearchResult(plan=None, closest=plan(closest) if closest else None)
 
 
 def shortest_b_only(
@@ -392,16 +331,17 @@ def asymptotic_exponent(model: RoutineModel) -> Optional[float]:
     return log(d) / log(model.m / model.n)
 
 
-def iterate_closed_form(model: RoutineModel, p0: float, rounds: int, dps: int = PLANNER_DPS):
+def iterate_closed_form(model: RoutineModel, p0: float, rounds: int) -> float:
     """Small-p closed form for the error after ``rounds`` rounds:
     kappa^(-1/(d-1)) * (kappa^(1/(d-1)) * p0)^(d^rounds)."""
     d, kappa = model.leading_order()
     if d <= 1:
         raise ValueError("needs an error of order p^2 or higher")
-    with workdps(dps):
-        scale = mpf(kappa.numerator) / mpf(kappa.denominator)
-        scale = scale ** (mpf(1) / (d - 1))
-        return float((scale * p0) ** (d**rounds) / scale)
+    scale = float(kappa) ** (1 / (d - 1))
+    try:
+        return (scale * p0) ** (d**rounds) / scale
+    except OverflowError:  # scale * p0 > 1: the form grows past float's range
+        return inf
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,10 @@
 A routine is characterized by its input/output counts and two functions of
 the input error probability p: the acceptance probability and the marginal
 output error conditional on acceptance.  Both are stored as exact rational
-functions, so evaluation works unchanged for float, mpmath and Fraction
-arguments; the planner relies on evaluating numerator and denominator
-separately to keep errors near 1e-30 fully accurate.
+functions, so evaluation works unchanged for float, Decimal and Fraction
+arguments; the planner's float recursion takes the coefficients of
+numerator and denominator separately, which keeps errors near 1e-30 fully
+accurate.
 
 Model "A" is the 10-to-2 routine with the polynomials derived by the
 exhaustive enumeration.  Model "B" is the 15-to-1 routine, taken in closed
@@ -27,6 +28,13 @@ from functools import lru_cache
 from .exactalg import ExactPolynomial, RationalFunction
 
 
+class VanishingDenominator(ZeroDivisionError):
+    """A routine's acceptance or output error has a zero denominator at p."""
+
+    def __init__(self, routine: str, p):
+        super().__init__(f"routine {routine}: a denominator vanishes at p = {p}")
+
+
 @dataclass(frozen=True)
 class RoutineModel:
     """An m-to-n distillation routine with exact acceptance/error functions."""
@@ -38,10 +46,16 @@ class RoutineModel:
     error_fn: RationalFunction
 
     def acceptance(self, p):
-        return self.acceptance_fn(p)
+        return self._evaluate(self.acceptance_fn, p)
 
     def output_error(self, p):
-        return self.error_fn(p)
+        return self._evaluate(self.error_fn, p)
+
+    def _evaluate(self, fn: RationalFunction, p):
+        try:
+            return fn(p)
+        except ZeroDivisionError:
+            raise VanishingDenominator(self.name, p) from None
 
     def leading_order(self) -> tuple[int, Fraction]:
         """(degree d, coefficient kappa) of the small-p error kappa * p^d."""
@@ -102,8 +116,9 @@ def load_routines_config(path: str) -> dict[str, RoutineModel]:
         undetected = 0 0 0 35 ...    ; ditto; output error is undetected/acceptance
 
     Coefficients may be integers or fractions like ``3/16``.  A malformed
-    file, a section missing a key, m or n below 1, or a coefficient that is
-    not a number raises ValueError.
+    file, a section missing a key, m or n below 1, a coefficient that is
+    not a number, or an acceptance that is not positive at p = 0 raises
+    ValueError.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
@@ -122,6 +137,8 @@ def load_routines_config(path: str) -> dict[str, RoutineModel]:
         if m < 1 or n < 1:
             raise ValueError(f"routine [{name}] needs m >= 1 and n >= 1, got m={m}, n={n}")
         acc = ExactPolynomial.make(_coeffs(sec["acceptance"]))
+        if acc(Fraction(0)) <= 0:
+            raise ValueError(f"routine [{name}] needs acceptance > 0 at p = 0")
         und = ExactPolynomial.make(_coeffs(sec["undetected"]))
         models[name] = RoutineModel(
             name=name,

@@ -112,6 +112,25 @@ def test_usage_errors(tmp_path):
     ):
         cfg.write_text("[C]\n" + body)
         assert run_cli(["threshold", "--routine", "C", "--routines", str(cfg)])[0] == EXIT_USAGE
+    # An acceptance of zero is refused when the file is read; one that
+    # vanishes at p = 1/4, the top of the threshold bracket, when evaluated.
+    for acceptance in ("0", "1 -4"):
+        cfg.write_text(f"[C]\nm = 5\nn = 1\nacceptance = {acceptance}\nundetected = 0 0 10\n")
+        for argv in (["threshold", "--routine", "C"], ["plan", "--p0", "0.01", "--eg", "1e-5"]):
+            assert run_cli(argv + ["--routines", str(cfg)])[0] == EXIT_USAGE, (acceptance, argv)
+
+
+def test_output_path_checked_before_work(tmp_path, monkeypatch):
+    import c4distill.montecarlo as mc
+
+    def never(*args):
+        raise AssertionError("sampled before checking the output path")
+
+    monkeypatch.setattr(mc, "sample_routine", never)
+    argv = ["simulate", "--p", "0.05", "--trials", "3000000"]
+    assert run_cli(argv + ["-o", str(tmp_path / "missing_dir" / "x.json")])[0] == EXIT_USAGE
+    monkeypatch.setenv("C4DISTILL_OUTDIR", str(tmp_path / "missing_dir"))
+    assert run_cli(argv + ["-o", "x.json"])[0] == EXIT_USAGE
 
 
 def test_mismatch_exit_code(monkeypatch):

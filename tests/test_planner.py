@@ -1,10 +1,11 @@
 """Sequence planner: recursion, thresholds, search, exponents, exports.
 
-The multi-round oracle here is fully independent of the planner's mpmath
-path: it iterates the published coefficient lists with Fraction arithmetic,
-which is exact at every depth.  The search's oracle is the exhaustive loop
-that evaluates every sequence with the 60-digit recursion; the float walk's
-accuracy is measured against a 60-digit ``decimal`` walk.
+The multi-round oracle here is fully independent of the planner's float
+recursion: it iterates the published coefficient lists with Fraction
+arithmetic, which is exact at every depth.  The search's oracle is the
+exhaustive loop that evaluates every sequence with ``evaluate_sequence``;
+the float recursion, and the plans the search picks with it, are measured
+against the same recursion and search at 60 digits in ``decimal``.
 """
 
 import decimal
@@ -19,7 +20,6 @@ from hypothesis import strategies as st
 import c4distill.planner as planner
 from c4distill.exactalg import ExactPolynomial, RationalFunction
 from c4distill.planner import (
-    SEARCH_BAND,
     TABLE_SEQUENCES,
     PlannerGoal,
     SearchResult,
@@ -293,6 +293,7 @@ def test_small_p_iterate(models):
         models["A"], 1e-3, 3
     )
     assert 1.010 < ratio3 < 1.020  # documented deviation of the closed form
+    assert iterate_closed_form(models["A"], 0.2, 20) == math.inf  # 9 * 0.2 > 1
 
 
 def test_error_curves_and_limits():
@@ -328,7 +329,7 @@ def test_curve_crossings_found():
 
 
 def _exhaustive(goal: PlannerGoal, models) -> SearchResult:
-    """Every sequence up to max_rounds through the 60-digit recursion, in
+    """Every sequence up to max_rounds through ``evaluate_sequence``, in
     order of length and then of routine names."""
     goal.validate()
     eg = goal.goal_error()
@@ -409,21 +410,29 @@ def test_best_cost_non_increasing_in_goal_error(models, p0, log_low, log_high, m
 
 
 def test_search_evaluates_few_sequences_at_60_digits(models, monkeypatch):
+    """The search re-evaluates only the sequence it reports, also for a goal
+    on the least subnormal float, where deep sequences' errors round to it
+    or to zero."""
     calls = []
 
-    def counting(seq, p0, *args):
+    def counting(seq, p0):
         calls.append(len(seq))
-        return evaluate_sequence(seq, p0, *args)
+        return evaluate_sequence(seq, p0)
 
     monkeypatch.setattr(planner, "evaluate_sequence", counting)
-    res = best_sequence(PlannerGoal(p0=0.01, e_g=1e-25, max_rounds=12), models)
-    assert res.plan is not None and res.plan.final_error <= 1e-25
-    assert len(calls) <= 3  # of 8190 sequences
+    for p0, eg, max_rounds in ((0.01, 1e-25, 12), (0.005, 5e-324, 10)):
+        calls.clear()
+        res = best_sequence(PlannerGoal(p0=p0, e_g=eg, max_rounds=max_rounds), models)
+        assert res.plan is not None and res.plan.final_error <= eg
+        assert len(calls) <= 3  # of 8190 and 2046 sequences
 
 
 def _decimal_walk(models, p0: float, max_rounds: int) -> dict:
-    """(error, cost) of every sequence up to max_rounds by the recursion at
-    60 significant digits, with an exponent range no sequence leaves."""
+    """(error, cost, headroom) of every sequence up to max_rounds by the
+    recursion at 60 significant digits, with an exponent range no sequence
+    leaves.  The headroom is the least (threshold - p_in) / threshold over
+    the sequence's rounds, negative once a round starts above its
+    routine's threshold."""
     ctx = decimal.Context(prec=60, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
 
     def coefficients(poly):
@@ -442,42 +451,41 @@ def _decimal_walk(models, p0: float, max_rounds: int) -> dict:
             coefficients(model.acceptance_fn.den),
             coefficients(model.error_fn.num),
             coefficients(model.error_fn.den),
+            threshold(model),
         )
         for name, model in models.items()
     }
     out = {}
 
-    def visit(prefix, p, cost):
-        for name, (ratio, an, ad, en, ed) in polys.items():
+    def visit(prefix, p, cost, headroom):
+        for name, (ratio, an, ad, en, ed, thr) in polys.items():
+            room = headroom if thr is None else min(headroom, 1 - float(p) / thr)
             acc = ctx.divide(horner(an, p), horner(ad, p))
             err = ctx.divide(horner(en, p), horner(ed, p))
             seq = prefix + (name,)
-            out[seq] = (err, ctx.divide(ctx.multiply(cost, ratio), acc))
+            out[seq] = (err, ctx.divide(ctx.multiply(cost, ratio), acc), room)
             if len(seq) < max_rounds:
-                visit(seq, err, out[seq][1])
+                visit(seq, err, out[seq][1], room)
 
-    visit((), decimal.Decimal(p0), decimal.Decimal(1))
+    visit((), decimal.Decimal(p0), decimal.Decimal(1), math.inf)
     return out
 
 
 @pytest.mark.parametrize("p0", [0.005, 0.01, 0.05])
 def test_float_walk_gap_far_inside_guard_band(models, p0):
     """Worst relative gap between the float walk and the 60-digit recursion
-    over every sequence up to 12 rounds.  Errors are compared as floats: on
-    the subnormal grid a gap of one grid step is rounding, as the search
-    allows, and errors below the grid must come out as 0 or one step."""
-    names = sorted(models)
-    rounds = [(n, planner._FloatRound(models[n]), threshold(models[n])) for n in names]
-
-    def no_threshold_in_band(seq):
-        raise AssertionError(f"{seq} starts within the band of a threshold")
-
+    over every sequence up to 12 rounds, bounded far inside float rounding
+    that could change a plan.  Errors are compared as floats: on the
+    subnormal grid a gap of one grid step is rounding, and errors below the
+    grid must come out as 0 or one step."""
+    rounds = [planner._FloatRound(models[n]) for n in sorted(models)]
     step = 5e-324
     reference = _decimal_walk(models, p0, 12)
     seen = 0
     worst = 0.0
-    for seq, error, cost in planner._float_walk(rounds, p0, 12, no_threshold_in_band):
-        want_error, want_cost = (float(v) for v in reference[seq])
+    for seq, error, cost in planner._float_walk(rounds, p0, 12):
+        want_error, want_cost, headroom = (float(v) for v in reference[seq])
+        assert headroom > 1e-9, seq  # no round starts near a threshold
         worst = max(worst, abs(cost - want_cost) / want_cost)
         if want_error > 0:
             worst = max(worst, max(0.0, abs(error - want_error) - step) / want_error)
@@ -485,4 +493,46 @@ def test_float_walk_gap_far_inside_guard_band(models, p0):
             assert error <= step, seq
         seen += 1
     assert seen == len(reference) == 2**13 - 2
-    assert worst <= SEARCH_BAND / 100, worst
+    assert worst <= 1e-11, worst
+
+
+def test_evaluate_sequence_reports_the_walks_values(models):
+    """A plan's error and cost are the very floats the search compared."""
+    rounds = [planner._FloatRound(models[n]) for n in sorted(models)]
+    for p0, count in ((0.005, 2**9 - 2), (0.05, 2**9 - 2), (0.12, 2**8 - 1)):
+        seen = 0
+        for seq, error, cost in planner._float_walk(rounds, p0, 8):
+            plan = evaluate_sequence([models[c] for c in seq], p0)
+            assert not plan.diverged, seq
+            assert (plan.final_error, plan.final_cost) == (error, cost), seq
+            seen += 1
+        assert seen == count, p0  # at 0.12, above A's threshold, B comes first
+
+
+@given(
+    p0=st.floats(min_value=0.001, max_value=0.2, exclude_min=True, exclude_max=True),
+    log_ratio=st.floats(min_value=-100, max_value=-1e-3),
+    max_rounds=st.integers(min_value=1, max_value=6),
+)
+def test_search_agrees_with_60_digit_search(models, p0, log_ratio, max_rounds):
+    """Up to a relative 1e-11, the plan is what searching every sequence at
+    60 digits would choose: its values are the 60-digit ones, it meets the
+    goal, and no sequence clearly below every threshold that clearly meets
+    the goal is cheaper.  It is infeasible only when no such sequence
+    exists."""
+    tol = 1e-11
+    eg = p0 * 10.0**log_ratio
+    res = best_sequence(PlannerGoal(p0=p0, e_g=eg, max_rounds=max_rounds), models)
+    reference = _decimal_walk(models, p0, max_rounds)
+    reachable = [
+        cost for err, cost, room in reference.values() if room > tol and err <= eg * (1 - tol)
+    ]
+    if res.plan is None:
+        assert not reachable
+        return
+    err, cost, room = reference[res.plan.sequence]
+    assert room > -tol
+    assert math.isclose(res.plan.final_error, err, rel_tol=tol, abs_tol=5e-324)
+    assert math.isclose(res.plan.final_cost, cost, rel_tol=tol)
+    assert err <= eg * (1 + tol)
+    assert not reachable or float(cost) <= (1 + tol) * float(min(reachable))
