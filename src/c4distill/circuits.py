@@ -55,9 +55,6 @@ class Circuit:
         if len(set(self.labels.values())) != len(self.labels):
             raise ValueError("wire labels must be injective")
 
-    def count_op(self, op: str) -> int:
-        return sum(1 for el in self.elements if el.op == op)
-
     def with_insertions(self, insertions: Sequence[tuple[int, Element]]) -> "Circuit":
         """Insert elements, each before the element index given (pre-insertion
         indices; stable for equal indices)."""
@@ -86,9 +83,6 @@ class CodeDefinition:
     stabilizers: tuple[PauliString, PauliString]
     logical_x: tuple[PauliString, PauliString]
     logical_z: tuple[PauliString, PauliString]
-
-    def logical_y(self, i: int) -> PauliString:
-        return self.logical_x[i] * self.logical_z[i] * PauliString(self.n, 0, 0, 1)
 
 
 CODE = CodeDefinition(

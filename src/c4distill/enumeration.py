@@ -41,7 +41,6 @@ from .exactalg import (
     HBasisState,
     QS_ZERO,
     QSqrt2,
-    RationalFunction,
 )
 from .pauli import PauliString, conjugate_through
 
@@ -75,25 +74,22 @@ class ExactVerdict:
         return tuple(float(v) for v in (self.accept, self.err1, self.err2, self.both, self.either))
 
     def error_class(self) -> str:
-        """Conditional classification of a pattern's accepted branch."""
-        acc = float(self.accept)
-        if acc == 0.0:
+        """Conditional classification of a pattern's accepted branch, by
+        exact comparison of the weights."""
+        if self.accept == QS_ZERO:
             return "rejected"
-        e1 = float(self.err1) / acc
-        e2 = float(self.err2) / acc
+        flips = tuple(
+            0 if err == QS_ZERO else 1 if err == self.accept else None
+            for err in (self.err1, self.err2)
+        )
+        return _ERROR_CLASSES.get(flips, "partial")
 
-        def near(x, t):
-            return abs(x - t) < 1e-12
-
-        if near(e1, 0) and near(e2, 0):
-            return "clean"
-        if near(e1, 1) and near(e2, 1):
-            return "both_outputs"
-        if near(e1, 1) and near(e2, 0):
-            return "first_output"
-        if near(e1, 0) and near(e2, 1):
-            return "second_output"
-        return "partial"
+    def half_fidelity_outputs(self) -> int:
+        """Outputs whose error conditional on acceptance is not 0, 1/2 or 1."""
+        return sum(
+            err != QS_ZERO and err != self.accept and err + err != self.accept
+            for err in (self.err1, self.err2)
+        )
 
 
 @dataclass(frozen=True)
@@ -107,6 +103,13 @@ class DenseVerdict:
 
 
 _REJECTED = ExactVerdict(QS_ZERO, QS_ZERO, QS_ZERO, QS_ZERO, QS_ZERO)
+# (output-1 flipped, output-2 flipped) of an accepted branch -> its class.
+_ERROR_CLASSES = {
+    (0, 0): "clean",
+    (1, 0): "first_output",
+    (0, 1): "second_output",
+    (1, 1): "both_outputs",
+}
 
 
 def _embed_code(p: PauliString) -> PauliString:
@@ -300,12 +303,6 @@ class PolynomialSet:
     accept_by_weight: tuple[Fraction, ...]
     pattern_counts: Mapping[str, int]
 
-    def conditional_errors(self) -> tuple[RationalFunction, RationalFunction]:
-        return (
-            RationalFunction(self.marginal, self.acceptance),
-            RationalFunction(self.either, self.acceptance),
-        )
-
 
 def _rationalize(v: QSqrt2, what: str) -> Fraction:
     try:
@@ -348,7 +345,8 @@ def _cached_polynomials() -> PolynomialSet:
     err2_w = [QS_ZERO] * (N_LOCATIONS + 1)
     both_w = [QS_ZERO] * (N_LOCATIONS + 1)
     any_w = [QS_ZERO] * (N_LOCATIONS + 1)
-    counts = {"rejected": 0, "clean": 0, "error": 0, "fractional_accept": 0, "half_fidelity": 0}
+    one = QSqrt2(Fraction(1))
+    counts = {"fractional_accept": 0, "half_fidelity": 0}
     for bits, v in enumerate(verdicts):
         w = bits.bit_count()
         acc_w[w] += v.accept
@@ -356,17 +354,8 @@ def _cached_polynomials() -> PolynomialSet:
         err2_w[w] += v.err2
         both_w[w] += v.both
         any_w[w] += v.either
-        accept = float(v.accept)
-        if accept == 0.0:
-            counts["rejected"] += 1
-        else:
-            counts["error" if float(v.either) > 0 else "clean"] += 1
-            if abs(accept - 1.0) > 1e-12:
-                counts["fractional_accept"] += 1
-            for errv in (v.err1, v.err2):
-                cond = float(errv) / accept
-                if min(abs(cond - t) for t in (0.0, 0.5, 1.0)) > 1e-12:
-                    counts["half_fidelity"] += 1
+        counts["fractional_accept"] += v.accept not in (QS_ZERO, one)
+        counts["half_fidelity"] += v.half_fidelity_outputs()
     accept_by_weight = tuple(_rationalize(x, f"accept weight class {w}") for w, x in enumerate(acc_w))
     poly = {}
     for name, tallies in (("a", acc_w), ("u", err_w), ("u_second", err2_w), ("u2", any_w), ("both", both_w)):

@@ -3,8 +3,8 @@
 ``Exact`` is an element of Q(i, sqrt2), enough to carry the amplitudes that
 appear when Pauli operators and Hadamards act on the +-1 eigenstates of H.
 ``ExactPolynomial`` holds univariate polynomials with rational coefficients;
-the error-probability polynomials of the routine live here so coefficient
-comparisons are exact.
+the acceptance and undetected-error polynomials of every routine live here
+so coefficient comparisons are exact.
 """
 
 from __future__ import annotations
@@ -81,10 +81,6 @@ class Exact:
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0 and self.c == 0 and self.d == 0
-
-    def to_complex(self) -> complex:
-        s = 2 ** 0.5
-        return complex(self.a + self.b * s, self.c + self.d * s)
 
     @staticmethod
     def rational(q: Rat) -> "Exact":
@@ -260,20 +256,3 @@ class ExactPolynomial:
             out.append(int(c))
         return out
 
-
-@dataclass(frozen=True)
-class RationalFunction:
-    """num/den with exact polynomial parts; evaluated as separate Horner
-    passes and one division, which keeps tiny values fully accurate."""
-
-    num: ExactPolynomial
-    den: ExactPolynomial
-
-    def __call__(self, p):
-        d = self.den(p)
-        if d == 0:
-            raise ZeroDivisionError("denominator vanished")
-        return self.num(p) / d
-
-    def eval_fraction(self, p: Rat) -> Fraction:
-        return Fraction(self.num(Fraction(p)), self.den(Fraction(p)))

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .enumeration import exact_verdicts
-from .planner import evaluate_sequence, parse_sequence
+from .planner import DistillationPlan, evaluate_sequence, parse_sequence
 from .routines import RoutineModel, builtin_models
 
 _PURPOSE = {"inputs": 0, "patterns": 1, "accept": 2, "joint": 3, "model_err": 4}
@@ -195,6 +195,7 @@ class PipelineResult:
     grouping: str
     ensembles: tuple[BlockEnsemble, ...]
     halted: bool
+    plan: DistillationPlan  # the planner's rounds, whose p_out are the nominal rates
 
     @property
     def final(self) -> BlockEnsemble:
@@ -223,13 +224,13 @@ def run_blocked_pipeline(
         raise ValueError("grouping must be 'blocked' or 'instance'")
     models = available or builtin_models()
     model_seq = parse_sequence(seq, models) if isinstance(seq, str) else list(seq)
+    plan = evaluate_sequence(model_seq, p0)
     table = verdict_table()
     rng_init = _stream(seed, 0, "inputs")
     current = BlockEnsemble(0, p0, [rng_init.random(k0) < p0])
     ensembles = [current]
     halted = False
-    p_nom = p0
-    for l, model in enumerate(model_seq, start=1):
+    for l, (model, nominal) in enumerate(zip(model_seq, plan.rounds), start=1):
         new_blocks: list[np.ndarray] = []
         rng_acc = _stream(seed, l, "accept")
         rng_joint = _stream(seed, l, "joint")
@@ -251,14 +252,11 @@ def run_blocked_pipeline(
                     merged[1::2] = err2
                     new_blocks.append(merged)
             else:
-                a = float(model.acceptance(p_nom))
-                e = float(model.output_error(p_nom))
-                accepted = rng_acc.random(nb) < a
-                outs = [rng_err.random(nb) < e for _ in range(model.n)]
+                accepted = rng_acc.random(nb) < nominal.acceptance
+                outs = [rng_err.random(nb) < nominal.p_out for _ in range(model.n)]
                 for j in range(model.n):
                     new_blocks.append(outs[j][accepted])
-        p_nom = float(model.output_error(p_nom))
-        current = BlockEnsemble(l, p_nom, new_blocks)
+        current = BlockEnsemble(l, nominal.p_out, new_blocks)
         ensembles.append(current)
         if current.total_states() == 0:
             halted = True
@@ -271,6 +269,7 @@ def run_blocked_pipeline(
         grouping=grouping,
         ensembles=tuple(ensembles),
         halted=halted,
+        plan=plan,
     )
 
 
@@ -321,9 +320,7 @@ def independence_check(ensemble: BlockEnsemble, z: float = 3.0) -> CorrelationRe
 
 def pipeline_report(result: PipelineResult) -> dict:
     """JSON-ready summary of a blocked-pipeline run."""
-    plan = evaluate_sequence(
-        parse_sequence("".join(result.sequence)), result.p0
-    )
+    plan = result.plan
     rounds = []
     for ens in result.ensembles:
         corr = independence_check(ens)

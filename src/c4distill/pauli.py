@@ -94,10 +94,6 @@ class PauliString:
         phase = self.phase + other.phase + 2 * _parity(self.z & other.x)
         return PauliString(self.n, self.x ^ other.x, self.z ^ other.z, phase)
 
-    def inverse(self) -> "PauliString":
-        phase = -self.phase + 2 * _parity(self.x & self.z)
-        return PauliString(self.n, self.x, self.z, phase)
-
     def commutes(self, other: "PauliString") -> bool:
         """True iff the symplectic inner product of the bit vectors is even."""
         if self.n != other.n:

@@ -1,14 +1,15 @@
 """Multi-round distillation planning: cost/error recursion, thresholds,
 optimal sequences, asymptotic exponents, and curve/table exports.
 
-A sequence is evaluated by the recursion p_l = e_l(p_{l-1}) and
-c_l = m_l / (n_l * a_l(p_{l-1})) * c_{l-1} with c_0 = 1, in float, one
-``_FloatRound.step`` per round.  Output errors of deep sequences fall far
-below float's range (1e-29 after four rounds), so a step carries the error
-as a mantissa and a binary exponent: the error numerator's lowest power of p
-is applied to the exponent, the rest of each polynomial is evaluated by
-Horner's rule, and numerator and denominator are divided once (the exact
-polynomial forms make this cancellation-free).  The error thus keeps
+A sequence is evaluated by the recursion p_l = u_l(p_{l-1}) / a_l(p_{l-1})
+and c_l = m_l / (n_l * a_l(p_{l-1})) * c_{l-1} with c_0 = 1, in float, one
+``_FloatRound.step`` per round; each model's round is built once per
+process, and its threshold bisects on the same step.  Output errors of deep
+sequences fall far below float's range (1e-29 after four rounds), so a step
+carries the error as a mantissa and a binary exponent: the undetected
+weight's lowest power of p is applied to the exponent, the rest of each
+polynomial is evaluated by Horner's rule, and the two are divided once (the
+exact polynomial forms make this cancellation-free).  The error thus keeps
 float's relative precision at any depth (within ~1e-13 of a 60-digit
 recursion for the builtin routines); it is rounded to a float, possibly a
 subnormal or zero, only where it is reported or compared.
@@ -22,10 +23,10 @@ reports is the value the search compared.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import frexp, inf, ldexp, log
 from typing import Iterator, Optional, Sequence
 
-from .exactalg import RationalFunction
 from .routines import RoutineModel, VanishingDenominator, builtin_models
 
 THRESHOLD_TOL = 1e-6
@@ -122,14 +123,12 @@ def parse_sequence(
 
 def evaluate_sequence(seq: Sequence[RoutineModel], p0: float) -> DistillationPlan:
     """Run the cost/error recursion for one round sequence."""
-    distinct = {id(model): model for model in seq}
-    steps = {key: _FloatRound(model) for key, model in distinct.items()}
     rounds = []
     diverged = False
     x, s = frexp(p0)
     cost = 1.0
     for model in seq:
-        rnd = steps[id(model)]
+        rnd = _float_round(model)
         p = ldexp(x, s)
         if p >= rnd.limit:
             diverged = True
@@ -145,83 +144,77 @@ def evaluate_sequence(seq: Sequence[RoutineModel], p0: float) -> DistillationPla
     )
 
 
-# id(error_fn) -> (error_fn, threshold).  The threshold depends on the error
-# function alone; keying on its identity hashes none of its Fraction
-# coefficients, and holding the function keeps its id from being reused.
-_threshold_cache: dict[int, tuple[RationalFunction, Optional[float]]] = {}
-
-
 def threshold(model: RoutineModel) -> Optional[float]:
     """Smallest fixed point of e(p) = p in the bracket, by bisection.
 
-    Returns None when e(p) - p has no sign change on the bracket (a routine
-    that improves everywhere, or never does).
+    When e(p) - p has no sign change on the bracket, returns None for a
+    routine that improves on all of it, and 0.0 for one that improves
+    nowhere on it, so that every round of it counts as diverged.
     """
-    hit = _threshold_cache.get(id(model.error_fn))
-    if hit is not None:
-        return hit[1]
+    limit = _float_round(model).limit
+    return None if limit == inf else limit
 
-    def f(p: float) -> float:
-        return float(model.output_error(p)) - p
 
-    lo, hi = THRESHOLD_BRACKET
-    flo, fhi = f(lo), f(hi)
-    result: Optional[float]
-    if flo == 0:
-        result = lo
-    elif flo * fhi > 0:
-        result = None
-    else:
-        while hi - lo > THRESHOLD_TOL / 4:
-            mid = (lo + hi) / 2
-            if flo * f(mid) <= 0:
-                hi = mid
-            else:
-                lo = mid
-        result = (lo + hi) / 2
-    _threshold_cache[id(model.error_fn)] = (model.error_fn, result)
-    return result
+@cache
+def _float_round(model: RoutineModel) -> _FloatRound:
+    """The model's round, built once per model per process."""
+    return _FloatRound(model)
 
 
 class _FloatRound:
     """One routine's round in float, on coefficient tuples converted once.
 
-    The input error is x * 2**s with x in [0.5, 1).  The error numerator's
+    The input error is x * 2**s with x in [0.5, 1).  The undetected weight's
     lowest-order terms p**v are applied to the mantissa and the exponent
     separately, so the output error keeps its relative precision however
     small it gets; the rest of each polynomial is evaluated at the float p
     (where p underflows, those terms are below float's relative precision).
+    ``limit`` is the routine's threshold: an input from there up diverges.
     """
 
-    __slots__ = (
-        "name", "limit", "ratio", "acc_num", "acc_den", "err_num", "err_den", "order"
-    )
+    __slots__ = ("name", "limit", "ratio", "acc", "und", "order")
 
     def __init__(self, model: RoutineModel):
         def highest_first(coefficients) -> tuple[float, ...]:
             return tuple(float(c) for c in reversed(coefficients))
 
         self.name = model.name
-        limit = threshold(model)
-        self.limit = inf if limit is None else limit  # an input from here up diverges
-        self.order, _ = model.error_fn.num.leading_term()
+        self.order, _ = model.undetected_poly.leading_term()
         self.ratio = model.m / model.n
-        self.acc_num = highest_first(model.acceptance_fn.num.coefficients)
-        self.acc_den = highest_first(model.acceptance_fn.den.coefficients)
-        self.err_num = highest_first(model.error_fn.num.coefficients[self.order :])
-        self.err_den = highest_first(model.error_fn.den.coefficients)
+        self.acc = highest_first(model.acceptance_poly.coefficients)
+        self.und = highest_first(model.undetected_poly.coefficients[self.order :])
+        self.limit = self._fixed_point()
 
     def step(self, x: float, s: int, cost: float) -> tuple[float, int, float, float]:
         """(mantissa, exponent, cost, acceptance) after this round."""
         p = ldexp(x, s)
         try:
-            a = _horner(self.acc_num, p) / _horner(self.acc_den, p)
-            q = _horner(self.err_num, p) / _horner(self.err_den, p)
+            a = _horner(self.acc, p)
+            q = _horner(self.und, p) / a
             cost_out = cost * self.ratio / a
         except ZeroDivisionError:
             raise VanishingDenominator(self.name, p) from None
         x_out, s_out = frexp(x**self.order * q)
         return x_out, s * self.order + s_out, cost_out, a
+
+    def _fixed_point(self) -> float:
+        def f(p: float) -> float:
+            x, s, _, _ = self.step(*frexp(p), 1.0)
+            return ldexp(x, s) - p
+
+        lo, hi = THRESHOLD_BRACKET
+        flo, fhi = f(lo), f(hi)
+        if flo == 0:
+            return lo
+        if flo * fhi > 0:
+            return inf if flo < 0 else 0.0
+        while hi - lo > THRESHOLD_TOL / 4:
+            mid = (lo + hi) / 2
+            if flo * f(mid) <= 0:
+                hi = mid
+            else:
+                lo = mid
+        return (lo + hi) / 2
 
 
 def _horner(coefficients: tuple[float, ...], p: float) -> float:
@@ -272,7 +265,7 @@ def best_sequence(
     goal.validate()
     models = available or builtin_models()
     eg = goal.goal_error()
-    rounds = [_FloatRound(models[name]) for name in sorted(models)]
+    rounds = [_float_round(models[name]) for name in sorted(models)]
     cheapest = closest = None  # (cost or error, rounds, sequence)
     for seq, error, cost in _float_walk(rounds, goal.p0, goal.max_rounds):
         if error <= eg and (cheapest is None or (cost, len(seq), seq) < cheapest):
@@ -310,13 +303,12 @@ def shortest_b_only(
 
 def improvement_factor(
     plan: DistillationPlan, available: Optional[dict[str, RoutineModel]] = None
-) -> float:
+) -> Optional[float]:
     """Cost of the shortest B-only sequence achieving the plan's error or
-    better, relative to the plan's cost."""
+    better, relative to the plan's cost; None when no B-only sequence does
+    (p0 at or above B's threshold, or more than 16 rounds needed)."""
     ref = shortest_b_only(plan.final_error, plan.p0, available)
-    if ref is None:
-        raise ValueError("no 15-to-1-only sequence reaches the plan's error")
-    return ref.final_cost / plan.final_cost
+    return None if ref is None else ref.final_cost / plan.final_cost
 
 
 def asymptotic_exponent(model: RoutineModel) -> Optional[float]:

@@ -1,21 +1,22 @@
 """Uniform models of distillation routines.
 
-A routine is characterized by its input/output counts and two functions of
-the input error probability p: the acceptance probability and the marginal
-output error conditional on acceptance.  Both are stored as exact rational
-functions, so evaluation works unchanged for float, Decimal and Fraction
-arguments; the planner's float recursion takes the coefficients of
-numerator and denominator separately, which keeps errors near 1e-30 fully
-accurate.
+A routine is characterized by its input/output counts and two exact
+polynomials in the input error probability p: the acceptance probability
+a(p) and the undetected-error weight u(p) of one output, so that the output
+error conditional on acceptance is u(p)/a(p).  Evaluation of the exact
+polynomials works unchanged for float, Decimal and Fraction arguments; the
+planner's float recursion (``planner._FloatRound``) takes their coefficients
+separately, which keeps errors near 1e-30 fully accurate.
 
 Model "A" is the 10-to-2 routine with the polynomials derived by the
 exhaustive enumeration.  Model "B" is the 15-to-1 routine, taken in closed
-form (with x = 1 - 2p): acceptance (1 + 15 x^8)/16 and output error
+form (with x = 1 - 2p): acceptance (1 + 15 x^8)/16 and undetected weight
+(1 - 15 x^7 + 15 x^8 - x^15)/32, so its output error is
 (1 - 15 x^7 + 15 x^8 - x^15) / (2 (1 + 15 x^8)).  Those expressions are
 imported, not derived here, and are only trusted because the planner
 reproduces all published multi-round costs and errors built on them (see
-the test suite).  The error numerator is expanded symbolically in p so that
-evaluation near p = 0 involves no cancellation.
+the test suite).  The undetected weight is expanded symbolically in p so
+that evaluation near p = 0 involves no cancellation.
 """
 
 from __future__ import annotations
@@ -25,43 +26,44 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactalg import ExactPolynomial, RationalFunction
+from .exactalg import ExactPolynomial
 
 
 class VanishingDenominator(ZeroDivisionError):
-    """A routine's acceptance or output error has a zero denominator at p."""
+    """A routine's acceptance vanishes at p, so its output error is undefined."""
 
     def __init__(self, routine: str, p):
         super().__init__(f"routine {routine}: a denominator vanishes at p = {p}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RoutineModel:
-    """An m-to-n distillation routine with exact acceptance/error functions."""
+    """An m-to-n distillation routine: exact acceptance a(p) and undetected
+    weight u(p), with output error u(p)/a(p).
+
+    Models compare and hash by identity, so a cache keyed on a model hashes
+    none of its coefficients.
+    """
 
     name: str
     m: int
     n: int
-    acceptance_fn: RationalFunction
-    error_fn: RationalFunction
+    acceptance_poly: ExactPolynomial
+    undetected_poly: ExactPolynomial
 
     def acceptance(self, p):
-        return self._evaluate(self.acceptance_fn, p)
+        return self.acceptance_poly(p)
 
     def output_error(self, p):
-        return self._evaluate(self.error_fn, p)
-
-    def _evaluate(self, fn: RationalFunction, p):
-        try:
-            return fn(p)
-        except ZeroDivisionError:
-            raise VanishingDenominator(self.name, p) from None
+        a = self.acceptance_poly(p)
+        if a == 0:
+            raise VanishingDenominator(self.name, p)
+        return self.undetected_poly(p) / a
 
     def leading_order(self) -> tuple[int, Fraction]:
         """(degree d, coefficient kappa) of the small-p error kappa * p^d."""
-        d, c = self.error_fn.num.leading_term()
-        den0 = self.error_fn.den(Fraction(0))
-        return d, c / den0
+        d, c = self.undetected_poly.leading_term()
+        return d, c / self.acceptance_poly(Fraction(0))
 
 
 @lru_cache(maxsize=1)
@@ -70,33 +72,22 @@ def model_ten_to_two() -> RoutineModel:
     from .enumeration import derive_polynomials
 
     ps = derive_polynomials()
-    e, _ = ps.conditional_errors()
     return RoutineModel(
-        name="A",
-        m=10,
-        n=2,
-        acceptance_fn=RationalFunction(ps.acceptance, ExactPolynomial.make([1])),
-        error_fn=e,
+        name="A", m=10, n=2, acceptance_poly=ps.acceptance, undetected_poly=ps.marginal
     )
 
 
 @lru_cache(maxsize=1)
 def model_fifteen_to_one() -> RoutineModel:
     x = ExactPolynomial.make([1, -2])  # x = 1 - 2p
-    x8 = x**8
-    acc_num = ExactPolynomial.make([1]) + x8.scaled(15)
-    err_num = (
-        ExactPolynomial.make([1])
-        - (x**7).scaled(15)
-        + x8.scaled(15)
-        - x**15
-    )
+    one = ExactPolynomial.make([1])
+    x8_15 = (x**8).scaled(15)
     return RoutineModel(
         name="B",
         m=15,
         n=1,
-        acceptance_fn=RationalFunction(acc_num, ExactPolynomial.make([16])),
-        error_fn=RationalFunction(err_num, acc_num.scaled(2)),
+        acceptance_poly=(one + x8_15).scaled(Fraction(1, 16)),
+        undetected_poly=(one - (x**7).scaled(15) + x8_15 - x**15).scaled(Fraction(1, 32)),
     )
 
 
@@ -117,8 +108,8 @@ def load_routines_config(path: str) -> dict[str, RoutineModel]:
 
     Coefficients may be integers or fractions like ``3/16``.  A malformed
     file, a section missing a key, m or n below 1, a coefficient that is
-    not a number, or an acceptance that is not positive at p = 0 raises
-    ValueError.
+    not a number, or an acceptance that is not positive at p = 0 or has a
+    root in (0, 1/2) raises ValueError.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
@@ -139,14 +130,10 @@ def load_routines_config(path: str) -> dict[str, RoutineModel]:
         acc = ExactPolynomial.make(_coeffs(sec["acceptance"]))
         if acc(Fraction(0)) <= 0:
             raise ValueError(f"routine [{name}] needs acceptance > 0 at p = 0")
+        if _roots_below_half(acc):
+            raise ValueError(f"routine [{name}] has an acceptance that vanishes in (0, 1/2)")
         und = ExactPolynomial.make(_coeffs(sec["undetected"]))
-        models[name] = RoutineModel(
-            name=name,
-            m=m,
-            n=n,
-            acceptance_fn=RationalFunction(acc, ExactPolynomial.make([1])),
-            error_fn=RationalFunction(und, acc),
-        )
+        models[name] = RoutineModel(name=name, m=m, n=n, acceptance_poly=acc, undetected_poly=und)
     return models
 
 
@@ -155,3 +142,36 @@ def _coeffs(text: str) -> list[Fraction]:
         return [Fraction(tok) for tok in text.split()]
     except ZeroDivisionError as exc:
         raise ValueError(f"coefficient with a zero denominator in {text!r}") from exc
+
+
+def _roots_below_half(poly: ExactPolynomial) -> int:
+    """Distinct roots of ``poly`` in (0, 1/2), by Sturm's theorem, for a
+    ``poly`` that does not vanish at 0.  The chain is divided by its last
+    member, the gcd of ``poly`` and its derivative, so multiple roots count
+    once and a root at 1/2 is simple."""
+    derivative = ExactPolynomial.make([k * c for k, c in enumerate(poly.coefficients)][1:])
+    chain = [poly, derivative]
+    while chain[-1].coefficients:
+        chain.append(_divmod(chain[-2], chain[-1])[1].scaled(-1))
+    chain.pop()
+    chain = [_divmod(f, chain[-1])[0] for f in chain]
+
+    def sign_changes(p: Fraction) -> int:
+        signs = [v > 0 for v in (f(p) for f in chain) if v != 0]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    half = Fraction(1, 2)
+    # Sturm counts the roots in (0, 1/2]; one at 1/2 itself is allowed.
+    return sign_changes(Fraction(0)) - sign_changes(half) - (chain[0](half) == 0)
+
+
+def _divmod(a: ExactPolynomial, b: ExactPolynomial) -> tuple[ExactPolynomial, ExactPolynomial]:
+    """Quotient and remainder of exact polynomial division by a nonzero ``b``."""
+    top = b.degree()
+    quotient = [Fraction(0)] * max(a.degree() - top + 1, 0)
+    rest = list(a.coefficients)
+    for shift in reversed(range(len(quotient))):
+        c = quotient[shift] = rest[shift + top] / b.coefficients[top]
+        for k, bc in enumerate(b.coefficients):
+            rest[shift + k] -= c * bc
+    return ExactPolynomial.make(quotient), ExactPolynomial.make(rest)

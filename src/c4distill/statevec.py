@@ -227,12 +227,6 @@ def _merge_equal_branches(branches: list[Branch]) -> list[Branch]:
     return merged
 
 
-def reduced_fidelity_with_h(state: np.ndarray, wire: int) -> float:
-    """<H| rho_wire |H> for a normalized state tensor."""
-    v = np.tensordot(H_STATE.conj(), state, axes=([0], [wire]))
-    return float(np.vdot(v, v).real)
-
-
 def h_basis_joint(state: np.ndarray, wire1: int, wire2: int) -> np.ndarray:
     """2x2 array of probabilities in the (|H>,|-H>) x (|H>,|-H>) basis."""
     mh = np.array([-H_STATE[1], H_STATE[0]], dtype=complex)
@@ -299,7 +293,10 @@ def _choi(kraus: Iterable[np.ndarray]) -> np.ndarray:
 def channel_distance(
     circ_a: Circuit, circ_b: Circuit, compare_labels: bool = True
 ) -> float:
-    """Max absolute Choi-matrix deviation between the two circuits."""
+    """Max absolute Choi-matrix deviation between the two circuits' channels
+    (so a global phase does not count).  Circuits with measurements are
+    compared branch by branch when ``compare_labels`` is set, else as the
+    outcome-forgetting channel."""
     ka = labeled_kraus(circ_a)
     kb = labeled_kraus(circ_b)
     if compare_labels:
@@ -320,18 +317,6 @@ def channel_distance(
     if ja.shape != jb.shape:
         raise DimensionError("open wire sets differ")
     return float(np.abs(ja - jb).max())
-
-
-def channel_equal(
-    circ_a: Circuit, circ_b: Circuit, tol: float = 1e-10, compare_labels: bool = True
-) -> bool:
-    """True iff the induced channels agree on a complete operator basis.
-
-    Pure-unitary circuits are compared up to a global phase; circuits with
-    measurements are compared branch by branch when ``compare_labels`` is
-    set, else as the outcome-forgetting channel.
-    """
-    return channel_distance(circ_a, circ_b, compare_labels) <= tol
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:

@@ -14,6 +14,14 @@ Z = np.diag([1, -1]).astype(complex)
 PAULI_MATS = {"I": I2, "X": X, "Y": Y, "Z": Z}
 
 
+def h_fidelity(state: np.ndarray, wire: int) -> float:
+    """<H| rho_wire |H> for a normalized state tensor."""
+    from c4distill.statevec import H_STATE
+
+    v = np.tensordot(H_STATE.conj(), state, axes=([0], [wire]))
+    return float(np.vdot(v, v).real)
+
+
 def kron_all(labels: str) -> np.ndarray:
     """Dense matrix of a Pauli label string (leftmost letter = qubit 0)."""
     out = np.array([[1]], dtype=complex)

@@ -131,7 +131,12 @@ def test_criterion_06_detection_properties():
 
 def test_criterion_07_correlation_inequality():
     ps = derive_polynomials()
-    e, e2 = ps.conditional_errors()
+    def e(p):
+        return ps.marginal(p) / ps.acceptance(p)
+
+    def e2(p):
+        return ps.either(p) / ps.acceptance(p)
+
     p = 1e-3
     while p <= 0.089 + 1e-12:
         ev, e2v = e(p), e2(p)

@@ -16,12 +16,9 @@ from c4distill.circuits import (
     insert_pattern,
     reference_outcomes,
 )
-from c4distill.statevec import (
-    h_basis_joint,
-    reduced_fidelity_with_h,
-    run,
-)
-from conftest import kron_all
+from c4distill.pauli import PauliString
+from c4distill.statevec import h_basis_joint, run
+from conftest import h_fidelity, kron_all
 
 
 def test_code_definition_invariants():
@@ -33,8 +30,6 @@ def test_code_definition_invariants():
         assert not CODE.logical_x[i].commutes(CODE.logical_z[i])
         assert CODE.logical_x[i].commutes(CODE.logical_z[1 - i])
     # Any weight-1 Pauli anticommutes with at least one stabilizer.
-    from c4distill.pauli import PauliString
-
     for qubit in range(4):
         for kind in "XYZ":
             p = PauliString.single(4, qubit, kind)
@@ -87,7 +82,7 @@ def test_single_qubit_error_flips_a_check():
 def test_logical_y_passes_checks_and_flips_output():
     # Apply the physical representative of logical Y on qubit 1 inside the
     # code: checks stay clean, first output flips, second is untouched.
-    ly = CODE.logical_y(0)
+    ly = CODE.logical_x[0] * CODE.logical_z[0] * PauliString(4, 0, 0, 1)
     label = ly.label()
     enc, dec = build_c4_codec()
     gate_seq = []
@@ -104,16 +99,17 @@ def test_logical_y_passes_checks_and_flips_output():
     assert len(branches) == 1
     br = branches[0]
     assert br.outcomes == {"check_z": 0, "check_x": 0}
-    assert reduced_fidelity_with_h(br.state, 0) == pytest.approx(0.0, abs=1e-12)
-    assert reduced_fidelity_with_h(br.state, 2) == pytest.approx(1.0, abs=1e-12)
+    assert h_fidelity(br.state, 0) == pytest.approx(0.0, abs=1e-12)
+    assert h_fidelity(br.state, 2) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_distillation_circuit_shape():
     circ, locations = build_distillation_circuit()
     assert circ.width == 5
-    assert circ.count_op("ch") == 4
+    n_ch = sum(el.op == "ch" for el in circ.elements)
+    assert n_ch == 4
     # Two resource states per controlled-H gadget.
-    assert 2 * circ.count_op("ch") == 8
+    assert 2 * n_ch == 8
     assert len(locations) == 10
     assert sum(1 for l in locations if l.kind == "data") == 2
     assert sum(1 for l in locations if l.kind == "gate") == 8
@@ -127,8 +123,8 @@ def test_noiseless_run_reference_and_outputs():
     assert set(ref) == {"meas_encoded", "check_z", "check_x"}
     (br,) = run(circ, postselect=ref)
     assert br.prob == pytest.approx(1.0, abs=1e-12)
-    assert reduced_fidelity_with_h(br.state, circ.labels["out1"]) == pytest.approx(1.0, abs=1e-12)
-    assert reduced_fidelity_with_h(br.state, circ.labels["out2"]) == pytest.approx(1.0, abs=1e-12)
+    assert h_fidelity(br.state, circ.labels["out1"]) == pytest.approx(1.0, abs=1e-12)
+    assert h_fidelity(br.state, circ.labels["out2"]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_reference_rejects_random_measurement():
@@ -158,8 +154,8 @@ def test_double_data_error_accepted_with_both_outputs_flipped():
     noisy = insert_pattern(circ, locations, 0b0000000011)
     (br,) = run(noisy, postselect=ref)
     assert br.prob == pytest.approx(1.0, abs=1e-10)
-    assert reduced_fidelity_with_h(br.state, circ.labels["out1"]) == pytest.approx(0.0, abs=1e-10)
-    assert reduced_fidelity_with_h(br.state, circ.labels["out2"]) == pytest.approx(0.0, abs=1e-10)
+    assert h_fidelity(br.state, circ.labels["out1"]) == pytest.approx(0.0, abs=1e-10)
+    assert h_fidelity(br.state, circ.labels["out2"]) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_encoded_measurement_sorts_h_subspaces():

@@ -112,9 +112,12 @@ def test_usage_errors(tmp_path):
     ):
         cfg.write_text("[C]\n" + body)
         assert run_cli(["threshold", "--routine", "C", "--routines", str(cfg)])[0] == EXIT_USAGE
-    # An acceptance of zero is refused when the file is read; one that
-    # vanishes at p = 1/4, the top of the threshold bracket, when evaluated.
-    for acceptance in ("0", "1 -4"):
+    # An acceptance of zero, or one with a root in (0, 1/2), is refused when
+    # the file is read: a simple root at 1/4 (the top of the threshold
+    # bracket) or at 1/5 (where e(p) - p changes sign through the pole, so
+    # bisection would miss the threshold at 1/15), and a double root at 1/4,
+    # where the acceptance touches zero without changing sign.
+    for acceptance in ("0", "1 -4", "1 -5", "1 -8 16"):
         cfg.write_text(f"[C]\nm = 5\nn = 1\nacceptance = {acceptance}\nundetected = 0 0 10\n")
         for argv in (["threshold", "--routine", "C"], ["plan", "--p0", "0.01", "--eg", "1e-5"]):
             assert run_cli(argv + ["--routines", str(cfg)])[0] == EXIT_USAGE, (acceptance, argv)
@@ -158,6 +161,25 @@ def test_custom_routine_config(tmp_path):
     # e(p) = 10 p^2 / (1 - 5p + 10p^2): fixed point at (15 - sqrt(185)) / 20.
     want = (15 - 185**0.5) / 20
     assert json.loads(out)["threshold"] == pytest.approx(want, abs=1e-5)
+    # An acceptance whose only root in [0, 1/2] is 1/2 itself is accepted:
+    # e(p) = 10 p^2 / (1 - 2p) crosses p at 1/12.
+    cfg.write_text("[C]\nm = 5\nn = 1\nacceptance = 1 -2\nundetected = 0 0 10\n")
+    code, out = run_cli(["threshold", "--routine", "C", "--routines", str(cfg)])
+    assert code == EXIT_OK
+    assert json.loads(out)["threshold"] == pytest.approx(1 / 12, abs=1e-5)
+    # With e(p) = p^2 there is no threshold; at p0 above B's, no 15-to-1-only
+    # sequence reaches the plan's error, so there is no improvement factor.
+    cfg.write_text("[D]\nm = 3\nn = 1\nacceptance = 1\nundetected = 0 0 1\n")
+    code, out = run_cli(["plan", "--p0", "0.2", "--eg", "1e-3", "--routines", str(cfg)])
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["sequence"] == "DDD" and payload["improvement_factor"] is None
+    # e(p) = p / (1 - 2p) never improves: every round of it diverges, so at a
+    # p0 above A's and B's thresholds nothing is feasible.
+    cfg.write_text("[W]\nm = 2\nn = 1\nacceptance = 1 -2\nundetected = 0 1\n")
+    code, out = run_cli(["plan", "--p0", "0.3", "--eg", "1e-3", "--routines", str(cfg)])
+    assert code == EXIT_OK
+    assert json.loads(out) == {"feasible": False, "goal_error": 1e-3, "best_error_achieved": None}
 
 
 def test_verify_identities_all_pass():

@@ -174,8 +174,16 @@ def test_output_fidelity_classes(polyset):
                     assert min(abs(q - t) for t in (0.0, 0.5, 1.0)) < 1e-10
 
 
+def _conditional_errors(polyset):
+    """Output-1 error and either-output error, conditional on acceptance."""
+    return (
+        lambda p: polyset.marginal(p) / polyset.acceptance(p),
+        lambda p: polyset.either(p) / polyset.acceptance(p),
+    )
+
+
 def test_positivity_and_ordering(polyset):
-    e, e2 = polyset.conditional_errors()
+    e, e2 = _conditional_errors(polyset)
     p = 0.0
     while p <= 1.0:
         a = float(polyset.acceptance(p))
@@ -199,7 +207,7 @@ def test_acceptance_positive_below_half(polyset):
 
 
 def test_conditional_error_values(polyset):
-    e, e2 = polyset.conditional_errors()
+    e, e2 = _conditional_errors(polyset)
     assert e(0.0) == 0.0
     # Two significant figures at p = 0.01.
     assert e(0.01) == pytest.approx(9.3e-4, abs=0.05e-4)
@@ -209,14 +217,20 @@ def test_conditional_error_values(polyset):
     assert 2 * PUBLISHED_MARGINAL[2] - PUBLISHED_EITHER[2] == 5
 
 
-def test_division_by_zero_guard(polyset):
-    e, _ = polyset.conditional_errors()
-    # a(p) vanishes nowhere on [0, 1/2); a synthetic zero denominator raises.
-    from c4distill.exactalg import ExactPolynomial, RationalFunction
+def test_division_by_zero_guard():
+    # a(p) vanishes nowhere on [0, 1/2); a synthetic zero acceptance raises,
+    # naming the routine, for float and Fraction arguments alike.
+    from c4distill.exactalg import ExactPolynomial
+    from c4distill.routines import RoutineModel, VanishingDenominator
 
-    bad = RationalFunction(ExactPolynomial.make([1]), ExactPolynomial.make([0, 1]))
-    with pytest.raises(ZeroDivisionError):
-        bad(0.0)
+    bad = RoutineModel(
+        name="Z", m=2, n=1,
+        acceptance_poly=ExactPolynomial.make([0, 1]),
+        undetected_poly=ExactPolynomial.make([1]),
+    )
+    for p in (0.0, Fraction(0)):
+        with pytest.raises(VanishingDenominator, match="routine Z"):
+            bad.output_error(p)
 
 
 def test_accept_weight_per_class(polyset):

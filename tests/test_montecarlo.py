@@ -11,6 +11,7 @@ from c4distill.montecarlo import (
     sample_routine,
     verdict_table,
 )
+from c4distill.planner import evaluate_sequence, parse_sequence
 
 
 def test_no_errors_at_p_zero():
@@ -77,9 +78,8 @@ def test_pipeline_block_sizes_meet_corollary_bound(polyset):
     assert total >= a * 2 * (k0 / 10 - 1) - 3 * 2 * sigma
 
 
-def test_pipeline_error_rates_converge(polyset):
+def test_pipeline_error_rates_converge():
     # Measurable sequences at p0 = 0.05, checked at 3 sigma.
-    e, _ = polyset.conditional_errors()
     cases = [("A", 10**6, 8), ("AA", 10**6, 9), ("B", 10**6, 10), ("BA", 4 * 10**6, 11)]
     for seq, k0, seed in cases:
         res = run_blocked_pipeline(k0, seq, 0.05, seed=seed)
@@ -88,6 +88,21 @@ def test_pipeline_error_rates_converge(polyset):
         p_pred = final.nominal_p
         sigma = math.sqrt(p_pred * (1 - p_pred) / n)
         assert abs(final.error_rate() - p_pred) <= 3 * sigma, (seq, final.error_rate(), p_pred)
+
+
+def test_pipeline_nominal_rates_are_the_planners():
+    # Each round's nominal rate is the planner's output error for that round,
+    # the very float, and the report's final values are the plan's.
+    for seq in ("AA", "BA", "A", "B"):
+        res = run_blocked_pipeline(30_000, seq, 0.05, seed=19)
+        plan = evaluate_sequence(parse_sequence(seq), 0.05)
+        assert not res.halted, seq
+        assert [e.nominal_p for e in res.ensembles] == [0.05] + [r.p_out for r in plan.rounds]
+        report = pipeline_report(res)
+        assert (report["planner_final_error"], report["planner_final_cost"]) == (
+            plan.final_error,
+            plan.final_cost,
+        )
 
 
 def test_blocked_outputs_uncorrelated_but_instance_grouping_is_not(polyset):

