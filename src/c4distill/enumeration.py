@@ -9,10 +9,14 @@ Two classifiers cover every pattern:
   errors are conjugated (exactly, with phases) through the Clifford block to
   a common reference point, checked against the stabilizers, and reduced to
   logical operators; the accepted-branch Kraus operator of the encoded
-  measurement is then assembled in a 4-dimensional exact algebra over
-  Q(i, sqrt2), once per distinct (data bits, logical terms, sign) key.
-  Acceptance and per-output error weights come out as exact rationals,
-  which is what makes the polynomial coefficients exact.
+  measurement is then assembled on two qubits in the ring Z[i, sqrt2], once
+  per distinct (data bits, logical terms, sign) key.  The single-qubit X and
+  Z are stored times sqrt2, so every operator entry is an integer, and each
+  term is scaled so that the assembled state is exactly 8 times the accepted
+  branch.  Every squared modulus is then an integer (``Exact.abs2`` checks
+  that no sqrt2 part survives), and acceptance and per-output error weights
+  come out as exact rationals over 64, which is what makes the polynomial
+  coefficients exact.
 
 Both classifiers must agree on all 1024 patterns; the derived acceptance and
 undetected-error polynomials must equal the published integer coefficient
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 from .circuits import (
     CODE,
@@ -35,13 +39,7 @@ from .circuits import (
     insert_pattern,
     reference_outcomes,
 )
-from .exactalg import (
-    Exact,
-    ExactPolynomial,
-    HBasisState,
-    QS_ZERO,
-    QSqrt2,
-)
+from .exactalg import E_ONE, E_ZERO, Exact, ExactPolynomial
 from .pauli import PauliString, conjugate_through
 
 N_LOCATIONS = 10
@@ -62,13 +60,13 @@ class CoefficientMismatch(RuntimeError):
 @dataclass(frozen=True)
 class ExactVerdict:
     """Unconditional weights (probabilities given the pattern) as exact
-    values: acceptance, per-output error, both-error and either-error."""
+    rationals: acceptance, per-output error, both-error and either-error."""
 
-    accept: QSqrt2
-    err1: QSqrt2
-    err2: QSqrt2
-    both: QSqrt2
-    either: QSqrt2
+    accept: Fraction
+    err1: Fraction
+    err2: Fraction
+    both: Fraction
+    either: Fraction
 
     def as_floats(self) -> tuple[float, float, float, float, float]:
         return tuple(float(v) for v in (self.accept, self.err1, self.err2, self.both, self.either))
@@ -76,10 +74,10 @@ class ExactVerdict:
     def error_class(self) -> str:
         """Conditional classification of a pattern's accepted branch, by
         exact comparison of the weights."""
-        if self.accept == QS_ZERO:
+        if not self.accept:
             return "rejected"
         flips = tuple(
-            0 if err == QS_ZERO else 1 if err == self.accept else None
+            0 if not err else 1 if err == self.accept else None
             for err in (self.err1, self.err2)
         )
         return _ERROR_CLASSES.get(flips, "partial")
@@ -87,7 +85,7 @@ class ExactVerdict:
     def half_fidelity_outputs(self) -> int:
         """Outputs whose error conditional on acceptance is not 0, 1/2 or 1."""
         return sum(
-            err != QS_ZERO and err != self.accept and err + err != self.accept
+            err != 0 and err != self.accept and 2 * err != self.accept
             for err in (self.err1, self.err2)
         )
 
@@ -102,7 +100,7 @@ class DenseVerdict:
     joint: Optional[tuple[tuple[float, float], tuple[float, float]]] = None
 
 
-_REJECTED = ExactVerdict(QS_ZERO, QS_ZERO, QS_ZERO, QS_ZERO, QS_ZERO)
+_REJECTED = ExactVerdict(*[Fraction(0)] * 5)
 # (output-1 flipped, output-2 flipped) of an accepted branch -> its class.
 _ERROR_CLASSES = {
     (0, 0): "clean",
@@ -229,38 +227,83 @@ class FrameClassifier:
         return verdict
 
 
+# Single-qubit operators in the (|H>, |-H>) basis, stored column-major:
+# OP[name][r][c] is <basis_r| op |basis_c>.  X and Z are stored times sqrt2,
+# so every entry is an integer.
+H_BASIS_OPS: dict[str, tuple[tuple[Exact, Exact], tuple[Exact, Exact]]] = {
+    "H": ((E_ONE, E_ZERO), (E_ZERO, -E_ONE)),
+    "X": ((E_ONE, E_ONE), (E_ONE, -E_ONE)),
+    "Z": ((E_ONE, -E_ONE), (-E_ONE, -E_ONE)),
+}
+# sqrt2**k for k = 0..4.
+_SQRT2_POWERS = (E_ONE, Exact(b=1), Exact(2), Exact(b=2), Exact(4))
+
+
+class HBasisState:
+    """Exact two-qubit state in the |+-H> x |+-H> basis (index: q1*2 + q2,
+    bit 1 marking the flipped |-H| component)."""
+
+    __slots__ = ("amps",)
+
+    def __init__(self, amps: Sequence[Exact]):
+        self.amps = tuple(amps)
+
+    def __add__(self, o: "HBasisState") -> "HBasisState":
+        return HBasisState([x + y for x, y in zip(self.amps, o.amps)])
+
+    def scaled(self, s: Exact) -> "HBasisState":
+        return HBasisState([s * x for x in self.amps])
+
+    def apply_1q(self, op: str, qubit: int) -> "HBasisState":
+        m = H_BASIS_OPS[op]
+        out = [E_ZERO] * 4
+        for idx, amp in enumerate(self.amps):
+            if amp.is_zero():
+                continue
+            bit = (idx >> (1 - qubit)) & 1
+            for new_bit in (0, 1):
+                coeff = m[new_bit][bit]
+                if coeff.is_zero():
+                    continue
+                new_idx = idx ^ ((bit ^ new_bit) << (1 - qubit))
+                out[new_idx] = out[new_idx] + coeff * amp
+        return HBasisState(out)
+
+    def apply_xz(self, x_pow: int, z_pow: int, qubit: int) -> "HBasisState":
+        """Apply sqrt2**(x + z) times the monomial X^x Z^z (Z first) to one
+        qubit."""
+        st = self
+        if z_pow:
+            st = st.apply_1q("Z", qubit)
+        if x_pow:
+            st = st.apply_1q("X", qubit)
+        return st
+
+    def weights(self) -> tuple[int, int, int, int]:
+        return tuple(amp.abs2() for amp in self.amps)  # type: ignore[return-value]
+
+
 def _assemble(d1: int, d2: int, term1, term2, sign: int) -> ExactVerdict:
     """Exact verdict of the encoded measurement's accepted branch, from the
     data-qubit error bits, the two logical terms (i-power, X1,Z1,X2,Z2
-    exponents; None when detected) and the ancilla sign between them."""
-    base = HBasisState.basis((d1 << 1) | d2)
-    if d1:
-        base = base.scaled(Exact.i_power(1))
-    if d2:
-        base = base.scaled(Exact.i_power(1))
-    half = Exact.rational(Fraction(1, 2))
-    acc = HBasisState([Exact(), Exact(), Exact(), Exact()])
-    if term1 is not None:
-        om, (a1, b1, a2, b2) = term1
-        t = base.apply_1q("H", 1)
-        t = t.apply_xz(a2, b2, 1)
-        t = t.apply_xz(a1, b1, 0)
-        acc = acc + t.scaled(Exact.i_power(om) * half)
-    if term2 is not None:
-        om, (a1, b1, a2, b2) = term2
-        t = base.apply_1q("H", 0)
-        t = t.apply_xz(a2, b2, 1)
-        t = t.apply_xz(a1, b1, 0)
-        acc = acc + t.scaled(Exact.i_power(om + 2 * sign) * half)
-    w = acc.weights()
-    norm = acc.norm2()
-    return ExactVerdict(
-        accept=norm,
-        err1=w[2] + w[3],
-        err2=w[1] + w[3],
-        both=w[3],
-        either=norm - w[0],
-    )
+    exponents; None when detected) and the ancilla sign between them.
+
+    A term is 1/2 times its logical monomial, whose k = X1+Z1+X2+Z2 factors
+    of 1/sqrt2 ``apply_xz`` leaves out; scaling it by sqrt2**(4 - k) makes
+    the accumulated state 8 times the branch, so each weight is |8 amp|^2/64.
+    """
+    base = HBasisState([Exact.i_power(d1 + d2) if k == 2 * d1 + d2 else E_ZERO for k in range(4)])
+    acc = HBasisState([E_ZERO] * 4)
+    for term, h_qubit, shift in ((term1, 1, 0), (term2, 0, 2 * sign)):
+        if term is None:
+            continue
+        om, (a1, b1, a2, b2) = term
+        t = base.apply_1q("H", h_qubit).apply_xz(a2, b2, 1).apply_xz(a1, b1, 0)
+        scale = Exact.i_power(om + shift) * _SQRT2_POWERS[4 - a1 - b1 - a2 - b2]
+        acc = acc + t.scaled(scale)
+    w0, w1, w2, w3 = acc.weights()
+    norm = w0 + w1 + w2 + w3
+    return ExactVerdict(*(Fraction(w, 64) for w in (norm, w2 + w3, w1 + w3, w3, norm - w0)))
 
 
 class DenseClassifier:
@@ -304,13 +347,6 @@ class PolynomialSet:
     pattern_counts: Mapping[str, int]
 
 
-def _rationalize(v: QSqrt2, what: str) -> Fraction:
-    try:
-        return v.as_fraction()
-    except ValueError as exc:
-        raise AssertionError(f"{what} came out irrational: {v}") from exc
-
-
 @lru_cache(maxsize=1)
 def _cached_verdicts() -> tuple[ExactVerdict, ...]:
     fc = FrameClassifier()
@@ -340,28 +376,27 @@ def _cached_polynomials() -> PolynomialSet:
     enumeration order (or parallel fan-out) gives identical results.
     """
     verdicts = exact_verdicts()
-    acc_w = [QS_ZERO] * (N_LOCATIONS + 1)
-    err_w = [QS_ZERO] * (N_LOCATIONS + 1)
-    err2_w = [QS_ZERO] * (N_LOCATIONS + 1)
-    both_w = [QS_ZERO] * (N_LOCATIONS + 1)
-    any_w = [QS_ZERO] * (N_LOCATIONS + 1)
-    one = QSqrt2(Fraction(1))
+    acc_w = [Fraction(0)] * (N_LOCATIONS + 1)
+    err_w = acc_w.copy()
+    err2_w = acc_w.copy()
+    both_w = acc_w.copy()
+    any_w = acc_w.copy()
     counts = {"fractional_accept": 0, "half_fidelity": 0}
     for bits, v in enumerate(verdicts):
+        if not v.accept:
+            continue
         w = bits.bit_count()
         acc_w[w] += v.accept
         err_w[w] += v.err1
         err2_w[w] += v.err2
         both_w[w] += v.both
         any_w[w] += v.either
-        counts["fractional_accept"] += v.accept not in (QS_ZERO, one)
+        counts["fractional_accept"] += v.accept != 1
         counts["half_fidelity"] += v.half_fidelity_outputs()
-    accept_by_weight = tuple(_rationalize(x, f"accept weight class {w}") for w, x in enumerate(acc_w))
     poly = {}
     for name, tallies in (("a", acc_w), ("u", err_w), ("u_second", err2_w), ("u2", any_w), ("both", both_w)):
         total = ExactPolynomial.zero()
-        for w, tally in enumerate(tallies):
-            q = _rationalize(tally, f"{name} weight class {w}")
+        for w, q in enumerate(tallies):
             if q:
                 total = total + ExactPolynomial.binomial_term(w, N_LOCATIONS).scaled(q)
         poly[name] = total
@@ -372,7 +407,7 @@ def _cached_polynomials() -> PolynomialSet:
         marginal=poly["u"],
         either=poly["u2"],
         both=poly["both"],
-        accept_by_weight=accept_by_weight,
+        accept_by_weight=tuple(acc_w),
         pattern_counts=MappingProxyType(counts),
     )
 

@@ -1,7 +1,9 @@
 """Exact scalar and polynomial arithmetic.
 
-``Exact`` is an element of Q(i, sqrt2), enough to carry the amplitudes that
-appear when Pauli operators and Hadamards act on the +-1 eigenstates of H.
+``Exact`` is an element of the ring Z[i, sqrt2], held as four Python ints.
+Every amplitude of the routine's Kraus assembly is such an element once
+the assembly's one power-of-sqrt2 scale is taken out (see
+``enumeration``), so the exact core needs no rational arithmetic.
 ``ExactPolynomial`` holds univariate polynomials with rational coefficients;
 the acceptance and undetected-error polynomials of every routine live here
 so coefficient comparisons are exact.
@@ -17,50 +19,22 @@ Rat = Union[int, Fraction]
 
 
 @dataclass(frozen=True)
-class QSqrt2:
-    """a + b*sqrt2 with rational parts; the value type of squared moduli."""
-
-    a: Fraction = Fraction(0)
-    b: Fraction = Fraction(0)
-
-    def __add__(self, o: "QSqrt2") -> "QSqrt2":
-        return QSqrt2(self.a + o.a, self.b + o.b)
-
-    def __sub__(self, o: "QSqrt2") -> "QSqrt2":
-        return QSqrt2(self.a - o.a, self.b - o.b)
-
-    def as_fraction(self) -> Fraction:
-        if self.b != 0:
-            raise ValueError(f"irrational value {self}")
-        return self.a
-
-    def __float__(self) -> float:
-        return float(self.a) + float(self.b) * 2 ** 0.5
-
-
-QS_ZERO = QSqrt2()
-
-
-@dataclass(frozen=True)
 class Exact:
-    """(a + b*sqrt2) + i*(c + d*sqrt2) with rational a, b, c, d."""
+    """(a + b*sqrt2) + i*(c + d*sqrt2) with integer a, b, c, d."""
 
-    a: Fraction = Fraction(0)
-    b: Fraction = Fraction(0)
-    c: Fraction = Fraction(0)
-    d: Fraction = Fraction(0)
+    a: int = 0
+    b: int = 0
+    c: int = 0
+    d: int = 0
 
     def __add__(self, o: "Exact") -> "Exact":
         return Exact(self.a + o.a, self.b + o.b, self.c + o.c, self.d + o.d)
-
-    def __sub__(self, o: "Exact") -> "Exact":
-        return Exact(self.a - o.a, self.b - o.b, self.c - o.c, self.d - o.d)
 
     def __neg__(self) -> "Exact":
         return Exact(-self.a, -self.b, -self.c, -self.d)
 
     def __mul__(self, o: "Exact") -> "Exact":
-        # (x1 + i y1)(x2 + i y2) with x, y in Q[sqrt2].
+        # (x1 + i y1)(x2 + i y2) with x, y in Z[sqrt2].
         a, b, c, d = self.a, self.b, self.c, self.d
         e, f, g, h = o.a, o.b, o.c, o.d
         ra = a * e + 2 * b * f - c * g - 2 * d * h
@@ -72,19 +46,16 @@ class Exact:
     def conj(self) -> "Exact":
         return Exact(self.a, self.b, -self.c, -self.d)
 
-    def abs2(self) -> QSqrt2:
-        """Squared modulus, exactly, as an element of Q[sqrt2]."""
-        v = self * self.conj()
-        if v.c != 0 or v.d != 0:
-            raise AssertionError(f"squared modulus not real: {v}")
-        return QSqrt2(v.a, v.b)
+    def abs2(self) -> int:
+        """Squared modulus, exactly; an AssertionError when it is irrational
+        (a sqrt2 part survives), which no amplitude of the routine allows."""
+        a, b, c, d = self.a, self.b, self.c, self.d
+        if a * b + c * d:
+            raise AssertionError(f"squared modulus of {self} is irrational")
+        return a * a + 2 * b * b + c * c + 2 * d * d
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0 and self.c == 0 and self.d == 0
-
-    @staticmethod
-    def rational(q: Rat) -> "Exact":
-        return Exact(Fraction(q))
 
     @staticmethod
     def i_power(k: int) -> "Exact":
@@ -92,70 +63,8 @@ class Exact:
 
 
 E_ZERO = Exact()
-E_ONE = Exact(Fraction(1))
-E_I = Exact(c=Fraction(1))
-E_INV_SQRT2 = Exact(b=Fraction(1, 2))  # (1/2)*sqrt2 == 1/sqrt2
-
-# Single-qubit operators in the (|H>, |-H>) basis, stored column-major:
-# OP[name][r][c] is <basis_r| op |basis_c>.
-_R = E_INV_SQRT2
-H_BASIS_OPS: dict[str, tuple[tuple[Exact, Exact], tuple[Exact, Exact]]] = {
-    "I": ((E_ONE, E_ZERO), (E_ZERO, E_ONE)),
-    "H": ((E_ONE, E_ZERO), (E_ZERO, -E_ONE)),
-    "X": ((_R, _R), (_R, -_R)),
-    "Z": ((_R, -_R), (-_R, -_R)),
-    "Y": ((E_ZERO, -E_I), (E_I, E_ZERO)),
-}
-
-
-class HBasisState:
-    """Exact two-qubit state in the |+-H> x |+-H> basis (index: q1*2 + q2,
-    bit 1 marking the flipped |-H| component)."""
-
-    __slots__ = ("amps",)
-
-    def __init__(self, amps: Sequence[Exact]):
-        self.amps = tuple(amps)
-
-    @staticmethod
-    def basis(idx: int) -> "HBasisState":
-        return HBasisState([E_ONE if k == idx else E_ZERO for k in range(4)])
-
-    def __add__(self, o: "HBasisState") -> "HBasisState":
-        return HBasisState([x + y for x, y in zip(self.amps, o.amps)])
-
-    def scaled(self, s: Exact) -> "HBasisState":
-        return HBasisState([s * x for x in self.amps])
-
-    def apply_1q(self, op: str, qubit: int) -> "HBasisState":
-        m = H_BASIS_OPS[op]
-        out = [E_ZERO] * 4
-        for idx, amp in enumerate(self.amps):
-            if amp.is_zero():
-                continue
-            bit = (idx >> (1 - qubit)) & 1
-            for new_bit in (0, 1):
-                coeff = m[new_bit][bit]
-                if coeff.is_zero():
-                    continue
-                new_idx = idx ^ ((bit ^ new_bit) << (1 - qubit))
-                out[new_idx] = out[new_idx] + coeff * amp
-        return HBasisState(out)
-
-    def apply_xz(self, x_pow: int, z_pow: int, qubit: int) -> "HBasisState":
-        """Apply the canonical monomial X^x Z^z (Z first) to one qubit."""
-        st = self
-        if z_pow:
-            st = st.apply_1q("Z", qubit)
-        if x_pow:
-            st = st.apply_1q("X", qubit)
-        return st
-
-    def norm2(self) -> QSqrt2:
-        return sum((amp.abs2() for amp in self.amps), QS_ZERO)
-
-    def weights(self) -> tuple[QSqrt2, QSqrt2, QSqrt2, QSqrt2]:
-        return tuple(amp.abs2() for amp in self.amps)  # type: ignore[return-value]
+E_ONE = Exact(1)
+E_I = Exact(c=1)
 
 
 def _as_fraction_list(coeffs: Sequence[Rat]) -> tuple[Fraction, ...]:

@@ -199,9 +199,9 @@ IDENTITIES: dict[str, tuple[str, Callable[[], float]]] = {
 }
 
 
-def verify_all(tol: float = TOL) -> dict[str, tuple[bool, float]]:
+def verify_all() -> dict[str, tuple[bool, float]]:
     out = {}
     for name, (_, fn) in IDENTITIES.items():
         dist = fn()
-        out[name] = (dist <= tol, dist)
+        out[name] = (dist <= TOL, dist)
     return out

@@ -15,15 +15,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .enumeration import exact_verdicts
 from .planner import DistillationPlan, evaluate_sequence, parse_sequence
-from .routines import RoutineModel, builtin_models
 
 _PURPOSE = {"inputs": 0, "patterns": 1, "accept": 2, "joint": 3, "model_err": 4}
+# Trials per draw in ``sample_routine``.
+SAMPLE_CHUNK = 1 << 18
+# Half-width of the within-block correlation interval, in standard errors.
+CORRELATION_Z = 3.0
 
 
 def _stream(seed: int, round_index: int, purpose: str) -> np.random.Generator:
@@ -133,22 +136,32 @@ def _within_3sigma(count: int, n: int, p_true: float) -> dict:
 
 
 def sample_routine(p: float, trials: int, seed: int) -> SampleStats:
-    """Draw i.i.d. 10-bit patterns at error rate p and tally the verdicts."""
+    """Draw i.i.d. 10-bit patterns at error rate p and tally the verdicts.
+
+    Trials are drawn ``SAMPLE_CHUNK`` at a time; each stream continues where
+    the previous chunk stopped, so the tallies do not depend on the chunk
+    size and memory does not grow with ``trials``."""
     table = verdict_table()
     rng_bits = _stream(seed, 0, "patterns")
     rng_acc = _stream(seed, 0, "accept")
     rng_joint = _stream(seed, 0, "joint")
-    bits = rng_bits.random((trials, 10)) < p
-    patterns = (bits << np.arange(10)).sum(axis=1)
-    accepted, err1, err2 = _run_instances(table, patterns, rng_acc, rng_joint)
+    accepts = errors_out1 = errors_out2 = errors_both = 0
+    for start in range(0, trials, SAMPLE_CHUNK):
+        bits = rng_bits.random((min(SAMPLE_CHUNK, trials - start), 10)) < p
+        patterns = (bits << np.arange(10)).sum(axis=1)
+        accepted, err1, err2 = _run_instances(table, patterns, rng_acc, rng_joint)
+        accepts += int(accepted.sum())
+        errors_out1 += int(err1.sum())
+        errors_out2 += int(err2.sum())
+        errors_both += int((err1 & err2).sum())
     return SampleStats(
         p=p,
         trials=trials,
         seed=seed,
-        accepts=int(accepted.sum()),
-        errors_out1=int(err1.sum()),
-        errors_out2=int(err2.sum()),
-        errors_both=int((err1 & err2).sum()),
+        accepts=accepts,
+        errors_out1=errors_out1,
+        errors_out2=errors_out2,
+        errors_both=errors_both,
     )
 
 
@@ -203,12 +216,7 @@ class PipelineResult:
 
 
 def run_blocked_pipeline(
-    k0: int,
-    seq: str | Sequence[RoutineModel],
-    p0: float,
-    seed: int,
-    grouping: str = "blocked",
-    available: Optional[dict[str, RoutineModel]] = None,
+    k0: int, seq: str, p0: float, seed: int, grouping: str = "blocked"
 ) -> PipelineResult:
     """Multi-round distillation with the independence-preserving regrouping.
 
@@ -222,8 +230,7 @@ def run_blocked_pipeline(
     """
     if grouping not in ("blocked", "instance"):
         raise ValueError("grouping must be 'blocked' or 'instance'")
-    models = available or builtin_models()
-    model_seq = parse_sequence(seq, models) if isinstance(seq, str) else list(seq)
+    model_seq = parse_sequence(seq)
     plan = evaluate_sequence(model_seq, p0)
     table = verdict_table()
     rng_init = _stream(seed, 0, "inputs")
@@ -285,7 +292,7 @@ class CorrelationReport:
         return self.degenerate or self.ci_low <= 0.0 <= self.ci_high
 
 
-def independence_check(ensemble: BlockEnsemble, z: float = 3.0) -> CorrelationReport:
+def independence_check(ensemble: BlockEnsemble) -> CorrelationReport:
     """Pairwise error correlation of adjacent states within blocks.
 
     Disjoint adjacent pairs are independent draws of the joint distribution
@@ -308,7 +315,7 @@ def independence_check(ensemble: BlockEnsemble, z: float = 3.0) -> CorrelationRe
         return CorrelationReport(n, 0.0, 0.0, 0.0, True)
     r = float(np.corrcoef(x, y)[0, 1])
     zr = math.atanh(max(min(r, 1 - 1e-12), -1 + 1e-12))
-    half = z / math.sqrt(n - 3)
+    half = CORRELATION_Z / math.sqrt(n - 3)
     return CorrelationReport(
         pairs=n,
         correlation=r,

@@ -31,6 +31,10 @@ from .routines import RoutineModel, VanishingDenominator, builtin_models
 
 THRESHOLD_TOL = 1e-6
 THRESHOLD_BRACKET = (1e-6, 0.25)
+# A goal given as a computation size R asks for e_g = 1/(R_MARGIN * R).
+R_MARGIN = 10.0
+# Longest 15-to-1-only sequence an improvement factor compares against.
+B_ONLY_MAX_ROUNDS = 16
 
 # The sequence set of the published comparison table, in cost order.
 # Leftmost letter is the first round applied.
@@ -84,21 +88,20 @@ class PlannerGoal:
     """Target for the sequence search.
 
     ``e_g`` may be given directly or derived from a computation size R as
-    1/(10 R); the union-bound requirement is only "much less than 1/R", so
-    the factor 10 is a documented, overridable default.
+    1/(10 R); the union-bound requirement is only "much less than 1/R", and
+    ``R_MARGIN`` is that factor 10.
     """
 
     p0: float
     e_g: Optional[float] = None
     R: Optional[float] = None
-    r_margin: float = 10.0
     max_rounds: int = 6
 
     def goal_error(self) -> float:
         if self.e_g is not None:
             return self.e_g
         if self.R is not None:
-            return 1.0 / (self.r_margin * self.R)
+            return 1.0 / (R_MARGIN * self.R)
         raise ValueError("goal needs e_g or R")
 
     def validate(self):
@@ -283,16 +286,13 @@ def best_sequence(
 
 
 def shortest_b_only(
-    target_error: float,
-    p0: float,
-    available: Optional[dict[str, RoutineModel]] = None,
-    max_rounds: int = 16,
+    target_error: float, p0: float, available: Optional[dict[str, RoutineModel]] = None
 ) -> Optional[DistillationPlan]:
-    """Shortest sequence using only the 15-to-1 routine with an equal or
-    better final error."""
+    """Shortest sequence of up to ``B_ONLY_MAX_ROUNDS`` rounds using only the
+    15-to-1 routine with an equal or better final error."""
     models = available or builtin_models()
     b = models["B"]
-    for length in range(1, max_rounds + 1):
+    for length in range(1, B_ONLY_MAX_ROUNDS + 1):
         plan = evaluate_sequence([b] * length, p0)
         if plan.diverged:
             return None
@@ -345,15 +345,13 @@ class TableRow:
 
 
 def table_rows(
-    p0: float = 0.01,
-    sequences: Sequence[str] = TABLE_SEQUENCES,
-    available: Optional[dict[str, RoutineModel]] = None,
+    p0: float = 0.01, available: Optional[dict[str, RoutineModel]] = None
 ) -> list[TableRow]:
     """Cost, output error and improvement factor for the standard sequence
     set at the given input error."""
     models = available or builtin_models()
     rows = []
-    for name in sequences:
+    for name in TABLE_SEQUENCES:
         plan = evaluate_sequence(parse_sequence(name, models), p0)
         rows.append(
             TableRow(

@@ -1,8 +1,7 @@
 """Small dense state-vector simulator (n <= 12) used as the ground-truth oracle.
 
 Circuits are executed with explicit measurement branching: ``run`` either
-enumerates every outcome branch, post-selects a target outcome per label, or
-samples.  Channel comparison works on Choi matrices built from the branch
+enumerates every outcome branch or post-selects a target outcome per label.  Channel comparison works on Choi matrices built from the branch
 Kraus operators, so unitary identities are checked up to global phase and
 measurement circuits are checked outcome by outcome.
 """
@@ -116,17 +115,13 @@ def _check_prepped_zero(state: np.ndarray, wire: int):
 
 
 def apply_element(
-    branch: Branch,
-    el: Element,
-    postselect: Optional[dict[str, int]] = None,
-    rng: Optional[np.random.Generator] = None,
+    branch: Branch, el: Element, postselect: Optional[dict[str, int]] = None
 ) -> list[Branch]:
     """Apply one element to a branch, returning the resulting branches.
 
     Unitary elements preserve the norm; preparations require the wire to be
-    in |0>; measurements record an outcome bit per the chosen policy
-    (enumerate both, post-select a target, or sample with ``rng``) and
-    renormalize.  Conditioned elements demand their classical bit be set.
+    in |0>; measurements record an outcome bit (both, or the post-selected
+    target) and renormalize.  Conditioned elements demand their classical bit be set.
     """
     if el.cond is not None:
         name, want = el.cond
@@ -144,7 +139,7 @@ def apply_element(
         branch.state = apply_unitary(branch.state, GATE_MATRICES[el.op], el.wires)
         return [branch]
     if el.op in _MEAS_VECS:
-        return _measure(branch, el, postselect, rng)
+        return _measure(branch, el, postselect)
     raise SimulationError(f"unknown element {el.op!r}")
 
 
@@ -153,12 +148,10 @@ def run(
     initial_bits: Optional[dict[int, int]] = None,
     postselect: Optional[dict[str, int]] = None,
     merge_hidden: bool = False,
-    rng: Optional[np.random.Generator] = None,
 ) -> list[Branch]:
     """Execute a circuit and return its outcome branches.
 
-    Measurement handling: if ``rng`` is given one outcome is sampled per
-    measurement; if the label appears in ``postselect`` the branch is
+    Measurement handling: if the label appears in ``postselect`` the branch is
     projected onto that outcome (its probability absorbs the branch weight);
     otherwise both outcomes are enumerated.  With ``merge_hidden`` branches
     that agree on every label not starting with ``_`` and hold the same state
@@ -168,14 +161,14 @@ def run(
     for el in circuit.elements:
         new_branches: list[Branch] = []
         for br in branches:
-            new_branches.extend(apply_element(br, el, postselect, rng))
+            new_branches.extend(apply_element(br, el, postselect))
         branches = [b for b in new_branches if b.prob > 1e-24]
         if merge_hidden and len(branches) > 1:
             branches = _merge_equal_branches(branches)
     return branches
 
 
-def _measure(br: Branch, el: Element, postselect, rng) -> list[Branch]:
+def _measure(br: Branch, el: Element, postselect) -> list[Branch]:
     wire = el.wires[0]
     vecs = _MEAS_VECS[el.op]
     outs: list[Branch] = []
@@ -195,12 +188,7 @@ def _measure(br: Branch, el: Element, postselect, rng) -> list[Branch]:
             nb.state = projected[bit] / math.sqrt(p)
         nb.outcomes[el.label] = bit
         return [nb]
-    choices: Iterable[int]
-    if rng is not None:
-        choices = [0 if rng.random() < probs[0] / (probs[0] + probs[1]) else 1]
-    else:
-        choices = (0, 1)
-    for bit in choices:
+    for bit in (0, 1):
         p = probs[bit]
         if p <= 1e-24:
             continue
@@ -318,11 +306,3 @@ def channel_distance(
         raise DimensionError("open wire sets differ")
     return float(np.abs(ja - jb).max())
 
-
-def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Full matrix of a measurement-free circuit (all wires open)."""
-    if open_input_wires(circuit) != tuple(range(circuit.width)):
-        raise SimulationError("circuit_unitary expects no preparations")
-    (mats,) = labeled_kraus(circuit).values()
-    (kraus,) = mats
-    return kraus

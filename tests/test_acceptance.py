@@ -89,7 +89,7 @@ def test_criterion_04_step_plot_headline():
 
 
 def test_criterion_05_circuit_identities():
-    results = verify_all(tol=1e-10)
+    results = verify_all()
     required = {
         "controlled-h-as-cz-sandwich",
         "rotation-gadget-plus",
@@ -107,7 +107,7 @@ def test_criterion_05_circuit_identities():
     }
     assert required <= set(results)
     for name, (ok, dist) in results.items():
-        assert ok, (name, dist)
+        assert ok and dist <= 1e-10, (name, dist)
     _ok(f"criterion 5: all {len(results)} circuit identities hold at 1e-10")
 
 

@@ -7,15 +7,28 @@ import sys
 import c4distill
 
 
-def test_modules_import_without_mpmath():
+def _loaded(modules: str, package: str) -> str:
+    """Modules of ``package`` loaded by a fresh interpreter that imports
+    the given c4distill modules."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(c4distill.__file__)))
     code = (
         "import sys\n"
-        "import c4distill.cli, c4distill.planner, c4distill.montecarlo, c4distill.enumeration\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath'))\n"
+        f"import {modules}\n"
+        f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_modules_import_without_mpmath():
+    modules = "c4distill.cli, c4distill.planner, c4distill.montecarlo, c4distill.enumeration"
+    assert _loaded(modules, "mpmath") == "[]"
+
+
+def test_planner_path_imports_without_numpy():
+    # Planner-only commands never pay for a numpy import.
+    modules = "c4distill.cli, c4distill.planner, c4distill.routines, c4distill.enumeration"
+    assert _loaded(modules, "numpy") == "[]"

@@ -1,5 +1,6 @@
 """Exhaustive pattern classification and the exact polynomials."""
 
+from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
@@ -11,19 +12,19 @@ from c4distill.enumeration import (
     PUBLISHED_EITHER,
     PUBLISHED_MARGINAL,
     DenseClassifier,
-    ExactVerdict,
     FrameClassifier,
     classification_report,
     derive_polynomials,
     exact_verdicts,
 )
-from c4distill.exactalg import QS_ZERO, Exact, HBasisState
 from c4distill.pauli import PauliString, conjugate_through
+from exact_reference import assemble
 
 
-def _unmemoized_classify(fc: FrameClassifier, bits: int) -> ExactVerdict:
+def _unmemoized_classify(fc: FrameClassifier, bits: int):
     """Reference: propagate one pattern and assemble its Kraus branch from
-    scratch, with no memo shared between patterns."""
+    scratch in Q(i, sqrt2) with Fractions, with no memo shared between
+    patterns.  Each weight comes as (rational part, sqrt2 part)."""
     ly = fc.layout
     n = ly.width
     d1 = bits & 1
@@ -44,36 +45,8 @@ def _unmemoized_classify(fc: FrameClassifier, bits: int) -> ExactVerdict:
     flipped = conjugate_through(mid_code, fc._hless, n)
     term2 = fc._logical_term(late_code * flipped)
     if term1 is None and term2 is None:
-        return ExactVerdict(QS_ZERO, QS_ZERO, QS_ZERO, QS_ZERO, QS_ZERO)
-
-    base = HBasisState.basis((d1 << 1) | d2)
-    if d1:
-        base = base.scaled(Exact.i_power(1))
-    if d2:
-        base = base.scaled(Exact.i_power(1))
-    half = Exact.rational(Fraction(1, 2))
-    acc = HBasisState([Exact(), Exact(), Exact(), Exact()])
-    if term1 is not None:
-        om, (a1, b1, a2, b2) = term1
-        t = base.apply_1q("H", 1)
-        t = t.apply_xz(a2, b2, 1)
-        t = t.apply_xz(a1, b1, 0)
-        acc = acc + t.scaled(Exact.i_power(om) * half)
-    if term2 is not None:
-        om, (a1, b1, a2, b2) = term2
-        t = base.apply_1q("H", 0)
-        t = t.apply_xz(a2, b2, 1)
-        t = t.apply_xz(a1, b1, 0)
-        acc = acc + t.scaled(Exact.i_power(om + 2 * sign) * half)
-    w = acc.weights()
-    norm = acc.norm2()
-    return ExactVerdict(
-        accept=norm,
-        err1=w[2] + w[3],
-        err2=w[1] + w[3],
-        both=w[3],
-        either=norm - w[0],
-    )
+        return ((0, 0),) * 5
+    return assemble(d1, d2, term1, term2, sign)
 
 
 def test_memoized_verdicts_equal_unmemoized_reference():
@@ -81,9 +54,10 @@ def test_memoized_verdicts_equal_unmemoized_reference():
     verdicts = exact_verdicts()
     for bits in range(N_PATTERNS):
         want = _unmemoized_classify(fc, bits)
-        # Exact QSqrt2 equality, field for field.
-        assert verdicts[bits] == want, bits
-        assert fc.classify(bits) == want, bits
+        # Exact equality, field for field, and no sqrt2 part in the reference.
+        for v in (verdicts[bits], fc.classify(bits)):
+            assert all(type(f) is Fraction for f in astuple(v)), bits
+            assert [(f, 0) for f in astuple(v)] == list(want), bits
 
 
 def test_assembly_memo_is_small_and_per_instance():

@@ -2,49 +2,64 @@
 
 from decimal import Decimal
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from c4distill.exactalg import (
-    E_I,
-    E_INV_SQRT2,
-    E_ONE,
-    Exact,
-    ExactPolynomial,
-    HBasisState,
-    QSqrt2,
-)
+from c4distill.enumeration import H_BASIS_OPS, HBasisState
+from c4distill.exactalg import Exact, ExactPolynomial
+from exact_reference import OPS, QExact, apply_1q, i_power
 
-
-def to_complex(x: Exact) -> complex:
-    s = 2**0.5
-    return complex(x.a + x.b * s, x.c + x.d * s)
+ints = st.integers(min_value=-10**6, max_value=10**6)
+powers = st.integers(min_value=0, max_value=8)
+elements = st.builds(Exact, ints, ints, ints, ints)
+# (a + b sqrt2) + i (c + d sqrt2) has a rational squared modulus exactly
+# when ab + cd = 0; these are the elements with b = -t c and d = t a.
+rational_modulus = st.builds(lambda a, c, t: Exact(a, -t * c, c, t * a), ints, ints, ints)
 
 
-def test_exact_field_arithmetic():
-    r = E_INV_SQRT2
-    assert (r * r).a == Fraction(1, 2)
-    assert (E_I * E_I) == -E_ONE
-    x = Exact(Fraction(1), Fraction(2), Fraction(3), Fraction(4))
-    assert abs(to_complex(x) - to_complex(x * E_ONE)) < 1e-15
-    mod2 = x.abs2()
-    want = to_complex(x)
-    assert float(mod2) == pytest.approx(abs(want) ** 2, rel=1e-12)
+@given(rational_modulus, elements, powers, powers)
+def test_exact_field_arithmetic(x, y, j, k):
+    # x / 2**j and y / 2**k in Q(i, sqrt2), against the Fraction reference.
+    qx, qy = QExact.of(x, 2**j), QExact.of(y, 2**k)
+    assert QExact.of(x * y, 2 ** (j + k)) == qx * qy
+    assert QExact.of(y * x, 2 ** (j + k)) == qx * qy
+    assert QExact.of(x + y) == QExact.of(x) + QExact.of(y)
+    assert QExact.of(-x) == -QExact.of(x)
+    assert QExact.of(x.conj(), 2**j) == qx.conj()
+    assert QExact.of(x * Exact.i_power(k)) == QExact.of(x) * i_power(k)
+    assert type(x.abs2()) is int
+    assert (Fraction(x.abs2(), 4**j), 0) == qx.abs2()
 
 
-def test_qsqrt2_rationality_guard():
-    assert QSqrt2(Fraction(3, 4)).as_fraction() == Fraction(3, 4)
-    with pytest.raises(ValueError):
-        QSqrt2(Fraction(1), Fraction(1)).as_fraction()
+@given(elements, powers)
+@example(Exact(1, 1), 0)
+def test_abs2_rationality_guard(x, k):
+    rational, root2 = QExact.of(x, 2**k).abs2()
+    if root2:
+        with pytest.raises(AssertionError):
+            x.abs2()
+    else:
+        assert Fraction(x.abs2(), 4**k) == rational
 
 
 def test_h_basis_operators_are_consistent():
-    # X * Z = -i Y in the eigenbasis representation as well.
-    for idx in range(4):
-        v = HBasisState.basis(idx)
-        via_xz = v.apply_1q("Z", 0).apply_1q("X", 0)
-        via_y = v.apply_1q("Y", 0).scaled(-E_I)
-        assert all((a - b).is_zero() for a, b in zip(via_xz.amps, via_y.amps))
+    # The integer operators are H itself, sqrt2 X and sqrt2 Z.
+    sqrt2 = QExact(b=Fraction(1))
+    for name, scale in (("H", QExact(Fraction(1))), ("X", sqrt2), ("Z", sqrt2)):
+        for r, c in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            assert QExact.of(H_BASIS_OPS[name][r][c]) == scale * OPS[name][r][c]
+    # X * Z = -i Y in the eigenbasis representation as well, against an
+    # explicit Y: (sqrt2 X)(sqrt2 Z) = -2i Y.
+    for qubit in (0, 1):
+        for idx in range(4):
+            unit = [Exact(int(k == idx)) for k in range(4)]
+            via_xz = HBasisState(unit).apply_1q("Z", qubit).apply_1q("X", qubit)
+            via_y = apply_1q([QExact.of(a) for a in unit], "Y", qubit)
+            minus_2i = QExact.of(Exact(c=-2))
+            assert [QExact.of(a) for a in via_xz.amps] == [minus_2i * b for b in via_y]
 
 
 def test_polynomial_arithmetic_and_compose():
@@ -73,13 +88,13 @@ def test_compose_matches_power_expansion():
     assert direct.leading_term() == (3, Fraction(1120))
 
 
-def test_binomial_term_partition_of_unity():
-    total = ExactPolynomial.zero()
-    for w in range(11):
-        from math import comb
-
-        total = total + ExactPolynomial.binomial_term(w, 10).scaled(comb(10, w))
-    assert total.coefficients == (Fraction(1),)
+@given(st.integers(min_value=0, max_value=24))
+def test_binomial_term_partition_of_unity(total):
+    terms = [ExactPolynomial.binomial_term(w, total).scaled(comb(total, w)) for w in range(total + 1)]
+    assert sum(terms, ExactPolynomial.zero()).coefficients == (Fraction(1),)
+    # Each term is p**w (1-p)**(total-w), exactly, at a rational point.
+    p = Fraction(2, 7)
+    assert [t(p) for t in terms] == [comb(total, w) * p**w * (1 - p) ** (total - w) for w in range(total + 1)]
 
 
 def test_polynomial_evaluation_types():

@@ -1,9 +1,11 @@
 """Seeded Monte Carlo runs against the exact predictions."""
 
 import math
+import tracemalloc
 
 import pytest
 
+from c4distill import montecarlo
 from c4distill.montecarlo import (
     independence_check,
     pipeline_report,
@@ -32,6 +34,33 @@ def test_tallies_bounded():
     stats = sample_routine(0.08, 50_000, seed=5)
     assert max(stats.errors_out1, stats.errors_out2) <= stats.accepts <= stats.trials
     assert stats.errors_both <= min(stats.errors_out1, stats.errors_out2)
+
+
+def test_sample_tallies_do_not_depend_on_chunking(monkeypatch):
+    whole = sample_routine(0.05, 10_007, seed=23)  # one chunk
+    assert whole.errors_both > 0
+    for chunk in (1, 7, 1000):  # none divides the trial count
+        monkeypatch.setattr(montecarlo, "SAMPLE_CHUNK", chunk)
+        assert sample_routine(0.05, 10_007, seed=23) == whole, chunk
+
+
+def _sample_peak_bytes(trials: int) -> int:
+    sample_routine(0.05, 10, seed=1)  # the verdict table is built outside
+    tracemalloc.start()
+    try:
+        sample_routine(0.05, trials, seed=3)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sample_memory_does_not_grow_with_trials(monkeypatch):
+    for chunk in (montecarlo.SAMPLE_CHUNK, 1 << 14):
+        monkeypatch.setattr(montecarlo, "SAMPLE_CHUNK", chunk)
+        small, large = _sample_peak_bytes(10**5), _sample_peak_bytes(10**6)
+        assert large / 10**6 <= small / 10**5, chunk
+    # Once both runs take several chunks, the peak itself stays put.
+    assert large <= 1.5 * small
 
 
 def test_three_sigma_agreement_at_five_percent(polyset):

@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from c4distill.pauli import (
     GATE_ACTIONS,
@@ -56,18 +58,20 @@ def test_xxxx_times_zzzz():
     assert got.label() == "+YYYY"
 
 
-def test_associativity_sampled():
-    rng = random.Random(5)
-    for _ in range(200):
-        n = rng.randint(1, 4)
-        ps = [
-            PauliString(n, rng.getrandbits(n), rng.getrandbits(n), rng.randrange(4))
-            for _ in range(3)
-        ]
-        left = (ps[0] * ps[1]) * ps[2]
-        right = ps[0] * (ps[1] * ps[2])
-        assert left == right
-        assert np.allclose(dense(left), dense(ps[0]) @ dense(ps[1]) @ dense(ps[2]), atol=1e-12)
+@st.composite
+def paulis(draw, n=None):
+    """A phased Pauli string on n qubits (1 to 4 when n is not given)."""
+    n = n or draw(st.integers(min_value=1, max_value=4))
+    bits = st.integers(min_value=0, max_value=2**n - 1)
+    return PauliString(n, draw(bits), draw(bits), draw(st.integers(min_value=0, max_value=3)))
+
+
+@given(st.integers(min_value=1, max_value=4).flatmap(lambda n: st.tuples(*[paulis(n)] * 3)))
+def test_associativity_sampled(ps):
+    left = (ps[0] * ps[1]) * ps[2]
+    right = ps[0] * (ps[1] * ps[2])
+    assert left == right
+    assert np.allclose(dense(left), dense(ps[0]) @ dense(ps[1]) @ dense(ps[2]), atol=1e-12)
 
 
 def test_inverse():
@@ -128,33 +132,43 @@ def test_cz_kicks_control_z_onto_target_y():
     assert act.conjugate(PauliString.from_label("IY")).label() == "+ZY"
 
 
+_NAMES1 = ("h", "s", "sdg", "x", "y", "z", "ry_p2", "ry_m2")
+_NAMES2 = ("cx", "cz", "cy", "swap")
+
+
 def _random_gate_sequence(rng, n, length):
-    names1 = ["h", "s", "sdg", "x", "y", "z", "ry_p2", "ry_m2"]
-    names2 = ["cx", "cz", "cy", "swap"]
     seq = []
     for _ in range(length):
         if n >= 2 and rng.random() < 0.5:
             wires = tuple(rng.sample(range(n), 2))
-            seq.append((rng.choice(names2), wires))
+            seq.append((rng.choice(_NAMES2), wires))
         else:
-            seq.append((rng.choice(names1), (rng.randrange(n),)))
+            seq.append((rng.choice(_NAMES1), (rng.randrange(n),)))
     return seq
 
 
-def test_conjugation_matches_dense_oracle():
+def _gates(n):
+    """One named Clifford on distinct wires of n qubits."""
+    one = st.tuples(st.sampled_from(_NAMES1), st.tuples(st.integers(0, n - 1)))
+    if n < 2:
+        return one
+    pair = st.permutations(range(n)).map(lambda w: tuple(w[:2]))
+    return one | st.tuples(st.sampled_from(_NAMES2), pair)
+
+
+@given(st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.tuples(paulis(n), st.lists(_gates(n), min_size=1, max_size=5))))
+def test_conjugation_matches_dense_oracle(case):
     from c4distill.statevec import GATE_MATRICES
 
-    rng = random.Random(13)
-    for _ in range(60):
-        n = rng.randint(1, 4)
-        seq = _random_gate_sequence(rng, n, rng.randint(1, 5))
-        p = PauliString(n, rng.getrandbits(n), rng.getrandbits(n), rng.randrange(4))
-        got = dense(conjugate_through(p, seq, n))
-        u = np.eye(2**n, dtype=complex)
-        for name, wires in seq:
-            u = _embed(GATE_MATRICES[name], wires, n) @ u
-        want = u @ dense(p) @ u.conj().T
-        assert np.allclose(got, want, atol=1e-10)
+    p, seq = case
+    n = p.n
+    got = dense(conjugate_through(p, seq, n))
+    u = np.eye(2**n, dtype=complex)
+    for name, wires in seq:
+        u = _embed(GATE_MATRICES[name], wires, n) @ u
+    want = u @ dense(p) @ u.conj().T
+    assert np.allclose(got, want, atol=1e-10)
 
 
 def _embed(mat, wires, n):

@@ -11,7 +11,7 @@ from c4distill.statevec import (
     GATE_MATRICES,
     SimulationError,
     channel_distance,
-    circuit_unitary,
+    labeled_kraus,
     run,
 )
 from conftest import h_fidelity, kron_all
@@ -110,19 +110,10 @@ def test_condition_requires_bit():
         run(c)
 
 
-def test_sampling_policy_single_branch():
-    rng = np.random.default_rng(3)
-    c = Circuit(
-        1, (Element("prep_plus", (0,)), Element("mz", (0,), label="m"))
-    )
-    branches = run(c, rng=rng)
-    assert len(branches) == 1
-    assert branches[0].outcomes["m"] in (0, 1)
-
-
 def test_circuit_unitary_matches_matrix():
     c = Circuit(2, tuple(gates(("h", (0,)), ("cx", (0, 1)))))
-    u = circuit_unitary(c)
+    # The one outcome-free branch has one Kraus operator: the unitary.
+    ((u,),) = labeled_kraus(c).values()
     h0 = np.kron(GATE_MATRICES["h"], np.eye(2))
     want = GATE_MATRICES["cx"] @ h0
     assert np.allclose(u, want, atol=1e-12)
