@@ -211,9 +211,15 @@ def cmd_plan(args) -> int:
     return EXIT_OK
 
 
+def _check_seed(seed: int):
+    if not 0 <= seed < 1 << 64:
+        raise UsageError("--seed must lie in [0, 2**64)")
+
+
 def cmd_simulate(args) -> int:
     from .montecarlo import sample_routine
 
+    _check_seed(args.seed)
     if args.trials < 1:
         raise UsageError("--trials must be positive")
     if not 0 <= args.p < 0.5:
@@ -226,8 +232,9 @@ def cmd_simulate(args) -> int:
 def cmd_pipeline(args) -> int:
     from .montecarlo import pipeline_report, run_blocked_pipeline
 
-    if not set(args.seq) <= {"A", "B"}:
+    if not args.seq or not set(args.seq) <= {"A", "B"}:
         raise UsageError("--seq must name builtin routines, e.g. 'BA'")
+    _check_seed(args.seed)
     if args.k0 < 1:
         raise UsageError("--k0 must be positive")
     if not 0 <= args.p0 < 0.5:

@@ -157,6 +157,21 @@ class FrameClassifier:
         # controlled-H pair targeted (the third code wire).
         w1, w2, w3, w4 = ly.code_wires
         self._hless = [("h", (w1,)), ("h", (w2,)), ("h", (w4,))]
+        # mid_code, its conjugate and s1 depend only on bits 2-5 of a
+        # pattern, late_code and s2 only on bits 6-9, so each is propagated
+        # once per 4-bit value.
+        self._mid: list[tuple[int, PauliString, PauliString]] = []
+        self._late: list[tuple[int, PauliString]] = []
+        for nibble in range(16):
+            mid_total = PauliString.identity(n)
+            late_total = PauliString.identity(n)
+            for j in range(4):
+                if nibble >> j & 1:
+                    mid_total = self.concentrated[2 + j] * mid_total
+                    late_total = self.block2[6 + j] * late_total
+            s1, mid_code = self._split_ancilla(mid_total)
+            self._mid.append((s1, mid_code, conjugate_through(mid_code, self._hless, n)))
+            self._late.append(self._split_ancilla(late_total))
         # The Kraus assembly depends on a pattern only through the key
         # (d1, d2, term1, term2, sign), and the 1024 patterns share a few
         # dozen keys; each is assembled once per classifier.
@@ -199,28 +214,13 @@ class FrameClassifier:
         return omega, (a1, b1, a2, b2)
 
     def classify(self, bits: int) -> ExactVerdict:
-        ly = self.layout
-        n = ly.width
-        d1 = bits & 1
-        d2 = bits >> 1 & 1
-        mid_total = PauliString.identity(n)
-        late_total = PauliString.identity(n)
-        for loc_id in range(2, 6):
-            if bits >> loc_id & 1:
-                mid_total = self.concentrated[loc_id] * mid_total
-        for loc_id in range(6, 10):
-            if bits >> loc_id & 1:
-                late_total = self.block2[loc_id] * late_total
-        s1, mid_code = self._split_ancilla(mid_total)
-        s2, late_code = self._split_ancilla(late_total)
-        sign = (s1 + s2) & 1
-
+        s1, mid_code, flipped = self._mid[bits >> 2 & 15]
+        s2, late_code = self._late[bits >> 6 & 15]
         term1 = self._logical_term(late_code * mid_code)
-        flipped = conjugate_through(mid_code, self._hless, n)
         term2 = self._logical_term(late_code * flipped)
         if term1 is None and term2 is None:
             return _REJECTED
-        key = (d1, d2, term1, term2, sign)
+        key = (bits & 1, bits >> 1 & 1, term1, term2, (s1 + s2) & 1)
         verdict = self._assembled.get(key)
         if verdict is None:
             verdict = self._assembled[key] = _assemble(*key)

@@ -23,18 +23,23 @@ from .enumeration import exact_verdicts
 from .planner import DistillationPlan, evaluate_sequence, parse_sequence
 
 _PURPOSE = {"inputs": 0, "patterns": 1, "accept": 2, "joint": 3, "model_err": 4}
-# Trials per draw in ``sample_routine``.
-SAMPLE_CHUNK = 1 << 18
+# Trials (or instances, or input states) per draw of a stream.
+SAMPLE_CHUNK = 1 << 16
 # Half-width of the within-block correlation interval, in standard errors.
 CORRELATION_Z = 3.0
 
 
 def _stream(seed: int, round_index: int, purpose: str) -> np.random.Generator:
-    key = np.array(
-        [seed & 0xFFFFFFFFFFFFFFFF, (round_index << 8) | _PURPOSE[purpose]],
-        dtype=np.uint64,
-    )
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    key = np.array([seed, (round_index << 8) | _PURPOSE[purpose]], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _pack(groups: np.ndarray) -> np.ndarray:
+    """The 10-bit pattern of each row of a (k, 10) bool array, column j as
+    bit j."""
+    return np.packbits(groups, axis=1, bitorder="little").view("<u2")[:, 0]
 
 
 @dataclass(frozen=True)
@@ -148,8 +153,7 @@ def sample_routine(p: float, trials: int, seed: int) -> SampleStats:
     accepts = errors_out1 = errors_out2 = errors_both = 0
     for start in range(0, trials, SAMPLE_CHUNK):
         bits = rng_bits.random((min(SAMPLE_CHUNK, trials - start), 10)) < p
-        patterns = (bits << np.arange(10)).sum(axis=1)
-        accepted, err1, err2 = _run_instances(table, patterns, rng_acc, rng_joint)
+        accepted, err1, err2 = _run_instances(table, _pack(bits), rng_acc, rng_joint)
         accepts += int(accepted.sum())
         errors_out1 += int(err1.sum())
         errors_out2 += int(err2.sum())
@@ -227,6 +231,11 @@ def run_blocked_pipeline(
     ``grouping="instance"`` deliberately violates this by keeping both
     outputs of each 10-to-2 instance adjacent in a single block, which
     reintroduces the pairwise output correlation.
+
+    The inputs are drawn, and 10-to-2 rounds run, ``SAMPLE_CHUNK`` states
+    or instances at a time, so beyond the blocks themselves (1 B/state)
+    memory is a fixed per-chunk working set, and the output does not depend
+    on the chunk size.
     """
     if grouping not in ("blocked", "instance"):
         raise ValueError("grouping must be 'blocked' or 'instance'")
@@ -234,7 +243,11 @@ def run_blocked_pipeline(
     plan = evaluate_sequence(model_seq, p0)
     table = verdict_table()
     rng_init = _stream(seed, 0, "inputs")
-    current = BlockEnsemble(0, p0, [rng_init.random(k0) < p0])
+    inputs = np.empty(k0, dtype=bool)
+    for start in range(0, k0, SAMPLE_CHUNK):
+        chunk = inputs[start : start + SAMPLE_CHUNK]
+        np.less(rng_init.random(len(chunk)), p0, out=chunk)
+    current = BlockEnsemble(0, p0, [inputs])
     ensembles = [current]
     halted = False
     for l, (model, nominal) in enumerate(zip(model_seq, plan.rounds), start=1):
@@ -248,8 +261,13 @@ def run_blocked_pipeline(
                 continue
             groups = block[: nb * model.m].reshape(nb, model.m)
             if model.name == "A" and model.m == 10:
-                patterns = (groups.astype(np.int64) << np.arange(10)).sum(axis=1)
-                _, err1, err2 = _run_instances(table, patterns, rng_acc, rng_joint)
+                outs1, outs2 = [], []
+                for start in range(0, nb, SAMPLE_CHUNK):
+                    patterns = _pack(groups[start : start + SAMPLE_CHUNK])
+                    _, err1, err2 = _run_instances(table, patterns, rng_acc, rng_joint)
+                    outs1.append(err1)
+                    outs2.append(err2)
+                err1, err2 = np.concatenate(outs1), np.concatenate(outs2)
                 if grouping == "blocked":
                     new_blocks.append(err1)
                     new_blocks.append(err2)
@@ -299,21 +317,28 @@ def independence_check(ensemble: BlockEnsemble) -> CorrelationReport:
     of two block neighbours, so a plain Pearson correlation with a Fisher-z
     interval applies.  A blocked pipeline should give an interval containing
     zero; keeping instance outputs adjacent should not.
+
+    For 0/1 data x*x = x, so Pearson's r needs only four counts: the pairs
+    n, Sx = #(x = 1), Sy = #(y = 1) and Sxy = #(x = y = 1), with
+
+        r = (n Sxy - Sx Sy) / sqrt((n Sx - Sx Sx) (n Sy - Sy Sy)).
+
+    The counts are exact integers and r is rounded once: the integer square
+    root keeps 64 fractional bits and the integer division rounds correctly.
+    The data are degenerate when either variance is 0.
     """
-    xs, ys = [], []
+    n = sx = sy = sxy = 0
     for block in ensemble.blocks:
         k = len(block) // 2
-        if k:
-            xs.append(block[: 2 * k : 2])
-            ys.append(block[1 : 2 * k : 2])
-    if not xs:
-        return CorrelationReport(0, 0.0, 0.0, 0.0, True)
-    x = np.concatenate(xs).astype(float)
-    y = np.concatenate(ys).astype(float)
-    n = len(x)
-    if n < 8 or x.std() == 0 or y.std() == 0:
+        x, y = block[: 2 * k : 2], block[1 : 2 * k : 2]
+        n += k
+        sx += int(np.count_nonzero(x))
+        sy += int(np.count_nonzero(y))
+        sxy += int(np.count_nonzero(x & y))
+    var = (n * sx - sx * sx) * (n * sy - sy * sy)
+    if n < 8 or var == 0:
         return CorrelationReport(n, 0.0, 0.0, 0.0, True)
-    r = float(np.corrcoef(x, y)[0, 1])
+    r = ((n * sxy - sx * sy) << 64) / math.isqrt(var << 128)
     zr = math.atanh(max(min(r, 1 - 1e-12), -1 + 1e-12))
     half = CORRELATION_Z / math.sqrt(n - 3)
     return CorrelationReport(

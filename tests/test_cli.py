@@ -100,6 +100,14 @@ def test_usage_errors(tmp_path):
     assert run_cli(["curve", "--figure", "distplot", "--max-rounds", "0"])[0] == EXIT_USAGE
     assert run_cli(["pipeline", "--k0", "-5", "--seq", "A", "--p0", "0.01"])[0] == EXIT_USAGE
     assert run_cli(["pipeline", "--k0", "100", "--seq", "A", "--p0", "0.7"])[0] == EXIT_USAGE
+    assert run_cli(["pipeline", "--k0", "100", "--seq", "", "--p0", "0.01"])[0] == EXIT_USAGE
+    # Seeds outside [0, 2**64) would alias another seed's streams.
+    for seed in (str(1 << 64), "-1"):
+        for argv in (
+            ["simulate", "--p", "0.05", "--trials", "10"],
+            ["pipeline", "--k0", "100", "--seq", "A", "--p0", "0.01"],
+        ):
+            assert run_cli(argv + ["--seed", seed])[0] == EXIT_USAGE, (argv, seed)
     missing = str(tmp_path / "no_such_dir" / "out.json")
     assert run_cli(["simulate", "--p", "0.1", "--trials", "10", "-o", missing])[0] == EXIT_USAGE
     argv = ["pipeline", "--k0", "100", "--seq", "A", "--p0", "0.01", "-o", missing]

@@ -62,6 +62,22 @@ def test_h_basis_operators_are_consistent():
             assert [QExact.of(a) for a in via_xz.amps] == [minus_2i * b for b in via_y]
 
 
+@given(
+    st.lists(st.fractions(-100, 100, max_denominator=64), max_size=12),
+    st.fractions(0, Fraction(1, 2), max_denominator=10**6),
+)
+def test_float_evaluation_matches_fraction_evaluation(coeffs, p):
+    poly = ExactPolynomial.make(coeffs)
+    exact = poly(p)
+    assert exact == sum((c * p**i for i, c in enumerate(coeffs)), Fraction(0))
+    got = poly(float(p))
+    assert type(got) is float
+    # Horner's rule in float, from a rounded p and rounded coefficients:
+    # a few roundings per degree, relative to the sum of |c_i| p^i.
+    scale = sum(abs(c) * p**i for i, c in enumerate(coeffs))
+    assert abs(Fraction(got) - exact) <= 4 * (len(coeffs) + 1) * Fraction(2) ** -53 * scale
+
+
 def test_polynomial_arithmetic_and_compose():
     p = ExactPolynomial.make([1, -2])  # 1 - 2x
     q = ExactPolynomial.make([0, 0, 3])  # 3x^2

@@ -3,10 +3,14 @@
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from c4distill import montecarlo
 from c4distill.montecarlo import (
+    BlockEnsemble,
     independence_check,
     pipeline_report,
     run_blocked_pipeline,
@@ -42,6 +46,88 @@ def test_sample_tallies_do_not_depend_on_chunking(monkeypatch):
     for chunk in (1, 7, 1000):  # none divides the trial count
         monkeypatch.setattr(montecarlo, "SAMPLE_CHUNK", chunk)
         assert sample_routine(0.05, 10_007, seed=23) == whole, chunk
+
+
+def test_seeds_outside_64_bits_are_refused():
+    # Masking would alias them onto the streams of another seed.
+    for seed in (-1, 1 << 64):
+        with pytest.raises(ValueError):
+            sample_routine(0.05, 10, seed=seed)
+        with pytest.raises(ValueError):
+            run_blocked_pipeline(100, "A", 0.05, seed=seed)
+    assert sample_routine(0.05, 10, seed=(1 << 64) - 1).trials == 10
+
+
+@pytest.mark.parametrize("grouping", ["blocked", "instance"])
+def test_pipeline_does_not_depend_on_chunking(monkeypatch, grouping):
+    def run(seq):
+        res = run_blocked_pipeline(30_007, seq, 0.05, seed=29, grouping=grouping)
+        return pipeline_report(res), [b.tobytes() for e in res.ensembles for b in e.blocks]
+
+    sequences = ("AA", "BA", "A", "B")
+    whole = {seq: run(seq) for seq in sequences}  # one chunk per draw
+    # Round 1 has a non-degenerate correlation, so the reports compare it too.
+    assert all(whole[seq][0]["rounds"][1]["within_block_correlation"]["value"] for seq in sequences)
+    for chunk in (1, 7, 777):  # none divides the state or instance counts
+        monkeypatch.setattr(montecarlo, "SAMPLE_CHUNK", chunk)
+        for seq in sequences:
+            assert run(seq) == whole[seq], (seq, chunk)
+
+
+def _pipeline_peak_bytes(k0: int, seq: str, grouping: str) -> int:
+    run_blocked_pipeline(1000, seq, 0.02, seed=1)  # tables and plans are built outside
+    tracemalloc.start()
+    try:
+        pipeline_report(run_blocked_pipeline(k0, seq, 0.02, seed=5, grouping=grouping))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("grouping", ["blocked", "instance"])
+def test_pipeline_memory_is_about_a_byte_per_state(grouping):
+    for seq in ("AA", "BA"):
+        # The inputs alone take 1 B/state; the rest is a per-chunk working set.
+        assert _pipeline_peak_bytes(4 * 10**6, seq, grouping) <= 3 * 4 * 10**6, seq
+        small = _pipeline_peak_bytes(10**5, seq, grouping)
+        large = _pipeline_peak_bytes(10**6, seq, grouping)
+        assert large / 10**6 <= small / 10**5, seq
+
+
+def _corrcoef_reference(blocks: list[np.ndarray]) -> tuple[int, float, bool]:
+    """(pairs, float Pearson r of adjacent pairs, degenerate) by np.corrcoef."""
+    x = np.concatenate([b[: len(b) // 2 * 2 : 2] for b in blocks] or [[]]).astype(float)
+    y = np.concatenate([b[1 : len(b) // 2 * 2 : 2] for b in blocks] or [[]]).astype(float)
+    if len(x) < 8 or x.std() == 0 or y.std() == 0:
+        return len(x), 0.0, True
+    return len(x), float(np.corrcoef(x, y)[0, 1]), False
+
+
+_uniform_block = st.tuples(st.integers(0, 61), st.booleans()).map(lambda kb: [kb[1]] * kb[0])
+_bool_blocks = st.lists(st.lists(st.booleans(), max_size=61) | _uniform_block, max_size=4)
+
+
+@settings(max_examples=200)
+@given(_bool_blocks)
+@example([[False] * 40])
+@example([[True] * 41, [True] * 9])
+@example([[True, False] * 10])  # x all ones, y all zeros
+@example([[True, True, False, False] * 5 + [True]])  # perfectly correlated
+def test_count_correlation_matches_corrcoef(raw_blocks):
+    blocks = [np.array(b, dtype=bool) for b in raw_blocks]
+    report = independence_check(BlockEnsemble(0, 0.1, blocks))
+    pairs, r, degenerate = _corrcoef_reference(blocks)
+    assert (report.pairs, report.degenerate) == (pairs, degenerate)
+    # Near r = 0 the reference's own rounding is absolute, not relative.
+    assert report.correlation == pytest.approx(r, rel=1e-12, abs=1e-15)
+    if not degenerate:
+        zr = math.atanh(max(min(r, 1 - 1e-12), -1 + 1e-12))
+        half = montecarlo.CORRELATION_Z / math.sqrt(pairs - 3)
+        lo, hi = math.tanh(zr - half), math.tanh(zr + half)
+        assert [report.ci_low, report.ci_high] == pytest.approx([lo, hi], rel=1e-12, abs=1e-15)
+        assert report.contains_zero() == (lo <= 0.0 <= hi)
+    else:
+        assert report.contains_zero()
 
 
 def _sample_peak_bytes(trials: int) -> int:

@@ -101,6 +101,25 @@ def test_commutes(a, b, expect):
     assert pa.commutes(pb) is expect
 
 
+@given(st.integers(min_value=1, max_value=4).flatmap(lambda n: st.tuples(paulis(n), paulis(n))))
+def test_commutation_matches_dense_matrices(pq):
+    p, q = pq
+    dp, dq = dense(p), dense(q)
+    assert p.commutes(q) == np.allclose(dp @ dq, dq @ dp, atol=1e-12)
+    assert p.commutes(q) != np.allclose(dp @ dq, -dq @ dp, atol=1e-12)
+
+
+@given(paulis(1), paulis(2))
+def test_gate_actions_match_gate_matrices(p1, p2):
+    # Every conjugation table is U P U^dagger of the gate's dense matrix.
+    from c4distill.statevec import GATE_MATRICES
+
+    for name, action in GATE_ACTIONS.items():
+        p = (p1, p2)[action.n - 1]
+        u = GATE_MATRICES[name]
+        assert np.allclose(dense(action.conjugate(p)), u @ dense(p) @ u.conj().T, atol=1e-12), name
+
+
 def test_commutes_dimension_error():
     with pytest.raises(DimensionError):
         PauliString.from_label("X").commutes(PauliString.from_label("XX"))
