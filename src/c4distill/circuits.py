@@ -156,8 +156,6 @@ class DistillationLayout:
 
     ancilla: int
     code_wires: tuple[int, int, int, int]
-    data_wires: tuple[int, int]
-    out_wires: tuple[int, int]
     encoder: tuple[GateSpec, ...]
     first_block: tuple[GateSpec, ...]
     middle: tuple[GateSpec, ...]
@@ -171,8 +169,6 @@ def distillation_layout() -> DistillationLayout:
     return DistillationLayout(
         ancilla=a,
         code_wires=(w1, w2, w3, w4),
-        data_wires=(w1, w3),
-        out_wires=(w1, w3),
         encoder=tuple(_encoder_specs(w1, w2, w3, w4)),
         first_block=(("ch", (a, w2)), ("ch", (a, w4))),
         middle=tuple(middle_block(a, w1, w2, w3, w4)),
@@ -333,55 +329,26 @@ def controlled_h_gadget(
 
 def build_gadget_distillation() -> tuple[Circuit, list[ErrorLocation]]:
     """Gadget-level variant of the routine: controlled-H gates realized with
-    explicit resource states on two reused wires (7 wires total).
+    explicit resource states on two reused wires (7 wires total), built from
+    the 5-wire circuit by replacing each controlled-H with its gadget.
 
     Error locations point at the resource-state preparations themselves, so
     this build checks the propagated error forms used everywhere else.
     """
-    ly = distillation_layout()
-    a = ly.ancilla
-    w1, w2, w3, w4 = ly.code_wires
-    r1, r2 = 5, 6
-    elements: list[Element] = [
-        Element("prep_plus", (a,)),
-        Element("prep_h", (w1,)),
-        Element("prep_0", (w2,)),
-        Element("prep_h", (w3,)),
-        Element("prep_plus", (w4,)),
-    ]
-    data_insert = len(elements)
-    elements += gates(*ly.encoder)
-    locations = [
-        ErrorLocation(0, "data", None, None, data_insert, (("y", w1),)),
-        ErrorLocation(1, "data", None, None, data_insert, (("y", w3),)),
-    ]
-    next_id = 2
-    ch_specs = list(ly.first_block) + list(ly.middle) + list(ly.second_block)
-    gadget = 0
-    for spec in ch_specs:
-        if spec[0] != "ch":
-            elements.append(Element(*spec))
+    circuit, locations = build_distillation_circuit()
+    resources = (5, 6)
+    gate_locations = iter(locations[2:])
+    elements: list[Element] = []
+    moved = locations[:2]
+    for el in circuit.elements:
+        if el.op != "ch":
+            elements.append(el)
             continue
-        _, (ctl, tgt) = spec
-        gelems, prep_offsets = controlled_h_gadget(ctl, tgt, (r1, r2), f"g{gadget}")
-        base = len(elements)
+        pair = (next(gate_locations), next(gate_locations))
+        gelems, preps = controlled_h_gadget(*el.wires, resources, f"g{pair[0].gadget}")
+        for loc, prep, wire in zip(pair, preps, resources):
+            moved.append(replace(loc, insert_index=len(elements) + prep + 1, paulis=(("y", wire),)))
         elements += gelems
-        for role, off in zip(("first", "second"), prep_offsets):
-            locations.append(
-                ErrorLocation(
-                    next_id,
-                    "gate",
-                    gadget,
-                    role,
-                    base + off + 1,
-                    (("y", r1 if role == "first" else r2),),
-                )
-            )
-            next_id += 1
-        gadget += 1
-    elements.append(Element("mx", (a,), label="meas_encoded"))
-    elements += gates(*ly.decoder)
-    elements.append(Element("mz", (w2,), label="check_z"))
-    elements.append(Element("mx", (w4,), label="check_x"))
-    labels = {"ancilla": a, "out1": w1, "out2": w3, "resource_a": r1, "resource_b": r2}
-    return Circuit(7, tuple(elements), labels), locations
+    labels = {name: circuit.labels[name] for name in ("ancilla", "out1", "out2")}
+    labels.update(resource_a=resources[0], resource_b=resources[1])
+    return Circuit(7, tuple(elements), labels), moved

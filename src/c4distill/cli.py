@@ -53,6 +53,11 @@ def _lin_grid(lo: float, hi: float, points: int) -> list[float]:
     return [lo + step * i for i in range(points)]
 
 
+def _or(value, default):
+    """An option's value, or ``default`` when the option was not given."""
+    return default if value is None else value
+
+
 def _output_path(out: Optional[str]) -> Optional[str]:
     """The file ``-o`` names, resolved against ``$C4DISTILL_OUTDIR``.  Its
     directory is checked before the command runs, so a path that cannot be
@@ -130,13 +135,13 @@ def cmd_curve(args) -> int:
     models = _load_models(args.routines)
     lines = []
     if args.figure == "both-thresh":
-        grid = _lin_grid(args.pmin or 1e-3, args.pmax or 0.2, args.points or 80)
+        grid = _lin_grid(_or(args.pmin, 1e-3), _or(args.pmax, 0.2), _or(args.points, 80))
         rows = error_curves(["A", "B"], grid, models)
         lines.append("p,no_distillation,A,B")
         for p, ea, eb in rows:
             lines.append(f"{_sci(p)},{_sci(p)},{_sci(ea)},{_sci(eb)}")
     elif args.figure == "regionplot":
-        grid = _geom_grid(args.pmin or 1e-4, args.pmax or 0.12, args.points or 60)
+        grid = _geom_grid(_or(args.pmin, 1e-4), _or(args.pmax, 0.12), _or(args.points, 60))
         seqs = list(TABLE_SEQUENCES)
         rows = error_curves(seqs, grid, models)
         lines.append("p," + ",".join(seqs))
@@ -148,7 +153,7 @@ def cmd_curve(args) -> int:
             for a, b, p in curve_crossings(seqs, grid, models):
                 lines.append(f"{a},{b},{_sci(p)}")
     elif args.figure == "distplot":
-        grid = _geom_grid(args.eg_min or 1e-30, args.eg_max or 1e-3, args.points or 55)
+        grid = _geom_grid(_or(args.eg_min, 1e-30), _or(args.eg_max, 1e-3), _or(args.points, 55))
         try:
             PlannerGoal(p0=args.p0, e_g=grid[-1], max_rounds=args.max_rounds).validate()
         except ValueError as exc:
@@ -282,9 +287,6 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
         p.add_argument("-o", "--output", help="write to file instead of stdout")
-        p.add_argument(
-            "--routines", help="config file with extra routine definitions"
-        )
         return p
 
     add("polynomials", cmd_polynomials, "exact acceptance/error coefficients")
@@ -332,6 +334,10 @@ def build_parser() -> _Parser:
     p = add("dump-circuit", cmd_dump_circuit, "text form of the routine circuit")
     p.add_argument("--gadget-level", action="store_true")
 
+    for name in ("threshold", "curve", "table1", "plan"):
+        sub.choices[name].add_argument(
+            "--routines", help="config file with extra routine definitions"
+        )
     return parser
 
 

@@ -8,7 +8,8 @@ Two classifiers cover every pattern:
 * ``FrameClassifier`` never touches amplitudes on the full register.  Gate
   errors are conjugated (exactly, with phases) through the Clifford block to
   a common reference point, checked against the stabilizers, and reduced to
-  logical operators; the accepted-branch Kraus operator of the encoded
+  logical operators, once per value of the eight gate bits; the
+  accepted-branch Kraus operator of the encoded
   measurement is then assembled on two qubits in the ring Z[i, sqrt2], once
   per distinct (data bits, logical terms, sign) key.  The single-qubit X and
   Z are stored times sqrt2, so every operator entry is an integer, and each
@@ -29,11 +30,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .circuits import (
     CODE,
-    DistillationLayout,
     build_distillation_circuit,
     distillation_layout,
     insert_pattern,
@@ -126,9 +126,8 @@ class FrameClassifier:
     measurement is evaluated exactly.
     """
 
-    def __init__(self, layout: Optional[DistillationLayout] = None):
-        ly = layout or distillation_layout()
-        self.layout = ly
+    def __init__(self):
+        ly = self.layout = distillation_layout()
         n = ly.width
         self.sx = _embed_code(CODE.stabilizers[0])
         self.sz = _embed_code(CODE.stabilizers[1])
@@ -158,10 +157,9 @@ class FrameClassifier:
         w1, w2, w3, w4 = ly.code_wires
         self._hless = [("h", (w1,)), ("h", (w2,)), ("h", (w4,))]
         # mid_code, its conjugate and s1 depend only on bits 2-5 of a
-        # pattern, late_code and s2 only on bits 6-9, so each is propagated
-        # once per 4-bit value.
-        self._mid: list[tuple[int, PauliString, PauliString]] = []
-        self._late: list[tuple[int, PauliString]] = []
+        # pattern, late_code and s2 only on bits 6-9: propagate each 4-bit
+        # value once.
+        mid, late = [], []
         for nibble in range(16):
             mid_total = PauliString.identity(n)
             late_total = PauliString.identity(n)
@@ -170,8 +168,19 @@ class FrameClassifier:
                     mid_total = self.concentrated[2 + j] * mid_total
                     late_total = self.block2[6 + j] * late_total
             s1, mid_code = self._split_ancilla(mid_total)
-            self._mid.append((s1, mid_code, conjugate_through(mid_code, self._hless, n)))
-            self._late.append(self._split_ancilla(late_total))
+            mid.append((s1, mid_code, conjugate_through(mid_code, self._hless, n)))
+            late.append(self._split_ancilla(late_total))
+        # Everything but the data bits depends only on bits 2-9, so the two
+        # logical terms and their sign are tabulated once per 8-bit value;
+        # None marks a value whose terms are both detected.
+        self._terms: list[Optional[tuple]] = []
+        for gate_bits in range(256):
+            s1, mid_code, flipped = mid[gate_bits & 15]
+            s2, late_code = late[gate_bits >> 4]
+            term1 = self._logical_term(late_code * mid_code)
+            term2 = self._logical_term(late_code * flipped)
+            detected = term1 is None and term2 is None
+            self._terms.append(None if detected else (term1, term2, (s1 + s2) & 1))
         # The Kraus assembly depends on a pattern only through the key
         # (d1, d2, term1, term2, sign), and the 1024 patterns share a few
         # dozen keys; each is assembled once per classifier.
@@ -214,73 +223,36 @@ class FrameClassifier:
         return omega, (a1, b1, a2, b2)
 
     def classify(self, bits: int) -> ExactVerdict:
-        s1, mid_code, flipped = self._mid[bits >> 2 & 15]
-        s2, late_code = self._late[bits >> 6 & 15]
-        term1 = self._logical_term(late_code * mid_code)
-        term2 = self._logical_term(late_code * flipped)
-        if term1 is None and term2 is None:
+        terms = self._terms[bits >> 2]
+        if terms is None:
             return _REJECTED
-        key = (bits & 1, bits >> 1 & 1, term1, term2, (s1 + s2) & 1)
+        key = (bits & 1, bits >> 1 & 1, *terms)
         verdict = self._assembled.get(key)
         if verdict is None:
             verdict = self._assembled[key] = _assemble(*key)
         return verdict
 
 
-# Single-qubit operators in the (|H>, |-H>) basis, stored column-major:
-# OP[name][r][c] is <basis_r| op |basis_c>.  X and Z are stored times sqrt2,
-# so every entry is an integer.
-H_BASIS_OPS: dict[str, tuple[tuple[Exact, Exact], tuple[Exact, Exact]]] = {
-    "H": ((E_ONE, E_ZERO), (E_ZERO, -E_ONE)),
-    "X": ((E_ONE, E_ONE), (E_ONE, -E_ONE)),
-    "Z": ((E_ONE, -E_ONE), (-E_ONE, -E_ONE)),
+# Single-qubit operators in the (|H>, |-H>) basis: OP[name][r][c] is
+# <basis_r| op |basis_c>.  X and Z are stored times sqrt2, so every entry is
+# an integer.
+H_BASIS_OPS: dict[str, tuple[tuple[int, int], tuple[int, int]]] = {
+    "H": ((1, 0), (0, -1)),
+    "X": ((1, 1), (1, -1)),
+    "Z": ((1, -1), (-1, -1)),
 }
 # sqrt2**k for k = 0..4.
 _SQRT2_POWERS = (E_ONE, Exact(b=1), Exact(2), Exact(b=2), Exact(4))
 
 
-class HBasisState:
-    """Exact two-qubit state in the |+-H> x |+-H> basis (index: q1*2 + q2,
-    bit 1 marking the flipped |-H| component)."""
-
-    __slots__ = ("amps",)
-
-    def __init__(self, amps: Sequence[Exact]):
-        self.amps = tuple(amps)
-
-    def __add__(self, o: "HBasisState") -> "HBasisState":
-        return HBasisState([x + y for x, y in zip(self.amps, o.amps)])
-
-    def scaled(self, s: Exact) -> "HBasisState":
-        return HBasisState([s * x for x in self.amps])
-
-    def apply_1q(self, op: str, qubit: int) -> "HBasisState":
-        m = H_BASIS_OPS[op]
-        out = [E_ZERO] * 4
-        for idx, amp in enumerate(self.amps):
-            if amp.is_zero():
-                continue
-            bit = (idx >> (1 - qubit)) & 1
-            for new_bit in (0, 1):
-                coeff = m[new_bit][bit]
-                if coeff.is_zero():
-                    continue
-                new_idx = idx ^ ((bit ^ new_bit) << (1 - qubit))
-                out[new_idx] = out[new_idx] + coeff * amp
-        return HBasisState(out)
-
-    def apply_xz(self, x_pow: int, z_pow: int, qubit: int) -> "HBasisState":
-        """Apply sqrt2**(x + z) times the monomial X^x Z^z (Z first) to one
-        qubit."""
-        st = self
-        if z_pow:
-            st = st.apply_1q("Z", qubit)
-        if x_pow:
-            st = st.apply_1q("X", qubit)
-        return st
-
-    def weights(self) -> tuple[int, int, int, int]:
-        return tuple(amp.abs2() for amp in self.amps)  # type: ignore[return-value]
+def _column(bit: int, x: int, z: int, h: bool) -> tuple[int, int]:
+    """Column ``bit`` of sqrt2**(x + z) X^x Z^z H^h in the (|H>, |-H>) basis."""
+    col = (1 - bit, bit)
+    for name, on in (("H", h), ("Z", z), ("X", x)):
+        if on:
+            (m00, m01), (m10, m11) = H_BASIS_OPS[name]
+            col = (m00 * col[0] + m01 * col[1], m10 * col[0] + m11 * col[1])
+    return col
 
 
 def _assemble(d1: int, d2: int, term1, term2, sign: int) -> ExactVerdict:
@@ -288,20 +260,24 @@ def _assemble(d1: int, d2: int, term1, term2, sign: int) -> ExactVerdict:
     data-qubit error bits, the two logical terms (i-power, X1,Z1,X2,Z2
     exponents; None when detected) and the ancilla sign between them.
 
-    A term is 1/2 times its logical monomial, whose k = X1+Z1+X2+Z2 factors
-    of 1/sqrt2 ``apply_xz`` leaves out; scaling it by sqrt2**(4 - k) makes
-    the accumulated state 8 times the branch, so each weight is |8 amp|^2/64.
+    A term is 1/2 times its logical monomial applied to i^(d1+d2)|d1 d2>
+    after an H on one qubit, which is a product state: the outer product of
+    two integer columns, which leave out the monomial's k = X1+Z1+X2+Z2
+    factors of 1/sqrt2.  Scaling it by sqrt2**(4 - k) makes the accumulated
+    state (index q1*2 + q2) 8 times the branch, so each weight is
+    |8 amp|^2/64.
     """
-    base = HBasisState([Exact.i_power(d1 + d2) if k == 2 * d1 + d2 else E_ZERO for k in range(4)])
-    acc = HBasisState([E_ZERO] * 4)
+    acc = [E_ZERO] * 4
     for term, h_qubit, shift in ((term1, 1, 0), (term2, 0, 2 * sign)):
         if term is None:
             continue
         om, (a1, b1, a2, b2) = term
-        t = base.apply_1q("H", h_qubit).apply_xz(a2, b2, 1).apply_xz(a1, b1, 0)
-        scale = Exact.i_power(om + shift) * _SQRT2_POWERS[4 - a1 - b1 - a2 - b2]
-        acc = acc + t.scaled(scale)
-    w0, w1, w2, w3 = acc.weights()
+        col1 = _column(d1, a1, b1, h_qubit == 0)
+        col2 = _column(d2, a2, b2, h_qubit == 1)
+        scale = Exact.i_power(d1 + d2 + om + shift) * _SQRT2_POWERS[4 - a1 - b1 - a2 - b2]
+        for idx in range(4):
+            acc[idx] = acc[idx] + scale * Exact(col1[idx >> 1] * col2[idx & 1])
+    w0, w1, w2, w3 = (amp.abs2() for amp in acc)
     norm = w0 + w1 + w2 + w3
     return ExactVerdict(*(Fraction(w, 64) for w in (norm, w2 + w3, w1 + w3, w3, norm - w0)))
 
@@ -375,39 +351,32 @@ def _cached_polynomials() -> PolynomialSet:
     Patterns reduce by Hamming weight; the reduction is a plain sum, so any
     enumeration order (or parallel fan-out) gives identical results.
     """
-    verdicts = exact_verdicts()
-    acc_w = [Fraction(0)] * (N_LOCATIONS + 1)
-    err_w = acc_w.copy()
-    err2_w = acc_w.copy()
-    both_w = acc_w.copy()
-    any_w = acc_w.copy()
+    # Tallies by Hamming weight of accept, err1, err2, both and either.
+    tallies = [[Fraction(0)] * (N_LOCATIONS + 1) for _ in range(5)]
     counts = {"fractional_accept": 0, "half_fidelity": 0}
-    for bits, v in enumerate(verdicts):
+    for bits, v in enumerate(exact_verdicts()):
         if not v.accept:
             continue
         w = bits.bit_count()
-        acc_w[w] += v.accept
-        err_w[w] += v.err1
-        err2_w[w] += v.err2
-        both_w[w] += v.both
-        any_w[w] += v.either
+        for tally, q in zip(tallies, (v.accept, v.err1, v.err2, v.both, v.either)):
+            tally[w] += q
         counts["fractional_accept"] += v.accept != 1
         counts["half_fidelity"] += v.half_fidelity_outputs()
-    poly = {}
-    for name, tallies in (("a", acc_w), ("u", err_w), ("u_second", err2_w), ("u2", any_w), ("both", both_w)):
-        total = ExactPolynomial.zero()
-        for w, q in enumerate(tallies):
-            if q:
-                total = total + ExactPolynomial.binomial_term(w, N_LOCATIONS).scaled(q)
-        poly[name] = total
-    if poly["u"].coefficients != poly["u_second"].coefficients:
+    acceptance, marginal, marginal_second, both, either = (
+        sum(
+            (ExactPolynomial.binomial_term(w, N_LOCATIONS).scaled(q) for w, q in enumerate(t) if q),
+            ExactPolynomial.zero(),
+        )
+        for t in tallies
+    )
+    if marginal.coefficients != marginal_second.coefficients:
         raise AssertionError("marginal error polynomials differ between outputs")
     return PolynomialSet(
-        acceptance=poly["a"],
-        marginal=poly["u"],
-        either=poly["u2"],
-        both=poly["both"],
-        accept_by_weight=tuple(acc_w),
+        acceptance=acceptance,
+        marginal=marginal,
+        either=either,
+        both=both,
+        accept_by_weight=tuple(tallies[0]),
         pattern_counts=MappingProxyType(counts),
     )
 

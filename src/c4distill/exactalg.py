@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Sequence, Union
 
 Rat = Union[int, Fraction]
@@ -54,9 +55,6 @@ class Exact:
             raise AssertionError(f"squared modulus of {self} is irrational")
         return a * a + 2 * b * b + c * c + 2 * d * d
 
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0 and self.c == 0 and self.d == 0
-
     @staticmethod
     def i_power(k: int) -> "Exact":
         return (E_ONE, E_I, -E_ONE, -E_I)[k & 3]
@@ -90,9 +88,8 @@ class ExactPolynomial:
 
     @classmethod
     def binomial_term(cls, w: int, total: int) -> "ExactPolynomial":
-        """p**w * (1-p)**(total-w)."""
-        one_minus = cls.make([1, -1]) ** (total - w)
-        return cls.make([0] * w + [1]) * one_minus
+        """p**w * (1-p)**(total-w), expanded in closed form."""
+        return cls.make([0] * w + [(-1) ** j * comb(total - w, j) for j in range(total - w + 1)])
 
     def degree(self) -> int:
         return len(self.coefficients) - 1
@@ -131,12 +128,6 @@ class ExactPolynomial:
                 out = out * base
             base = base * base
             k >>= 1
-        return out
-
-    def compose(self, inner: "ExactPolynomial") -> "ExactPolynomial":
-        out = ExactPolynomial.zero()
-        for c in reversed(self.coefficients):
-            out = out * inner + ExactPolynomial.make([c])
         return out
 
     def __call__(self, p):

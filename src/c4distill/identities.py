@@ -25,7 +25,6 @@ from .circuits import (
     Element,
     build_c4_codec,
     controlled_h_gadget,
-    distillation_layout,
     gates,
     logical_middle_block,
     middle_block,
@@ -111,7 +110,6 @@ def encoded_measurement_gadget_reduction() -> float:
 
 
 def transversal_h_is_logical_hh_swap() -> float:
-    ly = distillation_layout()
     enc, _ = build_c4_codec()
     lhs = _circ(4, list(enc.elements) + gates(("h", (0,)), ("h", (1,)), ("h", (2,)), ("h", (3,))))
     rhs = _circ(4, gates(("h", (0,)), ("h", (2,)), ("swap", (0, 2))) + list(enc.elements))

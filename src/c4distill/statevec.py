@@ -17,8 +17,6 @@ import numpy as np
 from .circuits import Circuit, Element
 from .pauli import DimensionError
 
-ATOL = 1e-12
-
 
 def _ry(theta: float) -> np.ndarray:
     c, s = math.cos(theta / 2), math.sin(theta / 2)
@@ -93,9 +91,6 @@ class Branch:
     state: np.ndarray
     prob: float
     outcomes: dict[str, int] = field(default_factory=dict)
-
-    def copy(self) -> "Branch":
-        return Branch(self.state.copy(), self.prob, dict(self.outcomes))
 
 
 def _initial_state(width: int, initial_bits: Optional[dict[int, int]]) -> np.ndarray:

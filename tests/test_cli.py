@@ -93,6 +93,22 @@ def test_usage_errors(tmp_path):
     assert run_cli(["nonsense"])[0] == EXIT_USAGE
     assert run_cli(["curve", "--figure", "regionplot", "--pmin", "0.1", "--pmax", "0.01"])[0] == EXIT_USAGE
     assert run_cli(["curve", "--figure", "both-thresh", "--points", "1"])[0] == EXIT_USAGE
+    # An explicit zero is a value, not a request for the figure's default.
+    for argv in (
+        ["--figure", "both-thresh", "--pmin", "0", "--pmax", "0.05", "--points", "3"],
+        ["--figure", "both-thresh", "--pmax", "0"],
+        ["--figure", "regionplot", "--points", "0"],
+        ["--figure", "distplot", "--eg-min", "0"],
+        ["--figure", "distplot", "--eg-max", "0"],
+    ):
+        assert run_cli(["curve"] + argv)[0] == EXIT_USAGE, argv
+    # Only the commands that read routine definitions accept --routines.
+    for argv in (
+        ["dump-circuit"],
+        ["simulate", "--p", "0.05", "--trials", "10"],
+        ["polynomials"],
+    ):
+        assert run_cli(argv + ["--routines", "/nonexistent.ini"])[0] == EXIT_USAGE, argv
     for rounds in ("0", "-3"):
         argv = ["plan", "--p0", "0.01", "--eg", "1e-5", "--max-rounds", rounds]
         assert run_cli(argv)[0] == EXIT_USAGE

