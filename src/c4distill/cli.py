@@ -35,20 +35,23 @@ def _sci(x: float) -> str:
     return f"{x:.5e}"
 
 
-def _geom_grid(lo: float, hi: float, points: int) -> list[float]:
-    if not 0 < lo < hi:
-        raise UsageError("grid needs 0 < min < max")
+def _check_grid(lo: float, hi: float, points: int):
+    """Every curve grid is one of probabilities below 1/2 (which also
+    refuses inf and nan bounds)."""
+    if not 0 < lo < hi < 0.5:
+        raise UsageError("grid needs 0 < min < max < 1/2")
     if points < 2:
         raise UsageError("grid needs at least 2 points")
+
+
+def _geom_grid(lo: float, hi: float, points: int) -> list[float]:
+    _check_grid(lo, hi, points)
     ratio = (hi / lo) ** (1.0 / (points - 1))
     return [lo * ratio**i for i in range(points)]
 
 
 def _lin_grid(lo: float, hi: float, points: int) -> list[float]:
-    if not 0 < lo < hi:
-        raise UsageError("grid needs 0 < min < max")
-    if points < 2:
-        raise UsageError("grid needs at least 2 points")
+    _check_grid(lo, hi, points)
     step = (hi - lo) / (points - 1)
     return [lo + step * i for i in range(points)]
 
@@ -80,11 +83,10 @@ def _emit(text: str, path: Optional[str]):
             sys.stdout.write("\n")
         return
     try:
-        fh = open(path, "w")
+        with open(path, "w") as fh:
+            fh.write(text if text.endswith("\n") else text + "\n")
     except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc.strerror}")
-    with fh:
-        fh.write(text if text.endswith("\n") else text + "\n")
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _load_models(config: Optional[str]):

@@ -2,9 +2,9 @@
 
 Two classifiers cover every pattern:
 
-* ``DenseClassifier`` inserts the pattern's Paulis into the 5-wire circuit
-  and runs the state-vector oracle, post-selecting the noiseless reference
-  outcomes.
+* ``DenseClassifier`` runs the 5-wire circuit on the state-vector oracle
+  once for all patterns, a batch row per pattern carrying that pattern's
+  Paulis, and post-selects the noiseless reference outcomes.
 * ``FrameClassifier`` never touches amplitudes on the full register.  Gate
   errors are conjugated (exactly, with phases) through the Clifford block to
   a common reference point, checked against the stabilizers, and reduced to
@@ -36,7 +36,6 @@ from .circuits import (
     CODE,
     build_distillation_circuit,
     distillation_layout,
-    insert_pattern,
     reference_outcomes,
 )
 from .exactalg import E_ONE, E_ZERO, Exact, ExactPolynomial
@@ -97,7 +96,6 @@ class DenseVerdict:
     err2: float
     both: float
     either: float
-    joint: Optional[tuple[tuple[float, float], tuple[float, float]]] = None
 
 
 _REJECTED = ExactVerdict(*[Fraction(0)] * 5)
@@ -283,32 +281,44 @@ def _assemble(d1: int, d2: int, term1, term2, sign: int) -> ExactVerdict:
 
 
 class DenseClassifier:
-    """State-vector classification against the noiseless reference run."""
+    """State-vector classification against the noiseless reference run.
+
+    All 1024 patterns are one batch: the circuit is walked once, each error
+    location's Paulis are applied to the rows whose bit is set, and the
+    reference outcomes are post-selected.  Each row's unnormalized weights
+    in the (|H>, |-H>) basis of the two outputs give its verdict.
+    """
 
     def __init__(self):
-        self.circuit, self.locations = build_distillation_circuit()
-        self.reference = reference_outcomes(self.circuit)
-        self.out1 = self.circuit.labels["out1"]
-        self.out2 = self.circuit.labels["out2"]
+        import numpy as np
+
+        from .statevec import GATE_MATRICES, H_BASIS, Branch, apply_element, apply_unitary
+
+        circuit, locations = build_distillation_circuit()
+        reference = reference_outcomes(circuit)
+        width = circuit.width
+        rows = np.arange(N_PATTERNS)
+        state = np.zeros((2,) * width + (N_PATTERNS,), dtype=complex)
+        state[(0,) * width] = 1.0
+        branch = Branch(state)
+        for index, el in enumerate(circuit.elements):
+            for loc in locations:
+                if loc.insert_index == index:
+                    hit = rows >> loc.id & 1 == 1
+                    for op, wire in loc.paulis:
+                        flipped = apply_unitary(branch.state, GATE_MATRICES[op], (wire,))
+                        branch.state = np.where(hit, flipped, branch.state)
+            (branch,) = apply_element(branch, el, reference)
+        out1, out2 = circuit.labels["out1"], circuit.labels["out2"]
+        st = apply_unitary(apply_unitary(branch.state, H_BASIS, (out1,)), H_BASIS, (out2,))
+        # w[r, c, bits]: weight of output 1 in |+-H>_r and output 2 in |+-H>_c.
+        w = np.moveaxis(np.abs(st) ** 2, (out1, out2), (0, 1)).sum(axis=tuple(range(2, width)))
+        accept = w.sum(axis=(0, 1))
+        fields = (accept, w[1].sum(axis=0), w[:, 1].sum(axis=0), w[1, 1], accept - w[0, 0])
+        self._verdicts = tuple(DenseVerdict(*v) for v in zip(*(f.tolist() for f in fields)))
 
     def classify(self, bits: int) -> DenseVerdict:
-        from .statevec import h_basis_joint, run
-
-        circ = insert_pattern(self.circuit, self.locations, bits)
-        branches = run(circ, postselect=self.reference)
-        if not branches:
-            return DenseVerdict(0.0, 0.0, 0.0, 0.0, 0.0)
-        (br,) = branches
-        w = br.prob
-        joint = h_basis_joint(br.state, self.out1, self.out2)
-        return DenseVerdict(
-            accept=w,
-            err1=w * float(joint[1, 0] + joint[1, 1]),
-            err2=w * float(joint[0, 1] + joint[1, 1]),
-            both=w * float(joint[1, 1]),
-            either=w * float(1.0 - joint[0, 0]),
-            joint=((float(joint[0, 0]), float(joint[0, 1])), (float(joint[1, 0]), float(joint[1, 1]))),
-        )
+        return self._verdicts[bits]
 
 
 @dataclass(frozen=True)

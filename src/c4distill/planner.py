@@ -101,6 +101,8 @@ class PlannerGoal:
         if self.e_g is not None:
             return self.e_g
         if self.R is not None:
+            if not self.R > 0:
+                raise ValueError(f"need R > 0, got R={self.R}")
             return 1.0 / (R_MARGIN * self.R)
         raise ValueError("goal needs e_g or R")
 

@@ -108,8 +108,8 @@ def load_routines_config(path: str) -> dict[str, RoutineModel]:
 
     Coefficients may be integers or fractions like ``3/16``.  A malformed
     file, a section missing a key, m or n below 1, a coefficient that is
-    not a number, or an acceptance that is not positive at p = 0 or has a
-    root in (0, 1/2) raises ValueError.
+    not a number or lies beyond float range, or an acceptance that is not
+    positive at p = 0 or has a root in (0, 1/2) raises ValueError.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
@@ -139,9 +139,14 @@ def load_routines_config(path: str) -> dict[str, RoutineModel]:
 
 def _coeffs(text: str) -> list[Fraction]:
     try:
-        return [Fraction(tok) for tok in text.split()]
+        coeffs = [Fraction(tok) for tok in text.split()]
+        for c in coeffs:
+            float(c)  # the planner evaluates in float
     except ZeroDivisionError as exc:
         raise ValueError(f"coefficient with a zero denominator in {text!r}") from exc
+    except OverflowError as exc:
+        raise ValueError(f"coefficient beyond float range in {text!r}") from exc
+    return coeffs
 
 
 def _roots_below_half(poly: ExactPolynomial) -> int:

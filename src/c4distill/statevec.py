@@ -1,16 +1,21 @@
 """Small dense state-vector simulator (n <= 12) used as the ground-truth oracle.
 
-Circuits are executed with explicit measurement branching: ``run`` either
-enumerates every outcome branch or post-selects a target outcome per label.  Channel comparison works on Choi matrices built from the branch
-Kraus operators, so unitary identities are checked up to global phase and
-measurement circuits are checked outcome by outcome.
+A state is a (2,)*width tensor, optionally followed by batch axes that every
+element acts on alike.  Circuits are executed with explicit measurement
+branching: ``run`` either enumerates every outcome branch or post-selects a
+target outcome per label.  Measurements project without renormalizing, so a
+branch's state carries its weight: run on a batch of basis inputs, each
+branch holds the columns of its Kraus operators.  Channel comparison works on
+Choi matrices built from those Kraus operators, so unitary identities are
+checked up to global phase and measurement circuits are checked outcome by
+outcome.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -57,15 +62,27 @@ GATE_MATRICES: dict[str, np.ndarray] = {
 }
 
 H_STATE = np.array([math.cos(math.pi / 8), math.sin(math.pi / 8)], dtype=complex)
+# Rows <H| and <-H|: applied to a wire, it maps the (|H>, |-H>) basis to (|0>, |1>).
+H_BASIS = np.stack([H_STATE.conj(), np.array([-H_STATE[1], H_STATE[0]]).conj()])
 
-# Eigenvectors per measurement basis, indexed by outcome bit (0 <-> +1).
-_MEAS_VECS = {
-    "mz": (np.array([1, 0], complex), np.array([0, 1], complex)),
-    "mx": (np.array([1, 1], complex) / math.sqrt(2), np.array([1, -1], complex) / math.sqrt(2)),
-    "my": (np.array([1, 1j], complex) / math.sqrt(2), np.array([1, -1j], complex) / math.sqrt(2)),
+
+def _projectors(*vecs) -> tuple[np.ndarray, np.ndarray]:
+    return tuple(np.outer(v, v.conj()) for v in vecs)
+
+
+# Projectors per measurement basis, indexed by outcome bit (0 <-> +1).
+_PROJECTORS = {
+    "mz": _projectors(np.array([1, 0], complex), np.array([0, 1], complex)),
+    "mx": _projectors(np.array([1, 1], complex) / math.sqrt(2), np.array([1, -1], complex) / math.sqrt(2)),
+    "my": _projectors(np.array([1, 1j], complex) / math.sqrt(2), np.array([1, -1j], complex) / math.sqrt(2)),
 }
 
 _PREP_ROTATION = {"prep_0": None, "prep_plus": "h", "prep_h": "ry_p4"}
+
+# Branches whose weight falls to this or below are dropped.
+_MIN_WEIGHT = 1e-24
+# Rows of the Choi difference formed at a time by ``channel_distance``.
+_CHOI_ROWS = 32
 
 
 class SimulationError(RuntimeError):
@@ -73,39 +90,30 @@ class SimulationError(RuntimeError):
 
 
 def apply_unitary(state: np.ndarray, mat: np.ndarray, wires: tuple[int, ...]) -> np.ndarray:
-    """Apply a 2^k x 2^k matrix to the given wires of a (2,)*n state tensor."""
-    n = state.ndim
+    """Apply a 2^k x 2^k matrix to the given wires of a (2,)*n state tensor;
+    any axes after the wire axes are batch axes and are left in place."""
     k = len(wires)
-    rest = [a for a in range(n) if a not in wires]
-    perm = list(wires) + rest
-    st = np.transpose(state, perm).reshape(2**k, -1)
-    st = mat @ st
-    st = st.reshape([2] * n)
-    return np.transpose(st, np.argsort(perm))
+    out = np.tensordot(mat.reshape((2,) * 2 * k), state, axes=(tuple(range(k, 2 * k)), wires))
+    return np.moveaxis(out, tuple(range(k)), wires)
 
 
 @dataclass
 class Branch:
-    """One measurement-outcome branch of a circuit run."""
+    """One measurement-outcome branch of a circuit run.  The state is left
+    unnormalized, so its squared norm is the branch's weight."""
 
     state: np.ndarray
-    prob: float
     outcomes: dict[str, int] = field(default_factory=dict)
 
-
-def _initial_state(width: int, initial_bits: Optional[dict[int, int]]) -> np.ndarray:
-    state = np.zeros([2] * width, dtype=complex)
-    idx = [0] * width
-    for wire, bit in (initial_bits or {}).items():
-        idx[wire] = bit
-    state[tuple(idx)] = 1.0
-    return state
+    @property
+    def prob(self) -> float:
+        return float(np.vdot(self.state, self.state).real)
 
 
 def _check_prepped_zero(state: np.ndarray, wire: int):
     sl = [slice(None)] * state.ndim
     sl[wire] = 1
-    if np.linalg.norm(state[tuple(sl)]) > 1e-9:
+    if np.linalg.norm(state[tuple(sl)]) > 1e-9 * np.linalg.norm(state):
         raise SimulationError(f"prep on wire {wire} which is not in |0>")
 
 
@@ -116,7 +124,8 @@ def apply_element(
 
     Unitary elements preserve the norm; preparations require the wire to be
     in |0>; measurements record an outcome bit (both, or the post-selected
-    target) and renormalize.  Conditioned elements demand their classical bit be set.
+    target) and project without renormalizing, dropping an outcome whose
+    weight vanishes.  Conditioned elements demand their classical bit be set.
     """
     if el.cond is not None:
         name, want = el.cond
@@ -133,64 +142,45 @@ def apply_element(
     if el.op in GATE_MATRICES:
         branch.state = apply_unitary(branch.state, GATE_MATRICES[el.op], el.wires)
         return [branch]
-    if el.op in _MEAS_VECS:
-        return _measure(branch, el, postselect)
+    if el.op in _PROJECTORS:
+        if postselect is not None and el.label in postselect:
+            bits = (postselect[el.label],)
+        else:
+            bits = (0, 1)
+        outs = []
+        for bit in bits:
+            state = apply_unitary(branch.state, _PROJECTORS[el.op][bit], el.wires)
+            nb = Branch(state, {**branch.outcomes, el.label: bit})
+            if nb.prob > _MIN_WEIGHT:
+                outs.append(nb)
+        return outs
     raise SimulationError(f"unknown element {el.op!r}")
 
 
 def run(
     circuit: Circuit,
-    initial_bits: Optional[dict[int, int]] = None,
+    state: Optional[np.ndarray] = None,
     postselect: Optional[dict[str, int]] = None,
     merge_hidden: bool = False,
 ) -> list[Branch]:
-    """Execute a circuit and return its outcome branches.
+    """Execute a circuit from ``state`` (default all wires |0>), which may
+    carry batch axes after its wire axes, and return its outcome branches.
 
     Measurement handling: if the label appears in ``postselect`` the branch is
-    projected onto that outcome (its probability absorbs the branch weight);
-    otherwise both outcomes are enumerated.  With ``merge_hidden`` branches
-    that agree on every label not starting with ``_`` and hold the same state
-    up to a global phase are merged, which keeps gadget-heavy circuits cheap.
+    projected onto that outcome; otherwise both outcomes are enumerated.
+    With ``merge_hidden`` branches that agree on every label not starting
+    with ``_`` and hold the same state up to a phase and a scale are merged
+    into one carrying both weights, which keeps gadget-heavy circuits cheap.
     """
-    branches = [Branch(_initial_state(circuit.width, initial_bits), 1.0)]
+    if state is None:
+        state = np.zeros((2,) * circuit.width, dtype=complex)
+        state[(0,) * circuit.width] = 1.0
+    branches = [Branch(state)]
     for el in circuit.elements:
-        new_branches: list[Branch] = []
-        for br in branches:
-            new_branches.extend(apply_element(br, el, postselect))
-        branches = [b for b in new_branches if b.prob > 1e-24]
+        branches = [nb for br in branches for nb in apply_element(br, el, postselect)]
         if merge_hidden and len(branches) > 1:
             branches = _merge_equal_branches(branches)
     return branches
-
-
-def _measure(br: Branch, el: Element, postselect) -> list[Branch]:
-    wire = el.wires[0]
-    vecs = _MEAS_VECS[el.op]
-    outs: list[Branch] = []
-    probs = []
-    projected = []
-    for bit in (0, 1):
-        proj = np.outer(vecs[bit], vecs[bit].conj())
-        st = apply_unitary(br.state, proj, (wire,))
-        p = float(np.vdot(st, st).real)
-        probs.append(p)
-        projected.append(st)
-    if postselect is not None and el.label in postselect:
-        bit = postselect[el.label]
-        p = probs[bit]
-        nb = Branch(projected[bit], br.prob * p, dict(br.outcomes))
-        if p > 1e-24:
-            nb.state = projected[bit] / math.sqrt(p)
-        nb.outcomes[el.label] = bit
-        return [nb]
-    for bit in (0, 1):
-        p = probs[bit]
-        if p <= 1e-24:
-            continue
-        nb = Branch(projected[bit] / math.sqrt(p), br.prob * p, dict(br.outcomes))
-        nb.outcomes[el.label] = bit
-        outs.append(nb)
-    return outs
 
 
 def _merge_equal_branches(branches: list[Branch]) -> list[Branch]:
@@ -201,76 +191,59 @@ def _merge_equal_branches(branches: list[Branch]) -> list[Branch]:
             keep_vis = {k: v for k, v in keep.outcomes.items() if not k.startswith("_")}
             if keep_vis != visible:
                 continue
-            ov = abs(np.vdot(keep.state, br.state))
-            if abs(ov - 1.0) < 1e-9:
-                keep.prob += br.prob
+            pk, pb = keep.prob, br.prob
+            if abs(abs(np.vdot(keep.state, br.state)) - math.sqrt(pk * pb)) < 1e-9 * math.sqrt(pk * pb):
+                keep.state = keep.state * math.sqrt((pk + pb) / pk)
                 break
         else:
             merged.append(br)
     return merged
 
 
-def h_basis_joint(state: np.ndarray, wire1: int, wire2: int) -> np.ndarray:
-    """2x2 array of probabilities in the (|H>,|-H>) x (|H>,|-H>) basis."""
-    mh = np.array([-H_STATE[1], H_STATE[0]], dtype=complex)
-    basis = np.stack([H_STATE.conj(), mh.conj()])
-    st = apply_unitary(state, basis, (wire1,))
-    st = apply_unitary(st, basis, (wire2,))
-    probs = np.abs(st) ** 2
-    axes = tuple(a for a in range(state.ndim) if a not in (wire1, wire2))
-    joint = probs.sum(axis=axes) if axes else probs
-    if wire1 > wire2:
-        joint = joint.T
-    return joint
-
-
-def open_input_wires(circuit: Circuit) -> tuple[int, ...]:
-    prepped = {el.wires[0] for el in circuit.elements if el.op in _PREP_ROTATION}
-    return tuple(w for w in range(circuit.width) if w not in prepped)
-
-
-def open_output_wires(circuit: Circuit) -> tuple[int, ...]:
-    measured = {el.wires[0] for el in circuit.elements if el.op in _MEAS_VECS}
-    return tuple(w for w in range(circuit.width) if w not in measured)
-
-
 def labeled_kraus(circuit: Circuit) -> dict[tuple, list[np.ndarray]]:
     """Kraus operators per outcome-label tuple, as 2^n_out x 2^n_in matrices.
 
-    Measured wires are discarded by expanding them in the computational
-    basis: each branch contributes one Kraus component per basis state of
-    the discarded register, and their Choi matrices add up to the branch
-    channel without any assumption on what the circuit left on those wires.
+    One run on a batch holding every basis state of the open input wires
+    gives each branch's Kraus columns.  Measured wires are discarded by
+    expanding them in the computational basis: each branch contributes one
+    Kraus component per basis state of the discarded register, and their
+    Choi matrices add up to the branch channel without any assumption on
+    what the circuit left on those wires.
     """
-    ins = open_input_wires(circuit)
-    measured = tuple(sorted({el.wires[0] for el in circuit.elements if el.op in _MEAS_VECS}))
-    outs = open_output_wires(circuit)
-    labels = sorted(el.label for el in circuit.elements if el.op in _MEAS_VECS)
+    width = circuit.width
+    prepped = {el.wires[0] for el in circuit.elements if el.op in _PREP_ROTATION}
+    measured = tuple(sorted({el.wires[0] for el in circuit.elements if el.op in _PROJECTORS}))
+    ins = [w for w in range(width) if w not in prepped]
+    outs = tuple(w for w in range(width) if w not in measured)
+    labels = sorted(el.label for el in circuit.elements if el.op in _PROJECTORS)
     d_in = 2 ** len(ins)
-    d_disc = 2 ** len(measured)
-    d_out = 2 ** len(outs)
-    kraus: dict[tuple, list[np.ndarray]] = {}
-    for col in range(d_in):
-        bits = {w: (col >> i) & 1 for i, w in enumerate(reversed(ins))}
-        for br in run(circuit, initial_bits=bits):
-            key = tuple(br.outcomes[l] for l in labels)
-            block = np.transpose(br.state, measured + outs).reshape(d_disc, d_out)
-            mats = kraus.setdefault(
-                key, [np.zeros((d_out, d_in), dtype=complex) for _ in range(d_disc)]
-            )
-            for i in range(d_disc):
-                mats[i][:, col] = block[i] * math.sqrt(br.prob)
+    state = np.zeros((2,) * width + (d_in,), dtype=complex)
+    state[tuple(slice(None) if w in ins else 0 for w in range(width))] = np.eye(d_in).reshape(
+        (2,) * len(ins) + (d_in,)
+    )
+    kraus = {}
+    for br in run(circuit, state=state):
+        block = np.transpose(br.state, measured + outs + (width,))
+        kraus[tuple(br.outcomes[l] for l in labels)] = list(
+            block.reshape(2 ** len(measured), 2 ** len(outs), d_in)
+        )
     return kraus
 
 
-def _choi(kraus: Iterable[np.ndarray]) -> np.ndarray:
-    mats = list(kraus)
-    size = mats[0].size
-    j = np.zeros((size, size), dtype=complex)
-    for k in mats:
-        v = k.reshape(-1)
-        j += np.outer(v, v.conj())
-    return j
+def _choi_deviation(a: list[np.ndarray], b: list[np.ndarray]) -> float:
+    """Max |J_a - J_b| over the Choi matrices of two Kraus lists (either may
+    be empty).  With each vectorized Kraus operator a column of V, J = V V^+;
+    the difference is formed a block of rows at a time."""
+    if a and b and a[0].shape != b[0].shape:
+        raise DimensionError("open wire sets differ")
+    size = (a or b)[0].size
+    va, vb = (np.array([k.reshape(-1) for k in ks], dtype=complex).reshape(-1, size).T for ks in (a, b))
+    worst = 0.0
+    for start in range(0, size, _CHOI_ROWS):
+        rows = slice(start, start + _CHOI_ROWS)
+        diff = va[rows] @ va.conj().T - vb[rows] @ vb.conj().T
+        worst = max(worst, float(np.abs(diff).max()))
+    return worst
 
 
 def channel_distance(
@@ -282,22 +255,6 @@ def channel_distance(
     outcome-forgetting channel."""
     ka = labeled_kraus(circ_a)
     kb = labeled_kraus(circ_b)
-    if compare_labels:
-        worst = 0.0
-        for key in set(ka) | set(kb):
-            a = ka.get(key)
-            b = kb.get(key)
-            if a is None or b is None:
-                present = a if a is not None else b
-                worst = max(worst, float(np.abs(_choi(present)).max()))
-                continue
-            if a[0].shape != b[0].shape:
-                raise DimensionError("open wire sets differ")
-            worst = max(worst, float(np.abs(_choi(a) - _choi(b)).max()))
-        return worst
-    ja = _choi([m for ms in ka.values() for m in ms])
-    jb = _choi([m for ms in kb.values() for m in ms])
-    if ja.shape != jb.shape:
-        raise DimensionError("open wire sets differ")
-    return float(np.abs(ja - jb).max())
-
+    if not compare_labels:
+        ka, kb = ({(): [m for ms in k.values() for m in ms]} for k in (ka, kb))
+    return max(_choi_deviation(ka.get(key, []), kb.get(key, [])) for key in set(ka) | set(kb))

@@ -22,6 +22,20 @@ def h_fidelity(state: np.ndarray, wire: int) -> float:
     return float(np.vdot(v, v).real)
 
 
+def h_basis_joint(state: np.ndarray, wire1: int, wire2: int) -> np.ndarray:
+    """2x2 weights of wires (wire1, wire2) in the (|H>, |-H>) basis, summed
+    over the other wires; unnormalized, like the branch states of ``run``."""
+    from c4distill.statevec import H_STATE
+
+    basis = (H_STATE, np.array([-H_STATE[1], H_STATE[0]]))
+    joint = np.zeros((2, 2))
+    for r, u in enumerate(basis):
+        for c, v in enumerate(basis):
+            amp = np.tensordot(np.outer(u, v).conj(), state, axes=([0, 1], [wire1, wire2]))
+            joint[r, c] = np.vdot(amp, amp).real
+    return joint
+
+
 def kron_all(labels: str) -> np.ndarray:
     """Dense matrix of a Pauli label string (leftmost letter = qubit 0)."""
     out = np.array([[1]], dtype=complex)

@@ -17,8 +17,8 @@ from c4distill.circuits import (
     reference_outcomes,
 )
 from c4distill.pauli import PauliString
-from c4distill.statevec import h_basis_joint, run
-from conftest import h_fidelity, kron_all
+from c4distill.statevec import run
+from conftest import h_basis_joint, h_fidelity, kron_all
 
 
 def test_code_definition_invariants():
@@ -47,7 +47,9 @@ def test_codec_roundtrip_on_basis_states():
     circ = Circuit(4, tuple(list(enc.elements) + list(dec.elements)), dict(enc.labels))
     for d1 in (0, 1):
         for d2 in (0, 1):
-            branches = run(circ, initial_bits={0: d1, 2: d2})
+            state = np.zeros((2,) * 4, dtype=complex)
+            state[d1, 0, d2, 0] = 1.0
+            branches = run(circ, state=state)
             assert len(branches) == 1
             br = branches[0]
             assert br.outcomes == {"check_z": 0, "check_x": 0}
@@ -196,7 +198,8 @@ def _gadget_verdict(circ, locations, ref, bits):
         return 0.0, None
     joint = np.zeros((2, 2))
     for br in branches:
-        joint += br.prob * h_basis_joint(br.state, circ.labels["out1"], circ.labels["out2"])
+        # Branch states are unnormalized, so their weights add directly.
+        joint += h_basis_joint(br.state, circ.labels["out1"], circ.labels["out2"])
     return weight, joint / weight
 
 

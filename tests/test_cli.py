@@ -102,6 +102,17 @@ def test_usage_errors(tmp_path):
         ["--figure", "distplot", "--eg-max", "0"],
     ):
         assert run_cli(["curve"] + argv)[0] == EXIT_USAGE, argv
+    # Every curve grid is a probability grid below 1/2, as for simulate.
+    for argv in (
+        ["--figure", "both-thresh", "--pmax", "inf", "--points", "3"],
+        ["--figure", "both-thresh", "--pmax", "0.6"],
+        ["--figure", "regionplot", "--pmax", "inf"],
+        ["--figure", "regionplot", "--pmin", "nan"],
+        ["--figure", "distplot", "--eg-max", "0.5"],
+    ):
+        assert run_cli(["curve"] + argv)[0] == EXIT_USAGE, argv
+    for r in ("0", "-0.0", "-5", "nan"):
+        assert run_cli(["plan", "--p0", "0.01", "--R", r])[0] == EXIT_USAGE, r
     # Only the commands that read routine definitions accept --routines.
     for argv in (
         ["dump-circuit"],
@@ -145,6 +156,17 @@ def test_usage_errors(tmp_path):
         cfg.write_text(f"[C]\nm = 5\nn = 1\nacceptance = {acceptance}\nundetected = 0 0 10\n")
         for argv in (["threshold", "--routine", "C"], ["plan", "--p0", "0.01", "--eg", "1e-5"]):
             assert run_cli(argv + ["--routines", str(cfg)])[0] == EXIT_USAGE, (acceptance, argv)
+    # A coefficient beyond float range is refused when the file is read.
+    cfg.write_text("[C]\nm = 5\nn = 1\nacceptance = 1 -1\nundetected = 0 0 1e400\n")
+    for argv in (
+        ["threshold", "--routine", "C"],
+        ["plan", "--p0", "0.01", "--eg", "1e-5"],
+        ["curve", "--figure", "distplot"],
+    ):
+        assert run_cli(argv + ["--routines", str(cfg)])[0] == EXIT_USAGE, argv
+    # A write that fails after the file opened (ENOSPC) is a usage error too.
+    if os.path.exists("/dev/full"):
+        assert run_cli(["threshold", "--routine", "A", "-o", "/dev/full"])[0] == EXIT_USAGE
 
 
 def test_output_path_checked_before_work(tmp_path, monkeypatch):

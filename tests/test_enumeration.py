@@ -1,11 +1,13 @@
 """Exhaustive pattern classification and the exact polynomials."""
 
+import random
 from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
 
 from c4distill import exactalg
+from c4distill.circuits import build_distillation_circuit, insert_pattern, reference_outcomes
 from c4distill.enumeration import (
     N_PATTERNS,
     PUBLISHED_ACCEPTANCE,
@@ -18,6 +20,8 @@ from c4distill.enumeration import (
     exact_verdicts,
 )
 from c4distill.pauli import PauliString, conjugate_through
+from c4distill.statevec import run
+from conftest import h_basis_joint
 from exact_reference import assemble
 
 
@@ -150,6 +154,61 @@ def test_dense_and_frame_agree_on_all_patterns():
     assert worst < 1e-10
 
 
+def _per_pattern_verdict(circ, locations, reference, bits):
+    """Oracle: insert one pattern's Paulis and run the circuit for it alone."""
+    branches = run(insert_pattern(circ, locations, bits), postselect=reference)
+    if not branches:
+        return (0.0,) * 5
+    (br,) = branches
+    joint = h_basis_joint(br.state, circ.labels["out1"], circ.labels["out2"])
+    accept = joint.sum()
+    return accept, joint[1].sum(), joint[:, 1].sum(), joint[1, 1], accept - joint[0, 0]
+
+
+def test_dense_classifier_matches_per_pattern_runs():
+    circ, locations = build_distillation_circuit()
+    reference = reference_outcomes(circ)
+    dense = DenseClassifier()
+    rng = random.Random(41)
+    patterns = [0, N_PATTERNS - 1] + rng.sample(range(1, N_PATTERNS - 1), 70)
+    for bits in patterns:
+        dv = dense.classify(bits)
+        got = (dv.accept, dv.err1, dv.err2, dv.both, dv.either)
+        want = _per_pattern_verdict(circ, locations, reference, bits)
+        assert max(abs(g - w) for g, w in zip(got, want)) < 1e-12, bits
+
+
+def test_dense_classifier_is_one_batched_pass(monkeypatch):
+    from c4distill import circuits, enumeration, statevec
+
+    inserted = [0]
+    insert = circuits.insert_pattern
+
+    def counting_insert(*args):
+        inserted[0] += 1
+        return insert(*args)
+
+    monkeypatch.setattr(circuits, "insert_pattern", counting_insert)
+    monkeypatch.setattr(enumeration, "insert_pattern", counting_insert, raising=False)
+    widths = []
+    apply = statevec.apply_element
+
+    def counting_apply(branch, *args):
+        widths.append(branch.state.ndim)
+        return apply(branch, *args)
+
+    monkeypatch.setattr(statevec, "apply_element", counting_apply)
+    dense = DenseClassifier()
+    for bits in range(N_PATTERNS):
+        dense.classify(bits)
+    circ, _ = build_distillation_circuit()
+    assert inserted[0] == 0
+    # Each element once on the (2,)*5 x 1024 batch, besides the one
+    # unbatched noiseless reference run.
+    assert widths.count(circ.width + 1) == len(circ.elements)
+    assert len(widths) <= 2 * len(circ.elements)
+
+
 def test_output_fidelity_classes(polyset):
     # Conditional output fidelities only ever take the values 0 and 1 here;
     # the enumeration reports whether any 1/2-fidelity residual occurs, and
@@ -158,10 +217,13 @@ def test_output_fidelity_classes(polyset):
     dense = DenseClassifier()
     for bits in (0, 3, 0b1010000000, 0b0001100000):
         dv = dense.classify(bits)
-        if dv.accept > 0 and dv.joint is not None:
-            for row in dv.joint:
-                for q in row:
-                    assert min(abs(q - t) for t in (0.0, 0.5, 1.0)) < 1e-10
+        assert dv.accept > 0.25, bits  # every pattern here is accepted
+        # Joint (output 1, output 2) flip weights: (clean, clean), (clean,
+        # flipped), (flipped, clean), (flipped, flipped).
+        joint = (dv.accept - dv.either, dv.err2 - dv.both, dv.err1 - dv.both, dv.both)
+        assert sum(joint) == pytest.approx(dv.accept, abs=1e-12)
+        for q in joint:
+            assert min(abs(q / dv.accept - t) for t in (0.0, 0.5, 1.0)) < 1e-10, bits
 
 
 def _conditional_errors(polyset):

@@ -119,6 +119,31 @@ def test_circuit_unitary_matches_matrix():
     assert np.allclose(u, want, atol=1e-12)
 
 
+def test_labeled_kraus_is_one_batched_run(monkeypatch):
+    from c4distill import statevec
+
+    calls = [0]
+    execute = statevec.run
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return execute(*args, **kwargs)
+
+    monkeypatch.setattr(statevec, "run", counting)
+    # Bell circuit with wire 0 measured: branch b keeps <i|_0 P_b U for the
+    # discarded basis state i, a 2x4 matrix that vanishes unless i = b.
+    c = Circuit(2, tuple(gates(("h", (0,)), ("cx", (0, 1)))) + (Element("mz", (0,), label="m"),))
+    kraus = labeled_kraus(c)
+    assert calls[0] == 1
+    u = GATE_MATRICES["cx"] @ np.kron(GATE_MATRICES["h"], np.eye(2))
+    assert sorted(kraus) == [(0,), (1,)]
+    for (b,), mats in kraus.items():
+        assert len(mats) == 2
+        for i, k in enumerate(mats):
+            want = u[2 * i : 2 * i + 2] if i == b else np.zeros((2, 4))
+            assert np.allclose(k, want, atol=1e-12), (b, i)
+
+
 def test_named_cliffords_match_pauli_tables():
     # Every named Clifford conjugates Paulis identically in both modules.
     for name, action in GATE_ACTIONS.items():
