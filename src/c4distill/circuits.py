@@ -55,14 +55,6 @@ class Circuit:
         if len(set(self.labels.values())) != len(self.labels):
             raise ValueError("wire labels must be injective")
 
-    def with_insertions(self, insertions: Sequence[tuple[int, Element]]) -> "Circuit":
-        """Insert elements, each before the element index given (pre-insertion
-        indices; stable for equal indices)."""
-        elems = list(self.elements)
-        for idx, el in sorted(insertions, key=lambda t: t[0], reverse=True):
-            elems.insert(idx, el)
-        return replace(self, elements=tuple(elems))
-
     def serialize(self) -> str:
         lines = [f"wires {self.width}"]
         for name in sorted(self.labels):
@@ -251,13 +243,14 @@ def build_distillation_circuit() -> tuple[Circuit, list[ErrorLocation]]:
 def insert_pattern(
     circuit: Circuit, locations: Sequence[ErrorLocation], bits: int
 ) -> Circuit:
-    """Insert the Pauli errors of the given 10-bit pattern into the circuit."""
-    insertions = []
-    for loc in locations:
-        if bits >> loc.id & 1:
-            for op, wire in loc.paulis:
-                insertions.append((loc.insert_index, Element(op, (wire,))))
-    return circuit.with_insertions(insertions)
+    """Insert the Pauli errors of the given 10-bit pattern into the circuit:
+    each set location's Paulis go before its ``insert_index``, in the order
+    ``paulis`` lists them, and locations sharing an index in list order."""
+    elements = list(circuit.elements)
+    hit = sorted((loc for loc in locations if bits >> loc.id & 1), key=lambda loc: loc.insert_index)
+    for loc in reversed(hit):  # from the back, so earlier indices stay valid
+        elements[loc.insert_index : loc.insert_index] = [Element(op, (w,)) for op, w in loc.paulis]
+    return replace(circuit, elements=tuple(elements))
 
 
 class NondeterministicReference(RuntimeError):

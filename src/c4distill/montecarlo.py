@@ -14,8 +14,9 @@ tallies are reproducible and independent of how work would be sharded.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from typing import Optional
+from functools import cache
 
 import numpy as np
 
@@ -49,33 +50,24 @@ class VerdictTable:
     accept: np.ndarray  # (1024,)
     joint_cum: np.ndarray  # (1024, 4) cumulative over (clean, err2, err1, both)
 
-    @classmethod
-    def build(cls) -> "VerdictTable":
-        verdicts = exact_verdicts()
-        accept = np.zeros(len(verdicts))
-        joint = np.zeros((len(verdicts), 4))
-        for bits, v in enumerate(verdicts):
-            acc, err1, err2, both, _ = v.as_floats()
-            accept[bits] = acc
-            if acc > 0:
-                clean = acc - err1 - err2 + both
-                joint[bits] = [
-                    clean / acc,
-                    (err2 - both) / acc,
-                    (err1 - both) / acc,
-                    both / acc,
-                ]
-        return cls(accept=accept, joint_cum=np.cumsum(joint, axis=1))
 
-
-_TABLE: Optional[VerdictTable] = None
-
-
+@cache
 def verdict_table() -> VerdictTable:
-    global _TABLE
-    if _TABLE is None:
-        _TABLE = VerdictTable.build()
-    return _TABLE
+    verdicts = exact_verdicts()
+    accept = np.zeros(len(verdicts))
+    joint = np.zeros((len(verdicts), 4))
+    for bits, v in enumerate(verdicts):
+        acc, err1, err2, both, _ = v.as_floats()
+        accept[bits] = acc
+        if acc > 0:
+            clean = acc - err1 - err2 + both
+            joint[bits] = [
+                clean / acc,
+                (err2 - both) / acc,
+                (err1 - both) / acc,
+                both / acc,
+            ]
+    return VerdictTable(accept=accept, joint_cum=np.cumsum(joint, axis=1))
 
 
 @dataclass(frozen=True)
@@ -186,21 +178,34 @@ def _run_instances(
 
 
 @dataclass
-class BlockEnsemble:
-    """Blocks of output states after a round; a state is just its error bit."""
+class RoundTally:
+    """Counts over one round's output states (round 0: the inputs), each an
+    error bit; ``pairs``, ``sx``, ``sy`` and ``sxy`` count the disjoint
+    adjacent pairs (x, y) within blocks, for ``independence_check``."""
 
     round_index: int
     nominal_p: float
-    blocks: list[np.ndarray]
+    blocks: int
+    states: int = 0
+    errors: int = 0
+    pairs: int = 0
+    sx: int = 0
+    sy: int = 0
+    sxy: int = 0
 
-    def total_states(self) -> int:
-        return int(sum(len(b) for b in self.blocks))
+    def count(self, states: np.ndarray) -> None:
+        """Add a run of states that starts at an even position of its block."""
+        k = len(states) // 2
+        x, y = states[: 2 * k : 2], states[1 : 2 * k : 2]
+        self.states += len(states)
+        self.errors += int(np.count_nonzero(states))
+        self.pairs += k
+        self.sx += int(np.count_nonzero(x))
+        self.sy += int(np.count_nonzero(y))
+        self.sxy += int(np.count_nonzero(x & y))
 
     def error_rate(self) -> float:
-        total = self.total_states()
-        if total == 0:
-            return float("nan")
-        return float(sum(int(b.sum()) for b in self.blocks)) / total
+        return self.errors / self.states if self.states else float("nan")
 
 
 @dataclass(frozen=True)
@@ -210,13 +215,23 @@ class PipelineResult:
     seed: int
     sequence: tuple[str, ...]
     grouping: str
-    ensembles: tuple[BlockEnsemble, ...]
+    tallies: tuple[RoundTally, ...]  # rounds 0 (the inputs) to the last one run
     halted: bool
     plan: DistillationPlan  # the planner's rounds, whose p_out are the nominal rates
 
-    @property
-    def final(self) -> BlockEnsemble:
-        return self.ensembles[-1]
+
+def _runs(pieces: Iterable[np.ndarray], size: int) -> Iterator[np.ndarray]:
+    """A block's states, given as ``pieces`` in order, rejoined into runs whose
+    lengths are multiples of ``size``, then the shorter rest (maybe empty)."""
+    held, count = [], 0
+    for piece in pieces:
+        held.append(piece)
+        count += len(piece)
+        if count >= size:
+            joined, cut = np.concatenate(held), count - count % size
+            held, count = [joined[cut:]], count - cut
+            yield joined[:cut]
+    yield np.concatenate(held) if held else np.empty(0, dtype=bool)
 
 
 def run_blocked_pipeline(
@@ -232,10 +247,13 @@ def run_blocked_pipeline(
     outputs of each 10-to-2 instance adjacent in a single block, which
     reintroduces the pairwise output correlation.
 
-    The inputs are drawn, and 10-to-2 rounds run, ``SAMPLE_CHUNK`` states
-    or instances at a time, so beyond the blocks themselves (1 B/state)
-    memory is a fixed per-chunk working set, and the output does not depend
-    on the chunk size.
+    Only counts are kept, in one ``RoundTally`` per round.  The inputs are
+    drawn ``SAMPLE_CHUNK`` states at a time straight into round 1, and each
+    later block, a list of pieces, lives until the next round has taken it
+    in even runs of whole groups; the streams' draw order, and so the
+    output, does not depend on the chunk size.  Beyond a per-chunk working
+    set of a few MB, memory holds the first round's outputs: 0.05-0.2 B per
+    input state at p0 = 0.02.
     """
     if grouping not in ("blocked", "instance"):
         raise ValueError("grouping must be 'blocked' or 'instance'")
@@ -243,56 +261,53 @@ def run_blocked_pipeline(
     plan = evaluate_sequence(model_seq, p0)
     table = verdict_table()
     rng_init = _stream(seed, 0, "inputs")
-    inputs = np.empty(k0, dtype=bool)
-    for start in range(0, k0, SAMPLE_CHUNK):
-        chunk = inputs[start : start + SAMPLE_CHUNK]
-        np.less(rng_init.random(len(chunk)), p0, out=chunk)
-    current = BlockEnsemble(0, p0, [inputs])
-    ensembles = [current]
+    inputs = (rng_init.random(min(SAMPLE_CHUNK, k0 - s)) < p0 for s in range(0, k0, SAMPLE_CHUNK))
+    blocks: list = [inputs]  # round 0's one block, drawn as round 1 takes it
+    tallies = [RoundTally(0, p0, blocks=1)]
     halted = False
     for l, (model, nominal) in enumerate(zip(model_seq, plan.rounds), start=1):
-        new_blocks: list[np.ndarray] = []
         rng_acc = _stream(seed, l, "accept")
         rng_joint = _stream(seed, l, "joint")
         rng_err = _stream(seed, l, "model_err")
-        for block in current.blocks:
-            nb = len(block) // model.m
-            if nb == 0:
-                continue
-            groups = block[: nb * model.m].reshape(nb, model.m)
-            if model.name == "A" and model.m == 10:
-                outs1, outs2 = [], []
-                for start in range(0, nb, SAMPLE_CHUNK):
-                    patterns = _pack(groups[start : start + SAMPLE_CHUNK])
-                    _, err1, err2 = _run_instances(table, patterns, rng_acc, rng_joint)
-                    outs1.append(err1)
-                    outs2.append(err2)
-                err1, err2 = np.concatenate(outs1), np.concatenate(outs2)
-                if grouping == "blocked":
-                    new_blocks.append(err1)
-                    new_blocks.append(err2)
+        ten_to_two = model.name == "A" and model.m == 10
+        width = 1 if ten_to_two and grouping == "instance" else model.n
+        consumed, new_blocks = tallies[-1], []
+        while blocks:
+            outs: list[list[np.ndarray]] = [[] for _ in range(width)]
+            groups = 0
+            for run in _runs(blocks.pop(0), math.lcm(2, model.m) * SAMPLE_CHUNK):
+                consumed.count(run)
+                nb = len(run) // model.m
+                groups += nb
+                if ten_to_two:
+                    grouped = run[: nb * model.m].reshape(nb, model.m)
+                    for start in range(0, nb, SAMPLE_CHUNK):
+                        patterns = _pack(grouped[start : start + SAMPLE_CHUNK])
+                        _, err1, err2 = _run_instances(table, patterns, rng_acc, rng_joint)
+                        pieces = (err1, err2) if grouping == "blocked" else (np.stack((err1, err2), 1).ravel(),)
+                        for out, piece in zip(outs, pieces):
+                            out.append(piece)
                 else:
-                    merged = np.empty(2 * len(err1), dtype=bool)
-                    merged[0::2] = err1
-                    merged[1::2] = err2
-                    new_blocks.append(merged)
-            else:
-                accepted = rng_acc.random(nb) < nominal.acceptance
-                outs = [rng_err.random(nb) < nominal.p_out for _ in range(model.n)]
-                for j in range(model.n):
-                    new_blocks.append(outs[j][accepted])
-        current = BlockEnsemble(l, nominal.p_out, new_blocks)
-        ensembles.append(current)
-        if current.total_states() == 0:
+                    accepted = rng_acc.random(nb) < nominal.acceptance
+                    for out in outs:
+                        out.append((rng_err.random(nb) < nominal.p_out)[accepted])
+            if groups:
+                new_blocks += outs
+        blocks = new_blocks
+        tallies.append(RoundTally(l, nominal.p_out, blocks=len(blocks)))
+        if not any(len(piece) for block in blocks for piece in block):
             halted = True
             break
+    for block in blocks:
+        for run in _runs(block, 2):
+            tallies[-1].count(run)
     return PipelineResult(
         k0=k0,
         p0=p0,
         seed=seed,
         sequence=tuple(m.name for m in model_seq),
         grouping=grouping,
-        ensembles=tuple(ensembles),
+        tallies=tuple(tallies),
         halted=halted,
         plan=plan,
     )
@@ -310,7 +325,7 @@ class CorrelationReport:
         return self.degenerate or self.ci_low <= 0.0 <= self.ci_high
 
 
-def independence_check(ensemble: BlockEnsemble) -> CorrelationReport:
+def independence_check(tally: RoundTally) -> CorrelationReport:
     """Pairwise error correlation of adjacent states within blocks.
 
     Disjoint adjacent pairs are independent draws of the joint distribution
@@ -327,14 +342,7 @@ def independence_check(ensemble: BlockEnsemble) -> CorrelationReport:
     root keeps 64 fractional bits and the integer division rounds correctly.
     The data are degenerate when either variance is 0.
     """
-    n = sx = sy = sxy = 0
-    for block in ensemble.blocks:
-        k = len(block) // 2
-        x, y = block[: 2 * k : 2], block[1 : 2 * k : 2]
-        n += k
-        sx += int(np.count_nonzero(x))
-        sy += int(np.count_nonzero(y))
-        sxy += int(np.count_nonzero(x & y))
+    n, sx, sy, sxy = tally.pairs, tally.sx, tally.sy, tally.sxy
     var = (n * sx - sx * sx) * (n * sy - sy * sy)
     if n < 8 or var == 0:
         return CorrelationReport(n, 0.0, 0.0, 0.0, True)
@@ -354,18 +362,16 @@ def pipeline_report(result: PipelineResult) -> dict:
     """JSON-ready summary of a blocked-pipeline run."""
     plan = result.plan
     rounds = []
-    for ens in result.ensembles:
-        corr = independence_check(ens)
+    for tally in result.tallies:
+        corr = independence_check(tally)
         rounds.append(
             {
-                "round": ens.round_index,
-                "nominal_p": ens.nominal_p,
-                "blocks": len(ens.blocks),
-                "states": ens.total_states(),
-                "mean_block_size": (
-                    ens.total_states() / len(ens.blocks) if ens.blocks else 0.0
-                ),
-                "observed_error_rate": ens.error_rate(),
+                "round": tally.round_index,
+                "nominal_p": tally.nominal_p,
+                "blocks": tally.blocks,
+                "states": tally.states,
+                "mean_block_size": tally.states / tally.blocks if tally.blocks else 0.0,
+                "observed_error_rate": tally.error_rate(),
                 "within_block_correlation": {
                     "pairs": corr.pairs,
                     "value": corr.correlation,

@@ -178,14 +178,14 @@ def test_criterion_09_monte_carlo():
     res = run_blocked_pipeline(k0, "A", 0.05, seed=11)
     instances = k0 // 10
     sigma = math.sqrt(instances * a * (1 - a))
-    mean_size = res.final.total_states() / len(res.final.blocks)
+    mean_size = res.tallies[-1].states / res.tallies[-1].blocks
     assert abs(mean_size - a * instances) <= 3 * sigma
     assert mean_size >= a * (k0 / 10 - 1) - 3 * sigma
 
-    blocked = independence_check(res.final)
+    blocked = independence_check(res.tallies[-1])
     assert blocked.contains_zero()
     bad = independence_check(
-        run_blocked_pipeline(k0, "A", 0.05, seed=11, grouping="instance").final
+        run_blocked_pipeline(k0, "A", 0.05, seed=11, grouping="instance").tallies[-1]
     )
     assert not bad.contains_zero() and bad.ci_low > 0
     _ok(

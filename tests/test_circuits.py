@@ -160,6 +160,29 @@ def test_double_data_error_accepted_with_both_outputs_flipped():
     assert h_fidelity(br.state, circ.labels["out2"]) == pytest.approx(0.0, abs=1e-10)
 
 
+def test_insert_pattern_keeps_pauli_order():
+    circ, locations = build_distillation_circuit()
+    for loc in locations:
+        noisy = insert_pattern(circ, locations, 1 << loc.id)
+        at, end = loc.insert_index, loc.insert_index + len(loc.paulis)
+        assert noisy.elements[at:end] == tuple(Element(op, (w,)) for op, w in loc.paulis), loc.id
+        assert noisy.elements[:at] + noisy.elements[end:] == circ.elements, loc.id
+    # The first resource state of gadget 0: z on the ancilla, then y on the target.
+    first = locations[2]
+    assert (first.id, first.role) == (2, "first")
+    spliced = insert_pattern(circ, locations, 1 << 2).elements[first.insert_index :][:2]
+    assert [(el.op, el.wires) for el in spliced] == [
+        ("z", (circ.labels["ancilla"],)),
+        ("y", (circ.elements[first.insert_index - 1].wires[1],)),
+    ]
+    # With every bit set, locations sharing an index keep their list order.
+    expected = []
+    for idx, el in enumerate(circ.elements + (None,)):
+        expected += [Element(op, (w,)) for loc in locations if loc.insert_index == idx for op, w in loc.paulis]
+        expected += [el] if el else []
+    assert insert_pattern(circ, locations, (1 << len(locations)) - 1).elements == tuple(expected)
+
+
 def test_encoded_measurement_sorts_h_subspaces():
     # Encoded inputs |+-H>|+-H>: the ancilla outcome is fixed by the product
     # of the two signs (aligned pair -> reference outcome, anti-aligned pair

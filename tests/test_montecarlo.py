@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from c4distill import montecarlo
 from c4distill.montecarlo import (
-    BlockEnsemble,
+    RoundTally,
     independence_check,
     pipeline_report,
     run_blocked_pipeline,
@@ -58,11 +58,42 @@ def test_seeds_outside_64_bits_are_refused():
     assert sample_routine(0.05, 10, seed=(1 << 64) - 1).trials == 10
 
 
+@pytest.fixture
+def counted_blocks(monkeypatch):
+    """Calls return the (round, state bits) of each block the pipelines
+    since the last call have counted, in order, and forget them."""
+    log: list[list[tuple[int, bytes]]] = []
+    runs, count = montecarlo._runs, RoundTally.count
+
+    def recording_runs(pieces, size):  # called once per block
+        log.append([])
+        return runs(pieces, size)
+
+    def recording_count(tally, states):
+        log[-1].append((tally.round_index, states.tobytes()))  # a copy: buffers may be reused
+        count(tally, states)
+
+    monkeypatch.setattr(montecarlo, "_runs", recording_runs)
+    monkeypatch.setattr(RoundTally, "count", recording_count)
+
+    def blocks() -> list[tuple[int, bytes]]:
+        out = [(entries[0][0], b"".join(bits for _, bits in entries)) for entries in log]
+        log.clear()
+        return out
+
+    return blocks
+
+
 @pytest.mark.parametrize("grouping", ["blocked", "instance"])
-def test_pipeline_does_not_depend_on_chunking(monkeypatch, grouping):
+def test_pipeline_does_not_depend_on_chunking(monkeypatch, counted_blocks, grouping):
     def run(seq):
         res = run_blocked_pipeline(30_007, seq, 0.05, seed=29, grouping=grouping)
-        return pipeline_report(res), [b.tobytes() for e in res.ensembles for b in e.blocks]
+        blocks = counted_blocks()
+        # Each state is counted once, into its own round's tally.
+        for tally in res.tallies:
+            mine = [bits for r, bits in blocks if r == tally.round_index]
+            assert (len(mine), sum(map(len, mine))) == (tally.blocks, tally.states)
+        return pipeline_report(res), blocks
 
     sequences = ("AA", "BA", "A", "B")
     whole = {seq: run(seq) for seq in sequences}  # one chunk per draw
@@ -72,6 +103,43 @@ def test_pipeline_does_not_depend_on_chunking(monkeypatch, grouping):
         monkeypatch.setattr(montecarlo, "SAMPLE_CHUNK", chunk)
         for seq in sequences:
             assert run(seq) == whole[seq], (seq, chunk)
+
+
+def _whole_block_pipeline(k0, seq, p0, seed, grouping) -> list[list[np.ndarray]]:
+    """Every round's blocks, each drawn and kept whole: the pipeline's
+    streams and regrouping, written without pieces or tallies."""
+    models = parse_sequence(seq)
+    rounds = [[montecarlo._stream(seed, 0, "inputs").random(k0) < p0]]
+    for l, (model, nominal) in enumerate(zip(models, evaluate_sequence(models, p0).rounds), 1):
+        acc, joint, err = (montecarlo._stream(seed, l, p) for p in ("accept", "joint", "model_err"))
+        blocks = []
+        for block in rounds[-1]:
+            nb = len(block) // model.m
+            if nb == 0:
+                continue
+            if model.name == "A":
+                patterns = montecarlo._pack(block[: nb * 10].reshape(nb, 10))
+                _, err1, err2 = montecarlo._run_instances(verdict_table(), patterns, acc, joint)
+                blocks += [err1, err2] if grouping == "blocked" else [np.stack((err1, err2), 1).ravel()]
+            else:
+                accepted = acc.random(nb) < nominal.acceptance
+                blocks.append((err.random(nb) < nominal.p_out)[accepted])
+        rounds.append(blocks)
+        if not sum(map(len, blocks)):
+            break
+    return rounds
+
+
+@pytest.mark.parametrize("grouping", ["blocked", "instance"])
+def test_pipeline_matches_whole_block_reference(counted_blocks, grouping):
+    for seq in ("AA", "BA", "AB", "AAA", "B"):
+        for k0 in (25, 2003, 30_007):
+            res = run_blocked_pipeline(k0, seq, 0.05, seed=31, grouping=grouping)
+            rounds = _whole_block_pipeline(k0, seq, 0.05, 31, grouping)
+            expected = [(r, b.tobytes()) for r, blocks in enumerate(rounds) for b in blocks]
+            assert counted_blocks() == expected, (seq, k0)
+            assert [t.blocks for t in res.tallies] == [len(blocks) for blocks in rounds], (seq, k0)
+            assert res.halted == (sum(map(len, rounds[-1])) == 0), (seq, k0)
 
 
 def _pipeline_peak_bytes(k0: int, seq: str, grouping: str) -> int:
@@ -85,13 +153,18 @@ def _pipeline_peak_bytes(k0: int, seq: str, grouping: str) -> int:
 
 
 @pytest.mark.parametrize("grouping", ["blocked", "instance"])
-def test_pipeline_memory_is_about_a_byte_per_state(grouping):
-    for seq in ("AA", "BA"):
-        # The inputs alone take 1 B/state; the rest is a per-chunk working set.
-        assert _pipeline_peak_bytes(4 * 10**6, seq, grouping) <= 3 * 4 * 10**6, seq
-        small = _pipeline_peak_bytes(10**5, seq, grouping)
-        large = _pipeline_peak_bytes(10**6, seq, grouping)
-        assert large / 10**6 <= small / 10**5, seq
+def test_pipeline_memory_is_about_a_byte_per_state(monkeypatch, grouping):
+    # Only counts and the first round's outputs (0.05-0.2 B/state at
+    # p0 = 0.02) are kept, beside a fixed per-chunk working set.
+    for seq in ("AA", "BA", "A"):
+        assert _pipeline_peak_bytes(4 * 10**6, seq, grouping) <= 2 * 4 * 10**6, seq
+    # With smaller chunks both runs take many pieces, even in a 15-to-1
+    # round, and the working set cancels in the growth.
+    monkeypatch.setattr(montecarlo, "SAMPLE_CHUNK", 1 << 13)
+    for seq in ("AA", "BA", "A"):
+        small = _pipeline_peak_bytes(10**6, seq, grouping)
+        large = _pipeline_peak_bytes(4 * 10**6, seq, grouping)
+        assert (large - small) / (3 * 10**6) <= 0.25, seq
 
 
 def _corrcoef_reference(blocks: list[np.ndarray]) -> tuple[int, float, bool]:
@@ -115,7 +188,12 @@ _bool_blocks = st.lists(st.lists(st.booleans(), max_size=61) | _uniform_block, m
 @example([[True, True, False, False] * 5 + [True]])  # perfectly correlated
 def test_count_correlation_matches_corrcoef(raw_blocks):
     blocks = [np.array(b, dtype=bool) for b in raw_blocks]
-    report = independence_check(BlockEnsemble(0, 0.1, blocks))
+    tally = RoundTally(0, 0.1, blocks=len(blocks))
+    for block in blocks:
+        cut = len(block) // 4 * 2  # each block counted as two runs, the first even
+        tally.count(block[:cut])
+        tally.count(block[cut:])
+    report = independence_check(tally)
     pairs, r, degenerate = _corrcoef_reference(blocks)
     assert (report.pairs, report.degenerate) == (pairs, degenerate)
     # Near r = 0 the reference's own rounding is absolute, not relative.
@@ -167,11 +245,11 @@ def test_verdict_table_consistency(polyset):
             assert table.joint_cum[bits, 3] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_pipeline_noise_free():
+def test_pipeline_noise_free(counted_blocks):
     res = run_blocked_pipeline(10_000, "A", 0.0, seed=2)
-    final = res.final
-    assert len(final.blocks) == 2
-    assert all(len(b) == 1000 for b in final.blocks)
+    final = res.tallies[-1]
+    assert final.blocks == 2
+    assert [len(bits) for r, bits in counted_blocks() if r == 1] == [1000, 1000]
     assert final.error_rate() == 0.0
     report = independence_check(final)
     assert report.degenerate and report.correlation == 0.0
@@ -182,14 +260,14 @@ def test_pipeline_block_sizes_meet_corollary_bound(polyset):
     res = run_blocked_pipeline(k0, "A", 0.01, seed=3)
     instances = k0 // 10
     a = float(polyset.acceptance(0.01))
-    mean_size = res.final.total_states() / len(res.final.blocks)
+    mean_size = res.tallies[-1].states / res.tallies[-1].blocks
     sigma = math.sqrt(instances * a * (1 - a))
     assert abs(mean_size - a * instances) <= 3 * sigma
     # The guaranteed lower bound a(p) (K/m - 1) constrains the expectation;
     # the realization must sit within 3 sigma of it or above.
     assert mean_size >= a * (k0 / 10 - 1) - 3 * sigma
     # Expected total output count across the n = 2 blocks.
-    total = res.final.total_states()
+    total = res.tallies[-1].states
     assert total >= a * 2 * (k0 / 10 - 1) - 3 * 2 * sigma
 
 
@@ -198,8 +276,8 @@ def test_pipeline_error_rates_converge():
     cases = [("A", 10**6, 8), ("AA", 10**6, 9), ("B", 10**6, 10), ("BA", 4 * 10**6, 11)]
     for seq, k0, seed in cases:
         res = run_blocked_pipeline(k0, seq, 0.05, seed=seed)
-        final = res.final
-        n = final.total_states()
+        final = res.tallies[-1]
+        n = final.states
         p_pred = final.nominal_p
         sigma = math.sqrt(p_pred * (1 - p_pred) / n)
         assert abs(final.error_rate() - p_pred) <= 3 * sigma, (seq, final.error_rate(), p_pred)
@@ -212,7 +290,7 @@ def test_pipeline_nominal_rates_are_the_planners():
         res = run_blocked_pipeline(30_000, seq, 0.05, seed=19)
         plan = evaluate_sequence(parse_sequence(seq), 0.05)
         assert not res.halted, seq
-        assert [e.nominal_p for e in res.ensembles] == [0.05] + [r.p_out for r in plan.rounds]
+        assert [t.nominal_p for t in res.tallies] == [0.05] + [r.p_out for r in plan.rounds]
         report = pipeline_report(res)
         assert (report["planner_final_error"], report["planner_final_cost"]) == (
             plan.final_error,
@@ -222,11 +300,11 @@ def test_pipeline_nominal_rates_are_the_planners():
 
 def test_blocked_outputs_uncorrelated_but_instance_grouping_is_not(polyset):
     res = run_blocked_pipeline(10**6, "A", 0.05, seed=11)
-    blocked = independence_check(res.final)
+    blocked = independence_check(res.tallies[-1])
     assert blocked.contains_zero()
 
     res_bad = run_blocked_pipeline(10**6, "A", 0.05, seed=11, grouping="instance")
-    bad = independence_check(res_bad.final)
+    bad = independence_check(res_bad.tallies[-1])
     assert not bad.contains_zero()
     assert bad.ci_low > 0
     # The expected pair correlation from the exact polynomials.
@@ -243,7 +321,9 @@ def test_pipeline_halts_when_exhausted():
     res = run_blocked_pipeline(25, "AA", 0.05, seed=13)
     # 25 states give 2 instances, whose outputs cannot fill a second round.
     assert res.halted
-    assert res.final.total_states() == 0
+    assert res.tallies[-1].states == 0
+    # Blocks too short for one instance yield no blocks at all.
+    assert res.tallies[-1].blocks == 0
 
 
 def test_pipeline_report_shape():
