@@ -7,7 +7,9 @@ Hadamard-pair measurement.  Error locations come in two kinds: the 2 data
 states (a Y before encoding) and the 8 gate states backing the four
 controlled-H gadgets (inserted in their propagated form after the ideal
 gate: Z-on-control with Y-on-target for the first resource state of a
-gadget, a bare Y-on-target for the second).
+gadget, a bare Y-on-target for the second).  ``build_distillation_circuit``
+is the one description of the routine: both classifiers in ``enumeration``
+read it.
 """
 
 from __future__ import annotations
@@ -108,25 +110,7 @@ def _decoder_specs(d1: int, z0: int, d2: int, plus: int) -> list[GateSpec]:
 
 
 # Clifford block between the two controlled-H pairs of the measurement
-# gadget, in the two-gadget form (ancilla = wire a).  The fixed single- and
-# two-qubit gates realize the encoded Hadamard bookkeeping; the two ancilla
-# CZs are what remains of the eliminated controlled-H pair.
-def middle_block(a: int, w1: int, w2: int, w3: int, w4: int) -> list[GateSpec]:
-    return [
-        ("h", (w2,)),
-        ("h", (w3,)),
-        ("s", (w2,)),
-        ("sdg", (w4,)),
-        ("cz", (w2, w4)),
-        ("cz", (a, w2)),
-        ("cy", (w2, w3)),
-        ("h", (w2,)),
-        ("cy", (w4, w3)),
-        ("cz", (a, w4)),
-    ]
-
-
-# Same block in the four-gadget form: no ancilla CZs; acts as an encoded
+# gadget in the four-gadget form: no ancilla CZs; acts as an encoded
 # Hadamard on the second logical qubit.
 def logical_middle_block(w1: int, w2: int, w3: int, w4: int) -> list[GateSpec]:
     return [
@@ -141,32 +125,13 @@ def logical_middle_block(w1: int, w2: int, w3: int, w4: int) -> list[GateSpec]:
     ]
 
 
-@dataclass(frozen=True)
-class DistillationLayout:
-    """Structured description of the 5-wire routine, shared by the dense
-    builder and the exact error classifier."""
-
-    ancilla: int
-    code_wires: tuple[int, int, int, int]
-    encoder: tuple[GateSpec, ...]
-    first_block: tuple[GateSpec, ...]
-    middle: tuple[GateSpec, ...]
-    second_block: tuple[GateSpec, ...]
-    decoder: tuple[GateSpec, ...]
-    width: int = 5
-
-
-def distillation_layout() -> DistillationLayout:
-    a, w1, w2, w3, w4 = 0, 1, 2, 3, 4
-    return DistillationLayout(
-        ancilla=a,
-        code_wires=(w1, w2, w3, w4),
-        encoder=tuple(_encoder_specs(w1, w2, w3, w4)),
-        first_block=(("ch", (a, w2)), ("ch", (a, w4))),
-        middle=tuple(middle_block(a, w1, w2, w3, w4)),
-        second_block=(("ch", (a, w2)), ("ch", (a, w4))),
-        decoder=tuple(_decoder_specs(w1, w2, w3, w4)),
-    )
+# The same block in the two-gadget form (ancilla = wire a): the two ancilla
+# CZs, one after cz(w2, w4) and one at the end, are what remains of the
+# eliminated controlled-H pair.
+def middle_block(a: int, w1: int, w2: int, w3: int, w4: int) -> list[GateSpec]:
+    block = logical_middle_block(w1, w2, w3, w4)
+    block.insert(5, ("cz", (a, w2)))
+    return block + [("cz", (a, w4))]
 
 
 def build_c4_codec() -> tuple[Circuit, Circuit]:
@@ -189,9 +154,8 @@ def build_c4_codec() -> tuple[Circuit, Circuit]:
 
 def build_distillation_circuit() -> tuple[Circuit, list[ErrorLocation]]:
     """The full 10-to-2 routine on 5 wires plus its 10 error locations."""
-    ly = distillation_layout()
-    a = ly.ancilla
-    w1, w2, w3, w4 = ly.code_wires
+    a, w1, w2, w3, w4 = 0, 1, 2, 3, 4
+    ch_pair = [("ch", (a, w2)), ("ch", (a, w4))]
     elements: list[Element] = [
         Element("prep_plus", (a,)),
         Element("prep_h", (w1,)),
@@ -200,17 +164,11 @@ def build_distillation_circuit() -> tuple[Circuit, list[ErrorLocation]]:
         Element("prep_plus", (w4,)),
     ]
     data_insert = len(elements)
-    elements += gates(*ly.encoder)
-    ch_indices: list[int] = []
-    for spec in ly.first_block:
-        elements.append(Element(*spec))
-        ch_indices.append(len(elements) - 1)
-    elements += gates(*ly.middle)
-    for spec in ly.second_block:
-        elements.append(Element(*spec))
-        ch_indices.append(len(elements) - 1)
+    elements += gates(
+        *_encoder_specs(w1, w2, w3, w4), *ch_pair, *middle_block(a, w1, w2, w3, w4), *ch_pair
+    )
     elements.append(Element("mx", (a,), label="meas_encoded"))
-    elements += gates(*ly.decoder)
+    elements += gates(*_decoder_specs(w1, w2, w3, w4))
     elements.append(Element("mz", (w2,), label="check_z"))
     elements.append(Element("mx", (w4,), label="check_x"))
 
@@ -218,18 +176,13 @@ def build_distillation_circuit() -> tuple[Circuit, list[ErrorLocation]]:
         ErrorLocation(0, "data", None, None, data_insert, (("y", w1),)),
         ErrorLocation(1, "data", None, None, data_insert, (("y", w3),)),
     ]
-    next_id = 2
+    ch_indices = [idx for idx, el in enumerate(elements) if el.op == "ch"]
     for g, idx in enumerate(ch_indices):
         target = elements[idx].wires[1]
-        locations.append(
-            ErrorLocation(
-                next_id, "gate", g, "first", idx + 1, (("z", a), ("y", target))
-            )
-        )
-        locations.append(
-            ErrorLocation(next_id + 1, "gate", g, "second", idx + 1, (("y", target),))
-        )
-        next_id += 2
+        locations += [
+            ErrorLocation(2 + 2 * g, "gate", g, "first", idx + 1, (("z", a), ("y", target))),
+            ErrorLocation(3 + 2 * g, "gate", g, "second", idx + 1, (("y", target),)),
+        ]
     labels = {
         "ancilla": a,
         "out1": w1,
@@ -237,7 +190,7 @@ def build_distillation_circuit() -> tuple[Circuit, list[ErrorLocation]]:
         "out2": w3,
         "check_x_wire": w4,
     }
-    return Circuit(ly.width, tuple(elements), labels), locations
+    return Circuit(5, tuple(elements), labels), locations
 
 
 def insert_pattern(

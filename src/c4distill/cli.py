@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from math import exp, log
 from typing import Optional, Sequence
 
 from .routines import VanishingDenominator
@@ -45,9 +46,10 @@ def _check_grid(lo: float, hi: float, points: int):
 
 
 def _geom_grid(lo: float, hi: float, points: int) -> list[float]:
+    """Spaced evenly in log space, where max/min cannot overflow."""
     _check_grid(lo, hi, points)
-    ratio = (hi / lo) ** (1.0 / (points - 1))
-    return [lo * ratio**i for i in range(points)]
+    step = (log(hi) - log(lo)) / (points - 1)
+    return [exp(log(lo) + step * i) for i in range(points)]
 
 
 def _lin_grid(lo: float, hi: float, points: int) -> list[float]:

@@ -1,13 +1,15 @@
 """Exhaustive classification of the 2^10 error patterns of the routine.
 
-Two classifiers cover every pattern:
+Two classifiers cover every pattern, and both classify the circuit and the
+error locations of ``circuits.build_distillation_circuit()``:
 
 * ``DenseClassifier`` runs the 5-wire circuit on the state-vector oracle
   once for all patterns, a batch row per pattern carrying that pattern's
   Paulis, and post-selects the noiseless reference outcomes.
 * ``FrameClassifier`` never touches amplitudes on the full register.  Gate
-  errors are conjugated (exactly, with phases) through the Clifford block to
-  a common reference point, checked against the stabilizers, and reduced to
+  errors are conjugated (exactly, with phases) through the circuit's own
+  Clifford elements to a common reference point, the second controlled-H
+  pair, checked against the stabilizers, and reduced to
   logical operators, once per value of the eight gate bits; the
   accepted-branch Kraus operator of the encoded
   measurement is then assembled on two qubits in the ring Z[i, sqrt2], once
@@ -28,18 +30,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from types import MappingProxyType
 from typing import Mapping, Optional
 
-from .circuits import (
-    CODE,
-    build_distillation_circuit,
-    distillation_layout,
-    reference_outcomes,
-)
+from .circuits import CODE, build_distillation_circuit, reference_outcomes
 from .exactalg import E_ONE, E_ZERO, Exact, ExactPolynomial
-from .pauli import PauliString, conjugate_through
+from .pauli import PauliString, _relabel, conjugate_through
 
 N_LOCATIONS = 10
 N_PATTERNS = 1 << N_LOCATIONS
@@ -108,51 +105,51 @@ _ERROR_CLASSES = {
 }
 
 
-def _embed_code(p: PauliString) -> PauliString:
-    """Lift a 4-wire code Pauli onto the 5-wire register (ancilla = wire 0)."""
-    return PauliString(5, p.x << 1, p.z << 1, p.phase)
-
-
 class FrameClassifier:
     """Exact Pauli-propagation classifier for 10-bit error patterns.
 
-    Gate errors commute past sibling controlled-H gates (their ancilla part
-    is diagonal), so each propagates through ordinary Cliffords only.  An
-    error that reaches the reference point off the code's normalizer flips a
-    check in every measurement branch and is rejected outright; normalizer
-    elements act as logical Paulis whose interference in the encoded
-    measurement is evaluated exactly.
+    Wires, location ids and error forms are read from
+    ``build_distillation_circuit()``.  Gate errors commute past sibling
+    controlled-H gates (their ancilla part is diagonal), so each first-block
+    error propagates through ordinary Cliffords only, to the second
+    controlled-H pair.  An error that reaches that reference point off the
+    code's normalizer flips a check in every measurement branch and is
+    rejected outright; normalizer elements act as logical Paulis whose
+    interference in the encoded measurement is evaluated exactly.
     """
 
     def __init__(self):
-        ly = self.layout = distillation_layout()
-        n = ly.width
-        self.sx = _embed_code(CODE.stabilizers[0])
-        self.sz = _embed_code(CODE.stabilizers[1])
-        self.lx = tuple(_embed_code(p) for p in CODE.logical_x)
-        self.lz = tuple(_embed_code(p) for p in CODE.logical_z)
-        a = ly.ancilla
-        w_mask = 1 << ly.code_wires[0]
-        middle = list(ly.middle)
-        self.concentrated: dict[int, PauliString] = {}
-        self.block2: dict[int, PauliString] = {}
-        loc_id = 2
-        for block, ch_specs in (("first", ly.first_block), ("second", ly.second_block)):
-            for _, (ctl, tgt) in ch_specs:
-                first = PauliString.single(n, a, "Z") * PauliString.single(n, tgt, "Y")
-                second = PauliString.single(n, tgt, "Y")
-                for form in (first, second):
-                    if block == "first":
-                        form = conjugate_through(form, middle, n)
-                        if form.x & (1 << a) or (form.x | form.z) & w_mask:
-                            raise AssertionError("concentrated form leaves frame assumptions")
-                        self.concentrated[loc_id] = form
-                    else:
-                        self.block2[loc_id] = form
-                    loc_id += 1
+        circuit, locations = build_distillation_circuit()
+        n = circuit.width
+        a = self.ancilla = circuit.labels["ancilla"]
+        code = tuple(circuit.labels[k] for k in ("out1", "check_z_wire", "out2", "check_x_wire"))
+        w1, w2, w3, w4 = code
+        self.sx, self.sz = (_relabel(p, code, n) for p in CODE.stabilizers)
+        self.lx = tuple(_relabel(p, code, n) for p in CODE.logical_x)
+        self.lz = tuple(_relabel(p, code, n) for p in CODE.logical_z)
+        # Each gate location's error, first-block ones (bits 2-5) moved to
+        # the second controlled-H pair, second-block ones (bits 6-9) as they
+        # are.
+        second_pair = [idx for idx, el in enumerate(circuit.elements) if el.op == "ch"][2]
+        self.forms: dict[int, PauliString] = {}
+        for loc in locations:
+            if loc.kind != "gate":
+                continue
+            form = PauliString.identity(n)
+            for op, wire in loc.paulis:
+                form = PauliString.single(n, wire, op.upper()) * form
+            first_block = loc.insert_index <= second_pair
+            if first_block != (loc.id < 6):
+                raise AssertionError(f"location {loc.id} is in the other controlled-H block")
+            if first_block:
+                between = circuit.elements[loc.insert_index : second_pair]
+                path = [(el.op, el.wires) for el in between if el.op != "ch"]
+                form = conjugate_through(form, path, n)
+                if form.x >> a & 1 or (form.x | form.z) >> w1 & 1:
+                    raise AssertionError("concentrated form leaves frame assumptions")
+            self.forms[loc.id] = form
         # Conjugation by H on every code wire except the one the eliminated
         # controlled-H pair targeted (the third code wire).
-        w1, w2, w3, w4 = ly.code_wires
         self._hless = [("h", (w1,)), ("h", (w2,)), ("h", (w4,))]
         # mid_code, its conjugate and s1 depend only on bits 2-5 of a
         # pattern, late_code and s2 only on bits 6-9: propagate each 4-bit
@@ -163,8 +160,8 @@ class FrameClassifier:
             late_total = PauliString.identity(n)
             for j in range(4):
                 if nibble >> j & 1:
-                    mid_total = self.concentrated[2 + j] * mid_total
-                    late_total = self.block2[6 + j] * late_total
+                    mid_total = self.forms[2 + j] * mid_total
+                    late_total = self.forms[6 + j] * late_total
             s1, mid_code = self._split_ancilla(mid_total)
             mid.append((s1, mid_code, conjugate_through(mid_code, self._hless, n)))
             late.append(self._split_ancilla(late_total))
@@ -185,7 +182,7 @@ class FrameClassifier:
         self._assembled: dict[tuple, ExactVerdict] = {}
 
     def _split_ancilla(self, p: PauliString) -> tuple[int, PauliString]:
-        a = self.layout.ancilla
+        a = self.ancilla
         if p.x >> a & 1:
             raise AssertionError("ancilla picked up a non-diagonal component")
         s = p.z >> a & 1
@@ -333,15 +330,11 @@ class PolynomialSet:
     pattern_counts: Mapping[str, int]
 
 
-@lru_cache(maxsize=1)
-def _cached_verdicts() -> tuple[ExactVerdict, ...]:
-    fc = FrameClassifier()
-    return tuple(fc.classify(bits) for bits in range(N_PATTERNS))
-
-
+@cache
 def exact_verdicts() -> tuple[ExactVerdict, ...]:
     """Exact verdicts for all 1024 patterns, cached."""
-    return _cached_verdicts()
+    fc = FrameClassifier()
+    return tuple(fc.classify(bits) for bits in range(N_PATTERNS))
 
 
 def derive_polynomials(validate: bool = True) -> PolynomialSet:

@@ -44,9 +44,6 @@ class Exact:
         rd = a * h + b * g + c * f + d * e
         return Exact(ra, rb, rc, rd)
 
-    def conj(self) -> "Exact":
-        return Exact(self.a, self.b, -self.c, -self.d)
-
     def abs2(self) -> int:
         """Squared modulus, exactly; an AssertionError when it is irrational
         (a sqrt2 part survives), which no amplitude of the routine allows."""

@@ -84,9 +84,6 @@ class PauliString:
         shown = (self.phase + 3 * bin(self.x & self.z).count("1")) & 3
         return _PHASE_LABEL[shown] + letters
 
-    def weight(self) -> int:
-        return bin(self.x | self.z).count("1")
-
     def __mul__(self, other: "PauliString") -> "PauliString":
         if self.n != other.n:
             raise DimensionError(f"qubit counts differ: {self.n} != {other.n}")

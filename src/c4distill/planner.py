@@ -410,6 +410,15 @@ def step_cost_curve(
     return rows
 
 
+def _error_parts(seq: Sequence[RoutineModel], p0: float) -> tuple[float, int]:
+    """(mantissa, exponent) of the sequence's output error."""
+    x, s = frexp(p0)
+    cost = 1.0
+    for model in seq:
+        x, s, cost, _ = _float_round(model).step(x, s, cost)
+    return x, s
+
+
 def curve_crossings(
     sequences: Sequence[str],
     grid: Sequence[float],
@@ -427,9 +436,10 @@ def curve_crossings(
         seq_b = parse_sequence(name_b, models)
 
         def gap(p: float) -> float:
-            ea = evaluate_sequence(seq_a, p).final_error
-            eb = evaluate_sequence(seq_b, p).final_error
-            return log(ea) - log(eb)
+            """log(e_a / e_b), from the errors' mantissas and exponents,
+            since deep sequences' errors underflow as floats."""
+            (xa, sa), (xb, sb) = _error_parts(seq_a, p), _error_parts(seq_b, p)
+            return log(xa / xb) + (sa - sb) * log(2)
 
         prev_p = None
         prev_g = None

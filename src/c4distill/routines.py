@@ -108,8 +108,8 @@ def load_routines_config(path: str) -> dict[str, RoutineModel]:
 
     Coefficients may be integers or fractions like ``3/16``.  A malformed
     file, a section missing a key, m or n below 1, a coefficient that is
-    not a number or lies beyond float range, or an acceptance that is not
-    positive at p = 0 or has a root in (0, 1/2) raises ValueError.
+    not a number or lies beyond float range, or an acceptance that lies
+    outside (0, 1] at p = 0 or has a root in (0, 1/2) raises ValueError.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
@@ -128,8 +128,8 @@ def load_routines_config(path: str) -> dict[str, RoutineModel]:
         if m < 1 or n < 1:
             raise ValueError(f"routine [{name}] needs m >= 1 and n >= 1, got m={m}, n={n}")
         acc = ExactPolynomial.make(_coeffs(sec["acceptance"]))
-        if acc(Fraction(0)) <= 0:
-            raise ValueError(f"routine [{name}] needs acceptance > 0 at p = 0")
+        if not 0 < acc(Fraction(0)) <= 1:
+            raise ValueError(f"routine [{name}] needs 0 < acceptance <= 1 at p = 0")
         if _roots_below_half(acc):
             raise ValueError(f"routine [{name}] has an acceptance that vanishes in (0, 1/2)")
         und = ExactPolynomial.make(_coeffs(sec["undetected"]))

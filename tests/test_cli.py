@@ -6,6 +6,8 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from c4distill.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 
@@ -144,9 +146,13 @@ def test_usage_errors(tmp_path):
         "m = 5\nn = 1\nacceptance = 1 -5 10\n",  # no undetected
         "m = 0\nn = 1\nacceptance = 1 -5 10\nundetected = 0 0 10\n",
         "m = 5\nn = 1\nacceptance = 1 -5 10\nundetected = 0 0 1/0\n",
+        # An acceptance is a probability: above 1 at p = 0, a plan's cost
+        # would underflow to 0.
+        "m = 2\nn = 3\nacceptance = 1e300\nundetected = 0 0 1\n",
     ):
         cfg.write_text("[C]\n" + body)
-        assert run_cli(["threshold", "--routine", "C", "--routines", str(cfg)])[0] == EXIT_USAGE
+        for argv in (["threshold", "--routine", "C"], ["plan", "--p0", "0.01", "--eg", "1e-10"]):
+            assert run_cli(argv + ["--routines", str(cfg)])[0] == EXIT_USAGE, (body, argv)
     # An acceptance of zero, or one with a root in (0, 1/2), is refused when
     # the file is read: a simple root at 1/4 (the top of the threshold
     # bracket) or at 1/5 (where e(p) - p changes sign through the pole, so
@@ -167,6 +173,64 @@ def test_usage_errors(tmp_path):
     # A write that fails after the file opened (ENOSPC) is a usage error too.
     if os.path.exists("/dev/full"):
         assert run_cli(["threshold", "--routine", "A", "-o", "/dev/full"])[0] == EXIT_USAGE
+
+
+def test_extreme_grids():
+    # At p = 1e-40 the deep sequences' errors underflow to 0 as floats; their
+    # crossings are still found, and are those of the default grid.
+    argv = ["curve", "--figure", "regionplot", "--boundaries"]
+    code, out = run_cli(argv + ["--pmin", "1e-40", "--pmax", "0.1", "--points", "5"])
+    assert code == EXIT_OK
+    assert out.split("\n\n")[1] == run_cli(argv)[1].split("\n\n")[1]
+    # max/min beyond float range: the grid still ends at the given max.
+    code, out = run_cli(
+        ["curve", "--figure", "distplot", "--eg-min", "5e-324", "--eg-max", "1e-4", "--points", "3"]
+    )
+    assert code == EXIT_OK
+    assert out.splitlines()[-1].startswith("1.00000e-04,")
+
+
+# Mostly probabilities, with nan, infinities, subnormals and out-of-range
+# values.
+_floats = st.one_of(
+    st.floats(0, 0.5),
+    st.floats(1e-12, 0.1),
+    st.floats(),
+    st.sampled_from([5e-324, 1e-310, 0.0]),
+)
+_planner_argv = st.one_of(
+    st.tuples(
+        st.just("curve"),
+        st.sampled_from(["--figure=both-thresh", "--figure=regionplot", "--figure=distplot"]),
+        *(
+            st.builds(f"--{name}={{!r}}".format, _floats)
+            for name in ("pmin", "pmax", "eg-min", "eg-max", "p0")
+        ),
+        st.builds("--points={}".format, st.integers(2, 4)),
+        st.builds("--max-rounds={}".format, st.integers(1, 4)),
+        st.sampled_from(["--boundaries", ""]),
+    ),
+    st.tuples(
+        st.just("plan"),
+        st.builds("--p0={!r}".format, _floats),
+        st.one_of(
+            st.builds("--eg={!r}".format, _floats),
+            st.builds("--R={!r}".format, st.one_of(_floats, st.floats(1, 1e30))),
+        ),
+        st.builds("--max-rounds={}".format, st.integers(1, 4)),
+    ),
+    st.tuples(st.just("table1"), st.builds("--p0={!r}".format, _floats)),
+)
+
+
+@settings(max_examples=100)
+@given(_planner_argv)
+def test_planner_commands_exit_0_or_1(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([arg for arg in argv if arg])
+    assert code in (EXIT_OK, EXIT_USAGE), (argv, err.getvalue())
+    assert (code == EXIT_USAGE) == err.getvalue().startswith("usage error:"), argv
 
 
 def test_output_path_checked_before_work(tmp_path, monkeypatch):

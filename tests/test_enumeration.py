@@ -1,12 +1,12 @@
 """Exhaustive pattern classification and the exact polynomials."""
 
 import random
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from fractions import Fraction
 
 import pytest
 
-from c4distill import exactalg
+from c4distill import enumeration, exactalg
 from c4distill.circuits import build_distillation_circuit, insert_pattern, reference_outcomes
 from c4distill.enumeration import (
     N_PATTERNS,
@@ -29,18 +29,17 @@ def _unmemoized_classify(fc: FrameClassifier, bits: int):
     """Reference: propagate one pattern and assemble its Kraus branch from
     scratch in Q(i, sqrt2) with Fractions, with no memo shared between
     patterns.  Each weight comes as (rational part, sqrt2 part)."""
-    ly = fc.layout
-    n = ly.width
+    n = fc.forms[2].n
     d1 = bits & 1
     d2 = bits >> 1 & 1
     mid_total = PauliString.identity(n)
     late_total = PauliString.identity(n)
     for loc_id in range(2, 6):
         if bits >> loc_id & 1:
-            mid_total = fc.concentrated[loc_id] * mid_total
+            mid_total = fc.forms[loc_id] * mid_total
     for loc_id in range(6, 10):
         if bits >> loc_id & 1:
-            late_total = fc.block2[loc_id] * late_total
+            late_total = fc.forms[loc_id] * late_total
     s1, mid_code = fc._split_ancilla(mid_total)
     s2, late_code = fc._split_ancilla(late_total)
     sign = (s1 + s2) & 1
@@ -152,6 +151,29 @@ def test_dense_and_frame_agree_on_all_patterns():
         for got, want in zip((dv.accept, dv.err1, dv.err2, dv.both, dv.either), ev):
             worst = max(worst, abs(got - want))
     assert worst < 1e-10
+
+
+def test_engines_follow_the_circuits_location_ids(monkeypatch):
+    """Both engines read their location ids from build_distillation_circuit():
+    with the ids of gadget 0's and gadget 1's second states swapped (3 <-> 5),
+    and likewise of gadgets 2 and 3 (7 <-> 9), the verdicts change and the
+    two engines still agree on every pattern."""
+    swap = {3: 5, 5: 3, 7: 9, 9: 7}
+
+    def relabelled():
+        circuit, locations = build_distillation_circuit()
+        return circuit, [replace(loc, id=swap.get(loc.id, loc.id)) for loc in locations]
+
+    unswapped = exact_verdicts()
+    monkeypatch.setattr(enumeration, "build_distillation_circuit", relabelled)
+    frame, dense = FrameClassifier(), DenseClassifier()
+    changed = 0
+    for bits in range(N_PATTERNS):
+        v, dv = frame.classify(bits), dense.classify(bits)
+        changed += v != unswapped[bits]
+        want = pytest.approx(v.as_floats(), abs=1e-10)
+        assert (dv.accept, dv.err1, dv.err2, dv.both, dv.either) == want, bits
+    assert changed
 
 
 def _per_pattern_verdict(circ, locations, reference, bits):

@@ -125,14 +125,6 @@ def test_commutes_dimension_error():
         PauliString.from_label("X").commutes(PauliString.from_label("XX"))
 
 
-def test_weight_bounds():
-    rng = random.Random(11)
-    for _ in range(100):
-        n = rng.randint(1, 6)
-        p = PauliString(n, rng.getrandbits(n), rng.getrandbits(n))
-        assert 0 <= p.weight() <= n
-
-
 def test_hadamard_conjugation():
     h = GATE_ACTIONS["h"]
     assert h.conjugate(PauliString.from_label("Z")).label() == "+X"
