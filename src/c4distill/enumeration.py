@@ -9,9 +9,9 @@ error locations of ``circuits.build_distillation_circuit()``:
 * ``FrameClassifier`` never touches amplitudes on the full register.  Gate
   errors are conjugated (exactly, with phases) through the circuit's own
   Clifford elements to a common reference point, the second controlled-H
-  pair, checked against the stabilizers, and reduced to
-  logical operators, once per value of the eight gate bits; the
-  accepted-branch Kraus operator of the encoded
+  pair, multiplied out once per value of the eight gate bits, and looked
+  up in a table of the code's 64 normalizer elements (a miss is a detected
+  error); the accepted-branch Kraus operator of the encoded
   measurement is then assembled on two qubits in the ring Z[i, sqrt2], once
   per distinct (data bits, logical terms, sign) key.  The single-qubit X and
   Z are stored times sqrt2, so every operator entry is an integer, and each
@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
+from itertools import zip_longest
 from types import MappingProxyType
 from typing import Mapping, Optional
 
@@ -114,8 +115,9 @@ class FrameClassifier:
     error propagates through ordinary Cliffords only, to the second
     controlled-H pair.  An error that reaches that reference point off the
     code's normalizer flips a check in every measurement branch and is
-    rejected outright; normalizer elements act as logical Paulis whose
-    interference in the encoded measurement is evaluated exactly.
+    rejected outright; normalizer elements, looked up in a table of all 64
+    keyed by their X and Z bits, act as logical Paulis whose interference in
+    the encoded measurement is evaluated exactly.
     """
 
     def __init__(self):
@@ -124,9 +126,9 @@ class FrameClassifier:
         a = self.ancilla = circuit.labels["ancilla"]
         code = tuple(circuit.labels[k] for k in ("out1", "check_z_wire", "out2", "check_x_wire"))
         w1, w2, w3, w4 = code
-        self.sx, self.sz = (_relabel(p, code, n) for p in CODE.stabilizers)
-        self.lx = tuple(_relabel(p, code, n) for p in CODE.logical_x)
-        self.lz = tuple(_relabel(p, code, n) for p in CODE.logical_z)
+        sx, sz = (_relabel(p, code, n) for p in CODE.stabilizers)
+        lx = tuple(_relabel(p, code, n) for p in CODE.logical_x)
+        lz = tuple(_relabel(p, code, n) for p in CODE.logical_z)
         # Each gate location's error, first-block ones (bits 2-5) moved to
         # the second controlled-H pair, second-block ones (bits 6-9) as they
         # are.
@@ -145,77 +147,43 @@ class FrameClassifier:
                 between = circuit.elements[loc.insert_index : second_pair]
                 path = [(el.op, el.wires) for el in between if el.op != "ch"]
                 form = conjugate_through(form, path, n)
-                if form.x >> a & 1 or (form.x | form.z) >> w1 & 1:
+                if (form.x | form.z) >> w1 & 1:
                     raise AssertionError("concentrated form leaves frame assumptions")
+            if form.x >> a & 1:
+                raise AssertionError("ancilla picked up a non-diagonal component")
             self.forms[loc.id] = form
-        # Conjugation by H on every code wire except the one the eliminated
-        # controlled-H pair targeted (the third code wire).
-        self._hless = [("h", (w1,)), ("h", (w2,)), ("h", (w4,))]
-        # mid_code, its conjugate and s1 depend only on bits 2-5 of a
-        # pattern, late_code and s2 only on bits 6-9: propagate each 4-bit
-        # value once.
-        mid, late = [], []
-        for nibble in range(16):
-            mid_total = PauliString.identity(n)
-            late_total = PauliString.identity(n)
-            for j in range(4):
-                if nibble >> j & 1:
-                    mid_total = self.forms[2 + j] * mid_total
-                    late_total = self.forms[6 + j] * late_total
-            s1, mid_code = self._split_ancilla(mid_total)
-            mid.append((s1, mid_code, conjugate_through(mid_code, self._hless, n)))
-            late.append(self._split_ancilla(late_total))
-        # Everything but the data bits depends only on bits 2-9, so the two
-        # logical terms and their sign are tabulated once per 8-bit value;
-        # None marks a value whose terms are both detected.
+        # The code's 64 normalizer elements lx1^a1 lz1^b1 lx2^a2 lz2^b2 sx^c sz^d,
+        # multiplied in that order and keyed by (x, z); a miss is detected.
+        self._normalizer: dict[tuple[int, int], tuple[int, tuple[int, int, int, int]]] = {}
+        for e in range(64):
+            p = PauliString.identity(n)
+            for j, gen in enumerate((lx[0], lz[0], lx[1], lz[1], sx, sz)):
+                if e >> j & 1:
+                    p = p * gen
+            self._normalizer[p.x, p.z] = p.phase, (e & 1, e >> 1 & 1, e >> 2 & 1, e >> 3 & 1)
+        # Everything but the data bits depends only on bits 2-9: the product
+        # of their forms (higher ids to the left) gives term 1 and, with the
+        # first block seen through H on every code wire but the third (which
+        # the eliminated controlled-H pair targeted), term 2.  The sign is
+        # the ancilla Z bit; None marks a value whose terms are both detected.
+        h_layer = [("h", (w1,)), ("h", (w2,)), ("h", (w4,))]
+        gate_forms = [self.forms[i] for i in range(2, 10)]
+        flipped = [conjugate_through(f, h_layer, n) for f in gate_forms[:4]] + gate_forms[4:]
         self._terms: list[Optional[tuple]] = []
-        for gate_bits in range(256):
-            s1, mid_code, flipped = mid[gate_bits & 15]
-            s2, late_code = late[gate_bits >> 4]
-            term1 = self._logical_term(late_code * mid_code)
-            term2 = self._logical_term(late_code * flipped)
+        for p1, p2 in zip(_products(gate_forms), _products(flipped)):
+            term1, term2 = self._term(p1), self._term(p2)
             detected = term1 is None and term2 is None
-            self._terms.append(None if detected else (term1, term2, (s1 + s2) & 1))
+            self._terms.append(None if detected else (term1, term2, p1.z >> a & 1))
         # The Kraus assembly depends on a pattern only through the key
         # (d1, d2, term1, term2, sign), and the 1024 patterns share a few
         # dozen keys; each is assembled once per classifier.
         self._assembled: dict[tuple, ExactVerdict] = {}
 
-    def _split_ancilla(self, p: PauliString) -> tuple[int, PauliString]:
-        a = self.ancilla
-        if p.x >> a & 1:
-            raise AssertionError("ancilla picked up a non-diagonal component")
-        s = p.z >> a & 1
-        mask = ((1 << p.n) - 1) ^ (1 << a)
-        return s, PauliString(p.n, p.x & mask, p.z & mask, p.phase)
-
-    def _logical_term(self, p: PauliString) -> Optional[tuple[int, tuple[int, int, int, int]]]:
-        """Decompose a (5-wire, ancilla-free) Pauli over the code: None when
-        a stabilizer detects it, else (i-power, X1,Z1,X2,Z2 exponents)."""
-        if not p.commutes(self.sx) or not p.commutes(self.sz):
-            return None
-        a1 = 0 if p.commutes(self.lz[0]) else 1
-        b1 = 0 if p.commutes(self.lx[0]) else 1
-        a2 = 0 if p.commutes(self.lz[1]) else 1
-        b2 = 0 if p.commutes(self.lx[1]) else 1
-        canon = PauliString.identity(p.n)
-        for power, gen in ((a1, self.lx[0]), (b1, self.lz[0]), (a2, self.lx[1]), (b2, self.lz[1])):
-            if power:
-                canon = canon * gen
-        resid_x = p.x ^ canon.x
-        resid_z = p.z ^ canon.z
-        if resid_x not in (0, self.sx.x):
-            raise AssertionError("residual is not a stabilizer element")
-        if resid_z not in (0, self.sz.z):
-            raise AssertionError("residual is not a stabilizer element")
-        if resid_x:
-            canon = canon * self.sx
-        if resid_z:
-            canon = canon * self.sz
-        if canon.x != p.x or canon.z != p.z:
-            raise AssertionError("decomposition failed")
-        omega = (p.phase - canon.phase) & 3
-        return omega, (a1, b1, a2, b2)
+    def _term(self, p: PauliString) -> Optional[tuple[int, tuple[int, int, int, int]]]:
+        """Logical term of ``p`` with its ancilla Z bit dropped: None when a
+        stabilizer detects it, else (i-power, X1,Z1,X2,Z2 exponents)."""
+        hit = self._normalizer.get((p.x, p.z & ~(1 << self.ancilla)))
+        return None if hit is None else ((p.phase - hit[0]) & 3, hit[1])
 
     def classify(self, bits: int) -> ExactVerdict:
         terms = self._terms[bits >> 2]
@@ -238,6 +206,16 @@ H_BASIS_OPS: dict[str, tuple[tuple[int, int], tuple[int, int]]] = {
 }
 # sqrt2**k for k = 0..4.
 _SQRT2_POWERS = (E_ONE, Exact(b=1), Exact(2), Exact(b=2), Exact(4))
+
+
+def _products(forms: list[PauliString]) -> list[PauliString]:
+    """products[v]: the product of the forms at v's set bits, higher bits to
+    the left."""
+    products = [PauliString.identity(forms[0].n)]
+    for v in range(1, 1 << len(forms)):
+        top = v.bit_length() - 1
+        products.append(forms[top] * products[v ^ 1 << top])
+    return products
 
 
 def _column(bit: int, x: int, z: int, h: bool) -> tuple[int, int]:
@@ -391,16 +369,9 @@ def _validate(ps: PolynomialSet):
         ("marginal", ps.marginal, PUBLISHED_MARGINAL),
         ("either", ps.either, PUBLISHED_EITHER),
     ):
-        got_ints = got.as_integers()
-        want_list = list(want)
-        if got_ints != want_list:
-            degrees = range(max(len(got_ints), len(want_list)))
-            diff = [
-                f"  degree {d}: derived {got_ints[d] if d < len(got_ints) else 0}"
-                f" != published {want_list[d] if d < len(want_list) else 0}"
-                for d in degrees
-                if (got_ints[d] if d < len(got_ints) else 0) != (want_list[d] if d < len(want_list) else 0)
-            ]
+        pairs = enumerate(zip_longest(got.coefficients, want, fillvalue=0))
+        diff = [f"  degree {d}: derived {g} != published {w}" for d, (g, w) in pairs if g != w]
+        if diff:
             problems.append(f"{name} polynomial differs:\n" + "\n".join(diff))
     if problems:
         weights = ", ".join(f"w={w}: {q}" for w, q in enumerate(ps.accept_by_weight))

@@ -8,7 +8,7 @@ simulated at the model level: accept/error Bernoulli draws at the block's
 nominal error probability.
 
 Randomness is counter-based (Philox) keyed by (seed, round, purpose), so
-tallies are reproducible and independent of how work would be sharded.
+tallies are reproducible and independent of the chunk size.
 """
 
 from __future__ import annotations

@@ -108,8 +108,11 @@ def load_routines_config(path: str) -> dict[str, RoutineModel]:
 
     Coefficients may be integers or fractions like ``3/16``.  A malformed
     file, a section missing a key, m or n below 1, a coefficient that is
-    not a number or lies beyond float range, or an acceptance that lies
-    outside (0, 1] at p = 0 or has a root in (0, 1/2) raises ValueError.
+    not a number or lies beyond float range, an acceptance that lies
+    outside (0, 1] at p = 0 or has a root in (0, 1/2), a nonzero undetected
+    weight that is negative or vanishes in (0, 1/2), or a section name that
+    is not one character (a sequence names one routine per character)
+    raises ValueError.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
@@ -120,6 +123,8 @@ def load_routines_config(path: str) -> dict[str, RoutineModel]:
         raise FileNotFoundError(f"cannot read {path}")
     models = {}
     for name in parser.sections():
+        if len(name) != 1:
+            raise ValueError(f"routine [{name}] needs a one-character name")
         sec = parser[name]
         missing = [key for key in ("m", "n", "acceptance", "undetected") if key not in sec]
         if missing:
@@ -133,6 +138,10 @@ def load_routines_config(path: str) -> dict[str, RoutineModel]:
         if _roots_below_half(acc):
             raise ValueError(f"routine [{name}] has an acceptance that vanishes in (0, 1/2)")
         und = ExactPolynomial.make(_coeffs(sec["undetected"]))
+        # u / p^v for the lowest degree v of u, which does not vanish at 0.
+        low = ExactPolynomial.make(und.coefficients[und.leading_term()[0] :])
+        if low.coefficients and (low.coefficients[0] < 0 or _roots_below_half(low)):
+            raise ValueError(f"routine [{name}] has an undetected weight not positive in (0, 1/2)")
         models[name] = RoutineModel(name=name, m=m, n=n, acceptance_poly=acc, undetected_poly=und)
     return models
 

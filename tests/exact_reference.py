@@ -5,6 +5,10 @@ operators with their true 1/sqrt2 entries (Y included), and ``assemble``
 builds a pattern's accepted branch in that field, term by term at its true
 scale.  The integer ring ``c4distill.exactalg.Exact`` and the scaled
 assembly in ``c4distill.enumeration`` are checked against it.
+
+``CodeReference`` decomposes a Pauli over the [[4,2,2]] code by commutation
+tests, the way the frame engine once did for every pattern; the engine's
+lookup in its table of the 64 normalizer elements is checked against it.
 """
 
 from __future__ import annotations
@@ -12,7 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from c4distill.circuits import CODE, build_distillation_circuit
 from c4distill.exactalg import Exact
+from c4distill.pauli import PauliString, _relabel, conjugate_through
 
 
 @dataclass(frozen=True)
@@ -120,3 +126,59 @@ def assemble(d1: int, d2: int, term1, term2, sign: int) -> tuple[tuple[Fraction,
 
     norm = add(*w)
     return norm, add(w[2], w[3]), add(w[1], w[3]), w[3], (norm[0] - w[0][0], norm[1] - w[0][1])
+
+
+class CodeReference:
+    """The code on the wires of ``build_distillation_circuit()``, with the
+    commutation-based decomposition of a Pauli into a logical term."""
+
+    def __init__(self):
+        circuit, _ = build_distillation_circuit()
+        n = self.n = circuit.width
+        self.ancilla = circuit.labels["ancilla"]
+        code = self.code = tuple(
+            circuit.labels[k] for k in ("out1", "check_z_wire", "out2", "check_x_wire")
+        )
+        self.sx, self.sz = (_relabel(p, code, n) for p in CODE.stabilizers)
+        self.lx = tuple(_relabel(p, code, n) for p in CODE.logical_x)
+        self.lz = tuple(_relabel(p, code, n) for p in CODE.logical_z)
+        # H on every code wire except the third, which the eliminated
+        # controlled-H pair targeted.
+        self.h_layer = [("h", (code[0],)), ("h", (code[1],)), ("h", (code[3],))]
+
+    def split_ancilla(self, p: PauliString) -> tuple[int, PauliString]:
+        """(ancilla Z bit, ``p`` without its ancilla part)."""
+        a = self.ancilla
+        if p.x >> a & 1:
+            raise AssertionError("ancilla picked up a non-diagonal component")
+        mask = ((1 << p.n) - 1) ^ (1 << a)
+        return p.z >> a & 1, PauliString(p.n, p.x & mask, p.z & mask, p.phase)
+
+    def flip(self, p: PauliString) -> PauliString:
+        """``p`` conjugated through the H layer."""
+        return conjugate_through(p, self.h_layer, self.n)
+
+    def logical_term(self, p: PauliString):
+        """Decompose an ancilla-free Pauli over the code: None when a
+        stabilizer detects it, else (i-power, X1,Z1,X2,Z2 exponents)."""
+        if not p.commutes(self.sx) or not p.commutes(self.sz):
+            return None
+        a1 = 0 if p.commutes(self.lz[0]) else 1
+        b1 = 0 if p.commutes(self.lx[0]) else 1
+        a2 = 0 if p.commutes(self.lz[1]) else 1
+        b2 = 0 if p.commutes(self.lx[1]) else 1
+        canon = PauliString.identity(p.n)
+        for power, gen in ((a1, self.lx[0]), (b1, self.lz[0]), (a2, self.lx[1]), (b2, self.lz[1])):
+            if power:
+                canon = canon * gen
+        resid_x = p.x ^ canon.x
+        resid_z = p.z ^ canon.z
+        if resid_x not in (0, self.sx.x) or resid_z not in (0, self.sz.z):
+            raise AssertionError("residual is not a stabilizer element")
+        if resid_x:
+            canon = canon * self.sx
+        if resid_z:
+            canon = canon * self.sz
+        if canon.x != p.x or canon.z != p.z:
+            raise AssertionError("decomposition failed")
+        return (p.phase - canon.phase) & 3, (a1, b1, a2, b2)

@@ -4,11 +4,14 @@ import contextlib
 import io
 import json
 import os
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from c4distill import exactalg
 from c4distill.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -149,10 +152,18 @@ def test_usage_errors(tmp_path):
         # An acceptance is a probability: above 1 at p = 0, a plan's cost
         # would underflow to 0.
         "m = 2\nn = 3\nacceptance = 1e300\nundetected = 0 0 1\n",
+        # An undetected weight is a probability: negative near 0, or past
+        # its root at 1/10, a plan's error would be negative.
+        "m = 5\nn = 1\nacceptance = 1\nundetected = 0 -1\n",
+        "m = 5\nn = 1\nacceptance = 1\nundetected = 0 0 1 -10\n",
     ):
         cfg.write_text("[C]\n" + body)
         for argv in (["threshold", "--routine", "C"], ["plan", "--p0", "0.01", "--eg", "1e-10"]):
             assert run_cli(argv + ["--routines", str(cfg)])[0] == EXIT_USAGE, (body, argv)
+    # A sequence names one routine per character, so [CC] would read as C, C.
+    cfg.write_text("[CC]\nm = 5\nn = 1\nacceptance = 1 -5 10\nundetected = 0 0 10\n")
+    for argv in (["threshold", "--routine", "CC"], ["plan", "--p0", "0.01", "--eg", "1e-10"]):
+        assert run_cli(argv + ["--routines", str(cfg)])[0] == EXIT_USAGE, argv
     # An acceptance of zero, or one with a root in (0, 1/2), is refused when
     # the file is read: a simple root at 1/4 (the top of the threshold
     # bracket) or at 1/5 (where e(p) - p changes sign through the pole, so
@@ -254,6 +265,21 @@ def test_mismatch_exit_code(monkeypatch):
     with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
         code = main(["polynomials"])
     assert code == EXIT_MISMATCH
+
+
+def test_fractional_coefficient_is_a_mismatch(monkeypatch):
+    import c4distill.enumeration as en
+
+    ps = en.derive_polynomials()
+    marginal = list(ps.marginal.coefficients)
+    marginal[2] = Fraction(17, 2)
+    broken = replace(ps, marginal=exactalg.ExactPolynomial.make(marginal))
+    monkeypatch.setattr(en, "_cached_polynomials", lambda: broken)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["polynomials"])
+    assert code == EXIT_MISMATCH
+    assert "degree 2: derived 17/2 != published 9" in err.getvalue()
 
 
 def test_output_file_and_outdir(tmp_path, monkeypatch):

@@ -19,16 +19,17 @@ from c4distill.enumeration import (
     derive_polynomials,
     exact_verdicts,
 )
-from c4distill.pauli import PauliString, conjugate_through
+from c4distill.pauli import PauliString
 from c4distill.statevec import run
 from conftest import h_basis_joint
-from exact_reference import assemble
+from exact_reference import CodeReference, assemble
 
 
-def _unmemoized_classify(fc: FrameClassifier, bits: int):
-    """Reference: propagate one pattern and assemble its Kraus branch from
-    scratch in Q(i, sqrt2) with Fractions, with no memo shared between
-    patterns.  Each weight comes as (rational part, sqrt2 part)."""
+def _unmemoized_classify(fc: FrameClassifier, ref: CodeReference, bits: int):
+    """Reference: propagate one pattern, decompose its logical terms by
+    commutation tests and assemble its Kraus branch from scratch in
+    Q(i, sqrt2) with Fractions, with no memo shared between patterns.  Each
+    weight comes as (rational part, sqrt2 part)."""
     n = fc.forms[2].n
     d1 = bits & 1
     d2 = bits >> 1 & 1
@@ -40,13 +41,12 @@ def _unmemoized_classify(fc: FrameClassifier, bits: int):
     for loc_id in range(6, 10):
         if bits >> loc_id & 1:
             late_total = fc.forms[loc_id] * late_total
-    s1, mid_code = fc._split_ancilla(mid_total)
-    s2, late_code = fc._split_ancilla(late_total)
+    s1, mid_code = ref.split_ancilla(mid_total)
+    s2, late_code = ref.split_ancilla(late_total)
     sign = (s1 + s2) & 1
 
-    term1 = fc._logical_term(late_code * mid_code)
-    flipped = conjugate_through(mid_code, fc._hless, n)
-    term2 = fc._logical_term(late_code * flipped)
+    term1 = ref.logical_term(late_code * mid_code)
+    term2 = ref.logical_term(late_code * ref.flip(mid_code))
     if term1 is None and term2 is None:
         return ((0, 0),) * 5
     return assemble(d1, d2, term1, term2, sign)
@@ -54,9 +54,10 @@ def _unmemoized_classify(fc: FrameClassifier, bits: int):
 
 def test_memoized_verdicts_equal_unmemoized_reference():
     fc = FrameClassifier()
+    ref = CodeReference()
     verdicts = exact_verdicts()
     for bits in range(N_PATTERNS):
-        want = _unmemoized_classify(fc, bits)
+        want = _unmemoized_classify(fc, ref, bits)
         # Exact equality, field for field, and no sqrt2 part in the reference.
         for v in (verdicts[bits], fc.classify(bits)):
             assert all(type(f) is Fraction for f in astuple(v)), bits
@@ -92,20 +93,44 @@ def test_classifying_all_patterns_makes_few_exact_products(monkeypatch):
     assert 0 < calls[0] <= 2500
 
 
-def test_logical_terms_are_tabulated_over_gate_bits(monkeypatch):
-    calls = [0]
-    decompose = FrameClassifier._logical_term
+def test_normalizer_lookup_equals_commutation_decomposition():
+    # Every Pauli on the four code wires, in all four phases.
+    fc, ref = FrameClassifier(), CodeReference()
+    wires = ref.code
+    detected = 0
+    for bits in range(256):
+        x = sum((bits >> j & 1) << w for j, w in enumerate(wires))
+        z = sum((bits >> (4 + j) & 1) << w for j, w in enumerate(wires))
+        for phase in range(4):
+            p = PauliString(ref.n, x, z, phase)
+            term = fc._term(p)
+            assert term == ref.logical_term(p), (bits, phase)
+            assert (term is None) == (not p.commutes(ref.sx) or not p.commutes(ref.sz))
+            detected += term is None
+    assert detected == 3 * 64 * 4
 
-    def counting(self, p):
-        calls[0] += 1
-        return decompose(self, p)
 
-    monkeypatch.setattr(FrameClassifier, "_logical_term", counting)
+def test_logical_terms_are_looked_up_not_decomposed(monkeypatch):
+    calls = {"mul": 0, "commutes": 0}
+    multiply, commutes = PauliString.__mul__, PauliString.commutes
+
+    def counting_mul(self, other):
+        calls["mul"] += 1
+        return multiply(self, other)
+
+    def counting_commutes(self, other):
+        calls["commutes"] += 1
+        return commutes(self, other)
+
+    monkeypatch.setattr(PauliString, "__mul__", counting_mul)
+    monkeypatch.setattr(PauliString, "commutes", counting_commutes)
     fc = FrameClassifier()
     for bits in range(N_PATTERNS):
         fc.classify(bits)
-    # Two decompositions per value of bits 2-9, not two per pattern.
-    assert 0 < calls[0] <= 512
+    # Decomposing two terms per value of bits 2-9 by commutation tests made
+    # 1,792 commutation tests and 1,610 products.
+    assert calls["commutes"] == 0
+    assert 0 < calls["mul"] <= 1000
 
 
 def test_polynomials_match_published_exactly(polyset):
