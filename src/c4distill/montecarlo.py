@@ -2,12 +2,18 @@
 
 Sampling for the 10-to-2 routine draws the 10-bit error pattern of each
 instance and looks the verdict up in the exact classification table (joint
-output distribution included), so the simulation is faithful to the circuit
-while running millions of instances per second.  The 15-to-1 routine is
-simulated at the model level: accept/error Bernoulli draws at the block's
-nominal error probability.
+output distribution included), so the simulation is faithful to the circuit.
+One kernel, ``_TenToTwo``, runs the routine for ``sample_routine`` and for
+the pipeline's 10-to-2 rounds, ``SAMPLE_CHUNK`` instances at a time in
+buffers allocated once: the error flags are packed into patterns by two
+multiply-and-shift steps on 64-bit words, each instance is accepted with its
+pattern's probability, and an accepted instance's joint output category is
+the sum of three comparisons with per-pattern thresholds.  The 15-to-1
+routine is simulated at the model level: accept/error Bernoulli draws at the
+block's nominal error probability.
 
-Randomness is counter-based (Philox) keyed by (seed, round, purpose), so
+Randomness is counter-based (Philox) keyed by (seed, round, purpose), one
+draw per trial (ten for an instance's error pattern) from each stream, so
 tallies are reproducible and independent of the chunk size.
 """
 
@@ -28,6 +34,8 @@ _PURPOSE = {"inputs": 0, "patterns": 1, "accept": 2, "joint": 3, "model_err": 4}
 SAMPLE_CHUNK = 1 << 16
 # Half-width of the within-block correlation interval, in standard errors.
 CORRELATION_Z = 3.0
+# A word of eight 0/1 bytes times this constant holds byte j at bit 56 + j.
+_SPREAD = np.uint64(0x0102040810204080)
 
 
 def _stream(seed: int, round_index: int, purpose: str) -> np.random.Generator:
@@ -37,10 +45,11 @@ def _stream(seed: int, round_index: int, purpose: str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _pack(groups: np.ndarray) -> np.ndarray:
-    """The 10-bit pattern of each row of a (k, 10) bool array, column j as
-    bit j."""
-    return np.packbits(groups, axis=1, bitorder="little").view("<u2")[:, 0]
+def _check_inputs(p: float, count: int, p_name: str, count_name: str) -> None:
+    if not 0 <= p <= 1:  # also refuses nan
+        raise ValueError(f"{p_name} must lie in [0, 1], got {p}")
+    if count < 1:
+        raise ValueError(f"{count_name} must be at least 1, got {count}")
 
 
 @dataclass(frozen=True)
@@ -48,7 +57,9 @@ class VerdictTable:
     """Float view of the exact per-pattern verdicts, for vectorized draws."""
 
     accept: np.ndarray  # (1024,)
-    joint_cum: np.ndarray  # (1024, 4) cumulative over (clean, err2, err1, both)
+    # (3, 1024): the conditional joint output distribution of each pattern,
+    # cumulative over (clean, err2, err1, both) and without the final 1.
+    thresholds: np.ndarray
 
 
 @cache
@@ -67,7 +78,49 @@ def verdict_table() -> VerdictTable:
                 (err1 - both) / acc,
                 both / acc,
             ]
-    return VerdictTable(accept=accept, joint_cum=np.cumsum(joint, axis=1))
+    thresholds = np.ascontiguousarray(np.cumsum(joint, axis=1)[:, :3].T)
+    return VerdictTable(accept=accept, thresholds=thresholds)
+
+
+class _TenToTwo:
+    """The 10-to-2 routine on up to ``size`` instances at a time, in buffers
+    allocated once: write the instances' error flags (location j in column
+    j) into ``flags[:k]`` and call ``run(k, ...)``.  Each row of flags is
+    the first 10 of 16 bytes whose last six stay 0, so the row is two 64-bit
+    words."""
+
+    def __init__(self, size: int):
+        table = verdict_table()
+        self.accept, self.thresholds = table.accept, table.thresholds
+        self.words = np.zeros((size, 2), dtype="<u8")
+        self.flags = self.words.view(bool)[:, :10]
+        self.packed = np.empty(size, dtype="<u8")
+        self.draws = np.empty(size)
+
+    def patterns(self, k: int) -> np.ndarray:
+        """The 10-bit pattern of each of the first k rows of flags, column j
+        as bit j; a view of a buffer that the next call overwrites."""
+        words = self.words[:k]
+        words *= _SPREAD
+        words >>= 56  # each word's packed byte; bytes 10-15 of a row stay 0
+        packed = np.left_shift(words[:, 1], 8, out=self.packed[:k])
+        packed |= words[:, 0]
+        return packed
+
+    def run(self, k: int, rng_acc: np.random.Generator, rng_joint: np.random.Generator) -> np.ndarray:
+        """Accept each of the first k instances with its pattern's
+        probability and return the accepted instances' joint output
+        categories, in order: bit 1 is an output-1 error and bit 0 an
+        output-2 error.  Each stream gives one draw per instance."""
+        patterns = self.patterns(k)
+        draws = self.draws[:k]
+        accepted = np.flatnonzero(rng_acc.random(out=draws) < self.accept.take(patterns))
+        u = rng_joint.random(out=draws).take(accepted)
+        patterns = patterns.take(accepted)
+        cat = np.greater(u, self.thresholds[0].take(patterns)).view(np.uint8)
+        for row in self.thresholds[1:]:
+            cat += np.greater(u, row.take(patterns))
+        return cat
 
 
 @dataclass(frozen=True)
@@ -135,46 +188,29 @@ def _within_3sigma(count: int, n: int, p_true: float) -> dict:
 def sample_routine(p: float, trials: int, seed: int) -> SampleStats:
     """Draw i.i.d. 10-bit patterns at error rate p and tally the verdicts.
 
-    Trials are drawn ``SAMPLE_CHUNK`` at a time; each stream continues where
-    the previous chunk stopped, so the tallies do not depend on the chunk
-    size and memory does not grow with ``trials``."""
-    table = verdict_table()
-    rng_bits = _stream(seed, 0, "patterns")
-    rng_acc = _stream(seed, 0, "accept")
-    rng_joint = _stream(seed, 0, "joint")
-    accepts = errors_out1 = errors_out2 = errors_both = 0
+    Trials are drawn ``SAMPLE_CHUNK`` at a time into one buffer; each stream
+    continues where the previous chunk stopped, so the tallies do not depend
+    on the chunk size and memory does not grow with ``trials``."""
+    _check_inputs(p, trials, "p", "trials")
+    size = min(SAMPLE_CHUNK, trials)
+    rng_bits, rng_acc, rng_joint = (_stream(seed, 0, purpose) for purpose in ("patterns", "accept", "joint"))
+    kernel = _TenToTwo(size)
+    draws = np.empty((size, 10))
+    counts = np.zeros(4, dtype=np.int64)  # clean, err2, err1, both
     for start in range(0, trials, SAMPLE_CHUNK):
-        bits = rng_bits.random((min(SAMPLE_CHUNK, trials - start), 10)) < p
-        accepted, err1, err2 = _run_instances(table, _pack(bits), rng_acc, rng_joint)
-        accepts += int(accepted.sum())
-        errors_out1 += int(err1.sum())
-        errors_out2 += int(err2.sum())
-        errors_both += int((err1 & err2).sum())
+        k = min(SAMPLE_CHUNK, trials - start)
+        np.less(rng_bits.random(out=draws[:k]), p, out=kernel.flags[:k])
+        counts += np.bincount(kernel.run(k, rng_acc, rng_joint), minlength=4)
+    _, err2, err1, both = map(int, counts)
     return SampleStats(
         p=p,
         trials=trials,
         seed=seed,
-        accepts=accepts,
-        errors_out1=errors_out1,
-        errors_out2=errors_out2,
-        errors_both=errors_both,
+        accepts=int(counts.sum()),
+        errors_out1=err1 + both,
+        errors_out2=err2 + both,
+        errors_both=both,
     )
-
-
-def _run_instances(
-    table: VerdictTable,
-    patterns: np.ndarray,
-    rng_acc: np.random.Generator,
-    rng_joint: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Accept each 10-to-2 instance with its pattern's probability and draw
-    the accepted instances' joint output category: (accepted mask, output-1
-    errors, output-2 errors), the last two over the accepted instances.
-    Each stream gives one draw per instance."""
-    accepted = rng_acc.random(len(patterns)) < table.accept[patterns]
-    cum = table.joint_cum[patterns[accepted]]
-    cat = (rng_joint.random(len(patterns))[accepted][:, None] > cum[:, :3]).sum(axis=1)
-    return accepted, (cat == 2) | (cat == 3), (cat == 1) | (cat == 3)
 
 
 @dataclass
@@ -220,6 +256,30 @@ class PipelineResult:
     plan: DistillationPlan  # the planner's rounds, whose p_out are the nominal rates
 
 
+class _Block:
+    """One block of a round's output states, counted into the round's tally
+    as its pieces arrive and kept in ``pieces`` unless the round is the
+    last.  ``RoundTally.count`` takes runs that start at even positions of
+    the block, so an odd last state waits for the next piece."""
+
+    def __init__(self, tally: RoundTally, keep: bool):
+        self.tally = tally
+        self.pieces: list[np.ndarray] | None = [] if keep else None
+        self.odd = np.empty(0, dtype=bool)
+
+    def append(self, piece: np.ndarray) -> None:
+        if self.pieces is not None:
+            self.pieces.append(piece)
+        states = np.concatenate((self.odd, piece)) if len(self.odd) else piece
+        cut = len(states) - len(states) % 2
+        if cut:
+            self.tally.count(states[:cut])
+        self.odd = states[cut:]
+
+    def close(self) -> None:
+        self.tally.count(self.odd)
+
+
 def _runs(pieces: Iterable[np.ndarray], size: int) -> Iterator[np.ndarray]:
     """A block's states, given as ``pieces`` in order, rejoined into runs whose
     lengths are multiples of ``size``, then the shorter rest (maybe empty)."""
@@ -232,6 +292,17 @@ def _runs(pieces: Iterable[np.ndarray], size: int) -> Iterator[np.ndarray]:
             held, count = [joined[cut:]], count - cut
             yield joined[:cut]
     yield np.concatenate(held) if held else np.empty(0, dtype=bool)
+
+
+def _inputs(k0: int, p0: float, seed: int, block: _Block) -> Iterator[np.ndarray]:
+    """The input states, drawn ``SAMPLE_CHUNK`` at a time as round 1 takes
+    them, and counted into ``block``."""
+    rng = _stream(seed, 0, "inputs")
+    for start in range(0, k0, SAMPLE_CHUNK):
+        piece = rng.random(min(SAMPLE_CHUNK, k0 - start)) < p0
+        block.append(piece)
+        yield piece
+    block.close()
 
 
 def run_blocked_pipeline(
@@ -247,43 +318,47 @@ def run_blocked_pipeline(
     outputs of each 10-to-2 instance adjacent in a single block, which
     reintroduces the pairwise output correlation.
 
-    Only counts are kept, in one ``RoundTally`` per round.  The inputs are
-    drawn ``SAMPLE_CHUNK`` states at a time straight into round 1, and each
-    later block, a list of pieces, lives until the next round has taken it
-    in even runs of whole groups; the streams' draw order, and so the
-    output, does not depend on the chunk size.  Beyond a per-chunk working
-    set of a few MB, memory holds the first round's outputs: 0.05-0.2 B per
-    input state at p0 = 0.02.
+    Only counts are kept, in one ``RoundTally`` per round, and each state
+    is counted as it is produced.  The inputs are drawn ``SAMPLE_CHUNK``
+    states at a time straight into round 1, each later block, a list of
+    pieces, lives until the next round has taken it in runs of whole
+    groups, and the last round's outputs are not kept; the streams' draw
+    order, and so the output, does not depend on the chunk size.  Beyond a
+    per-chunk working set of a few MB, memory holds the outputs of one
+    round while the next round runs: at p0 = 0.02 the first round's take
+    0.05-0.2 B per input state, and a one-round pipeline keeps none.
     """
     if grouping not in ("blocked", "instance"):
         raise ValueError("grouping must be 'blocked' or 'instance'")
+    _check_inputs(p0, k0, "p0", "k0")
     model_seq = parse_sequence(seq)
     plan = evaluate_sequence(model_seq, p0)
-    table = verdict_table()
-    rng_init = _stream(seed, 0, "inputs")
-    inputs = (rng_init.random(min(SAMPLE_CHUNK, k0 - s)) < p0 for s in range(0, k0, SAMPLE_CHUNK))
-    blocks: list = [inputs]  # round 0's one block, drawn as round 1 takes it
     tallies = [RoundTally(0, p0, blocks=1)]
-    halted = False
+    blocks: list = [_inputs(k0, p0, seed, _Block(tallies[0], keep=False))]
+    kernel, halted = None, False
     for l, (model, nominal) in enumerate(zip(model_seq, plan.rounds), start=1):
-        rng_acc = _stream(seed, l, "accept")
-        rng_joint = _stream(seed, l, "joint")
-        rng_err = _stream(seed, l, "model_err")
+        rng_acc, rng_joint, rng_err = (_stream(seed, l, purpose) for purpose in ("accept", "joint", "model_err"))
         ten_to_two = model.name == "A" and model.m == 10
+        if ten_to_two and kernel is None:
+            kernel = _TenToTwo(min(SAMPLE_CHUNK, k0 // model.m))
         width = 1 if ten_to_two and grouping == "instance" else model.n
-        consumed, new_blocks = tallies[-1], []
+        keep = l < len(model_seq)
+        tally = RoundTally(l, nominal.p_out, blocks=0)
+        new_blocks = []
         while blocks:
-            outs: list[list[np.ndarray]] = [[] for _ in range(width)]
-            groups = 0
-            for run in _runs(blocks.pop(0), math.lcm(2, model.m) * SAMPLE_CHUNK):
-                consumed.count(run)
+            outs: list[_Block] = []
+            for run in _runs(blocks.pop(0), model.m * SAMPLE_CHUNK):
                 nb = len(run) // model.m
-                groups += nb
+                if not nb:
+                    continue
+                outs = outs or [_Block(tally, keep) for _ in range(width)]
                 if ten_to_two:
                     grouped = run[: nb * model.m].reshape(nb, model.m)
                     for start in range(0, nb, SAMPLE_CHUNK):
-                        patterns = _pack(grouped[start : start + SAMPLE_CHUNK])
-                        _, err1, err2 = _run_instances(table, patterns, rng_acc, rng_joint)
+                        k = min(SAMPLE_CHUNK, nb - start)
+                        kernel.flags[:k] = grouped[start : start + k]
+                        cat = kernel.run(k, rng_acc, rng_joint)
+                        err1, err2 = (cat >> 1).view(bool), (cat & 1).view(bool)
                         pieces = (err1, err2) if grouping == "blocked" else (np.stack((err1, err2), 1).ravel(),)
                         for out, piece in zip(outs, pieces):
                             out.append(piece)
@@ -291,16 +366,16 @@ def run_blocked_pipeline(
                     accepted = rng_acc.random(nb) < nominal.acceptance
                     for out in outs:
                         out.append((rng_err.random(nb) < nominal.p_out)[accepted])
-            if groups:
-                new_blocks += outs
+            for out in outs:
+                out.close()
+            tally.blocks += len(outs)
+            if keep:
+                new_blocks += [out.pieces for out in outs]
         blocks = new_blocks
-        tallies.append(RoundTally(l, nominal.p_out, blocks=len(blocks)))
-        if not any(len(piece) for block in blocks for piece in block):
+        tallies.append(tally)
+        if not tally.states:
             halted = True
             break
-    for block in blocks:
-        for run in _runs(block, 2):
-            tallies[-1].count(run)
     return PipelineResult(
         k0=k0,
         p0=p0,

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from functools import cache
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from c4distill import montecarlo
+from c4distill.enumeration import exact_verdicts
 from c4distill.montecarlo import (
     RoundTally,
     independence_check,
@@ -40,12 +42,64 @@ def test_tallies_bounded():
     assert stats.errors_both <= min(stats.errors_out1, stats.errors_out2)
 
 
+# sample_routine(p, trials, seed=2024) as (p, trials, accepts, errors_out1,
+# errors_out2, errors_both), recorded with the packbits-and-cumulative-row
+# sampler that preceded the word-packing kernel.  The trial counts straddle
+# the chunk size at recording time, 2**16.
+_PINNED_TALLIES = [
+    (0, 1, 1, 0, 0, 0),
+    (0, 65536, 65536, 0, 0, 0),
+    (0, 65537, 65537, 0, 0, 0),
+    (0, 200003, 200003, 0, 0, 0),
+    (0.005, 1, 1, 0, 0, 0),
+    (0.005, 65536, 62209, 16, 16, 10),
+    (0.005, 65537, 62210, 16, 16, 10),
+    (0.005, 200003, 190229, 43, 42, 27),
+    (0.05, 1, 1, 0, 0, 0),
+    (0.05, 65536, 41064, 1048, 1074, 590),
+    (0.05, 65537, 41065, 1048, 1074, 590),
+    (0.05, 200003, 124858, 3300, 3261, 1844),
+    (0.1, 1, 0, 0, 0, 0),
+    (0.1, 65536, 27912, 3127, 3279, 1761),
+    (0.1, 65537, 27912, 3127, 3279, 1761),
+    (0.1, 200003, 84835, 9605, 9688, 5324),
+    (0.49, 1, 0, 0, 0, 0),
+    (0.49, 65536, 16316, 8057, 8158, 4083),
+    (0.49, 65537, 16317, 8058, 8159, 4084),
+    (0.49, 200003, 50285, 25240, 25183, 12641),
+]
+
+
+def test_sample_tallies_are_pinned():
+    for p, trials, *counts in _PINNED_TALLIES:
+        s = sample_routine(p, trials, seed=2024)
+        assert [s.accepts, s.errors_out1, s.errors_out2, s.errors_both] == counts, (p, trials)
+
+
 def test_sample_tallies_do_not_depend_on_chunking(monkeypatch):
-    whole = sample_routine(0.05, 10_007, seed=23)  # one chunk
-    assert whole.errors_both > 0
-    for chunk in (1, 7, 1000):  # none divides the trial count
+    # Recorded like _PINNED_TALLIES, at seed 23.
+    pinned = {0.05: (10_007, 6255, 159, 180, 95), 0.2: (3001, 810, 307, 295, 150)}
+    for chunk in (montecarlo.SAMPLE_CHUNK, 1, 7, 1000):  # none divides the trial counts
         monkeypatch.setattr(montecarlo, "SAMPLE_CHUNK", chunk)
-        assert sample_routine(0.05, 10_007, seed=23) == whole, chunk
+        for p, (trials, *counts) in pinned.items():
+            s = sample_routine(p, trials, seed=23)
+            assert [s.accepts, s.errors_out1, s.errors_out2, s.errors_both] == counts, (chunk, p)
+
+
+def test_bad_rates_and_counts_are_refused():
+    for p in (math.nan, math.inf, -math.inf, -0.01, 1.01):
+        with pytest.raises(ValueError, match="must lie in"):
+            sample_routine(p, 1000, seed=1)
+        with pytest.raises(ValueError, match="must lie in"):
+            run_blocked_pipeline(1000, "A", p, seed=1)
+    for count in (0, -5):
+        with pytest.raises(ValueError, match="at least 1"):
+            sample_routine(0.05, count, seed=1)
+        with pytest.raises(ValueError, match="at least 1"):
+            run_blocked_pipeline(count, "A", 0.05, seed=1)
+    # The ends of [0, 1] are rates.
+    assert sample_routine(1.0, 10, seed=1).trials == 10
+    assert run_blocked_pipeline(1, "A", 0.0, seed=1).halted
 
 
 def test_seeds_outside_64_bits_are_refused():
@@ -61,23 +115,23 @@ def test_seeds_outside_64_bits_are_refused():
 @pytest.fixture
 def counted_blocks(monkeypatch):
     """Calls return the (round, state bits) of each block the pipelines
-    since the last call have counted, in order, and forget them."""
-    log: list[list[tuple[int, bytes]]] = []
-    runs, count = montecarlo._runs, RoundTally.count
+    since the last call have produced, in order, and forget them."""
+    log: list[tuple[int, list[bytes]]] = []
 
-    def recording_runs(pieces, size):  # called once per block
-        log.append([])
-        return runs(pieces, size)
+    class RecordingBlock(montecarlo._Block):  # one per block, counted into its round
+        def __init__(self, tally, keep):
+            super().__init__(tally, keep)
+            self.bits: list[bytes] = []
+            log.append((tally.round_index, self.bits))
 
-    def recording_count(tally, states):
-        log[-1].append((tally.round_index, states.tobytes()))  # a copy: buffers may be reused
-        count(tally, states)
+        def append(self, piece):
+            self.bits.append(piece.tobytes())  # a copy: buffers may be reused
+            super().append(piece)
 
-    monkeypatch.setattr(montecarlo, "_runs", recording_runs)
-    monkeypatch.setattr(RoundTally, "count", recording_count)
+    monkeypatch.setattr(montecarlo, "_Block", RecordingBlock)
 
     def blocks() -> list[tuple[int, bytes]]:
-        out = [(entries[0][0], b"".join(bits for _, bits in entries)) for entries in log]
+        out = [(round_index, b"".join(bits)) for round_index, bits in log]
         log.clear()
         return out
 
@@ -105,9 +159,42 @@ def test_pipeline_does_not_depend_on_chunking(monkeypatch, counted_blocks, group
             assert run(seq) == whole[seq], (seq, chunk)
 
 
+@cache
+def _reference_table() -> tuple[np.ndarray, np.ndarray]:
+    """(accept, joint_cum) from the exact verdicts: each pattern's acceptance
+    and its (1024, 4) conditional joint output distribution, cumulative over
+    (clean, err2, err1, both)."""
+    accept, joint = np.zeros(1024), np.zeros((1024, 4))
+    for bits, v in enumerate(exact_verdicts()):
+        acc, err1, err2, both, _ = v.as_floats()
+        accept[bits] = acc
+        if acc > 0:
+            joint[bits] = [(acc - err1 - err2 + both) / acc, (err2 - both) / acc, (err1 - both) / acc, both / acc]
+    return accept, np.cumsum(joint, axis=1)
+
+
+def _reference_pack(groups: np.ndarray) -> np.ndarray:
+    """The 10-bit pattern of each row of a (k, 10) bool array, column j as
+    bit j, by np.packbits."""
+    return np.packbits(groups, axis=1, bitorder="little").view("<u2")[:, 0]
+
+
+def _reference_instances(groups, acc, joint) -> tuple[np.ndarray, np.ndarray]:
+    """The accepted 10-to-2 instances' (output-1, output-2) errors, each
+    instance's joint category found by comparing its draw with its
+    pattern's whole cumulative row."""
+    accept, joint_cum = _reference_table()
+    patterns = _reference_pack(groups)
+    accepted = acc.random(len(patterns)) < accept[patterns]
+    cum = joint_cum[patterns[accepted]]
+    cat = (joint.random(len(patterns))[accepted][:, None] > cum[:, :3]).sum(axis=1)
+    return (cat == 2) | (cat == 3), (cat == 1) | (cat == 3)
+
+
 def _whole_block_pipeline(k0, seq, p0, seed, grouping) -> list[list[np.ndarray]]:
     """Every round's blocks, each drawn and kept whole: the pipeline's
-    streams and regrouping, written without pieces or tallies."""
+    streams and regrouping, written without pieces, tallies or the
+    sampling kernel."""
     models = parse_sequence(seq)
     rounds = [[montecarlo._stream(seed, 0, "inputs").random(k0) < p0]]
     for l, (model, nominal) in enumerate(zip(models, evaluate_sequence(models, p0).rounds), 1):
@@ -118,8 +205,7 @@ def _whole_block_pipeline(k0, seq, p0, seed, grouping) -> list[list[np.ndarray]]
             if nb == 0:
                 continue
             if model.name == "A":
-                patterns = montecarlo._pack(block[: nb * 10].reshape(nb, 10))
-                _, err1, err2 = montecarlo._run_instances(verdict_table(), patterns, acc, joint)
+                err1, err2 = _reference_instances(block[: nb * 10].reshape(nb, 10), acc, joint)
                 blocks += [err1, err2] if grouping == "blocked" else [np.stack((err1, err2), 1).ravel()]
             else:
                 accepted = acc.random(nb) < nominal.acceptance
@@ -128,6 +214,39 @@ def _whole_block_pipeline(k0, seq, p0, seed, grouping) -> list[list[np.ndarray]]
         if not sum(map(len, blocks)):
             break
     return rounds
+
+
+def test_sampling_matches_reference_instances():
+    # sample_routine's tallies, recomputed from the streams by the reference.
+    trials, p, seed = 30_011, 0.08, 37
+    groups = montecarlo._stream(seed, 0, "patterns").random((trials, 10)) < p
+    acc, joint = (montecarlo._stream(seed, 0, purpose) for purpose in ("accept", "joint"))
+    err1, err2 = _reference_instances(groups, acc, joint)
+    s = sample_routine(p, trials, seed)
+    assert (s.accepts, s.errors_out1, s.errors_out2, s.errors_both) == (
+        len(err1), err1.sum(), err2.sum(), (err1 & err2).sum())
+
+
+_flag_rows = st.integers(0, 40).flatmap(
+    lambda k: st.lists(st.booleans(), min_size=10 * k, max_size=10 * k).map(
+        lambda flat: np.array(flat, dtype=bool).reshape(k, 10)))
+
+
+@given(st.lists(_flag_rows, min_size=1, max_size=3), st.integers(0, 9))
+@example([np.zeros((0, 10), dtype=bool)], 0)
+@example([np.ones((1, 10), dtype=bool)], 0)
+@example([np.ones((40, 10), dtype=bool), np.eye(10, dtype=bool)], 3)
+def test_word_packing_equals_packbits(batches, offset):
+    # One kernel packs several batches in turn, as a pipeline round does,
+    # and each batch is also read as the pipeline's reshaped view of a
+    # block that starts ``offset`` states into a run.
+    kernel = montecarlo._TenToTwo(40)
+    for groups in batches:
+        k = len(groups)
+        run = np.concatenate((np.zeros(offset, dtype=bool), groups.ravel()))
+        for view in (groups, run[offset:].reshape(k, 10)):
+            kernel.flags[:k] = view
+            assert np.array_equal(kernel.patterns(k), _reference_pack(view))
 
 
 @pytest.mark.parametrize("grouping", ["blocked", "instance"])
@@ -155,16 +274,35 @@ def _pipeline_peak_bytes(k0: int, seq: str, grouping: str) -> int:
 @pytest.mark.parametrize("grouping", ["blocked", "instance"])
 def test_pipeline_memory_is_about_a_byte_per_state(monkeypatch, grouping):
     # Only counts and the first round's outputs (0.05-0.2 B/state at
-    # p0 = 0.02) are kept, beside a fixed per-chunk working set.
+    # p0 = 0.02) are kept, beside a fixed per-chunk working set; the last
+    # round's outputs are counted as they are produced, so a one-round
+    # pipeline keeps no states at all.
     for seq in ("AA", "BA", "A"):
         assert _pipeline_peak_bytes(4 * 10**6, seq, grouping) <= 2 * 4 * 10**6, seq
     # With smaller chunks both runs take many pieces, even in a 15-to-1
     # round, and the working set cancels in the growth.
     monkeypatch.setattr(montecarlo, "SAMPLE_CHUNK", 1 << 13)
-    for seq in ("AA", "BA", "A"):
+    for seq, bound in (("AA", 0.25), ("BA", 0.25), ("A", 0.05)):
         small = _pipeline_peak_bytes(10**6, seq, grouping)
         large = _pipeline_peak_bytes(4 * 10**6, seq, grouping)
-        assert (large - small) / (3 * 10**6) <= 0.25, seq
+        assert (large - small) / (3 * 10**6) <= bound, seq
+
+
+@given(st.lists(st.booleans(), max_size=60), st.lists(st.integers(0, 61), max_size=6))
+@example([True] * 7, [1, 2, 3, 5])  # odd pieces in a row
+@example([], [0, 0])
+def test_block_counts_its_pieces_like_the_whole_block(states, cuts):
+    block = np.array(states, dtype=bool)
+    whole = RoundTally(1, 0.1, blocks=1)
+    whole.count(block)
+    tally = RoundTally(1, 0.1, blocks=1)
+    counted = montecarlo._Block(tally, keep=True)
+    pieces = np.split(block, sorted(cuts))
+    for piece in pieces:
+        counted.append(piece)
+    counted.close()
+    assert tally == whole
+    assert counted.pieces == pieces  # the very arrays, kept in order
 
 
 def _corrcoef_reference(blocks: list[np.ndarray]) -> tuple[int, float, bool]:
@@ -237,12 +375,18 @@ def test_three_sigma_agreement_at_five_percent(polyset):
     assert abs(stats.accepts / stats.trials - a) <= 3 * sigma
 
 
-def test_verdict_table_consistency(polyset):
+def test_verdict_table_consistency():
     table = verdict_table()
+    accept, joint_cum = _reference_table()
+    assert np.array_equal(table.accept, accept)
+    # The thresholds are the first three columns of the cumulative rows.
+    assert table.thresholds.shape == (3, 1024) and table.thresholds.flags.c_contiguous
+    assert np.array_equal(table.thresholds, joint_cum[:, :3].T)
     # Row sums of the conditional joint reach 1 wherever acceptance > 0.
     for bits in (0, 3, 1023, 0b1100):
-        if table.accept[bits] > 0:
-            assert table.joint_cum[bits, 3] == pytest.approx(1.0, abs=1e-12)
+        if accept[bits] > 0:
+            assert joint_cum[bits, 3] == pytest.approx(1.0, abs=1e-12)
+    assert np.all(np.diff(table.thresholds, axis=0) >= 0)
 
 
 def test_pipeline_noise_free(counted_blocks):
