@@ -1,26 +1,23 @@
 """Seeded Monte Carlo validation and the blocked multi-round pipeline.
 
-Sampling for the 10-to-2 routine draws the 10-bit error pattern of each
-instance and looks the verdict up in the exact classification table (joint
-output distribution included), so the simulation is faithful to the circuit.
-One kernel, ``_TenToTwo``, runs the routine for ``sample_routine`` and for
-the pipeline's 10-to-2 rounds, ``SAMPLE_CHUNK`` instances at a time in
-buffers allocated once: the error flags are packed into patterns by two
-multiply-and-shift steps on 64-bit words, each instance is accepted with its
-pattern's probability, and an accepted instance's joint output category is
-the sum of three comparisons with per-pattern thresholds.  The 15-to-1
-routine is simulated at the model level: accept/error Bernoulli draws at the
-block's nominal error probability.
+Every stream of Bernoulli flags is drawn sparsely (``_Errors``): its error
+positions are running sums of geometric gaps, so work and memory scale with
+the errors, not the flags.  A 10-to-2 instance's pattern is the OR of
+``1 << (pos % 10)`` over its locations' error positions, and an instance
+with a nonzero pattern draws one uniform against its pattern's exact
+cumulative law of (reject, clean, output-2 error, output-1 error, both);
+pattern 0 is always accepted clean.  This kernel serves ``sample_routine``
+and the pipeline's 10-to-2 rounds.  The 15-to-1 routine is simulated at the
+model level: sparse rejections and errors at the block's nominal rates.
 
-Randomness is counter-based (Philox) keyed by (seed, round, purpose), one
-draw per trial (ten for an instance's error pattern) from each stream, so
-tallies are reproducible and independent of the chunk size.
+Randomness is counter-based (Philox) keyed by (seed, round, purpose), and
+each stream is consumed strictly in order, so tallies are reproducible and
+independent of the chunk size.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cache
 
@@ -29,13 +26,11 @@ import numpy as np
 from .enumeration import exact_verdicts
 from .planner import DistillationPlan, evaluate_sequence, parse_sequence
 
-_PURPOSE = {"inputs": 0, "patterns": 1, "accept": 2, "joint": 3, "model_err": 4}
-# Trials (or instances, or input states) per draw of a stream.
+_PURPOSE = {"inputs": 0, "patterns": 1, "category": 2, "rejects": 3, "errors": 4}
+# Trials (or instances, or input states) per step of a stream.
 SAMPLE_CHUNK = 1 << 16
 # Half-width of the within-block correlation interval, in standard errors.
 CORRELATION_Z = 3.0
-# A word of eight 0/1 bytes times this constant holds byte j at bit 56 + j.
-_SPREAD = np.uint64(0x0102040810204080)
 
 
 def _stream(seed: int, round_index: int, purpose: str) -> np.random.Generator:
@@ -52,75 +47,86 @@ def _check_inputs(p: float, count: int, p_name: str, count_name: str) -> None:
         raise ValueError(f"{count_name} must be at least 1, got {count}")
 
 
+class _Errors:
+    """A stream of Bernoulli(p) flags, read front to back as error positions.
+
+    Successive errors lie geometric gaps apart, and numpy's geometric counts
+    from 1, so the first error is at its gap - 1.  The gaps are drawn in
+    batches and consumed strictly in order: the gap that reaches past the
+    flags taken is restated from the next flag and carried, never dropped or
+    redrawn, so the positions do not depend on how the flags are taken.
+    ``Generator.geometric`` consumes a varying number of raw words, so the
+    stream is never advanced or split; a rate of 0 draws nothing."""
+
+    def __init__(self, rng: np.random.Generator, p: float):
+        self.rng, self.p = rng, min(p, 1.0)
+        self.gaps = np.empty(0, dtype=np.int64)  # the first counts from the flag before the next
+
+    def take(self, n: int) -> np.ndarray:
+        """The positions, counted from 0, of the errors among the next n flags."""
+        if self.p <= 0:
+            return np.empty(0, dtype=np.int64)
+        parts, last = [], -1  # last: the position of the last error placed
+        while True:
+            expected = (n - 1 - last) * self.p
+            short = int(expected + 4 * math.sqrt(expected)) + 16 - len(self.gaps)
+            if short > 0:
+                self.gaps = np.concatenate((self.gaps, self.rng.geometric(self.p, short)))
+            # A gap clipped to n + 1 still reaches past the n flags, and the
+            # sum stays far from overflow.
+            pos = np.minimum(self.gaps, n + 1)
+            np.cumsum(pos, out=pos)
+            pos += last
+            placed = int(pos.searchsorted(n))
+            parts.append(pos[:placed])
+            if placed < len(pos):
+                last = int(pos[placed - 1]) if placed else last
+                self.gaps = self.gaps[placed:]
+                self.gaps[0] -= n - 1 - last
+                return np.concatenate(parts) if len(parts) > 1 else parts[0]
+            last, self.gaps = int(pos[-1]), self.gaps[:0]
+
+
 @dataclass(frozen=True)
 class VerdictTable:
-    """Float view of the exact per-pattern verdicts, for vectorized draws."""
+    """Float view of the exact per-pattern verdicts, for one draw per instance."""
 
-    accept: np.ndarray  # (1024,)
-    # (3, 1024): the conditional joint output distribution of each pattern,
-    # cumulative over (clean, err2, err1, both) and without the final 1.
-    thresholds: np.ndarray
+    # (4, 1024): each pattern's law of (reject, clean, output-2 error only,
+    # output-1 error only), cumulative; an error on both outputs takes the
+    # rest up to 1.
+    cumulative: np.ndarray
+
+    def categories(self, patterns: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Each instance's category from its pattern and its uniform u: the
+        number of the pattern's cumulative thresholds at or below u, so 0 is
+        a rejection, 1 a clean acceptance, 2 an output-2 error only, 3 an
+        output-1 error only and 4 an error on both outputs."""
+        cat = np.greater_equal(u, self.cumulative[0].take(patterns)).view(np.uint8)
+        for row in self.cumulative[1:]:
+            cat += u >= row.take(patterns)
+        return cat
 
 
 @cache
 def verdict_table() -> VerdictTable:
-    verdicts = exact_verdicts()
-    accept = np.zeros(len(verdicts))
-    joint = np.zeros((len(verdicts), 4))
-    for bits, v in enumerate(verdicts):
+    laws = []
+    for v in exact_verdicts():
         acc, err1, err2, both, _ = v.as_floats()
-        accept[bits] = acc
-        if acc > 0:
-            clean = acc - err1 - err2 + both
-            joint[bits] = [
-                clean / acc,
-                (err2 - both) / acc,
-                (err1 - both) / acc,
-                both / acc,
-            ]
-    thresholds = np.ascontiguousarray(np.cumsum(joint, axis=1)[:, :3].T)
-    return VerdictTable(accept=accept, thresholds=thresholds)
+        laws.append((1 - acc, acc - err1 - err2 + both, err2 - both, err1 - both))
+    # Every weight is a multiple of 1/4, so these float sums are exact.
+    return VerdictTable(cumulative=np.ascontiguousarray(np.cumsum(laws, axis=1).T))
 
 
-class _TenToTwo:
-    """The 10-to-2 routine on up to ``size`` instances at a time, in buffers
-    allocated once: write the instances' error flags (location j in column
-    j) into ``flags[:k]`` and call ``run(k, ...)``.  Each row of flags is
-    the first 10 of 16 bytes whose last six stay 0, so the row is two 64-bit
-    words."""
-
-    def __init__(self, size: int):
-        table = verdict_table()
-        self.accept, self.thresholds = table.accept, table.thresholds
-        self.words = np.zeros((size, 2), dtype="<u8")
-        self.flags = self.words.view(bool)[:, :10]
-        self.packed = np.empty(size, dtype="<u8")
-        self.draws = np.empty(size)
-
-    def patterns(self, k: int) -> np.ndarray:
-        """The 10-bit pattern of each of the first k rows of flags, column j
-        as bit j; a view of a buffer that the next call overwrites."""
-        words = self.words[:k]
-        words *= _SPREAD
-        words >>= 56  # each word's packed byte; bytes 10-15 of a row stay 0
-        packed = np.left_shift(words[:, 1], 8, out=self.packed[:k])
-        packed |= words[:, 0]
-        return packed
-
-    def run(self, k: int, rng_acc: np.random.Generator, rng_joint: np.random.Generator) -> np.ndarray:
-        """Accept each of the first k instances with its pattern's
-        probability and return the accepted instances' joint output
-        categories, in order: bit 1 is an output-1 error and bit 0 an
-        output-2 error.  Each stream gives one draw per instance."""
-        patterns = self.patterns(k)
-        draws = self.draws[:k]
-        accepted = np.flatnonzero(rng_acc.random(out=draws) < self.accept.take(patterns))
-        u = rng_joint.random(out=draws).take(accepted)
-        patterns = patterns.take(accepted)
-        cat = np.greater(u, self.thresholds[0].take(patterns)).view(np.uint8)
-        for row in self.thresholds[1:]:
-            cat += np.greater(u, row.take(patterns))
-        return cat
+def _patterns(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(instances, patterns) of the instances with an error, in order, from
+    the sorted error positions of their locations, ten per instance:
+    location j of instance i is at 10 i + j and sets bit j."""
+    instances = positions // 10
+    first = np.empty(len(instances), dtype=bool)
+    first[:1] = True
+    np.not_equal(instances[1:], instances[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return instances[starts], np.bitwise_or.reduceat(1 << (positions - 10 * instances), starts)
 
 
 @dataclass(frozen=True)
@@ -188,40 +194,31 @@ def _within_3sigma(count: int, n: int, p_true: float) -> dict:
 def sample_routine(p: float, trials: int, seed: int) -> SampleStats:
     """Draw i.i.d. 10-bit patterns at error rate p and tally the verdicts.
 
-    Trials are drawn ``SAMPLE_CHUNK`` at a time into one buffer; each stream
-    continues where the previous chunk stopped, so the tallies do not depend
-    on the chunk size and memory does not grow with ``trials``."""
+    Trials are taken ``SAMPLE_CHUNK`` at a time; each stream continues where
+    the previous chunk stopped, so the tallies do not depend on the chunk
+    size, and memory grows with neither ``trials`` nor the errors drawn."""
     _check_inputs(p, trials, "p", "trials")
-    size = min(SAMPLE_CHUNK, trials)
-    rng_bits, rng_acc, rng_joint = (_stream(seed, 0, purpose) for purpose in ("patterns", "accept", "joint"))
-    kernel = _TenToTwo(size)
-    draws = np.empty((size, 10))
-    counts = np.zeros(4, dtype=np.int64)  # clean, err2, err1, both
+    table = verdict_table()
+    locations = _Errors(_stream(seed, 0, "patterns"), p)
+    rng = _stream(seed, 0, "category")
+    counts = np.zeros(5, dtype=np.int64)  # per category, over instances with an error
     for start in range(0, trials, SAMPLE_CHUNK):
-        k = min(SAMPLE_CHUNK, trials - start)
-        np.less(rng_bits.random(out=draws[:k]), p, out=kernel.flags[:k])
-        counts += np.bincount(kernel.run(k, rng_acc, rng_joint), minlength=4)
-    _, err2, err1, both = map(int, counts)
-    return SampleStats(
-        p=p,
-        trials=trials,
-        seed=seed,
-        accepts=int(counts.sum()),
-        errors_out1=err1 + both,
-        errors_out2=err2 + both,
-        errors_both=both,
-    )
+        _, patterns = _patterns(locations.take(10 * min(SAMPLE_CHUNK, trials - start)))
+        counts += np.bincount(table.categories(patterns, rng.random(len(patterns))), minlength=5)
+    rejected, _, err2, err1, both = map(int, counts)
+    return SampleStats(p, trials, seed, trials - rejected, err1 + both, err2 + both, both)
 
 
 @dataclass
 class RoundTally:
     """Counts over one round's output states (round 0: the inputs), each an
     error bit; ``pairs``, ``sx``, ``sy`` and ``sxy`` count the disjoint
-    adjacent pairs (x, y) within blocks, for ``independence_check``."""
+    adjacent pairs (x, y) of states 2j and 2j + 1 within blocks, for
+    ``independence_check``."""
 
     round_index: int
     nominal_p: float
-    blocks: int
+    blocks: int = 0
     states: int = 0
     errors: int = 0
     pairs: int = 0
@@ -229,16 +226,24 @@ class RoundTally:
     sy: int = 0
     sxy: int = 0
 
-    def count(self, states: np.ndarray) -> None:
-        """Add a run of states that starts at an even position of its block."""
-        k = len(states) // 2
-        x, y = states[: 2 * k : 2], states[1 : 2 * k : 2]
-        self.states += len(states)
-        self.errors += int(np.count_nonzero(states))
-        self.pairs += k
-        self.sx += int(np.count_nonzero(x))
-        self.sy += int(np.count_nonzero(y))
-        self.sxy += int(np.count_nonzero(x & y))
+    def count(self, positions: np.ndarray, previous: int = -1) -> None:
+        """Add the errors at ``positions`` of one block, sorted and past the
+        block's error at ``previous`` (-1: none)."""
+        n_odd = int(np.count_nonzero(positions & 1))
+        self.errors += len(positions)
+        self.sx += len(positions) - n_odd
+        self.sy += n_odd
+        pair = np.concatenate(([previous >> 1], positions >> 1))  # repeats where both states err
+        self.sxy += int(np.count_nonzero(pair[1:] == pair[:-1]))
+
+    def close(self, length: int, last: int) -> None:
+        """Add a block of ``length`` states whose last error is at ``last``;
+        the last state of an odd block is in no pair."""
+        self.blocks += 1
+        self.states += length
+        self.pairs += length // 2
+        if length % 2 and last == length - 1:
+            self.sx -= 1
 
     def error_rate(self) -> float:
         return self.errors / self.states if self.states else float("nan")
@@ -257,52 +262,54 @@ class PipelineResult:
 
 
 class _Block:
-    """One block of a round's output states, counted into the round's tally
-    as its pieces arrive and kept in ``pieces`` unless the round is the
-    last.  ``RoundTally.count`` takes runs that start at even positions of
-    the block, so an odd last state waits for the next piece."""
+    """One block of a round's output states: its length and sorted error
+    positions.  Pieces are appended as the round produces them and counted
+    into the round's tally at once.  Unless the round is the last, the
+    positions are kept, and once closed the next round reads the block front
+    to back with ``take``."""
 
     def __init__(self, tally: RoundTally, keep: bool):
-        self.tally = tally
+        self.tally, self.length, self.last = tally, 0, -1
         self.pieces: list[np.ndarray] | None = [] if keep else None
-        self.odd = np.empty(0, dtype=bool)
+        self.read = 0
 
-    def append(self, piece: np.ndarray) -> None:
+    def append(self, length: int, positions: np.ndarray) -> None:
+        positions = positions + self.length
+        self.tally.count(positions, self.last)
+        if len(positions):
+            self.last = int(positions[-1])
         if self.pieces is not None:
-            self.pieces.append(piece)
-        states = np.concatenate((self.odd, piece)) if len(self.odd) else piece
-        cut = len(states) - len(states) % 2
-        if cut:
-            self.tally.count(states[:cut])
-        self.odd = states[cut:]
+            self.pieces.append(positions)
+        self.length += length
 
     def close(self) -> None:
-        self.tally.count(self.odd)
+        self.tally.close(self.length, self.last)
+        if self.pieces is not None:  # a block has at least one piece
+            self.positions, self.pieces = np.concatenate(self.pieces), None
+
+    def take(self, n: int) -> np.ndarray:
+        """The positions, counted from 0, of the errors among the next n states."""
+        lo, hi = self.positions.searchsorted((self.read, self.read + n))
+        positions = self.positions[lo:hi] - self.read
+        self.read += n
+        return positions
 
 
-def _runs(pieces: Iterable[np.ndarray], size: int) -> Iterator[np.ndarray]:
-    """A block's states, given as ``pieces`` in order, rejoined into runs whose
-    lengths are multiples of ``size``, then the shorter rest (maybe empty)."""
-    held, count = [], 0
-    for piece in pieces:
-        held.append(piece)
-        count += len(piece)
-        if count >= size:
-            joined, cut = np.concatenate(held), count - count % size
-            held, count = [joined[cut:]], count - cut
-            yield joined[:cut]
-    yield np.concatenate(held) if held else np.empty(0, dtype=bool)
+class _Inputs:
+    """Round 0: the k0 input states, drawn as round 1 takes them and counted
+    into the round's tally."""
 
+    def __init__(self, k0: int, p0: float, seed: int, tally: RoundTally):
+        self.length = k0
+        self.errors = _Errors(_stream(seed, 0, "inputs"), p0)
+        self.block = _Block(tally, keep=False)
 
-def _inputs(k0: int, p0: float, seed: int, block: _Block) -> Iterator[np.ndarray]:
-    """The input states, drawn ``SAMPLE_CHUNK`` at a time as round 1 takes
-    them, and counted into ``block``."""
-    rng = _stream(seed, 0, "inputs")
-    for start in range(0, k0, SAMPLE_CHUNK):
-        piece = rng.random(min(SAMPLE_CHUNK, k0 - start)) < p0
-        block.append(piece)
-        yield piece
-    block.close()
+    def take(self, n: int) -> np.ndarray:
+        positions = self.errors.take(n)
+        self.block.append(n, positions)
+        if self.block.length == self.length:
+            self.block.close()
+        return positions
 
 
 def run_blocked_pipeline(
@@ -318,74 +325,67 @@ def run_blocked_pipeline(
     outputs of each 10-to-2 instance adjacent in a single block, which
     reintroduces the pairwise output correlation.
 
-    Only counts are kept, in one ``RoundTally`` per round, and each state
-    is counted as it is produced.  The inputs are drawn ``SAMPLE_CHUNK``
-    states at a time straight into round 1, each later block, a list of
-    pieces, lives until the next round has taken it in runs of whole
-    groups, and the last round's outputs are not kept; the streams' draw
-    order, and so the output, does not depend on the chunk size.  Beyond a
-    per-chunk working set of a few MB, memory holds the outputs of one
-    round while the next round runs: at p0 = 0.02 the first round's take
-    0.05-0.2 B per input state, and a one-round pipeline keeps none.
+    A block is its length and sorted error positions; each state is counted
+    into its round's ``RoundTally`` as it is produced.  Rounds run
+    ``SAMPLE_CHUNK`` instances at a time, and accepted instance i becomes
+    output i minus the instances rejected before it.  The inputs are drawn
+    straight into round 1, a later block lives until the next round has read
+    it, and the last round's outputs are not kept; the output does not
+    depend on the chunk size.  Beside a per-chunk working set, memory holds
+    the error positions of one round's outputs (at p0 = 0.02 under 0.01 B
+    per input state; a one-round pipeline keeps none).
     """
     if grouping not in ("blocked", "instance"):
         raise ValueError("grouping must be 'blocked' or 'instance'")
     _check_inputs(p0, k0, "p0", "k0")
     model_seq = parse_sequence(seq)
     plan = evaluate_sequence(model_seq, p0)
-    tallies = [RoundTally(0, p0, blocks=1)]
-    blocks: list = [_inputs(k0, p0, seed, _Block(tallies[0], keep=False))]
-    kernel, halted = None, False
+    table = verdict_table()
+    tallies = [RoundTally(0, p0)]
+    blocks: list = [_Inputs(k0, p0, seed, tallies[0])]
     for l, (model, nominal) in enumerate(zip(model_seq, plan.rounds), start=1):
-        rng_acc, rng_joint, rng_err = (_stream(seed, l, purpose) for purpose in ("accept", "joint", "model_err"))
+        rng_cat = _stream(seed, l, "category")
+        rejects = _Errors(_stream(seed, l, "rejects"), 1 - nominal.acceptance)
+        errors = _Errors(_stream(seed, l, "errors"), nominal.p_out)
         ten_to_two = model.name == "A" and model.m == 10
-        if ten_to_two and kernel is None:
-            kernel = _TenToTwo(min(SAMPLE_CHUNK, k0 // model.m))
         width = 1 if ten_to_two and grouping == "instance" else model.n
         keep = l < len(model_seq)
-        tally = RoundTally(l, nominal.p_out, blocks=0)
+        tally = RoundTally(l, nominal.p_out)
         new_blocks = []
         while blocks:
-            outs: list[_Block] = []
-            for run in _runs(blocks.pop(0), model.m * SAMPLE_CHUNK):
-                nb = len(run) // model.m
-                if not nb:
-                    continue
-                outs = outs or [_Block(tally, keep) for _ in range(width)]
+            block = blocks.pop(0)
+            nb = block.length // model.m
+            outs = [_Block(tally, keep) for _ in range(width if nb else 0)]
+            for start in range(0, nb, SAMPLE_CHUNK):
+                k = min(SAMPLE_CHUNK, nb - start)
+                positions = block.take(model.m * k)
                 if ten_to_two:
-                    grouped = run[: nb * model.m].reshape(nb, model.m)
-                    for start in range(0, nb, SAMPLE_CHUNK):
-                        k = min(SAMPLE_CHUNK, nb - start)
-                        kernel.flags[:k] = grouped[start : start + k]
-                        cat = kernel.run(k, rng_acc, rng_joint)
-                        err1, err2 = (cat >> 1).view(bool), (cat & 1).view(bool)
-                        pieces = (err1, err2) if grouping == "blocked" else (np.stack((err1, err2), 1).ravel(),)
-                        for out, piece in zip(outs, pieces):
-                            out.append(piece)
+                    instances, patterns = _patterns(positions)
+                    cat = table.categories(patterns, rng_cat.random(len(patterns)))
+                    rejected, erring = instances[cat == 0], cat >= 2
+                    index = instances[erring] - rejected.searchsorted(instances[erring])
+                    cat = cat[erring]
+                    err1, err2, length = index[cat >= 3], index[cat % 2 == 0], k - len(rejected)
+                    if grouping == "blocked":
+                        pieces = [(length, err1), (length, err2)]
+                    else:
+                        pieces = [(2 * length, np.sort(np.concatenate((2 * err1, 2 * err2 + 1))))]
                 else:
-                    accepted = rng_acc.random(nb) < nominal.acceptance
-                    for out in outs:
-                        out.append((rng_err.random(nb) < nominal.p_out)[accepted])
+                    length = k - len(rejects.take(k))
+                    pieces = [(length, errors.take(length)) for _ in outs]
+                for out, piece in zip(outs, pieces):
+                    out.append(*piece)
+            if block.length > nb * model.m:
+                block.take(block.length - nb * model.m)  # round 0 counts every input
             for out in outs:
                 out.close()
-            tally.blocks += len(outs)
-            if keep:
-                new_blocks += [out.pieces for out in outs]
-        blocks = new_blocks
+            new_blocks += outs
+        blocks = new_blocks if keep else []
         tallies.append(tally)
         if not tally.states:
-            halted = True
             break
-    return PipelineResult(
-        k0=k0,
-        p0=p0,
-        seed=seed,
-        sequence=tuple(m.name for m in model_seq),
-        grouping=grouping,
-        tallies=tuple(tallies),
-        halted=halted,
-        plan=plan,
-    )
+    halted = not tallies[-1].states
+    return PipelineResult(k0, p0, seed, tuple(m.name for m in model_seq), grouping, tuple(tallies), halted, plan)
 
 
 @dataclass(frozen=True)

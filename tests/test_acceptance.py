@@ -175,7 +175,7 @@ def test_criterion_09_monte_carlo():
     ps = derive_polynomials()
     a = float(ps.acceptance(0.05))
     k0 = 10**6
-    res = run_blocked_pipeline(k0, "A", 0.05, seed=11)
+    res = run_blocked_pipeline(k0, "A", 0.05, seed=12)
     instances = k0 // 10
     sigma = math.sqrt(instances * a * (1 - a))
     mean_size = res.tallies[-1].states / res.tallies[-1].blocks
@@ -185,7 +185,7 @@ def test_criterion_09_monte_carlo():
     blocked = independence_check(res.tallies[-1])
     assert blocked.contains_zero()
     bad = independence_check(
-        run_blocked_pipeline(k0, "A", 0.05, seed=11, grouping="instance").tallies[-1]
+        run_blocked_pipeline(k0, "A", 0.05, seed=12, grouping="instance").tallies[-1]
     )
     assert not bad.contains_zero() and bad.ci_low > 0
     _ok(

@@ -1,5 +1,6 @@
 """Seeded Monte Carlo runs against the exact predictions."""
 
+import itertools
 import math
 import tracemalloc
 from functools import cache
@@ -13,6 +14,7 @@ from c4distill import montecarlo
 from c4distill.enumeration import exact_verdicts
 from c4distill.montecarlo import (
     RoundTally,
+    SampleStats,
     independence_check,
     pipeline_report,
     run_blocked_pipeline,
@@ -43,30 +45,30 @@ def test_tallies_bounded():
 
 
 # sample_routine(p, trials, seed=2024) as (p, trials, accepts, errors_out1,
-# errors_out2, errors_both), recorded with the packbits-and-cumulative-row
-# sampler that preceded the word-packing kernel.  The trial counts straddle
-# the chunk size at recording time, 2**16.
+# errors_out2, errors_both), recorded with the sparse-error kernel (geometric
+# gaps and one category draw per instance with an error).  The trial counts
+# straddle the chunk size, 2**16.
 _PINNED_TALLIES = [
     (0, 1, 1, 0, 0, 0),
     (0, 65536, 65536, 0, 0, 0),
     (0, 65537, 65537, 0, 0, 0),
     (0, 200003, 200003, 0, 0, 0),
-    (0.005, 1, 1, 0, 0, 0),
-    (0.005, 65536, 62209, 16, 16, 10),
-    (0.005, 65537, 62210, 16, 16, 10),
-    (0.005, 200003, 190229, 43, 42, 27),
-    (0.05, 1, 1, 0, 0, 0),
-    (0.05, 65536, 41064, 1048, 1074, 590),
-    (0.05, 65537, 41065, 1048, 1074, 590),
-    (0.05, 200003, 124858, 3300, 3261, 1844),
+    (0.005, 1, 0, 0, 0, 0),
+    (0.005, 65536, 62290, 17, 5, 4),
+    (0.005, 65537, 62291, 17, 5, 4),
+    (0.005, 200003, 190168, 40, 27, 19),
+    (0.05, 1, 0, 0, 0, 0),
+    (0.05, 65536, 40837, 1064, 1079, 568),
+    (0.05, 65537, 40838, 1064, 1079, 568),
+    (0.05, 200003, 124771, 3370, 3383, 1876),
     (0.1, 1, 0, 0, 0, 0),
-    (0.1, 65536, 27912, 3127, 3279, 1761),
-    (0.1, 65537, 27912, 3127, 3279, 1761),
-    (0.1, 200003, 84835, 9605, 9688, 5324),
+    (0.1, 65536, 27671, 3100, 3034, 1645),
+    (0.1, 65537, 27671, 3100, 3034, 1645),
+    (0.1, 200003, 84456, 9409, 9371, 5017),
     (0.49, 1, 0, 0, 0, 0),
-    (0.49, 65536, 16316, 8057, 8158, 4083),
-    (0.49, 65537, 16317, 8058, 8159, 4084),
-    (0.49, 200003, 50285, 25240, 25183, 12641),
+    (0.49, 65536, 16284, 8230, 8202, 4140),
+    (0.49, 65537, 16284, 8230, 8202, 4140),
+    (0.49, 200003, 49998, 25063, 25139, 12600),
 ]
 
 
@@ -78,7 +80,7 @@ def test_sample_tallies_are_pinned():
 
 def test_sample_tallies_do_not_depend_on_chunking(monkeypatch):
     # Recorded like _PINNED_TALLIES, at seed 23.
-    pinned = {0.05: (10_007, 6255, 159, 180, 95), 0.2: (3001, 810, 307, 295, 150)}
+    pinned = {0.05: (10_007, 6217, 147, 138, 76), 0.2: (3001, 888, 335, 337, 202)}
     for chunk in (montecarlo.SAMPLE_CHUNK, 1, 7, 1000):  # none divides the trial counts
         monkeypatch.setattr(montecarlo, "SAMPLE_CHUNK", chunk)
         for p, (trials, *counts) in pinned.items():
@@ -102,6 +104,23 @@ def test_bad_rates_and_counts_are_refused():
     assert run_blocked_pipeline(1, "A", 0.0, seed=1).halted
 
 
+def test_degenerate_rates_give_fixed_counts():
+    # Generator.geometric(0) raises, so no stream may draw at a rate of 0:
+    # p = 0, a 15-to-1 round that always accepts, and p_out = 0.  Every count
+    # here is deterministic.
+    assert sample_routine(0.0, 70_001, seed=1) == SampleStats(0.0, 70_001, 1, 70_001, 0, 0, 0)
+    # Ten errors make pattern 1023, always accepted with both outputs wrong.
+    assert sample_routine(1.0, 70_001, seed=1) == SampleStats(1.0, 70_001, 1, 70_001, 70_001, 70_001, 70_001)
+    states = {"A": [3000, 600], "B": [3000, 200], "AB": [3000, 600, 40], "BA": [3000, 200, 40]}
+    for seq, counts in states.items():
+        for p0 in (0.0, 1.0):
+            for grouping in ("blocked", "instance"):
+                res = run_blocked_pipeline(3000, seq, p0, seed=1, grouping=grouping)
+                assert [t.states for t in res.tallies] == counts, (seq, p0, grouping)
+                assert [t.errors for t in res.tallies] == [round(p0 * n) for n in counts], (seq, p0, grouping)
+                assert not res.halted
+
+
 def test_seeds_outside_64_bits_are_refused():
     # Masking would alias them onto the streams of another seed.
     for seed in (-1, 1 << 64):
@@ -112,26 +131,145 @@ def test_seeds_outside_64_bits_are_refused():
     assert sample_routine(0.05, 10, seed=(1 << 64) - 1).trials == 10
 
 
+def _reference_positions(rng, p: float, n: int) -> np.ndarray:
+    """The error positions among n Bernoulli(p) flags, from one whole array
+    of geometric gaps summed in Python integers: the first error is at its
+    gap - 1."""
+    if p <= 0:
+        return np.empty(0, dtype=np.int64)
+    ends = itertools.accumulate(rng.geometric(min(p, 1.0), n + 1).tolist())
+    return np.array(list(itertools.takewhile(lambda end: end <= n, ends)), dtype=np.int64) - 1
+
+
+def _reference_flags(rng, p: float, n: int) -> np.ndarray:
+    flags = np.zeros(n, dtype=bool)
+    flags[_reference_positions(rng, p, n)] = True
+    return flags
+
+
+@settings(max_examples=60)
+@given(
+    st.sampled_from([0.0, 1e-30, 0.003, 0.05, 0.3, 0.5, 0.9, 1.0]),
+    st.lists(st.integers(0, 700), min_size=1, max_size=12),
+    st.integers(0, 3),
+)
+@example(0.05, [0, 1, 0, 699], 0)
+@example(1.0, [3, 0, 5], 1)
+def test_error_positions_do_not_depend_on_takes(p, takes, seed):
+    # Batches of gaps run out within a take and gaps carry across takes, but
+    # the positions equal the whole-array reference's.
+    errors = montecarlo._Errors(montecarlo._stream(seed, 0, "inputs"), p)
+    starts = np.cumsum([0] + takes)
+    got = np.concatenate([errors.take(n) + start for n, start in zip(takes, starts)])
+    expected = _reference_positions(montecarlo._stream(seed, 0, "inputs"), p, int(starts[-1]))
+    assert got.tolist() == expected.tolist()
+
+
+def test_sampled_pattern_law_is_the_product_bernoulli_law():
+    # Bound set before the run: chi-square with 1023 degrees of freedom
+    # exceeds 1318 with probability 1e-9.  At p = 0.3 (geometric by
+    # inversion) and 0.45 (by search) every pattern expects 5 or more of the
+    # 10**6 instances.
+    weights = np.array([bin(bits).count("1") for bits in range(1024)])
+    for p, seed in ((0.3, 1), (0.45, 2)):
+        errors = montecarlo._Errors(montecarlo._stream(seed, 0, "patterns"), p)
+        counts = np.zeros(1024, dtype=np.int64)
+        for _ in range(10):
+            _, patterns = montecarlo._patterns(errors.take(10**6))
+            counts += np.bincount(patterns, minlength=1024)
+        counts[0] = 10**6 - counts.sum()
+        expected = 10**6 * p**weights * (1 - p) ** (10 - weights)
+        assert expected.min() >= 5
+        assert ((counts - expected) ** 2 / expected).sum() <= 1318, p
+
+
+def test_each_flag_has_the_error_rate():
+    # Over 4000 streams, the rate at each of the first 120 flags, taken as
+    # 40, 1 and 79 flags, lies within 5 sigma of p.  Flag 0 is where an
+    # off-by-one in the first gap shows, flags 40 and 41 where a restated
+    # carried gap does.
+    p, streams = 0.4, 4000
+    hits = np.zeros(120, dtype=np.int64)
+    for seed in range(streams):
+        errors = montecarlo._Errors(montecarlo._stream(seed, 0, "inputs"), p)
+        hits[errors.take(40)] += 1
+        hits[40 + errors.take(1)] += 1
+        hits[41 + errors.take(79)] += 1
+    sigma = math.sqrt(p * (1 - p) * streams)
+    assert np.abs(hits - p * streams).max() <= 5 * sigma
+
+
+@cache
+def _reference_table() -> np.ndarray:
+    """(1024, 4): each pattern's exact law of (reject, clean, output-2 error
+    only, output-1 error only), cumulative, in Fractions."""
+    rows = []
+    for v in exact_verdicts():
+        law = (1 - v.accept, v.accept - v.err1 - v.err2 + v.both, v.err2 - v.both, v.err1 - v.both)
+        rows.append(list(itertools.accumulate(law)))
+    return np.array(rows, dtype=object)
+
+
+def _pattern_classes() -> dict[str, list[int]]:
+    classes: dict[str, list[int]] = {
+        "always rejected": [], "always clean": [], "accepted with an error": [], "others": []}
+    for bits, v in enumerate(exact_verdicts()):
+        if v.accept == 0:
+            classes["always rejected"].append(bits)
+        elif v.accept == 1:
+            clean = v.err1 == v.err2 == 0
+            classes["always clean" if clean else "accepted with an error"].append(bits)
+        else:
+            classes["others"].append(bits)
+    return classes
+
+
+def test_category_law_is_exact():
+    # The category step, driven by N stratified uniforms (j + 1/2) / N per
+    # pattern, puts N times each category's exact probability into it, to
+    # within one.  Of the 128 always-accepted patterns only 32 are clean, so
+    # an instance must draw unless its pattern is 0.
+    classes = _pattern_classes()
+    assert {name: len(bits) for name, bits in classes.items()} == {
+        "always rejected": 640, "always clean": 32, "accepted with an error": 96, "others": 256}
+    n = 4096
+    u = (np.arange(n) + 0.5) / n
+    table = verdict_table()
+    exact = _reference_table()
+    for bits in range(1024):
+        cat = table.categories(np.full(n, bits), u)
+        counts = np.bincount(cat, minlength=5)
+        cumulative = np.cumsum(counts)[:4]
+        assert all(abs(c - n * f) <= 1 for c, f in zip(cumulative, exact[bits])), bits
+    for bits in classes["always rejected"]:
+        assert not table.categories(np.full(n, bits), u).any()
+    for bits in classes["always clean"]:
+        assert (table.categories(np.full(n, bits), u) == 1).all()
+    for bits in classes["accepted with an error"]:
+        assert (table.categories(np.full(n, bits), u) >= 2).all()
+
+
 @pytest.fixture
 def counted_blocks(monkeypatch):
-    """Calls return the (round, state bits) of each block the pipelines
-    since the last call have produced, in order, and forget them."""
-    log: list[tuple[int, list[bytes]]] = []
+    """Calls return the (round, length, error positions) of each block the
+    pipelines since the last call have produced, in order, and forget
+    them."""
+    log: list[tuple[int, list]] = []
 
     class RecordingBlock(montecarlo._Block):  # one per block, counted into its round
         def __init__(self, tally, keep):
             super().__init__(tally, keep)
-            self.bits: list[bytes] = []
-            log.append((tally.round_index, self.bits))
+            self.log: list = []
+            log.append((tally.round_index, self.log))
 
-        def append(self, piece):
-            self.bits.append(piece.tobytes())  # a copy: buffers may be reused
-            super().append(piece)
+        def append(self, length, positions):
+            self.log.append((length, (positions + self.length).tolist()))
+            super().append(length, positions)
 
     monkeypatch.setattr(montecarlo, "_Block", RecordingBlock)
 
-    def blocks() -> list[tuple[int, bytes]]:
-        out = [(round_index, b"".join(bits)) for round_index, bits in log]
+    def blocks() -> list[tuple[int, int, list[int]]]:
+        out = [(r, sum(n for n, _ in pieces), [i for _, pos in pieces for i in pos]) for r, pieces in log]
         log.clear()
         return out
 
@@ -145,71 +283,56 @@ def test_pipeline_does_not_depend_on_chunking(monkeypatch, counted_blocks, group
         blocks = counted_blocks()
         # Each state is counted once, into its own round's tally.
         for tally in res.tallies:
-            mine = [bits for r, bits in blocks if r == tally.round_index]
-            assert (len(mine), sum(map(len, mine))) == (tally.blocks, tally.states)
+            mine = [(n, pos) for r, n, pos in blocks if r == tally.round_index]
+            assert (len(mine), sum(n for n, _ in mine), sum(len(pos) for _, pos in mine)) == (
+                tally.blocks, tally.states, tally.errors)
         return pipeline_report(res), blocks
 
     sequences = ("AA", "BA", "A", "B")
     whole = {seq: run(seq) for seq in sequences}  # one chunk per draw
     # Round 1 has a non-degenerate correlation, so the reports compare it too.
     assert all(whole[seq][0]["rounds"][1]["within_block_correlation"]["value"] for seq in sequences)
-    for chunk in (1, 7, 777):  # none divides the state or instance counts
+    for chunk in (1, 7, 777, 1000):  # only 1000 divides an instance count
         monkeypatch.setattr(montecarlo, "SAMPLE_CHUNK", chunk)
         for seq in sequences:
             assert run(seq) == whole[seq], (seq, chunk)
 
 
-@cache
-def _reference_table() -> tuple[np.ndarray, np.ndarray]:
-    """(accept, joint_cum) from the exact verdicts: each pattern's acceptance
-    and its (1024, 4) conditional joint output distribution, cumulative over
-    (clean, err2, err1, both)."""
-    accept, joint = np.zeros(1024), np.zeros((1024, 4))
-    for bits, v in enumerate(exact_verdicts()):
-        acc, err1, err2, both, _ = v.as_floats()
-        accept[bits] = acc
-        if acc > 0:
-            joint[bits] = [(acc - err1 - err2 + both) / acc, (err2 - both) / acc, (err1 - both) / acc, both / acc]
-    return accept, np.cumsum(joint, axis=1)
-
-
-def _reference_pack(groups: np.ndarray) -> np.ndarray:
-    """The 10-bit pattern of each row of a (k, 10) bool array, column j as
-    bit j, by np.packbits."""
-    return np.packbits(groups, axis=1, bitorder="little").view("<u2")[:, 0]
-
-
-def _reference_instances(groups, acc, joint) -> tuple[np.ndarray, np.ndarray]:
-    """The accepted 10-to-2 instances' (output-1, output-2) errors, each
-    instance's joint category found by comparing its draw with its
-    pattern's whole cumulative row."""
-    accept, joint_cum = _reference_table()
-    patterns = _reference_pack(groups)
-    accepted = acc.random(len(patterns)) < accept[patterns]
-    cum = joint_cum[patterns[accepted]]
-    cat = (joint.random(len(patterns))[accepted][:, None] > cum[:, :3]).sum(axis=1)
-    return (cat == 2) | (cat == 3), (cat == 1) | (cat == 3)
+def _reference_instances(groups: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
+    """The accepted 10-to-2 instances' (output-1, output-2) errors from a
+    (k, 10) bool array: patterns by np.packbits, and one uniform, in order,
+    for each instance with a nonzero pattern, compared with its pattern's
+    whole cumulative row."""
+    patterns = np.packbits(groups, axis=1, bitorder="little").view("<u2")[:, 0]
+    drawn = np.flatnonzero(patterns)
+    cat = np.ones(len(patterns), dtype=int)  # pattern 0 is accepted clean
+    cumulative = _reference_table()[patterns[drawn]].astype(float)
+    cat[drawn] = (rng.random(len(drawn))[:, None] >= cumulative).sum(axis=1)
+    cat = cat[cat > 0]
+    return cat >= 3, (cat == 2) | (cat == 4)
 
 
 def _whole_block_pipeline(k0, seq, p0, seed, grouping) -> list[list[np.ndarray]]:
-    """Every round's blocks, each drawn and kept whole: the pipeline's
-    streams and regrouping, written without pieces, tallies or the
-    sampling kernel."""
+    """Every round's blocks as bool arrays, each drawn and kept whole: the
+    pipeline's streams and regrouping, written without chunks, tallies or
+    the sampling kernel.  A 15-to-1 round draws its rejections over all its
+    instances, then its errors over all its accepted outputs."""
     models = parse_sequence(seq)
-    rounds = [[montecarlo._stream(seed, 0, "inputs").random(k0) < p0]]
+    rounds = [[_reference_flags(montecarlo._stream(seed, 0, "inputs"), p0, k0)]]
     for l, (model, nominal) in enumerate(zip(models, evaluate_sequence(models, p0).rounds), 1):
-        acc, joint, err = (montecarlo._stream(seed, l, p) for p in ("accept", "joint", "model_err"))
+        nbs = [len(block) // model.m for block in rounds[-1]]
         blocks = []
-        for block in rounds[-1]:
-            nb = len(block) // model.m
-            if nb == 0:
-                continue
-            if model.name == "A":
-                err1, err2 = _reference_instances(block[: nb * 10].reshape(nb, 10), acc, joint)
-                blocks += [err1, err2] if grouping == "blocked" else [np.stack((err1, err2), 1).ravel()]
-            else:
-                accepted = acc.random(nb) < nominal.acceptance
-                blocks.append((err.random(nb) < nominal.p_out)[accepted])
+        if model.name == "A":
+            rng = montecarlo._stream(seed, l, "category")
+            for block, nb in zip(rounds[-1], nbs):
+                if nb:
+                    err1, err2 = _reference_instances(block[: nb * 10].reshape(nb, 10), rng)
+                    blocks += [err1, err2] if grouping == "blocked" else [np.stack((err1, err2), 1).ravel()]
+        else:
+            rejected = _reference_flags(montecarlo._stream(seed, l, "rejects"), 1 - nominal.acceptance, sum(nbs))
+            kept = [nb - int(r.sum()) for nb, r in zip(nbs, np.split(rejected, np.cumsum(nbs)[:-1]))]
+            errors = _reference_flags(montecarlo._stream(seed, l, "errors"), nominal.p_out, sum(kept))
+            blocks += [e for nb, e in zip(nbs, np.split(errors, np.cumsum(kept)[:-1])) if nb]
         rounds.append(blocks)
         if not sum(map(len, blocks)):
             break
@@ -219,9 +342,8 @@ def _whole_block_pipeline(k0, seq, p0, seed, grouping) -> list[list[np.ndarray]]
 def test_sampling_matches_reference_instances():
     # sample_routine's tallies, recomputed from the streams by the reference.
     trials, p, seed = 30_011, 0.08, 37
-    groups = montecarlo._stream(seed, 0, "patterns").random((trials, 10)) < p
-    acc, joint = (montecarlo._stream(seed, 0, purpose) for purpose in ("accept", "joint"))
-    err1, err2 = _reference_instances(groups, acc, joint)
+    groups = _reference_flags(montecarlo._stream(seed, 0, "patterns"), p, 10 * trials).reshape(trials, 10)
+    err1, err2 = _reference_instances(groups, montecarlo._stream(seed, 0, "category"))
     s = sample_routine(p, trials, seed)
     assert (s.accepts, s.errors_out1, s.errors_out2, s.errors_both) == (
         len(err1), err1.sum(), err2.sum(), (err1 & err2).sum())
@@ -232,21 +354,15 @@ _flag_rows = st.integers(0, 40).flatmap(
         lambda flat: np.array(flat, dtype=bool).reshape(k, 10)))
 
 
-@given(st.lists(_flag_rows, min_size=1, max_size=3), st.integers(0, 9))
-@example([np.zeros((0, 10), dtype=bool)], 0)
-@example([np.ones((1, 10), dtype=bool)], 0)
-@example([np.ones((40, 10), dtype=bool), np.eye(10, dtype=bool)], 3)
-def test_word_packing_equals_packbits(batches, offset):
-    # One kernel packs several batches in turn, as a pipeline round does,
-    # and each batch is also read as the pipeline's reshaped view of a
-    # block that starts ``offset`` states into a run.
-    kernel = montecarlo._TenToTwo(40)
-    for groups in batches:
-        k = len(groups)
-        run = np.concatenate((np.zeros(offset, dtype=bool), groups.ravel()))
-        for view in (groups, run[offset:].reshape(k, 10)):
-            kernel.flags[:k] = view
-            assert np.array_equal(kernel.patterns(k), _reference_pack(view))
+@given(_flag_rows)
+@example(np.zeros((0, 10), dtype=bool))
+@example(np.ones((3, 10), dtype=bool))
+@example(np.eye(10, dtype=bool))
+def test_position_packing_equals_packbits(groups):
+    instances, patterns = montecarlo._patterns(np.flatnonzero(groups))
+    packed = np.packbits(groups, axis=1, bitorder="little").view("<u2")[:, 0]
+    assert instances.tolist() == np.flatnonzero(packed).tolist()
+    assert patterns.tolist() == packed[instances].tolist()
 
 
 @pytest.mark.parametrize("grouping", ["blocked", "instance"])
@@ -255,7 +371,7 @@ def test_pipeline_matches_whole_block_reference(counted_blocks, grouping):
         for k0 in (25, 2003, 30_007):
             res = run_blocked_pipeline(k0, seq, 0.05, seed=31, grouping=grouping)
             rounds = _whole_block_pipeline(k0, seq, 0.05, 31, grouping)
-            expected = [(r, b.tobytes()) for r, blocks in enumerate(rounds) for b in blocks]
+            expected = [(r, len(b), np.flatnonzero(b).tolist()) for r, blocks in enumerate(rounds) for b in blocks]
             assert counted_blocks() == expected, (seq, k0)
             assert [t.blocks for t in res.tallies] == [len(blocks) for blocks in rounds], (seq, k0)
             assert res.halted == (sum(map(len, rounds[-1])) == 0), (seq, k0)
@@ -272,20 +388,22 @@ def _pipeline_peak_bytes(k0: int, seq: str, grouping: str) -> int:
 
 
 @pytest.mark.parametrize("grouping", ["blocked", "instance"])
-def test_pipeline_memory_is_about_a_byte_per_state(monkeypatch, grouping):
-    # Only counts and the first round's outputs (0.05-0.2 B/state at
-    # p0 = 0.02) are kept, beside a fixed per-chunk working set; the last
-    # round's outputs are counted as they are produced, so a one-round
-    # pipeline keeps no states at all.
+def test_pipeline_memory_is_about_a_byte_per_state(grouping):
+    # Only counts and the error positions of the first round's outputs
+    # (under 0.01 B/state at p0 = 0.02) are kept, beside a per-chunk working
+    # set; the last round's outputs are counted as they are produced.
     for seq in ("AA", "BA", "A"):
-        assert _pipeline_peak_bytes(4 * 10**6, seq, grouping) <= 2 * 4 * 10**6, seq
-    # With smaller chunks both runs take many pieces, even in a 15-to-1
-    # round, and the working set cancels in the growth.
-    monkeypatch.setattr(montecarlo, "SAMPLE_CHUNK", 1 << 13)
-    for seq, bound in (("AA", 0.25), ("BA", 0.25), ("A", 0.05)):
-        small = _pipeline_peak_bytes(10**6, seq, grouping)
-        large = _pipeline_peak_bytes(4 * 10**6, seq, grouping)
-        assert (large - small) / (3 * 10**6) <= bound, seq
+        small = _pipeline_peak_bytes(4 * 10**6, seq, grouping)
+        large = _pipeline_peak_bytes(4 * 10**7, seq, grouping)
+        assert small <= 2 * 4 * 10**6, seq
+        assert (large - small) / (36 * 10**6) <= 0.03, seq
+
+
+def _tally_reference(block: np.ndarray) -> tuple[int, ...]:
+    """(states, errors, pairs, sx, sy, sxy) of one bool block."""
+    k = len(block) // 2
+    x, y = block[: 2 * k : 2], block[1 : 2 * k : 2]
+    return len(block), int(block.sum()), k, int(x.sum()), int(y.sum()), int((x & y).sum())
 
 
 @given(st.lists(st.booleans(), max_size=60), st.lists(st.integers(0, 61), max_size=6))
@@ -293,16 +411,17 @@ def test_pipeline_memory_is_about_a_byte_per_state(monkeypatch, grouping):
 @example([], [0, 0])
 def test_block_counts_its_pieces_like_the_whole_block(states, cuts):
     block = np.array(states, dtype=bool)
-    whole = RoundTally(1, 0.1, blocks=1)
-    whole.count(block)
-    tally = RoundTally(1, 0.1, blocks=1)
+    tally = RoundTally(1, 0.1)
     counted = montecarlo._Block(tally, keep=True)
     pieces = np.split(block, sorted(cuts))
     for piece in pieces:
-        counted.append(piece)
+        counted.append(len(piece), np.flatnonzero(piece))
     counted.close()
-    assert tally == whole
-    assert counted.pieces == pieces  # the very arrays, kept in order
+    assert (tally.blocks, tally.states, tally.errors, tally.pairs, tally.sx, tally.sy, tally.sxy) == (
+        1, *_tally_reference(block))
+    # The next round reads the kept block back in other cuts.
+    pieces = np.split(block, sorted(cut // 2 for cut in cuts))
+    assert [counted.take(len(piece)).tolist() for piece in pieces] == [np.flatnonzero(p).tolist() for p in pieces]
 
 
 def _corrcoef_reference(blocks: list[np.ndarray]) -> tuple[int, float, bool]:
@@ -326,11 +445,13 @@ _bool_blocks = st.lists(st.lists(st.booleans(), max_size=61) | _uniform_block, m
 @example([[True, True, False, False] * 5 + [True]])  # perfectly correlated
 def test_count_correlation_matches_corrcoef(raw_blocks):
     blocks = [np.array(b, dtype=bool) for b in raw_blocks]
-    tally = RoundTally(0, 0.1, blocks=len(blocks))
+    tally = RoundTally(0, 0.1)
     for block in blocks:
-        cut = len(block) // 4 * 2  # each block counted as two runs, the first even
-        tally.count(block[:cut])
-        tally.count(block[cut:])
+        positions = np.flatnonzero(block)
+        cut = len(positions) // 3  # each block counted as two runs of errors
+        tally.count(positions[:cut])
+        tally.count(positions[cut:], positions[cut - 1] if cut else -1)
+        tally.close(len(block), positions[-1] if len(positions) else -1)
     report = independence_check(tally)
     pairs, r, degenerate = _corrcoef_reference(blocks)
     assert (report.pairs, report.degenerate) == (pairs, degenerate)
@@ -377,23 +498,20 @@ def test_three_sigma_agreement_at_five_percent(polyset):
 
 def test_verdict_table_consistency():
     table = verdict_table()
-    accept, joint_cum = _reference_table()
-    assert np.array_equal(table.accept, accept)
-    # The thresholds are the first three columns of the cumulative rows.
-    assert table.thresholds.shape == (3, 1024) and table.thresholds.flags.c_contiguous
-    assert np.array_equal(table.thresholds, joint_cum[:, :3].T)
-    # Row sums of the conditional joint reach 1 wherever acceptance > 0.
-    for bits in (0, 3, 1023, 0b1100):
-        if accept[bits] > 0:
-            assert joint_cum[bits, 3] == pytest.approx(1.0, abs=1e-12)
-    assert np.all(np.diff(table.thresholds, axis=0) >= 0)
+    # The float table is the exact cumulative law, rounded once (here exactly).
+    assert table.cumulative.shape == (4, 1024) and table.cumulative.flags.c_contiguous
+    assert table.cumulative.T.tolist() == _reference_table().tolist()
+    assert np.all(np.diff(table.cumulative, axis=0) >= 0)
+    assert table.cumulative.min() >= 0 and table.cumulative.max() <= 1
+    # Pattern 0 is always accepted clean, so it needs no draw.
+    assert table.cumulative[:, 0].tolist() == [0, 1, 1, 1]
 
 
 def test_pipeline_noise_free(counted_blocks):
     res = run_blocked_pipeline(10_000, "A", 0.0, seed=2)
     final = res.tallies[-1]
     assert final.blocks == 2
-    assert [len(bits) for r, bits in counted_blocks() if r == 1] == [1000, 1000]
+    assert [(n, pos) for r, n, pos in counted_blocks() if r == 1] == [(1000, []), (1000, [])]
     assert final.error_rate() == 0.0
     report = independence_check(final)
     assert report.degenerate and report.correlation == 0.0
@@ -443,11 +561,11 @@ def test_pipeline_nominal_rates_are_the_planners():
 
 
 def test_blocked_outputs_uncorrelated_but_instance_grouping_is_not(polyset):
-    res = run_blocked_pipeline(10**6, "A", 0.05, seed=11)
+    res = run_blocked_pipeline(10**6, "A", 0.05, seed=12)
     blocked = independence_check(res.tallies[-1])
     assert blocked.contains_zero()
 
-    res_bad = run_blocked_pipeline(10**6, "A", 0.05, seed=11, grouping="instance")
+    res_bad = run_blocked_pipeline(10**6, "A", 0.05, seed=12, grouping="instance")
     bad = independence_check(res_bad.tallies[-1])
     assert not bad.contains_zero()
     assert bad.ci_low > 0
@@ -459,6 +577,14 @@ def test_blocked_outputs_uncorrelated_but_instance_grouping_is_not(polyset):
     both_cond = (2 * u - u2) / a
     rho = (both_cond - e_cond**2) / (e_cond * (1 - e_cond))
     assert bad.correlation == pytest.approx(rho, abs=0.05)
+
+
+def test_golden_case_correlations():
+    # tests/golden/pipeline.json's run, and the same run grouped by instance.
+    blocked, instance = (
+        independence_check(run_blocked_pipeline(2000, "A", 0.05, seed=3, grouping=g).tallies[1])
+        for g in ("blocked", "instance"))
+    assert blocked.contains_zero() and not instance.contains_zero()
 
 
 def test_pipeline_halts_when_exhausted():
