@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import suppress
 from math import exp, log
 from typing import Optional, Sequence
 
@@ -220,6 +221,16 @@ def cmd_plan(args) -> int:
     return EXIT_OK
 
 
+def _count(text: str) -> int:
+    """A whole number, which may also be written as a float literal such as 1e9."""
+    with suppress(ValueError):
+        return int(text)
+    with suppress(ValueError):
+        if float(text).is_integer():
+            return int(float(text))
+    raise argparse.ArgumentTypeError(f"{text!r} is not a finite whole number")
+
+
 def _check_seed(seed: int):
     if not 0 <= seed < 1 << 64:
         raise UsageError("--seed must lie in [0, 2**64)")
@@ -264,10 +275,8 @@ def cmd_verify_identities(args) -> int:
     for name, (ok, dist) in results.items():
         group = IDENTITIES[name][0]
         ok_all &= ok
-        if args.verbose:
-            lines.append(f"{'PASS' if ok else 'FAIL'} [{group}] {name} ({dist:.2e})")
-        else:
-            lines.append(f"{'PASS' if ok else 'FAIL'} [{group}] {name}")
+        detail = f" ({dist:.2e})" if args.verbose else ""
+        lines.append(f"{'PASS' if ok else 'FAIL'} [{group}] {name}{detail}")
     _emit("\n".join(lines), args.output)
     return EXIT_OK if ok_all else EXIT_MISMATCH
 
@@ -322,11 +331,11 @@ def build_parser() -> _Parser:
 
     p = add("simulate", cmd_simulate, "Monte Carlo run of the 10-to-2 routine")
     p.add_argument("--p", type=float, required=True)
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--trials", type=_count, required=True)
     p.add_argument("--seed", type=int, default=0)
 
     p = add("pipeline", cmd_pipeline, "blocked multi-round pipeline")
-    p.add_argument("--k0", type=int, required=True)
+    p.add_argument("--k0", type=_count, required=True)
     p.add_argument("--seq", required=True)
     p.add_argument("--p0", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)

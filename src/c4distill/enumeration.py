@@ -66,7 +66,9 @@ class ExactVerdict:
     either: Fraction
 
     def as_floats(self) -> tuple[float, float, float, float, float]:
-        return tuple(float(v) for v in (self.accept, self.err1, self.err2, self.both, self.either))
+        # float(Fraction) is this int/int true division, reached through numbers.Rational.
+        values = (self.accept, self.err1, self.err2, self.both, self.either)
+        return tuple(v.numerator / v.denominator for v in values)
 
     def error_class(self) -> str:
         """Conditional classification of a pattern's accepted branch, by
@@ -272,17 +274,17 @@ class DenseClassifier:
         circuit, locations = build_distillation_circuit()
         reference = reference_outcomes(circuit)
         width = circuit.width
-        rows = np.arange(N_PATTERNS)
         state = np.zeros((2,) * width + (N_PATTERNS,), dtype=complex)
         state[(0,) * width] = 1.0
         branch = Branch(state)
         for index, el in enumerate(circuit.elements):
             for loc in locations:
                 if loc.insert_index == index:
-                    hit = rows >> loc.id & 1 == 1
+                    # The batch axis split at bit loc.id: index 1 of its middle axis holds the hit rows.
+                    split = branch.state.reshape(branch.state.shape[:-1] + (-1, 2, 1 << loc.id))
                     for op, wire in loc.paulis:
-                        flipped = apply_unitary(branch.state, GATE_MATRICES[op], (wire,))
-                        branch.state = np.where(hit, flipped, branch.state)
+                        split[..., 1, :] = apply_unitary(split[..., 1, :], GATE_MATRICES[op], (wire,))
+                    branch.state = split.reshape(branch.state.shape)
             (branch,) = apply_element(branch, el, reference)
         out1, out2 = circuit.labels["out1"], circuit.labels["out2"]
         st = apply_unitary(apply_unitary(branch.state, H_BASIS, (out1,)), H_BASIS, (out2,))

@@ -324,3 +324,23 @@ def test_verify_identities_all_pass():
     lines = [l for l in out.strip().split("\n") if l]
     assert len(lines) == 15
     assert all(l.startswith("PASS") for l in lines)
+
+
+def test_counts_accept_integral_float_literals(capsys):
+    """--k0 and --trials read a count as the documents write it (1e9), and a
+    count written either way gives byte-identical output; a fractional,
+    infinite, overflowing or malformed count is a usage error."""
+    argv = ["pipeline", "--seq", "AA", "--p0", "0.02", "--seed", "5", "--k0"]
+    code, out = run_cli(argv + ["4000000"])
+    assert code == EXIT_OK and run_cli(argv + ["4e6"]) == (code, out)
+    argv = ["simulate", "--p", "0.05", "--seed", "5", "--trials"]
+    code, out = run_cli(argv + ["20000"])
+    assert code == EXIT_OK and run_cli(argv + ["2e4"]) == run_cli(argv + ["2.0E+4"]) == (code, out)
+    for bad in ("1.5", "inf", "nan", "1e400", "-inf", "1e-3", "abc", "4/2", ""):
+        for argv in (
+            ["pipeline", "--seq", "AA", "--p0", "0.02", f"--k0={bad}"],
+            ["simulate", "--p", "0.05", f"--trials={bad}"],
+        ):
+            capsys.readouterr()
+            assert run_cli(argv)[0] == EXIT_USAGE, argv
+            assert f"{bad!r} is not a finite whole number" in capsys.readouterr().err, argv

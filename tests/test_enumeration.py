@@ -14,6 +14,7 @@ from c4distill.enumeration import (
     PUBLISHED_EITHER,
     PUBLISHED_MARGINAL,
     DenseClassifier,
+    ExactVerdict,
     FrameClassifier,
     classification_report,
     derive_polynomials,
@@ -164,6 +165,19 @@ def test_odd_weight_gate_only_patterns_rejected():
     for gate_bits in range(256):
         if bin(gate_bits).count("1") % 2 == 1:
             assert float(verdicts[gate_bits << 2].accept) == 0.0, gate_bits
+
+
+def test_as_floats_equals_float_bit_for_bit():
+    """as_floats divides numerator by denominator; it must round exactly as
+    float(Fraction) does, for every field of every pattern, and for ratios
+    that are not dyadic or whose terms exceed 2**53."""
+    hard = ExactVerdict(
+        Fraction(1, 3), Fraction(2**80 + 1, 3**50), Fraction(-7, 10), Fraction(10**400, 10**399 + 1), Fraction(0)
+    )
+    for bits, v in enumerate(exact_verdicts() + (hard,)):
+        got, want = v.as_floats(), tuple(float(f) for f in astuple(v))
+        assert len(got) == 5 and all(type(g) is float for g in got), bits
+        assert [g.hex() for g in got] == [w.hex() for w in want], bits
 
 
 def test_dense_and_frame_agree_on_all_patterns():

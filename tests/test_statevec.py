@@ -1,15 +1,21 @@
 """Dense simulator basics, measurement gadget, and cross-module checks."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from c4distill.circuits import Circuit, Element, gates
-from c4distill.pauli import GATE_ACTIONS, PauliString, embedded_action
+from c4distill.pauli import GATE_ACTIONS, DimensionError, PauliString, embedded_action
 from c4distill.statevec import (
+    _CHOI_ROWS,
     GATE_MATRICES,
     SimulationError,
+    _choi_deviation,
+    apply_unitary,
     channel_distance,
     labeled_kraus,
     run,
@@ -92,8 +98,6 @@ def test_identity_circuit_equals_empty():
 
 
 def test_channel_width_mismatch():
-    from c4distill.pauli import DimensionError
-
     with pytest.raises(DimensionError):
         channel_distance(Circuit(1, ()), Circuit(2, ()))
 
@@ -158,3 +162,101 @@ def test_named_cliffords_match_pauli_tables():
                 want = phase * kron_all(label[-n:])
                 got = mat @ kron_all("I" * qubit + kind + "I" * (n - qubit - 1)) @ mat.conj().T
                 assert np.allclose(got, want, atol=1e-12), (name, qubit, kind)
+
+
+def _full_register_matrix(mat, wires, width):
+    """The gate as a 2^width x 2^width matrix: kron with the identity on the
+    other wires, which puts the gate's wires first, then a transpose of the
+    2 * width tensor axes back to wire order (wire 0 most significant)."""
+    order = list(wires) + [w for w in range(width) if w not in wires]
+    full = np.kron(mat, np.eye(2 ** (width - len(wires)))).reshape((2,) * 2 * width)
+    perm = [order.index(w) for w in range(width)]
+    return full.transpose(perm + [width + p for p in perm]).reshape(2**width, 2**width)
+
+
+def _check_kernel(name, wires, width, batch, strided, seed):
+    rng = np.random.default_rng(seed)
+    shape = (2,) * width + tuple(batch)
+    state = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    if strided and state.ndim > 1:
+        # The same values as a non-contiguous view of a transposed buffer.
+        state = np.moveaxis(np.ascontiguousarray(np.moveaxis(state, 0, -1)), -1, 0)
+        assert not state.flags["C_CONTIGUOUS"]
+    before = state.copy()
+    got = apply_unitary(state, GATE_MATRICES[name], wires)
+    full = _full_register_matrix(GATE_MATRICES[name], wires, width)
+    want = (full @ before.reshape(2**width, -1)).reshape(shape)
+    assert got.shape == shape
+    assert np.allclose(got, want, rtol=0, atol=1e-12), (name, wires, width, batch, strided)
+    assert np.array_equal(state, before)  # the input is not written
+
+
+def test_kernel_on_every_gate_and_wire_order():
+    """Every gate on every ordered wire tuple of a 5-wire register, reversed
+    and non-adjacent ones included, with two batch axes, contiguous or not."""
+    for name, mat in sorted(GATE_MATRICES.items()):
+        k = mat.shape[0].bit_length() - 1
+        for wires in itertools.permutations(range(5), k):
+            for strided in (False, True):
+                _check_kernel(name, wires, 5, (3, 2), strided, seed=len(wires))
+
+
+@given(
+    name=st.sampled_from(sorted(GATE_MATRICES)),
+    width=st.integers(1, 5),
+    batch=st.lists(st.integers(1, 3), max_size=2),
+    strided=st.booleans(),
+    data=st.data(),
+)
+def test_kernel_matches_full_register_matrix(name, width, batch, strided, data):
+    k = GATE_MATRICES[name].shape[0].bit_length() - 1
+    if k > width:
+        width = k
+    wires = tuple(data.draw(st.permutations(range(width)))[:k])
+    _check_kernel(name, wires, width, batch, strided, seed=data.draw(st.integers(0, 2**32 - 1)))
+
+
+def _brute_choi_deviation(a, b):
+    """max |J_a - J_b| with J = sum over Kraus operators K of vec(K) vec(K)^+."""
+    size = (a or b)[0].size
+    choi_a, choi_b = (
+        sum((np.outer(k.reshape(-1), k.reshape(-1).conj()) for k in ks), np.zeros((size, size)))
+        for ks in (a, b)
+    )
+    return float(np.abs(choi_a - choi_b).max())
+
+
+def _kraus_list(rng, count, shape):
+    return [rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(count)]
+
+
+@given(
+    shape=st.sampled_from([(1, 1), (2, 2), (3, 5), (2, 16), (6, 7), (8, 16)]),
+    counts=st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(any),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_choi_deviation_matches_brute_force(shape, counts, seed):
+    """Unequal Kraus counts, an empty side, and sizes below, at and above the
+    row block, including a partial last block."""
+    rng = np.random.default_rng(seed)
+    a, b = (_kraus_list(rng, n, shape) for n in counts)
+    assert _choi_deviation(a, b) == pytest.approx(_brute_choi_deviation(a, b), rel=1e-12, abs=1e-13)
+
+
+def test_choi_deviation_special_pairs():
+    rng = np.random.default_rng(5)
+    for shape in ((2, 2), (8, 16), (6, 7)):
+        a = _kraus_list(rng, 3, shape)
+        # A global phase on every operator does not change the channel.
+        assert _choi_deviation(a, [np.exp(0.7j) * k for k in a]) <= 1e-12
+        assert _choi_deviation(a, a[::-1]) <= 1e-12
+        # J_a - J_b differs from 0 in its last diagonal entry only, which
+        # lies in the last block of rows.
+        last = np.zeros(shape, dtype=complex)
+        last[-1, -1] = 1j
+        for other in ([], [np.zeros(shape)]):
+            assert _choi_deviation([last], other) == 1.0
+            assert _choi_deviation(other, [last]) == 1.0
+    assert (8 * 16) % _CHOI_ROWS == 0 and (6 * 7) % _CHOI_ROWS != 0
+    with pytest.raises(DimensionError):
+        _choi_deviation([np.eye(2)], [np.eye(4)])
