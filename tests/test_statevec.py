@@ -178,10 +178,11 @@ def _check_kernel(name, wires, width, batch, strided, seed):
     rng = np.random.default_rng(seed)
     shape = (2,) * width + tuple(batch)
     state = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    if strided and state.ndim > 1:
-        # The same values as a non-contiguous view of a transposed buffer.
+    if strided:
+        # The same values as a moveaxis view of a buffer that holds axis 0
+        # last, which is non-contiguous unless the state has two entries.
         state = np.moveaxis(np.ascontiguousarray(np.moveaxis(state, 0, -1)), -1, 0)
-        assert not state.flags["C_CONTIGUOUS"]
+        assert state.flags["C_CONTIGUOUS"] == (state.size == 2)
     before = state.copy()
     got = apply_unitary(state, GATE_MATRICES[name], wires)
     full = _full_register_matrix(GATE_MATRICES[name], wires, width)
