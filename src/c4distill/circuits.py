@@ -73,14 +73,12 @@ def gates(*specs: GateSpec) -> list[Element]:
 class CodeDefinition:
     """The [[4,2,2]] error-detecting code and our logical operator choices."""
 
-    n: int
     stabilizers: tuple[PauliString, PauliString]
     logical_x: tuple[PauliString, PauliString]
     logical_z: tuple[PauliString, PauliString]
 
 
 CODE = CodeDefinition(
-    n=4,
     stabilizers=(PauliString.from_label("XXXX"), PauliString.from_label("ZZZZ")),
     logical_x=(PauliString.from_label("XXII"), PauliString.from_label("XIIX")),
     logical_z=(PauliString.from_label("ZIIZ"), PauliString.from_label("ZZII")),

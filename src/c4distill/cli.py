@@ -325,8 +325,9 @@ def build_parser() -> _Parser:
 
     p = add("plan", cmd_plan, "cheapest sequence reaching a goal error")
     p.add_argument("--p0", type=float, required=True)
-    p.add_argument("--eg", type=float)
-    p.add_argument("--R", type=float)
+    goal = p.add_mutually_exclusive_group()
+    goal.add_argument("--eg", type=float)
+    goal.add_argument("--R", type=float)
     p.add_argument("--max-rounds", type=int, default=6)
 
     p = add("simulate", cmd_simulate, "Monte Carlo run of the 10-to-2 routine")

@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import zip_longest
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .circuits import CODE, build_distillation_circuit, reference_outcomes
 from .exactalg import E_ONE, E_ZERO, Exact, ExactPolynomial
@@ -89,8 +89,7 @@ class ExactVerdict:
         )
 
 
-@dataclass(frozen=True)
-class DenseVerdict:
+class DenseVerdict(NamedTuple):
     accept: float
     err1: float
     err2: float

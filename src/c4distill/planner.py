@@ -16,15 +16,17 @@ subnormal or zero, only where it is reported or compared.
 
 The sequence search walks the tree of sequence prefixes once: each prefix
 is one step from its parent, and the subtree below a diverged prefix is
-skipped.  ``evaluate_sequence`` runs the same steps, so every value a plan
-reports is the value the search compared.
+skipped.  The 15-to-1-only reference of an improvement factor is the first
+hit of the same walk over one routine.  ``evaluate_sequence`` runs the same
+steps, so every value a plan reports is the value the search compared.
+Thresholds and curve crossings share one bisection.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cache
-from math import frexp, inf, ldexp, log
+from math import ceil, frexp, inf, ldexp, log, log2
 from typing import Iterator, Optional, Sequence
 
 from .routines import RoutineModel, VanishingDenominator, builtin_models
@@ -64,23 +66,7 @@ class DistillationPlan:
         return "".join(self.sequence) or "(none)"
 
     def as_dict(self) -> dict:
-        return {
-            "sequence": self.name,
-            "p0": self.p0,
-            "final_error": self.final_error,
-            "final_cost": self.final_cost,
-            "diverged": self.diverged,
-            "rounds": [
-                {
-                    "routine": r.routine,
-                    "p_in": r.p_in,
-                    "p_out": r.p_out,
-                    "acceptance": r.acceptance,
-                    "cost": r.cost,
-                }
-                for r in self.rounds
-            ],
-        }
+        return {**asdict(self), "sequence": self.name}
 
 
 @dataclass(frozen=True)
@@ -213,13 +199,21 @@ class _FloatRound:
             return lo
         if flo * fhi > 0:
             return inf if flo < 0 else 0.0
-        while hi - lo > THRESHOLD_TOL / 4:
-            mid = (lo + hi) / 2
-            if flo * f(mid) <= 0:
-                hi = mid
-            else:
-                lo = mid
-        return (lo + hi) / 2
+        # Halve the bracket until it is at most THRESHOLD_TOL / 4 wide.
+        return _bisect(f, lo, hi, flo, ceil(log2((hi - lo) / (THRESHOLD_TOL / 4))))
+
+
+def _bisect(f, lo: float, hi: float, f_lo: float, steps: int) -> float:
+    """Midpoint of [lo, hi] after ``steps`` halvings, each keeping a sign
+    change of ``f`` inside; ``f_lo`` is f(lo)."""
+    for _ in range(steps):
+        mid = (lo + hi) / 2
+        f_mid = f(mid)
+        if f_lo * f_mid <= 0:
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
+    return (lo + hi) / 2
 
 
 def _horner(coefficients: tuple[float, ...], p: float) -> float:
@@ -292,14 +286,10 @@ def shortest_b_only(
 ) -> Optional[DistillationPlan]:
     """Shortest sequence of up to ``B_ONLY_MAX_ROUNDS`` rounds using only the
     15-to-1 routine with an equal or better final error."""
-    models = available or builtin_models()
-    b = models["B"]
-    for length in range(1, B_ONLY_MAX_ROUNDS + 1):
-        plan = evaluate_sequence([b] * length, p0)
-        if plan.diverged:
-            return None
-        if plan.final_error <= target_error:
-            return plan
+    b = (available or builtin_models())["B"]
+    for seq, error, _ in _float_walk([_float_round(b)], p0, B_ONLY_MAX_ROUNDS):
+        if error <= target_error:
+            return evaluate_sequence([b] * len(seq), p0)
     return None
 
 
@@ -410,6 +400,7 @@ def step_cost_curve(
     return rows
 
 
+# Apart from evaluate_sequence on purpose: sharing its loop slowed the crossing gap.
 def _error_parts(seq: Sequence[RoutineModel], p0: float) -> tuple[float, int]:
     """(mantissa, exponent) of the sequence's output error."""
     x, s = frexp(p0)
@@ -441,19 +432,8 @@ def curve_crossings(
             (xa, sa), (xb, sb) = _error_parts(seq_a, p), _error_parts(seq_b, p)
             return log(xa / xb) + (sa - sb) * log(2)
 
-        prev_p = None
-        prev_g = None
-        for p in grid:
-            g = gap(p)
-            if prev_g is not None and prev_g * g < 0:
-                lo, hi, g_lo = prev_p, p, prev_g
-                for _ in range(60):
-                    mid = (lo + hi) / 2
-                    g_mid = gap(mid)
-                    if g_lo * g_mid <= 0:
-                        hi = mid
-                    else:
-                        lo, g_lo = mid, g_mid
-                out.append((name_a, name_b, (lo + hi) / 2))
-            prev_p, prev_g = p, g
+        gaps = [gap(p) for p in grid]
+        for lo, hi, g_lo, g_hi in zip(grid, grid[1:], gaps, gaps[1:]):
+            if g_lo * g_hi < 0:
+                out.append((name_a, name_b, _bisect(gap, lo, hi, g_lo, 60)))
     return out

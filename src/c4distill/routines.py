@@ -110,9 +110,9 @@ def load_routines_config(path: str) -> dict[str, RoutineModel]:
     file, a section missing a key, m or n below 1, a coefficient that is
     not a number or lies beyond float range, an acceptance that lies
     outside (0, 1] at p = 0 or has a root in (0, 1/2), a nonzero undetected
-    weight that is negative or vanishes in (0, 1/2), or a section name that
-    is not one character (a sequence names one routine per character)
-    raises ValueError.
+    weight that is negative or vanishes in (0, 1/2), a section name that
+    is not one character (a sequence names one routine per character), or
+    a builtin routine's name (the routines are extra ones) raises ValueError.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
@@ -125,6 +125,8 @@ def load_routines_config(path: str) -> dict[str, RoutineModel]:
     for name in parser.sections():
         if len(name) != 1:
             raise ValueError(f"routine [{name}] needs a one-character name")
+        if name in ("A", "B"):
+            raise ValueError(f"routine [{name}] would replace the builtin routine {name}")
         sec = parser[name]
         missing = [key for key in ("m", "n", "acceptance", "undetected") if key not in sec]
         if missing:

@@ -88,6 +88,18 @@ def test_plan_from_computation_size():
     assert payload["goal_error"] == pytest.approx(1e-5)
 
 
+def test_plan_goal_options_are_exclusive(capsys):
+    """A goal is --eg or --R, never both; either alone plans as before."""
+    code, out = run_cli(["plan", "--p0", "0.01", "--eg", "1e-5", "--R", "1e20"])
+    assert code == EXIT_USAGE and out == ""
+    assert capsys.readouterr().err.startswith("usage error:")
+    with open(os.path.join(GOLDEN_DIR, "plan.json")) as fh:
+        golden = fh.read()
+    # 1 / (10 * 1e4) is the float 1e-5, so --R 1e4 asks for the golden's goal.
+    for goal in (["--eg", "1e-5"], ["--R", "1e4"]):
+        assert run_cli(["plan", "--p0", "0.01"] + goal) == (EXIT_OK, golden), goal
+
+
 def test_usage_errors(tmp_path):
     assert run_cli(["plan", "--p0", "0.01"])[0] == EXIT_USAGE  # no goal
     assert run_cli(["plan", "--p0", "0.01", "--eg", "0.5"])[0] == EXIT_USAGE
@@ -164,6 +176,12 @@ def test_usage_errors(tmp_path):
     cfg.write_text("[CC]\nm = 5\nn = 1\nacceptance = 1 -5 10\nundetected = 0 0 10\n")
     for argv in (["threshold", "--routine", "CC"], ["plan", "--p0", "0.01", "--eg", "1e-10"]):
         assert run_cli(argv + ["--routines", str(cfg)])[0] == EXIT_USAGE, argv
+    # The routines a config defines are extra ones: [A] or [B] would replace a
+    # builtin, and every improvement factor compares against the builtin B.
+    for name in ("A", "B"):
+        cfg.write_text(f"[{name}]\nm = 2\nn = 1\nacceptance = 1\nundetected = 0 0 1\n")
+        for argv in (["table1"], ["threshold", "--routine", name]):
+            assert run_cli(argv + ["--routines", str(cfg)])[0] == EXIT_USAGE, (name, argv)
     # An acceptance of zero, or one with a root in (0, 1/2), is refused when
     # the file is read: a simple root at 1/4 (the top of the threshold
     # bracket) or at 1/5 (where e(p) - p changes sign through the pole, so

@@ -12,6 +12,7 @@ import contextlib
 import decimal
 import io
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -296,6 +297,99 @@ def test_improvement_factors():
     assert shortest_b_only(1e-5, 0.01).name == "BB"
     # Above B's threshold no B-only sequence reaches anything.
     assert improvement_factor(evaluate_sequence(parse_sequence("A"), 0.2)) is None
+
+
+def test_shortest_b_only_none_cases(models):
+    # From B's threshold up every round of B diverges.
+    limit = threshold(models["B"])
+    for p0 in (limit, 0.2):
+        assert shortest_b_only(1e-3, p0) is None, p0
+    # Just below it the error leaves the threshold too slowly for 16 rounds
+    # to reach 1e-10, although they stay below the threshold throughout.
+    p0 = limit * (1 - 1e-7)
+    sixteen = evaluate_sequence([models["B"]] * planner.B_ONLY_MAX_ROUNDS, p0)
+    assert not sixteen.diverged and sixteen.final_error > 1e-10
+    assert shortest_b_only(1e-10, p0) is None
+
+
+@pytest.mark.parametrize("target, length", [(1e-3, 1), (1e-30, 3), (1e-90, 4), (1e-200, 5)])
+def test_shortest_b_only_steps_at_most_twice_its_length(models, monkeypatch, target, length):
+    """The walk steps once per round up to the answer, and the answer's plan
+    once more: 2L steps, not one evaluation per candidate length."""
+    threshold(models["B"])  # the threshold's bisection steps are not counted
+    steps = []
+    step = planner._FloatRound.step
+
+    def counting(self, x, s, cost):
+        steps.append(self.name)
+        return step(self, x, s, cost)
+
+    monkeypatch.setattr(planner._FloatRound, "step", counting)
+    plan = shortest_b_only(target, 0.01)
+    assert plan.name == "B" * length
+    assert plan.final_error <= target
+    assert len(steps) <= 2 * length
+
+
+def _explicit_plan_dict(plan) -> dict:
+    """A plan's JSON form, field by field."""
+    return {
+        "sequence": plan.name,
+        "p0": plan.p0,
+        "final_error": plan.final_error,
+        "final_cost": plan.final_cost,
+        "diverged": plan.diverged,
+        "rounds": [
+            {
+                "routine": r.routine,
+                "p_in": r.p_in,
+                "p_out": r.p_out,
+                "acceptance": r.acceptance,
+                "cost": r.cost,
+            }
+            for r in plan.rounds
+        ],
+    }
+
+
+@pytest.mark.parametrize("sequence, p0", [("", 0.01), ("A", 0.1), ("BBBBBB", 0.01)])
+def test_plan_json_lists_every_field(sequence, p0):
+    """``as_dict`` serializes as the explicit field listing does, for an
+    empty plan, a diverged one (above A's threshold) and one whose error
+    underflows to 0."""
+    plan = evaluate_sequence(parse_sequence(sequence), p0)
+    want = _explicit_plan_dict(plan)
+    got = plan.as_dict()
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+    assert json.loads(json.dumps(got)) == want
+
+
+def _pin_model(acceptance, undetected) -> RoutineModel:
+    return RoutineModel(
+        name="C", m=5, n=1,
+        acceptance_poly=ExactPolynomial.make(acceptance),
+        undetected_poly=ExactPolynomial.make(undetected),
+    )
+
+
+# Thresholds bit for bit (float.hex), as the bisection computed them before
+# thresholds and curve crossings shared one bisection loop.
+PINNED_SYNTHETIC_THRESHOLDS = [
+    ([1, -5, 10], [0, 0, 10], "0x1.1e6b215a74c08p-4"),
+    ([1, -5, 10], [0, 0, 5], "0x1.cda0336c72192p-4"),
+    ([1, -2], [0, 0, 10], "0x1.555552f52b90ap-4"),
+    ([1], [0, 0, 0, 35], "0x1.5a2cdb785b5b8p-3"),
+    ([1], [0, 0, 1], None),  # improves on the whole bracket
+    ([1, -2], [0, 1], "0x0.0p+0"),  # improves nowhere on it
+]
+
+
+def test_thresholds_pinned_bit_for_bit(models):
+    assert threshold(models["A"]).hex() == "0x1.6d3bccb13dfb0p-4"
+    assert threshold(models["B"]).hex() == "0x1.21c06a42e557ep-3"
+    for acceptance, undetected, want in PINNED_SYNTHETIC_THRESHOLDS:
+        got = threshold(_pin_model(acceptance, undetected))
+        assert (None if got is None else got.hex()) == want, (acceptance, undetected)
 
 
 def test_asymptotic_exponents(models):
