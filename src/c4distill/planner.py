@@ -14,11 +14,11 @@ float's relative precision at any depth (within ~1e-13 of a 60-digit
 recursion for the builtin routines); it is rounded to a float, possibly a
 subnormal or zero, only where it is reported or compared.
 
-The sequence search walks the tree of sequence prefixes once: each prefix
-is one step from its parent, and the subtree below a diverged prefix is
-skipped.  The 15-to-1-only reference of an improvement factor is the first
-hit of the same walk over one routine.  ``evaluate_sequence`` runs the same
-steps, so every value a plan reports is the value the search compared.
+The sequence search walks the tree of sequence prefixes, one step each,
+cheapest first, skipping the subtree below a diverged prefix; a search stops
+at its first hit, as does the 15-to-1-only reference of an improvement
+factor in the same walk over one routine.  ``evaluate_sequence`` runs the
+same steps, so every value a plan reports is the value the search compared.
 Thresholds and curve crossings share one bisection.
 """
 
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import cache
+from heapq import heappop, heappush
 from math import ceil, frexp, inf, ldexp, log, log2
 from typing import Iterator, Optional, Sequence
 
@@ -227,22 +228,24 @@ def _float_walk(
     rounds: Sequence[_FloatRound], p0: float, max_rounds: int
 ) -> Iterator[tuple[tuple[str, ...], float, float]]:
     """(sequence, error, cost) of every sequence up to ``max_rounds`` whose
-    rounds all start below their threshold, depth first.  A diverged
-    sequence's subtree is skipped, since every extension of it diverges too.
+    rounds all start below their threshold, by cost, then fewer rounds, then
+    name, as the search ranks them; a diverged sequence's subtree is skipped.
+    A popped prefix is yielded before it is extended, so a caller that stops
+    at its hit extends nothing past it.  The order holds if no round lowers
+    the cost (a(p) <= m/n, which ``load_routines_config`` checks): then a
+    sequence sorts after its prefix, on a tie by its extra round.
     """
-    x0, s0 = frexp(p0)
-    stack = [((), x0, s0, 1.0)]
-    while stack:
-        prefix, x, s, cost = stack.pop()
+    heap = [(1.0, 0, (), *frexp(p0))]
+    while heap:
+        cost, depth, seq, x, s = heappop(heap)
         p = ldexp(x, s)
-        for rnd in rounds:
-            if p >= rnd.limit:
-                continue
-            seq = prefix + (rnd.name,)
-            x1, s1, c1, _ = rnd.step(x, s, cost)
-            yield seq, ldexp(x1, s1), c1
-            if len(seq) < max_rounds:
-                stack.append((seq, x1, s1, c1))
+        if depth:
+            yield seq, p, cost
+        if depth < max_rounds:
+            for rnd in rounds:
+                if p < rnd.limit:
+                    x1, s1, c1, _ = rnd.step(x, s, cost)
+                    heappush(heap, (c1, depth + 1, seq + (rnd.name,), x1, s1))
 
 
 @dataclass(frozen=True)
@@ -254,31 +257,24 @@ class SearchResult:
 def best_sequence(
     goal: PlannerGoal, available: Optional[dict[str, RoutineModel]] = None
 ) -> SearchResult:
-    """Cheapest sequence of up to ``max_rounds`` rounds that meets the goal.
-
-    Ties are broken by fewer rounds and then by sequence name.  When no
-    sequence meets the goal, ``closest`` is the sequence with the least
-    error, ties broken the same way.  The search is one float walk over the
-    prefix tree; only the chosen sequence is evaluated again, for its rounds.
+    """Cheapest sequence of up to ``max_rounds`` rounds that meets the goal,
+    ties broken by fewer rounds and then by name: the float walk's first hit,
+    the one sequence evaluated again, for its rounds.  When none meets the
+    goal, ``closest`` is the one of least error, ties broken the same way.
     """
     goal.validate()
     models = available or builtin_models()
     eg = goal.goal_error()
     rounds = [_float_round(models[name]) for name in sorted(models)]
-    cheapest = closest = None  # (cost or error, rounds, sequence)
-    for seq, error, cost in _float_walk(rounds, goal.p0, goal.max_rounds):
-        if error <= eg and (cheapest is None or (cost, len(seq), seq) < cheapest):
-            cheapest = (cost, len(seq), seq)
+    closest = None  # (error, rounds, sequence)
+    for seq, error, _ in _float_walk(rounds, goal.p0, goal.max_rounds):
+        if error <= eg:
+            best = evaluate_sequence([models[c] for c in seq], goal.p0)
+            return SearchResult(plan=best, closest=best)
         if closest is None or (error, len(seq), seq) < closest:
             closest = (error, len(seq), seq)
-
-    def plan(ranked) -> DistillationPlan:
-        return evaluate_sequence([models[c] for c in ranked[2]], goal.p0)
-
-    if cheapest is not None:
-        best = plan(cheapest)
-        return SearchResult(plan=best, closest=best)
-    return SearchResult(plan=None, closest=plan(closest) if closest else None)
+    found = closest and evaluate_sequence([models[c] for c in closest[2]], goal.p0)
+    return SearchResult(plan=None, closest=found)
 
 
 def shortest_b_only(

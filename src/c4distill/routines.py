@@ -39,7 +39,8 @@ class VanishingDenominator(ZeroDivisionError):
 @dataclass(frozen=True, eq=False)
 class RoutineModel:
     """An m-to-n distillation routine: exact acceptance a(p) and undetected
-    weight u(p), with output error u(p)/a(p).
+    weight u(p), with output error u(p)/a(p).  The planner needs a(p) <= m/n
+    on [0, 1/2), so that no round lowers a plan's cost.
 
     Models compare and hash by identity, so a cache keyed on a model hashes
     none of its coefficients.
@@ -107,12 +108,12 @@ def load_routines_config(path: str) -> dict[str, RoutineModel]:
         undetected = 0 0 0 35 ...    ; ditto; output error is undetected/acceptance
 
     Coefficients may be integers or fractions like ``3/16``.  A malformed
-    file, a section missing a key, m or n below 1, a coefficient that is
-    not a number or lies beyond float range, an acceptance that lies
-    outside (0, 1] at p = 0 or has a root in (0, 1/2), a nonzero undetected
-    weight that is negative or vanishes in (0, 1/2), a section name that
-    is not one character (a sequence names one routine per character), or
-    a builtin routine's name (the routines are extra ones) raises ValueError.
+    file, a section missing a key, m or n below 1, an m/n or a coefficient
+    that is not a number or lies beyond float range, an acceptance outside
+    (0, 1] at p = 0, with a root in (0, 1/2) or above m/n in [0, 1/2), a
+    nonzero undetected weight that is negative or vanishes in (0, 1/2), a
+    section name that is not one character (a sequence names one routine
+    per character), or a builtin routine's name raises ValueError.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
@@ -134,15 +135,19 @@ def load_routines_config(path: str) -> dict[str, RoutineModel]:
         m, n = sec.getint("m"), sec.getint("n")
         if m < 1 or n < 1:
             raise ValueError(f"routine [{name}] needs m >= 1 and n >= 1, got m={m}, n={n}")
+        try:
+            float(Fraction(m, n))  # the planner's cost factor
+        except OverflowError:
+            raise ValueError(f"routine [{name}] has an m/n beyond float range") from None
         acc = ExactPolynomial.make(_coeffs(sec["acceptance"]))
         if not 0 < acc(Fraction(0)) <= 1:
             raise ValueError(f"routine [{name}] needs 0 < acceptance <= 1 at p = 0")
         if _roots_below_half(acc):
             raise ValueError(f"routine [{name}] has an acceptance that vanishes in (0, 1/2)")
+        if _negative_below_half(ExactPolynomial.make([Fraction(m, n)]) - acc):
+            raise ValueError(f"routine [{name}] has an acceptance above m/n in [0, 1/2)")
         und = ExactPolynomial.make(_coeffs(sec["undetected"]))
-        # u / p^v for the lowest degree v of u, which does not vanish at 0.
-        low = ExactPolynomial.make(und.coefficients[und.leading_term()[0] :])
-        if low.coefficients and (low.coefficients[0] < 0 or _roots_below_half(low)):
+        if _negative_below_half(und):
             raise ValueError(f"routine [{name}] has an undetected weight not positive in (0, 1/2)")
         models[name] = RoutineModel(name=name, m=m, n=n, acceptance_poly=acc, undetected_poly=und)
     return models
@@ -158,6 +163,12 @@ def _coeffs(text: str) -> list[Fraction]:
     except OverflowError as exc:
         raise ValueError(f"coefficient beyond float range in {text!r}") from exc
     return coeffs
+
+
+def _negative_below_half(poly: ExactPolynomial) -> bool:
+    """Whether a nonzero ``poly`` is negative or vanishes in (0, 1/2)."""
+    low = ExactPolynomial.make(poly.coefficients[poly.leading_term()[0] :])  # poly / p^v
+    return bool(low.coefficients) and (low.coefficients[0] < 0 or _roots_below_half(low) > 0)
 
 
 def _roots_below_half(poly: ExactPolynomial) -> int:

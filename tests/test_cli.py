@@ -168,6 +168,14 @@ def test_usage_errors(tmp_path):
         # its root at 1/10, a plan's error would be negative.
         "m = 5\nn = 1\nacceptance = 1\nundetected = 0 -1\n",
         "m = 5\nn = 1\nacceptance = 1\nundetected = 0 0 1 -10\n",
+        # A round may not lower a plan's cost m / (n a(p)): an acceptance
+        # above m/n at p = 0, or past p = 1/10, would.
+        "m = 1\nn = 2\nacceptance = 1\nundetected = 0 0 1\n",
+        "m = 2\nn = 1\nacceptance = 1 10\nundetected = 0 0 1\n",
+        # An m/n beyond float range, and one so small that it is below any
+        # acceptance.
+        f"m = 1{'0' * 400}\nn = 1\nacceptance = 1\nundetected = 0 0 1\n",
+        f"m = 1\nn = 1{'0' * 400}\nacceptance = 1\nundetected = 0 0 1\n",
     ):
         cfg.write_text("[C]\n" + body)
         for argv in (["threshold", "--routine", "C"], ["plan", "--p0", "0.01", "--eg", "1e-10"]):
@@ -334,6 +342,20 @@ def test_custom_routine_config(tmp_path):
     code, out = run_cli(["plan", "--p0", "0.3", "--eg", "1e-3", "--routines", str(cfg)])
     assert code == EXIT_OK
     assert json.loads(out) == {"feasible": False, "goal_error": 1e-3, "best_error_achieved": None}
+    # A round that keeps the cost (m = n = 1, acceptance 1) is accepted; of
+    # the plans that cost 1, the one of fewest rounds wins.
+    cfg.write_text("[T]\nm = 1\nn = 1\nacceptance = 1\nundetected = 0 0 1\n")
+    code, out = run_cli(["plan", "--p0", "0.01", "--eg", "1e-5", "--routines", str(cfg)])
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert (payload["sequence"], payload["final_cost"]) == ("TT", 1.0)
+
+
+def test_plan_answer_needs_no_bound_on_rounds():
+    """The search stops at its answer, so a bound far past it changes
+    neither the output nor, beyond a few steps, the work."""
+    argv = ["plan", "--p0", "0.01", "--eg", "1e-5", "--max-rounds"]
+    assert run_cli(argv + ["100000"]) == run_cli(argv + ["6"])
 
 
 def test_verify_identities_all_pass():

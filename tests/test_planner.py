@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import c4distill.planner as planner
@@ -39,7 +39,7 @@ from c4distill.planner import (
     table_rows,
     threshold,
 )
-from c4distill.routines import RoutineModel
+from c4distill.routines import RoutineModel, VanishingDenominator
 
 # Published comparison-table anchors at p0 = 0.01: cost (one decimal) for
 # all ten sequences, error (one significant figure) where printed, and the
@@ -312,19 +312,27 @@ def test_shortest_b_only_none_cases(models):
     assert shortest_b_only(1e-10, p0) is None
 
 
-@pytest.mark.parametrize("target, length", [(1e-3, 1), (1e-30, 3), (1e-90, 4), (1e-200, 5)])
-def test_shortest_b_only_steps_at_most_twice_its_length(models, monkeypatch, target, length):
-    """The walk steps once per round up to the answer, and the answer's plan
-    once more: 2L steps, not one evaluation per candidate length."""
-    threshold(models["B"])  # the threshold's bisection steps are not counted
-    steps = []
+@pytest.fixture
+def steps(models, monkeypatch) -> list:
+    """Names of the routines stepped from here on.  The builtins' thresholds
+    are bisected first, so those steps are not counted."""
+    for model in models.values():
+        threshold(model)
+    names = []
     step = planner._FloatRound.step
 
     def counting(self, x, s, cost):
-        steps.append(self.name)
+        names.append(self.name)
         return step(self, x, s, cost)
 
     monkeypatch.setattr(planner._FloatRound, "step", counting)
+    return names
+
+
+@pytest.mark.parametrize("target, length", [(1e-3, 1), (1e-30, 3), (1e-90, 4), (1e-200, 5)])
+def test_shortest_b_only_steps_at_most_twice_its_length(steps, target, length):
+    """The walk steps once per round up to the answer, and the answer's plan
+    once more: 2L steps, not one evaluation per candidate length."""
     plan = shortest_b_only(target, 0.01)
     assert plan.name == "B" * length
     assert plan.final_error <= target
@@ -662,3 +670,83 @@ def test_search_agrees_with_60_digit_search(models, p0, log_ratio, max_rounds):
     assert math.isclose(res.plan.final_cost, cost, rel_tol=tol)
     assert err <= eg * (1 + tol)
     assert not reachable or float(cost) <= (1 + tol) * float(min(reachable))
+
+
+# Beside the builtins: T keeps its prefix's cost (m = n = 1, acceptance 1,
+# e(p) = p^2), H halves the error, and W improves nowhere, so every round of
+# it diverges.
+SYNTHETIC_MODELS = {
+    "T": RoutineModel(
+        name="T", m=1, n=1,
+        acceptance_poly=ExactPolynomial.make([1]),
+        undetected_poly=ExactPolynomial.make([0, 0, 1]),
+    ),
+    "H": _halving_model("H"),
+    "W": RoutineModel(
+        name="W", m=2, n=1,
+        acceptance_poly=ExactPolynomial.make([1, -2]),
+        undetected_poly=ExactPolynomial.make([0, 1]),
+    ),
+}
+
+
+@settings(max_examples=50)
+@given(
+    p0=st.floats(min_value=-6, max_value=-0.5).map(lambda e: 10.0**e),
+    case=st.one_of(
+        st.tuples(st.just(""), st.integers(min_value=1, max_value=6)),
+        st.tuples(st.sampled_from(["T", "H", "W", "TH", "THW"]), st.integers(1, 4)),
+    ),
+)
+def test_float_walk_yields_in_rank_order(models, p0, case):
+    """The walk yields what evaluating every sequence yields, leaving out
+    the diverged ones, in the search's ranking: by cost, then fewer rounds,
+    then name."""
+    extra, max_rounds = case
+    available = {**models, **{name: SYNTHETIC_MODELS[name] for name in extra}}
+    names = sorted(available)
+    want = []
+    for length in range(1, max_rounds + 1):
+        for combo in itertools.product(names, repeat=length):
+            try:
+                plan = evaluate_sequence([available[c] for c in combo], p0)
+            except VanishingDenominator:  # W's acceptance at p = 1/2, past a diverged W
+                continue
+            if not plan.diverged:
+                want.append((plan.sequence, plan.final_error, plan.final_cost))
+    want.sort(key=lambda item: (item[2], len(item[0]), item[0]))
+    rounds = [planner._float_round(available[name]) for name in names]
+    assert list(planner._float_walk(rounds, p0, max_rounds)) == want
+
+
+# Measured bounds.  A search over every prefix took 7,389 steps for the
+# distplot, and 524,302 for this plan at 18 rounds.
+@pytest.mark.parametrize(
+    "argv, bound",
+    [
+        (["plan", "--p0", "0.001", "--eg", "1e-300", "--max-rounds", "40"], 152),
+        (["curve", "--figure", "distplot"], 1607),
+    ],
+)
+def test_search_steps_bounded(steps, argv, bound):
+    from c4distill.cli import main
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    assert len(steps) <= bound
+
+
+@pytest.mark.parametrize(
+    "below, max_rounds, eg, feasible, bound",
+    [(1e-12, 21, 1e-300, False, 162), (10**-7.2, 25, 5e-324, True, 833)],
+)
+def test_search_steps_near_b_threshold(models, steps, below, max_rounds, eg, feasible, bound):
+    """The goals that took the most steps in a scan of p0 within 1e-12 to
+    1e-6 (relative) of either threshold and at 41 points from 1e-3 to 0.14,
+    with R from 1 to 40 and e_g of 1e-300 and 5e-324.  Just below B's
+    threshold the error leaves it slowly, so a goal needs many rounds, and
+    one that no sequence meets reads the whole walk."""
+    p0 = threshold(models["B"]) * (1 - below)
+    res = best_sequence(PlannerGoal(p0=p0, e_g=eg, max_rounds=max_rounds), models)
+    assert (res.plan is not None) == feasible
+    assert len(steps) <= bound

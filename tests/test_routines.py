@@ -100,3 +100,28 @@ def test_config_loading(tmp_path):
 def test_config_missing_file():
     with pytest.raises(FileNotFoundError):
         load_routines_config("/nonexistent/routines.cfg")
+
+
+def test_config_refuses_routines_that_lower_the_cost(tmp_path):
+    """A round multiplies a plan's cost by m / (n a(p)), and the planner
+    ranks sequences on the premise that this factor is at least 1 on
+    [0, 1/2).  The factor must also be a float."""
+    path = tmp_path / "routines.cfg"
+    big = "1" + "0" * 400
+    for head, match in (
+        ("m = 1\nn = 2\nacceptance = 1", "acceptance above m/n"),
+        ("m = 2\nn = 1\nacceptance = 1 10", "acceptance above m/n"),  # above 2 past p = 1/10
+        (f"m = 1\nn = {big}\nacceptance = 1", "acceptance above m/n"),
+        (f"m = {big}\nn = 1\nacceptance = 1", "m/n beyond float range"),
+    ):
+        path.write_text(f"[C]\n{head}\nundetected = 0 0 1\n")
+        with pytest.raises(ValueError, match=rf"routine \[C\] has an {match}"):
+            load_routines_config(str(path))
+    # The factor may be 1: everywhere, at p = 0 alone, or at p = 1/2 alone.
+    for head in (
+        "m = 1\nn = 1\nacceptance = 1",
+        "m = 1\nn = 1\nacceptance = 1 -1",
+        "m = 2\nn = 1\nacceptance = 1 2",
+    ):
+        path.write_text(f"[C]\n{head}\nundetected = 0 0 1\n")
+        assert list(load_routines_config(str(path))) == ["C"], head
