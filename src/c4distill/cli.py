@@ -141,21 +141,21 @@ def cmd_curve(args) -> int:
     lines = []
     if args.figure == "both-thresh":
         grid = _lin_grid(_or(args.pmin, 1e-3), _or(args.pmax, 0.2), _or(args.points, 80))
-        rows = error_curves(["A", "B"], grid, models)
+        rows = error_curves(["A", "B"], grid)
         lines.append("p,no_distillation,A,B")
         for p, ea, eb in rows:
             lines.append(f"{_sci(p)},{_sci(p)},{_sci(ea)},{_sci(eb)}")
     elif args.figure == "regionplot":
         grid = _geom_grid(_or(args.pmin, 1e-4), _or(args.pmax, 0.12), _or(args.points, 60))
         seqs = list(TABLE_SEQUENCES)
-        rows = error_curves(seqs, grid, models)
+        rows = error_curves(seqs, grid)
         lines.append("p," + ",".join(seqs))
         for row in rows:
             lines.append(",".join(_sci(v) for v in row))
         if args.boundaries:
             lines.append("")
             lines.append("lower_sequence,upper_sequence,p_crossing")
-            for a, b, p in curve_crossings(seqs, grid, models):
+            for a, b, p in curve_crossings(seqs, grid):
                 lines.append(f"{a},{b},{_sci(p)}")
     elif args.figure == "distplot":
         grid = _geom_grid(_or(args.eg_min, 1e-30), _or(args.eg_max, 1e-3), _or(args.points, 55))
@@ -175,14 +175,14 @@ def cmd_curve(args) -> int:
 
 def cmd_table1(args) -> int:
     from .planner import table_rows, threshold
+    from .routines import model_fifteen_to_one
 
-    models = _load_models(args.routines)
     # Improvement factors compare against 15-to-1-only sequences, which
     # diverge from the 15-to-1 threshold up.
-    limit = threshold(models["B"])
-    if not 0 < args.p0 < (limit if limit is not None else 0.5):
+    limit = threshold(model_fifteen_to_one())
+    if not 0 < args.p0 < limit:
         raise UsageError(f"--p0 must lie in (0, {limit}), below the 15-to-1 threshold")
-    rows = table_rows(p0=args.p0, available=models)
+    rows = table_rows(p0=args.p0)
     lines = ["sequence,cost,output_error,improvement,cost_full,error_full"]
     for r in rows:
         lines.append(
@@ -216,7 +216,7 @@ def cmd_plan(args) -> int:
     else:
         payload = {"feasible": True, "goal_error": goal.goal_error()}
         payload.update(result.plan.as_dict())
-        payload["improvement_factor"] = improvement_factor(result.plan, models)
+        payload["improvement_factor"] = improvement_factor(result.plan)
     _emit(json.dumps(payload, indent=2, sort_keys=True), args.output)
     return EXIT_OK
 
@@ -348,7 +348,7 @@ def build_parser() -> _Parser:
     p = add("dump-circuit", cmd_dump_circuit, "text form of the routine circuit")
     p.add_argument("--gadget-level", action="store_true")
 
-    for name in ("threshold", "curve", "table1", "plan"):
+    for name in ("threshold", "curve", "plan"):
         sub.choices[name].add_argument(
             "--routines", help="config file with extra routine definitions"
         )

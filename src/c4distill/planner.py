@@ -101,10 +101,8 @@ class PlannerGoal:
             raise ValueError(f"need max_rounds >= 1, got {self.max_rounds}")
 
 
-def parse_sequence(
-    text: str, available: Optional[dict[str, RoutineModel]] = None
-) -> list[RoutineModel]:
-    models = available or builtin_models()
+def parse_sequence(text: str) -> list[RoutineModel]:
+    models = builtin_models()
     out = []
     for ch in text:
         if ch not in models:
@@ -144,7 +142,7 @@ def threshold(model: RoutineModel) -> Optional[float]:
     nowhere on it, so that every round of it counts as diverged.
     """
     limit = _float_round(model).limit
-    return None if limit == inf else limit
+    return None if limit > THRESHOLD_BRACKET[1] else limit
 
 
 @cache
@@ -161,7 +159,8 @@ class _FloatRound:
     separately, so the output error keeps its relative precision however
     small it gets; the rest of each polynomial is evaluated at the float p
     (where p underflows, those terms are below float's relative precision).
-    ``limit`` is the routine's threshold: an input from there up diverges.
+    ``limit`` is the routine's threshold, or 1/2 when it has none: an input
+    from there up diverges.
     """
 
     __slots__ = ("name", "limit", "ratio", "acc", "und", "order")
@@ -199,7 +198,7 @@ class _FloatRound:
         if flo == 0:
             return lo
         if flo * fhi > 0:
-            return inf if flo < 0 else 0.0
+            return 0.5 if flo < 0 else 0.0
         # Halve the bracket until it is at most THRESHOLD_TOL / 4 wide.
         return _bisect(f, lo, hi, flo, ceil(log2((hi - lo) / (THRESHOLD_TOL / 4))))
 
@@ -277,25 +276,21 @@ def best_sequence(
     return SearchResult(plan=None, closest=found)
 
 
-def shortest_b_only(
-    target_error: float, p0: float, available: Optional[dict[str, RoutineModel]] = None
-) -> Optional[DistillationPlan]:
+def shortest_b_only(target_error: float, p0: float) -> Optional[DistillationPlan]:
     """Shortest sequence of up to ``B_ONLY_MAX_ROUNDS`` rounds using only the
     15-to-1 routine with an equal or better final error."""
-    b = (available or builtin_models())["B"]
+    b = builtin_models()["B"]
     for seq, error, _ in _float_walk([_float_round(b)], p0, B_ONLY_MAX_ROUNDS):
         if error <= target_error:
             return evaluate_sequence([b] * len(seq), p0)
     return None
 
 
-def improvement_factor(
-    plan: DistillationPlan, available: Optional[dict[str, RoutineModel]] = None
-) -> Optional[float]:
+def improvement_factor(plan: DistillationPlan) -> Optional[float]:
     """Cost of the shortest B-only sequence achieving the plan's error or
     better, relative to the plan's cost; None when no B-only sequence does
     (p0 at or above B's threshold, or more than 16 rounds needed)."""
-    ref = shortest_b_only(plan.final_error, plan.p0, available)
+    ref = shortest_b_only(plan.final_error, plan.p0)
     return None if ref is None else ref.final_cost / plan.final_cost
 
 
@@ -332,34 +327,26 @@ class TableRow:
     improvement: float
 
 
-def table_rows(
-    p0: float = 0.01, available: Optional[dict[str, RoutineModel]] = None
-) -> list[TableRow]:
+def table_rows(p0: float = 0.01) -> list[TableRow]:
     """Cost, output error and improvement factor for the standard sequence
     set at the given input error."""
-    models = available or builtin_models()
     rows = []
     for name in TABLE_SEQUENCES:
-        plan = evaluate_sequence(parse_sequence(name, models), p0)
+        plan = evaluate_sequence(parse_sequence(name), p0)
         rows.append(
             TableRow(
                 sequence=name,
                 cost=plan.final_cost,
                 error=plan.final_error,
-                improvement=improvement_factor(plan, models),
+                improvement=improvement_factor(plan),
             )
         )
     return rows
 
 
-def error_curves(
-    sequences: Sequence[str],
-    grid: Sequence[float],
-    available: Optional[dict[str, RoutineModel]] = None,
-) -> list[list[float]]:
+def error_curves(sequences: Sequence[str], grid: Sequence[float]) -> list[list[float]]:
     """Rows (p, error per sequence) over the grid."""
-    models = available or builtin_models()
-    parsed = {name: parse_sequence(name, models) for name in sequences}
+    parsed = {name: parse_sequence(name) for name in sequences}
     rows = []
     for p in grid:
         row = [p]
@@ -383,7 +370,7 @@ def step_cost_curve(
         res = best_sequence(goal, models)
         if res.plan is None:
             continue
-        ref = shortest_b_only(eg, p0, models)
+        ref = shortest_b_only(eg, p0)
         rows.append(
             (
                 eg,
@@ -407,20 +394,16 @@ def _error_parts(seq: Sequence[RoutineModel], p0: float) -> tuple[float, int]:
 
 
 def curve_crossings(
-    sequences: Sequence[str],
-    grid: Sequence[float],
-    available: Optional[dict[str, RoutineModel]] = None,
+    sequences: Sequence[str], grid: Sequence[float]
 ) -> list[tuple[str, str, float]]:
     """Crossing points between consecutive sequence curves on the grid.
 
     Consecutive means adjacent in the given order (the standard set is cost
     ordered); the returned p values bound the preference regions.
     """
-    models = available or builtin_models()
     out = []
     for name_a, name_b in zip(sequences, sequences[1:]):
-        seq_a = parse_sequence(name_a, models)
-        seq_b = parse_sequence(name_b, models)
+        seq_a, seq_b = parse_sequence(name_a), parse_sequence(name_b)
 
         def gap(p: float) -> float:
             """log(e_a / e_b), from the errors' mantissas and exponents,

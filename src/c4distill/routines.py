@@ -104,16 +104,17 @@ def load_routines_config(path: str) -> dict[str, RoutineModel]:
         [C]
         m = 7
         n = 1
-        acceptance = 1 -21 189 ...   ; polynomial in p, ascending degree
+        acceptance = 1 -7 21 ...     ; polynomial in p, ascending degree
         undetected = 0 0 0 35 ...    ; ditto; output error is undetected/acceptance
 
     Coefficients may be integers or fractions like ``3/16``.  A malformed
     file, a section missing a key, m or n below 1, an m/n or a coefficient
     that is not a number or lies beyond float range, an acceptance outside
     (0, 1] at p = 0, with a root in (0, 1/2) or above m/n in [0, 1/2), a
-    nonzero undetected weight that is negative or vanishes in (0, 1/2), a
-    section name that is not one character (a sequence names one routine
-    per character), or a builtin routine's name raises ValueError.
+    nonzero undetected weight that is negative or vanishes in (0, 1/2), an
+    output error equal to p at more than one point of (0, 1/2), a section
+    name that is not one character (a sequence names one routine per
+    character), or a builtin routine's name raises ValueError.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
@@ -149,6 +150,10 @@ def load_routines_config(path: str) -> dict[str, RoutineModel]:
         und = ExactPolynomial.make(_coeffs(sec["undetected"]))
         if _negative_below_half(und):
             raise ValueError(f"routine [{name}] has an undetected weight not positive in (0, 1/2)")
+        # The planner's threshold bisects on one sign change of e(p) - p.
+        gap = _without_low_powers(und - acc * ExactPolynomial.make([0, 1]))  # u - p a
+        if gap.coefficients and _roots_below_half(gap) > 1:
+            raise ValueError(f"routine [{name}] has an output error equal to p twice in (0, 1/2)")
         models[name] = RoutineModel(name=name, m=m, n=n, acceptance_poly=acc, undetected_poly=und)
     return models
 
@@ -167,8 +172,13 @@ def _coeffs(text: str) -> list[Fraction]:
 
 def _negative_below_half(poly: ExactPolynomial) -> bool:
     """Whether a nonzero ``poly`` is negative or vanishes in (0, 1/2)."""
-    low = ExactPolynomial.make(poly.coefficients[poly.leading_term()[0] :])  # poly / p^v
+    low = _without_low_powers(poly)
     return bool(low.coefficients) and (low.coefficients[0] < 0 or _roots_below_half(low) > 0)
+
+
+def _without_low_powers(poly: ExactPolynomial) -> ExactPolynomial:
+    """``poly`` divided by its lowest power of p."""
+    return ExactPolynomial.make(poly.coefficients[poly.leading_term()[0] :])
 
 
 def _roots_below_half(poly: ExactPolynomial) -> int:

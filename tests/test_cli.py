@@ -8,7 +8,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from c4distill import exactalg
@@ -131,10 +131,12 @@ def test_usage_errors(tmp_path):
     for r in ("0", "-0.0", "-5", "nan"):
         assert run_cli(["plan", "--p0", "0.01", "--R", r])[0] == EXIT_USAGE, r
     # Only the commands that read routine definitions accept --routines.
+    # table1 compares the builtin routines alone, so it reads none.
     for argv in (
         ["dump-circuit"],
         ["simulate", "--p", "0.05", "--trials", "10"],
         ["polynomials"],
+        ["table1"],
     ):
         assert run_cli(argv + ["--routines", "/nonexistent.ini"])[0] == EXIT_USAGE, argv
     for rounds in ("0", "-3"):
@@ -176,6 +178,9 @@ def test_usage_errors(tmp_path):
         # acceptance.
         f"m = 1{'0' * 400}\nn = 1\nacceptance = 1\nundetected = 0 0 1\n",
         f"m = 1\nn = 1{'0' * 400}\nacceptance = 1\nundetected = 0 0 1\n",
+        # e(p) = p^2 (40 (1 - 4p)^2 + 1/10) equals p three times in (0, 1/2),
+        # so no one threshold bounds where its rounds improve.
+        "m = 5\nn = 1\nacceptance = 1\nundetected = 0 0 401/10 -320 640\n",
     ):
         cfg.write_text("[C]\n" + body)
         for argv in (["threshold", "--routine", "C"], ["plan", "--p0", "0.01", "--eg", "1e-10"]):
@@ -188,7 +193,7 @@ def test_usage_errors(tmp_path):
     # builtin, and every improvement factor compares against the builtin B.
     for name in ("A", "B"):
         cfg.write_text(f"[{name}]\nm = 2\nn = 1\nacceptance = 1\nundetected = 0 0 1\n")
-        for argv in (["table1"], ["threshold", "--routine", name]):
+        for argv in (["plan", "--p0", "0.01", "--eg", "1e-5"], ["threshold", "--routine", name]):
             assert run_cli(argv + ["--routines", str(cfg)])[0] == EXIT_USAGE, (name, argv)
     # An acceptance of zero, or one with a root in (0, 1/2), is refused when
     # the file is read: a simple root at 1/4 (the top of the threshold
@@ -349,6 +354,70 @@ def test_custom_routine_config(tmp_path):
     assert code == EXIT_OK
     payload = json.loads(out)
     assert (payload["sequence"], payload["final_cost"]) == ("TT", 1.0)
+
+
+def test_builtin_figures_ignore_routines(tmp_path):
+    """both-thresh and regionplot plot the builtin routines alone: a valid
+    --routines file is read and checked, and changes no byte of them."""
+    cfg = tmp_path / "r.cfg"
+    cfg.write_text("[C]\nm = 5\nn = 1\nacceptance = 1 -5 10\nundetected = 0 0 10\n")
+    for fname in ("curve_both_thresh.csv", "curve_regionplot.csv"):
+        argv = dict(GOLDEN_CASES)[fname]
+        code, out = run_cli(argv)
+        assert code == EXIT_OK
+        assert run_cli(argv + ["--routines", str(cfg)]) == (code, out), fname
+
+
+def _poly(head):
+    """A polynomial of at most 6 small coefficients whose constant term is
+    drawn from ``head``, as a config writes it."""
+    small = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 10]))
+    return st.builds(
+        lambda c0, rest: " ".join(str(c) for c in [c0, *rest]),
+        st.sampled_from(head),
+        st.lists(small, max_size=5),
+    )
+
+
+# Its round from p0 = 0.45 gives an error of 2.52; a second round from there
+# would run on a negative acceptance, to a negative error and cost.
+UNBOUNDED_ERROR = "[C]\nm = 5\nn = 1\nacceptance = 1 -3/2\nundetected = 0 0 0 0 20\n"
+
+
+@example(config=UNBOUNDED_ERROR, p0=0.45, eg=1e-3)
+@given(
+    config=st.builds(
+        "[C]\nm = {}\nn = {}\nacceptance = {}\nundetected = {}\n".format,
+        st.integers(1, 20),
+        st.integers(1, 3),
+        _poly(["1", "1/2"]),
+        _poly(["0", "1/100"]),
+    ),
+    p0=st.sampled_from([0.01, 0.1, 0.3, 0.45]),
+    eg=st.sampled_from([1e-3, 1e-8]),
+)
+def test_routine_configs_through_planner_commands(tmp_path_factory, config, p0, eg):
+    """Whatever a config holds, each command that reads it exits 0, or 1 with
+    the usage-error prefix, and every plan it prints runs each round from
+    below 1/2 on a positive acceptance, at a cost that starts at 1 or more
+    and never falls."""
+    cfg = tmp_path_factory.getbasetemp() / "generated.cfg"
+    cfg.write_text(config)
+    for argv in (
+        ["threshold", "--routine", "C"],
+        ["plan", "--p0", repr(p0), "--eg", repr(eg), "--max-rounds", "3"],
+        ["curve", "--figure", "distplot", "--points", "3"],
+    ):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = run_cli(argv + ["--routines", str(cfg)])
+        assert code in (EXIT_OK, EXIT_USAGE), (argv, err.getvalue())
+        assert (code == EXIT_USAGE) == err.getvalue().startswith("usage error:"), argv
+        rounds = json.loads(out).get("rounds") if code == EXIT_OK and argv[0] == "plan" else None
+        if rounds:
+            costs = [r["cost"] for r in rounds]
+            assert all(r["p_in"] < 0.5 and r["acceptance"] > 0 for r in rounds), out
+            assert costs[0] >= 1 and costs == sorted(costs), out
 
 
 def test_plan_answer_needs_no_bound_on_rounds():

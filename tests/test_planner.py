@@ -503,7 +503,7 @@ def _boundary_goals(models):
     # e_g equal to a sequence's own error (feasible), and one float below it.
     for p0 in (0.01, 0.05):
         for seq in ("A", "BB", "BBA", "AAB", "BBBB"):
-            err = evaluate_sequence(parse_sequence(seq, models), p0).final_error
+            err = evaluate_sequence(parse_sequence(seq), p0).final_error
             for eg in (err, math.nextafter(err, 0)):
                 goals.append(PlannerGoal(p0=p0, e_g=eg, max_rounds=4))
     # p0 on and around each threshold.
@@ -524,7 +524,7 @@ def test_search_matches_exhaustive_on_boundaries(models):
 
 
 def test_search_on_subnormal_goal_error(models):
-    babbaa = evaluate_sequence(parse_sequence("BABBAA", models), 0.005)
+    babbaa = evaluate_sequence(parse_sequence("BABBAA"), 0.005)
     assert babbaa.final_error == 5e-324
     res = best_sequence(PlannerGoal(p0=0.005, e_g=5e-324, max_rounds=6), models)
     assert res.plan is not None and res.plan.final_error <= 5e-324

@@ -1,6 +1,7 @@
 """Routine models: the derived 10-to-2 and the closed-form 15-to-1."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -125,3 +126,26 @@ def test_config_refuses_routines_that_lower_the_cost(tmp_path):
     ):
         path.write_text(f"[C]\n{head}\nundetected = 0 0 1\n")
         assert list(load_routines_config(str(path))) == ["C"], head
+
+
+def test_config_refuses_an_error_equal_to_p_twice(tmp_path):
+    """A threshold is one sign change of e(p) - p: a routine whose error
+    equals p at two points of (0, 1/2) has no one threshold."""
+    path = tmp_path / "routines.cfg"
+    # e(p) = p^2 (40 (1 - 4p)^2 + 1/10) equals p three times.
+    path.write_text("[C]\nm = 5\nn = 1\nacceptance = 1\nundetected = 0 0 401/10 -320 640\n")
+    with pytest.raises(ValueError, match=r"routine \[C\] has an output error equal to p twice"):
+        load_routines_config(str(path))
+    # A double root counts once: e(p) = 8p^2 - 16p^3 touches p at 1/4 alone.
+    # e(p) = p is not refused either; every round of it counts as diverged.
+    for undetected in ("0 0 8 -16", "0 1"):
+        path.write_text(f"[C]\nm = 5\nn = 1\nacceptance = 1\nundetected = {undetected}\n")
+        assert list(load_routines_config(str(path))) == ["C"], undetected
+
+
+def test_readme_config_loads(tmp_path):
+    """The README's example routine is one the loader accepts."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    path = tmp_path / "routines.cfg"
+    path.write_text(readme.read_text().split("```ini\n")[1].split("```")[0])
+    assert list(load_routines_config(str(path))) == ["C"]
