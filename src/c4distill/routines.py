@@ -112,9 +112,10 @@ def load_routines_config(path: str) -> dict[str, RoutineModel]:
     that is not a number or lies beyond float range, an acceptance outside
     (0, 1] at p = 0, with a root in (0, 1/2) or above m/n in [0, 1/2), a
     nonzero undetected weight that is negative or vanishes in (0, 1/2), an
-    output error equal to p at more than one point of (0, 1/2), a section
-    name that is not one character (a sequence names one routine per
-    character), or a builtin routine's name raises ValueError.
+    output error equal to p at two points of (0, 1/2), or at one if it
+    starts above p, a section name that is not one character (a sequence
+    names one routine per character), or a builtin routine's name raises
+    ValueError.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
@@ -150,10 +151,10 @@ def load_routines_config(path: str) -> dict[str, RoutineModel]:
         und = ExactPolynomial.make(_coeffs(sec["undetected"]))
         if _negative_below_half(und):
             raise ValueError(f"routine [{name}] has an undetected weight not positive in (0, 1/2)")
-        # The planner's threshold bisects on one sign change of e(p) - p.
+        # The planner's threshold bisects on one sign change of e(p) - p, from - to +.
         gap = _without_low_powers(und - acc * ExactPolynomial.make([0, 1]))  # u - p a
-        if gap.coefficients and _roots_below_half(gap) > 1:
-            raise ValueError(f"routine [{name}] has an output error equal to p twice in (0, 1/2)")
+        if gap.coefficients and _roots_below_half(gap) > (gap.coefficients[0] < 0):  # sign near 0
+            raise ValueError(f"routine [{name}] has an output error equal to p twice, or once from above, in (0, 1/2)")
         models[name] = RoutineModel(name=name, m=m, n=n, acceptance_poly=acc, undetected_poly=und)
     return models
 

@@ -181,6 +181,9 @@ def test_usage_errors(tmp_path):
         # e(p) = p^2 (40 (1 - 4p)^2 + 1/10) equals p three times in (0, 1/2),
         # so no one threshold bounds where its rounds improve.
         "m = 5\nn = 1\nacceptance = 1\nundetected = 0 0 401/10 -320 640\n",
+        # e(p) = 3p/2 - 3p^2 is above p below 1/6 and below it above, so a
+        # threshold at 1/6 would allow its rounds exactly where they worsen.
+        "m = 2\nn = 1\nacceptance = 1\nundetected = 0 3/2 -3\n",
     ):
         cfg.write_text("[C]\n" + body)
         for argv in (["threshold", "--routine", "C"], ["plan", "--p0", "0.01", "--eg", "1e-10"]):

@@ -129,16 +129,20 @@ def test_config_refuses_routines_that_lower_the_cost(tmp_path):
 
 
 def test_config_refuses_an_error_equal_to_p_twice(tmp_path):
-    """A threshold is one sign change of e(p) - p: a routine whose error
-    equals p at two points of (0, 1/2) has no one threshold."""
+    """A threshold is one sign change of e(p) - p, from below p to above: a
+    routine whose error equals p at two points of (0, 1/2), or at one after
+    starting above p, has no such threshold."""
     path = tmp_path / "routines.cfg"
-    # e(p) = p^2 (40 (1 - 4p)^2 + 1/10) equals p three times.
-    path.write_text("[C]\nm = 5\nn = 1\nacceptance = 1\nundetected = 0 0 401/10 -320 640\n")
-    with pytest.raises(ValueError, match=r"routine \[C\] has an output error equal to p twice"):
-        load_routines_config(str(path))
+    # e(p) = p^2 (40 (1 - 4p)^2 + 1/10) equals p three times; e(p) = 3p/2 - 3p^2
+    # starts above p and falls below it at 1/6.
+    for undetected in ("0 0 401/10 -320 640", "0 3/2 -3"):
+        path.write_text(f"[C]\nm = 5\nn = 1\nacceptance = 1\nundetected = {undetected}\n")
+        with pytest.raises(ValueError, match=r"routine \[C\] has an output error equal to p twice"):
+            load_routines_config(str(path))
     # A double root counts once: e(p) = 8p^2 - 16p^3 touches p at 1/4 alone.
-    # e(p) = p is not refused either; every round of it counts as diverged.
-    for undetected in ("0 0 8 -16", "0 1"):
+    # e(p) = p is not refused either; every round of it counts as diverged,
+    # and nor is e(p) = 2p, above p everywhere (threshold 0.0).
+    for undetected in ("0 0 8 -16", "0 1", "0 2"):
         path.write_text(f"[C]\nm = 5\nn = 1\nacceptance = 1\nundetected = {undetected}\n")
         assert list(load_routines_config(str(path))) == ["C"], undetected
 
