@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from contextlib import suppress
+from functools import cache
 from math import exp, log
 from typing import Optional, Sequence
 
@@ -292,7 +293,10 @@ def cmd_dump_circuit(args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing makes a fresh
+    namespace on every call and changes nothing in the parser."""
     parser = _Parser(prog="c4distill", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -17,9 +17,11 @@ subnormal or zero, only where it is reported or compared.
 The sequence search walks the tree of sequence prefixes, one step each,
 cheapest first, skipping the subtree below a diverged prefix; a search stops
 at its first hit, as does the 15-to-1-only reference of an improvement
-factor in the same walk over one routine.  ``evaluate_sequence`` runs the
-same steps, so every value a plan reports is the value the search compared.
-Thresholds and curve crossings share one bisection.
+factor in the same walk over one routine.  A cost curve, or the table, reads
+one walk for all of its goals and stops once each has its hit.
+``evaluate_sequence`` runs the same steps, so every value a plan reports is
+the value the search compared.  Thresholds and curve crossings share one
+bisection, which stops once halving no longer moves the midpoint.
 """
 
 from __future__ import annotations
@@ -205,9 +207,13 @@ class _FloatRound:
 
 def _bisect(f, lo: float, hi: float, f_lo: float, steps: int) -> float:
     """Midpoint of [lo, hi] after ``steps`` halvings, each keeping a sign
-    change of ``f`` inside; ``f_lo`` is f(lo)."""
+    change of ``f`` inside; ``f_lo`` is f(lo).  It stops early once the
+    midpoint is no longer strictly between the ends, since from there on no
+    halving changes the midpoint."""
     for _ in range(steps):
         mid = (lo + hi) / 2
+        if not lo < mid < hi:
+            break
         f_mid = f(mid)
         if f_lo * f_mid <= 0:
             hi = mid
@@ -276,11 +282,32 @@ def best_sequence(
     return SearchResult(plan=None, closest=found)
 
 
+def _first_hits(
+    walk: Iterator[tuple[tuple[str, ...], float, float]], goals: Sequence[float]
+) -> dict[float, tuple[str, float]]:
+    """(name, cost) of the walk's first sequence at or below each goal error,
+    for the goals some sequence meets; the walk stops once every goal has
+    its hit."""
+    pending = sorted(set(goals))
+    hits = {}
+    for seq, error, cost in walk:
+        while pending and pending[-1] >= error:
+            hits[pending.pop()] = "".join(seq), cost
+        if not pending:
+            break
+    return hits
+
+
+def _b_only_walk(p0: float) -> Iterator[tuple[tuple[str, ...], float, float]]:
+    """The walk over 15-to-1-only sequences of up to ``B_ONLY_MAX_ROUNDS``."""
+    return _float_walk([_float_round(builtin_models()["B"])], p0, B_ONLY_MAX_ROUNDS)
+
+
 def shortest_b_only(target_error: float, p0: float) -> Optional[DistillationPlan]:
     """Shortest sequence of up to ``B_ONLY_MAX_ROUNDS`` rounds using only the
     15-to-1 routine with an equal or better final error."""
     b = builtin_models()["B"]
-    for seq, error, _ in _float_walk([_float_round(b)], p0, B_ONLY_MAX_ROUNDS):
+    for seq, error, _ in _b_only_walk(p0):
         if error <= target_error:
             return evaluate_sequence([b] * len(seq), p0)
     return None
@@ -330,15 +357,17 @@ class TableRow:
 def table_rows(p0: float = 0.01) -> list[TableRow]:
     """Cost, output error and improvement factor for the standard sequence
     set at the given input error."""
+    plans = [evaluate_sequence(parse_sequence(name), p0) for name in TABLE_SEQUENCES]
+    refs = _first_hits(_b_only_walk(p0), [plan.final_error for plan in plans])
     rows = []
-    for name in TABLE_SEQUENCES:
-        plan = evaluate_sequence(parse_sequence(name), p0)
+    for plan in plans:
+        ref = refs.get(plan.final_error)
         rows.append(
             TableRow(
-                sequence=name,
+                sequence=plan.name,
                 cost=plan.final_cost,
                 error=plan.final_error,
-                improvement=improvement_factor(plan),
+                improvement=None if ref is None else ref[1] / plan.final_cost,
             )
         )
     return rows
@@ -362,24 +391,22 @@ def step_cost_curve(
     available: Optional[dict[str, RoutineModel]] = None,
     max_rounds: int = 6,
 ) -> list[tuple[float, float, str, float, str]]:
-    """Rows (e_g, best cost, best sequence, B-only cost, B-only sequence)."""
+    """Rows (e_g, best cost, best sequence, B-only cost, B-only sequence)
+    for the e_g points some sequence meets, in grid order: each point's
+    answer is ``best_sequence``'s, read from one walk for all points, and
+    its reference ``shortest_b_only``'s, from one B-only walk."""
+    for eg in eg_grid:
+        PlannerGoal(p0=p0, e_g=eg, max_rounds=max_rounds).validate()
     models = available or builtin_models()
+    rounds = [_float_round(models[name]) for name in sorted(models)]
+    best = _first_hits(_float_walk(rounds, p0, max_rounds), eg_grid)
+    refs = _first_hits(_b_only_walk(p0), list(best))
     rows = []
     for eg in eg_grid:
-        goal = PlannerGoal(p0=p0, e_g=eg, max_rounds=max_rounds)
-        res = best_sequence(goal, models)
-        if res.plan is None:
-            continue
-        ref = shortest_b_only(eg, p0)
-        rows.append(
-            (
-                eg,
-                res.plan.final_cost,
-                res.plan.name,
-                ref.final_cost if ref else float("nan"),
-                ref.name if ref else "",
-            )
-        )
+        if eg in best:
+            name, cost = best[eg]
+            ref_name, ref_cost = refs.get(eg, ("", float("nan")))
+            rows.append((eg, cost, name, ref_cost, ref_name))
     return rows
 
 

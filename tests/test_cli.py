@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -15,6 +17,10 @@ from c4distill import exactalg
 from c4distill.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+COMMANDS = (
+    "polynomials", "threshold", "curve", "table1", "plan",
+    "simulate", "pipeline", "verify-identities", "dump-circuit",
+)
 
 GOLDEN_CASES = [
     ("polynomials.json", ["polynomials"]),
@@ -184,6 +190,9 @@ def test_usage_errors(tmp_path):
         # e(p) = 3p/2 - 3p^2 is above p below 1/6 and below it above, so a
         # threshold at 1/6 would allow its rounds exactly where they worsen.
         "m = 2\nn = 1\nacceptance = 1\nundetected = 0 3/2 -3\n",
+        # An undetected weight above the acceptance: from p0 = 0.45 a round
+        # would give an output error of 2.52.
+        "m = 5\nn = 1\nacceptance = 1 -3/2\nundetected = 0 0 0 0 20\n",
     ):
         cfg.write_text("[C]\n" + body)
         for argv in (["threshold", "--routine", "C"], ["plan", "--p0", "0.01", "--eg", "1e-10"]):
@@ -325,18 +334,19 @@ def test_output_file_and_outdir(tmp_path, monkeypatch):
 
 def test_custom_routine_config(tmp_path):
     cfg = tmp_path / "r.cfg"
-    cfg.write_text("[C]\nm = 5\nn = 1\nacceptance = 1 -5 10\nundetected = 0 0 10\n")
+    cfg.write_text("[C]\nm = 5\nn = 1\nacceptance = 1 -5 10\nundetected = 0 0 5/2\n")
     code, out = run_cli(["threshold", "--routine", "C", "--routines", str(cfg)])
     assert code == EXIT_OK
-    # e(p) = 10 p^2 / (1 - 5p + 10p^2): fixed point at (15 - sqrt(185)) / 20.
-    want = (15 - 185**0.5) / 20
+    # e(p) = 5 p^2 / (2 - 10p + 20p^2): fixed point at (15 - sqrt(65)) / 40.
+    want = (15 - 65**0.5) / 40
     assert json.loads(out)["threshold"] == pytest.approx(want, abs=1e-5)
-    # An acceptance whose only root in [0, 1/2] is 1/2 itself is accepted:
-    # e(p) = 10 p^2 / (1 - 2p) crosses p at 1/12.
-    cfg.write_text("[C]\nm = 5\nn = 1\nacceptance = 1 -2\nundetected = 0 0 10\n")
+    # An acceptance whose only root in [0, 1/2] is 1/2 itself is accepted,
+    # with an undetected weight 8 p^2 (1 - p) (1 - 2p) that vanishes there
+    # too: e(p) = 8 p^2 (1 - p) crosses p at (2 - sqrt(2)) / 4.
+    cfg.write_text("[C]\nm = 5\nn = 1\nacceptance = 1 -2\nundetected = 0 0 8 -24 16\n")
     code, out = run_cli(["threshold", "--routine", "C", "--routines", str(cfg)])
     assert code == EXIT_OK
-    assert json.loads(out)["threshold"] == pytest.approx(1 / 12, abs=1e-5)
+    assert json.loads(out)["threshold"] == pytest.approx((2 - 2**0.5) / 4, abs=1e-5)
     # With e(p) = p^2 there is no threshold; at p0 above B's, no 15-to-1-only
     # sequence reaches the plan's error, so there is no improvement factor.
     cfg.write_text("[D]\nm = 3\nn = 1\nacceptance = 1\nundetected = 0 0 1\n")
@@ -344,9 +354,9 @@ def test_custom_routine_config(tmp_path):
     assert code == EXIT_OK
     payload = json.loads(out)
     assert payload["sequence"] == "DDD" and payload["improvement_factor"] is None
-    # e(p) = p / (1 - 2p) never improves: every round of it diverges, so at a
-    # p0 above A's and B's thresholds nothing is feasible.
-    cfg.write_text("[W]\nm = 2\nn = 1\nacceptance = 1 -2\nundetected = 0 1\n")
+    # e(p) = 2p never improves: every round of it diverges, so at a p0 above
+    # A's and B's thresholds nothing is feasible.
+    cfg.write_text("[W]\nm = 2\nn = 1\nacceptance = 1\nundetected = 0 2\n")
     code, out = run_cli(["plan", "--p0", "0.3", "--eg", "1e-3", "--routines", str(cfg)])
     assert code == EXIT_OK
     assert json.loads(out) == {"feasible": False, "goal_error": 1e-3, "best_error_achieved": None}
@@ -363,7 +373,7 @@ def test_builtin_figures_ignore_routines(tmp_path):
     """both-thresh and regionplot plot the builtin routines alone: a valid
     --routines file is read and checked, and changes no byte of them."""
     cfg = tmp_path / "r.cfg"
-    cfg.write_text("[C]\nm = 5\nn = 1\nacceptance = 1 -5 10\nundetected = 0 0 10\n")
+    cfg.write_text("[C]\nm = 5\nn = 1\nacceptance = 1 -5 10\nundetected = 0 0 5/2\n")
     for fname in ("curve_both_thresh.csv", "curve_regionplot.csv"):
         argv = dict(GOLDEN_CASES)[fname]
         code, out = run_cli(argv)
@@ -382,8 +392,8 @@ def _poly(head):
     )
 
 
-# Its round from p0 = 0.45 gives an error of 2.52; a second round from there
-# would run on a negative acceptance, to a negative error and cost.
+# Its round from p0 = 0.45 would give an error of 2.52, and a second round
+# from there a negative acceptance, error and cost; the loader refuses it.
 UNBOUNDED_ERROR = "[C]\nm = 5\nn = 1\nacceptance = 1 -3/2\nundetected = 0 0 0 0 20\n"
 
 
@@ -421,6 +431,44 @@ def test_routine_configs_through_planner_commands(tmp_path_factory, config, p0, 
             costs = [r["cost"] for r in rounds]
             assert all(r["p_in"] < 0.5 and r["acceptance"] > 0 for r in rounds), out
             assert costs[0] >= 1 and costs == sorted(costs), out
+
+
+def _fresh_process(argv) -> tuple[int, str]:
+    """Exit code and stdout of ``c4distill argv`` in a new interpreter."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(exactalg.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-m", "c4distill.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    return out.returncode, out.stdout
+
+
+def _help(parse_args, argv) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), pytest.raises(SystemExit) as exit_:
+        parse_args(argv + ["--help"])
+    assert exit_.value.code == 0
+    return buf.getvalue()
+
+
+def test_reused_parser_leaks_nothing_between_calls(tmp_path):
+    """main() parses with one parser per process; after a usage error and a
+    run with --routines, each later call prints what it prints alone."""
+    from c4distill.cli import build_parser
+
+    assert build_parser() is build_parser()
+    cfg = tmp_path / "r.cfg"
+    cfg.write_text("[T]\nm = 1\nn = 1\nacceptance = 1\nundetected = 0 0 1\n")
+    custom = ["plan", "--p0", "0.01", "--eg", "1e-5", "--routines", str(cfg)]
+    # Both goals: argparse refuses the pair in the middle of the parse.
+    assert run_cli(["plan", "--p0", "0.01", "--eg", "1e-5", "--R", "1e4"])[0] == EXIT_USAGE
+    assert run_cli(custom) == _fresh_process(custom)
+    for fname in ("plan.json", "curve_distplot.csv"):
+        with open(os.path.join(GOLDEN_DIR, fname)) as fh:
+            assert run_cli(dict(GOLDEN_CASES)[fname]) == (EXIT_OK, fh.read()), fname
+    # Help is the text of a parser built for the call, as before the reuse.
+    for argv in [[]] + [[name] for name in COMMANDS]:
+        assert _help(main, argv) == _help(build_parser.__wrapped__().parse_args, argv), argv
 
 
 def test_plan_answer_needs_no_bound_on_rounds():

@@ -297,6 +297,10 @@ def test_improvement_factors():
     assert shortest_b_only(1e-5, 0.01).name == "BB"
     # Above B's threshold no B-only sequence reaches anything.
     assert improvement_factor(evaluate_sequence(parse_sequence("A"), 0.2)) is None
+    # The table reads every row's reference from one B-only walk.
+    for p0 in (1e-9, 0.01, 0.1, 0.14):
+        want = [improvement_factor(evaluate_sequence(parse_sequence(seq), p0)) for seq in TABLE_SEQUENCES]
+        assert [row.improvement for row in table_rows(p0)] == want, p0
 
 
 def test_shortest_b_only_none_cases(models):
@@ -462,6 +466,80 @@ def test_curve_crossings_found():
     a_err = evaluate_sequence(parse_sequence("AA"), p_cross).final_error
     b_err = evaluate_sequence(parse_sequence("B"), p_cross).final_error
     assert a_err == pytest.approx(b_err, rel=1e-6)
+
+
+def _crossings_by_60_halvings(sequences, grid):
+    """``curve_crossings`` as it was computed before its bisection learned
+    to stop: 60 halvings of every bracket, however many change nothing."""
+
+    def gap(seq_a, seq_b, p):
+        (xa, sa), (xb, sb) = planner._error_parts(seq_a, p), planner._error_parts(seq_b, p)
+        return math.log(xa / xb) + (sa - sb) * math.log(2)
+
+    out = []
+    for name_a, name_b in zip(sequences, sequences[1:]):
+        pair = parse_sequence(name_a), parse_sequence(name_b)
+        for lo, hi in zip(grid, grid[1:]):
+            g_lo, g_hi = gap(*pair, lo), gap(*pair, hi)
+            if g_lo * g_hi < 0:
+                for _ in range(60):
+                    mid = (lo + hi) / 2
+                    g_mid = gap(*pair, mid)
+                    if g_lo * g_mid <= 0:
+                        hi = mid
+                    else:
+                        lo, g_lo = mid, g_mid
+                out.append((name_a, name_b, ((lo + hi) / 2).hex()))
+    return out
+
+
+@pytest.mark.parametrize(
+    "pmin, pmax, points", [(1e-4, 0.12, 60), (0.002, 0.08, 5)], ids=["default", "golden"]
+)
+def test_crossings_pinned_to_60_halvings(pmin, pmax, points):
+    """Crossings of the default regionplot grid and of the golden's 5-point
+    grid are bit for bit those of 60 halvings."""
+    from c4distill.cli import _geom_grid
+
+    grid = _geom_grid(pmin, pmax, points)
+    got = [(a, b, p.hex()) for a, b, p in curve_crossings(TABLE_SEQUENCES, grid)]
+    assert got == _crossings_by_60_halvings(TABLE_SEQUENCES, grid)
+    assert got
+
+
+def _step_cost_rows_per_point(p0, eg_grid, available, max_rounds):
+    """``step_cost_curve`` as one search and one B-only reference per point."""
+    rows = []
+    for eg in eg_grid:
+        res = best_sequence(PlannerGoal(p0=p0, e_g=eg, max_rounds=max_rounds), available)
+        if res.plan is None:
+            continue
+        ref = shortest_b_only(eg, p0)
+        rows.append((eg, res.plan.final_cost, res.plan.name,
+                     ref.final_cost if ref else float("nan"), ref.name if ref else ""))
+    return rows
+
+
+def _nan_as_none(rows):
+    """Rows with a missing B-only cost (nan) as None, so that == compares them."""
+    return [row[:3] + (None if math.isnan(row[3]) else row[3],) + row[4:] for row in rows]
+
+
+@settings(max_examples=40)
+@given(
+    p0=st.floats(min_value=-3, max_value=math.log10(0.3)).map(lambda e: 10.0**e),
+    log_ratios=st.lists(st.floats(min_value=-80, max_value=-1e-3), min_size=1, max_size=6),
+    max_rounds=st.integers(min_value=1, max_value=6),
+    extra=st.sampled_from(["", "T", "H", "TH"]),
+)
+def test_step_cost_curve_matches_per_point_searches(models, p0, log_ratios, max_rounds, extra):
+    """One walk for all of a curve's points gives each point the row a search
+    of its own gives, for e_g grids in any order, with and without a round
+    that keeps the cost (T) or halves the error (H)."""
+    available = {**models, **{name: SYNTHETIC_MODELS[name] for name in extra}}
+    grid = [p0 * 10.0**r for r in log_ratios]
+    want = _step_cost_rows_per_point(p0, grid, available, max_rounds)
+    assert _nan_as_none(step_cost_curve(p0, grid, available, max_rounds)) == _nan_as_none(want)
 
 
 def _exhaustive(goal: PlannerGoal, models) -> SearchResult:
@@ -720,12 +798,13 @@ def test_float_walk_yields_in_rank_order(models, p0, case):
 
 
 # Measured bounds.  A search over every prefix took 7,389 steps for the
-# distplot, and 524,302 for this plan at 18 rounds.
+# distplot, and 524,302 for this plan at 18 rounds; one ranked walk per
+# point took 1,607 for the distplot.
 @pytest.mark.parametrize(
     "argv, bound",
     [
         (["plan", "--p0", "0.001", "--eg", "1e-300", "--max-rounds", "40"], 152),
-        (["curve", "--figure", "distplot"], 1607),
+        (["curve", "--figure", "distplot"], 41),
     ],
 )
 def test_search_steps_bounded(steps, argv, bound):

@@ -147,6 +147,23 @@ def test_config_refuses_an_error_equal_to_p_twice(tmp_path):
         assert list(load_routines_config(str(path))) == ["C"], undetected
 
 
+def test_config_refuses_an_error_above_one(tmp_path):
+    """An output error is a probability: an undetected weight may not exceed
+    the acceptance in (0, 1/2)."""
+    path = tmp_path / "routines.cfg"
+    # 20p^4 passes 1 - 3p/2 near p = 0.43 (from p0 = 0.45 a round gave an
+    # error of 2.52), and 2 starts above 1.
+    for acceptance, undetected in (("1 -3/2", "0 0 0 0 20"), ("1", "2")):
+        path.write_text(f"[C]\nm = 5\nn = 1\nacceptance = {acceptance}\nundetected = {undetected}\n")
+        with pytest.raises(ValueError, match=r"routine \[C\] has an undetected weight above the acceptance"):
+            load_routines_config(str(path))
+    # e(p) = 1 everywhere, and e(p) = 4p (1 - p), which reaches 1 at p = 1/2
+    # alone, are probabilities; every round of either counts as diverged.
+    for acceptance, undetected in (("1 -2", "1 -2"), ("1", "0 4 -4")):
+        path.write_text(f"[C]\nm = 5\nn = 1\nacceptance = {acceptance}\nundetected = {undetected}\n")
+        assert list(load_routines_config(str(path))) == ["C"], undetected
+
+
 def test_readme_config_loads(tmp_path):
     """The README's example routine is one the loader accepts."""
     readme = Path(__file__).resolve().parents[1] / "README.md"
