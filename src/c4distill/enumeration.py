@@ -4,8 +4,8 @@ Two classifiers cover every pattern, and both classify the circuit and the
 error locations of ``circuits.build_distillation_circuit()``:
 
 * ``DenseClassifier`` runs the 5-wire circuit on the state-vector oracle
-  once for all patterns, a batch row per pattern carrying that pattern's
-  Paulis, and post-selects the noiseless reference outcomes.
+  once for all patterns, each location branching the batch on its own axis
+  where it is inserted, and post-selects the noiseless reference outcomes.
 * ``FrameClassifier`` never touches amplitudes on the full register.  Gate
   errors are conjugated (exactly, with phases) through the circuit's own
   Clifford elements to a common reference point, the second controlled-H
@@ -260,9 +260,9 @@ class DenseClassifier:
     """State-vector classification against the noiseless reference run.
 
     All 1024 patterns are one batch: the circuit is walked once, each error
-    location's Paulis are applied to the rows whose bit is set, and the
-    reference outcomes are post-selected.  Each row's unnormalized weights
-    in the (|H>, |-H>) basis of the two outputs give its verdict.
+    location doubles the batch on its own axis with a copy carrying its
+    Paulis, and the reference outcomes are post-selected.  A pattern's
+    unnormalized weights in the (|H>, |-H>) basis of the outputs give its verdict.
     """
 
     def __init__(self):
@@ -273,20 +273,20 @@ class DenseClassifier:
         circuit, locations = build_distillation_circuit()
         reference = reference_outcomes(circuit)
         width = circuit.width
-        state = np.zeros((2,) * width + (N_PATTERNS,), dtype=complex)
-        state[(0,) * width] = 1.0
-        branch = Branch(state)
+        branch = Branch(np.zeros((2,) * width + (1,) * N_LOCATIONS, dtype=complex))
+        branch.state.flat[0] = 1.0
         for index, el in enumerate(circuit.elements):
             for loc in locations:
                 if loc.insert_index == index:
-                    # The batch axis split at bit loc.id: index 1 of its middle axis holds the hit rows.
-                    split = branch.state.reshape(branch.state.shape[:-1] + (-1, 2, 1 << loc.id))
+                    # Bit loc.id's axis, bit 9's first so the flat batch is the pattern index: index 1 has the Paulis.
+                    hit = branch.state
                     for op, wire in loc.paulis:
-                        split[..., 1, :] = apply_unitary(split[..., 1, :], GATE_MATRICES[op], (wire,))
-                    branch.state = split.reshape(branch.state.shape)
+                        hit = apply_unitary(hit, GATE_MATRICES[op], (wire,))
+                    branch.state = np.concatenate((branch.state, hit), axis=-1 - loc.id)
             (branch,) = apply_element(branch, el, reference)
         out1, out2 = circuit.labels["out1"], circuit.labels["out2"]
-        st = apply_unitary(apply_unitary(branch.state, H_BASIS, (out1,)), H_BASIS, (out2,))
+        st = branch.state.reshape((2,) * width + (N_PATTERNS,))
+        st = apply_unitary(apply_unitary(st, H_BASIS, (out1,)), H_BASIS, (out2,))
         # w[r, c, bits]: weight of output 1 in |+-H>_r and output 2 in |+-H>_c.
         w = np.moveaxis(np.abs(st) ** 2, (out1, out2), (0, 1)).sum(axis=tuple(range(2, width)))
         accept = w.sum(axis=(0, 1))

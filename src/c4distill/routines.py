@@ -114,9 +114,9 @@ def load_routines_config(path: str) -> dict[str, RoutineModel]:
     nonzero undetected weight that is negative or vanishes in (0, 1/2), or
     that reaches the acceptance there without equalling it throughout (an
     output error of 1 or more), an output error equal to p at two points of
-    (0, 1/2), or at one if it starts above p, a section name that is not
-    one character (a sequence names one routine per character), or a
-    builtin routine's name raises ValueError.
+    (0, 1/2), or at one if it starts above p, or crossing p in [1/4, 1/2),
+    a section name that is not one character (a sequence names one routine
+    per character), or a builtin routine's name raises ValueError.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
@@ -158,6 +158,11 @@ def load_routines_config(path: str) -> dict[str, RoutineModel]:
             raise ValueError(f"routine [{name}] has an output error equal to p twice, or once from above, in (0, 1/2)")
         if _negative_below_half(acc - und):  # an output error of 1 or more
             raise ValueError(f"routine [{name}] has an undetected weight above the acceptance in (0, 1/2)")
+        if gap.coefficients and gap(Fraction(1, 4)) <= 0:  # a crossing from 1/4 up escapes THRESHOLD_BRACKET
+            while not gap(Fraction(1, 2)):  # divide out 1 - 2p: gap's sign at 1/2 is then its sign just below
+                gap = _divmod(gap, ExactPolynomial.make([1, -2]))[0]
+            if gap(Fraction(1, 2)) > 0:
+                raise ValueError(f"routine [{name}] has an output error that crosses p in [1/4, 1/2)")
         models[name] = RoutineModel(name=name, m=m, n=n, acceptance_poly=acc, undetected_poly=und)
     return models
 

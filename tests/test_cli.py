@@ -193,6 +193,9 @@ def test_usage_errors(tmp_path):
         # An undetected weight above the acceptance: from p0 = 0.45 a round
         # would give an output error of 2.52.
         "m = 5\nn = 1\nacceptance = 1 -3/2\nundetected = 0 0 0 0 20\n",
+        # e(p) = 3p^2 crosses p at 1/3, above the threshold bracket: it would
+        # get no threshold, and a plan from p0 = 0.4 would reach 0.48.
+        "m = 3\nn = 1\nacceptance = 1\nundetected = 0 0 3\n",
     ):
         cfg.write_text("[C]\n" + body)
         for argv in (["threshold", "--routine", "C"], ["plan", "--p0", "0.01", "--eg", "1e-10"]):

@@ -9,6 +9,7 @@ import pytest
 from c4distill import enumeration, exactalg
 from c4distill.circuits import build_distillation_circuit, insert_pattern, reference_outcomes
 from c4distill.enumeration import (
+    N_LOCATIONS,
     N_PATTERNS,
     PUBLISHED_ACCEPTANCE,
     PUBLISHED_EITHER,
@@ -251,23 +252,51 @@ def test_dense_classifier_is_one_batched_pass(monkeypatch):
 
     monkeypatch.setattr(circuits, "insert_pattern", counting_insert)
     monkeypatch.setattr(enumeration, "insert_pattern", counting_insert, raising=False)
-    widths = []
-    apply = statevec.apply_element
+    circ, locations = build_distillation_circuit()
+    width = circ.width
+    elements, unbatched = [], [0]
+    apply_element = statevec.apply_element
 
-    def counting_apply(branch, *args):
-        widths.append(branch.state.ndim)
-        return apply(branch, *args)
+    def counting_apply_element(branch, el, *args):
+        if branch.state.ndim == width:
+            unbatched[0] += 1
+        else:
+            elements.append((el, branch.state.size >> width, branch.state.ndim))
+        return apply_element(branch, el, *args)
 
-    monkeypatch.setattr(statevec, "apply_element", counting_apply)
+    # (matrix, batch columns) of every gate application; depth skips the
+    # call that apply_unitary makes on itself for non-adjacent wires.
+    products, depth = [], [0]
+    apply_unitary = statevec.apply_unitary
+
+    def counting_apply_unitary(state, mat, wires):
+        if not depth[0]:
+            products.append((mat, state.size >> width))
+        depth[0] += 1
+        try:
+            return apply_unitary(state, mat, wires)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(statevec, "apply_element", counting_apply_element)
+    monkeypatch.setattr(statevec, "apply_unitary", counting_apply_unitary)
     dense = DenseClassifier()
     for bits in range(N_PATTERNS):
         dense.classify(bits)
-    circ, _ = build_distillation_circuit()
     assert inserted[0] == 0
-    # Each element once on the (2,)*5 x 1024 batch, besides the one
-    # unbatched noiseless reference run.
-    assert widths.count(circ.width + 1) == len(circ.elements)
-    assert len(widths) <= 2 * len(circ.elements)
+    # Each element once on the batched state, besides the one unbatched
+    # noiseless reference run; the batch has doubled once per location
+    # inserted before it.
+    assert unbatched[0] <= len(circ.elements)
+    assert [el for el, _, _ in elements] == list(circ.elements)
+    for index, (_, columns, ndim) in enumerate(elements):
+        assert ndim == width + N_LOCATIONS
+        assert columns == 1 << sum(loc.insert_index <= index for loc in locations), index
+    # Only the elements after the last insertions and the two H-basis
+    # rotations act on all 1024 columns.
+    full = [mat for mat, columns in products if columns == N_PATTERNS]
+    assert len(full) <= 9
+    assert sum(mat is statevec.H_BASIS for mat in full) == 2
 
 
 def test_output_fidelity_classes(polyset):

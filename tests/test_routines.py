@@ -164,6 +164,26 @@ def test_config_refuses_an_error_above_one(tmp_path):
         assert list(load_routines_config(str(path))) == ["C"], undetected
 
 
+def test_config_refuses_a_crossing_above_the_threshold_bracket(tmp_path):
+    """The planner bisects for a threshold on (1e-6, 1/4) only, so an output
+    error that crosses p from 1/4 up would get none, and its rounds would run
+    where they worsen the error."""
+    path = tmp_path / "routines.cfg"
+    # e(p) = 3p^2 crosses p at 1/3 (from p0 = 0.4 a plan reached 0.48), 4p^2
+    # at 1/4 itself, 5p^2 - 6p^3 at 1/3 and equals p again at 1/2, and
+    # 9p^2 - 27p^3 + 27p^4 crosses at 1/3 through a triple root.
+    for undetected in ("0 0 3", "0 0 4", "0 0 5 -6", "0 0 9 -27 27"):
+        path.write_text(f"[C]\nm = 3\nn = 1\nacceptance = 1\nundetected = {undetected}\n")
+        with pytest.raises(ValueError, match=r"routine \[C\] has an output error that crosses p in \[1/4, 1/2\)"):
+            load_routines_config(str(path))
+    # A crossing below 1/4 (8p^2 - 8p^3, at (2 - sqrt 2)/4), an error below
+    # p throughout (p^2), and one that touches p at 1/3 without crossing it
+    # and equals p again at 1/2 (8p^2 - 21p^3 + 18p^4) are accepted.
+    for undetected in ("0 0 8 -8", "0 0 1", "0 0 8 -21 18"):
+        path.write_text(f"[C]\nm = 3\nn = 1\nacceptance = 1\nundetected = {undetected}\n")
+        assert list(load_routines_config(str(path))) == ["C"], undetected
+
+
 def test_readme_config_loads(tmp_path):
     """The README's example routine is one the loader accepts."""
     readme = Path(__file__).resolve().parents[1] / "README.md"
