@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
 from itertools import zip_longest
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
@@ -66,6 +66,11 @@ class ExactVerdict:
     either: Fraction
 
     def as_floats(self) -> tuple[float, float, float, float, float]:
+        return self._floats
+
+    @cached_property
+    def _floats(self) -> tuple[float, float, float, float, float]:
+        # Kept in the instance dict, outside the fields that == and hash read.
         # float(Fraction) is this int/int true division, reached through numbers.Rational.
         values = (self.accept, self.err1, self.err2, self.both, self.either)
         return tuple(v.numerator / v.denominator for v in values)

@@ -14,7 +14,8 @@ outcome.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cache
 from typing import Optional
 
 import numpy as np
@@ -89,16 +90,25 @@ class SimulationError(RuntimeError):
     """Raised on invalid circuit usage (bad prep, unset condition bit, ...)."""
 
 
+@cache
+def _permutation(wires: tuple[int, ...], ndim: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The axis order that puts ``wires`` first, and its inverse."""
+    order = wires + tuple(a for a in range(ndim) if a not in wires)
+    return order, tuple(order.index(a) for a in range(ndim))
+
+
 def apply_unitary(state: np.ndarray, mat: np.ndarray, wires: tuple[int, ...]) -> np.ndarray:
     """Apply a 2^k x 2^k matrix to the given wires of a (2,)*n state tensor;
     any axes after the wire axes are batch axes and are left in place.
     Ascending adjacent wires take one stacked matmul on a reshaped view;
-    other wires are moved to the front for it and moved back after."""
+    other wires take one transpose to the front, the matmul there, and one
+    transpose back."""
     k, lo = len(wires), wires[0]
-    if wires != tuple(range(lo, lo + k)):
-        front = tuple(range(k))
-        return np.moveaxis(apply_unitary(np.moveaxis(state, wires, front), mat, front), front, wires)
-    return (mat @ state.reshape(2**lo, 2**k, -1)).reshape(state.shape)
+    if wires == tuple(range(lo, lo + k)):
+        return (mat @ state.reshape(2**lo, 2**k, -1)).reshape(state.shape)
+    order, inverse = _permutation(wires, state.ndim)
+    moved = state.transpose(order)
+    return (mat @ moved.reshape(2**k, -1)).reshape(moved.shape).transpose(inverse)
 
 
 @dataclass
@@ -202,6 +212,13 @@ def _merge_equal_branches(branches: list[Branch]) -> list[Branch]:
     return merged
 
 
+def _open_ends(circuit: Circuit) -> tuple[frozenset[int], frozenset[int]]:
+    """The wires a circuit prepares and the wires it measures."""
+    prepped = frozenset(el.wires[0] for el in circuit.elements if el.op in _PREP_ROTATION)
+    measured = frozenset(el.wires[0] for el in circuit.elements if el.op in _PROJECTORS)
+    return prepped, measured
+
+
 def labeled_kraus(circuit: Circuit) -> dict[tuple, list[np.ndarray]]:
     """Kraus operators per outcome-label tuple, as 2^n_out x 2^n_in matrices.
 
@@ -213,8 +230,8 @@ def labeled_kraus(circuit: Circuit) -> dict[tuple, list[np.ndarray]]:
     what the circuit left on those wires.
     """
     width = circuit.width
-    prepped = {el.wires[0] for el in circuit.elements if el.op in _PREP_ROTATION}
-    measured = tuple(sorted({el.wires[0] for el in circuit.elements if el.op in _PROJECTORS}))
+    prepped, measured = _open_ends(circuit)
+    measured = tuple(sorted(measured))
     ins = [w for w in range(width) if w not in prepped]
     outs = tuple(w for w in range(width) if w not in measured)
     labels = sorted(el.label for el in circuit.elements if el.op in _PROJECTORS)
@@ -251,7 +268,21 @@ def channel_distance(
     """Max absolute Choi-matrix deviation between the two circuits' channels
     (so a global phase does not count).  Circuits with measurements are
     compared branch by branch when ``compare_labels`` is set, else as the
-    outcome-forgetting channel."""
+    outcome-forgetting channel.
+
+    Circuits of one width that prepare and measure the same wires are first
+    cut down to the wires either of them touches, in their order.  On an
+    untouched wire both channels are Phi (x) id, and J(Phi (x) id) is
+    J(Phi) (x) J(id) up to the order of the factors, the same order on both
+    sides; J(id) has entries 0 and 1, so max |J_a - J_b| does not change.
+    Two circuits that touch no wire are compared on no wires: 0.0."""
+    if circ_a.width == circ_b.width and _open_ends(circ_a) == _open_ends(circ_b):
+        kept = sorted({w for c in (circ_a, circ_b) for el in c.elements for w in el.wires})
+        index = {w: i for i, w in enumerate(kept)}
+        circ_a, circ_b = (
+            Circuit(len(kept), tuple(replace(el, wires=tuple(index[w] for w in el.wires)) for el in c.elements))
+            for c in (circ_a, circ_b)
+        )
     ka = labeled_kraus(circ_a)
     kb = labeled_kraus(circ_b)
     if not compare_labels:

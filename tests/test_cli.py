@@ -489,6 +489,26 @@ def test_verify_identities_all_pass():
     assert all(l.startswith("PASS") for l in lines)
 
 
+def test_verify_identities_verbose_prints_each_distance():
+    """--verbose appends each identity's distance to the default line, which
+    stays the golden's."""
+    from c4distill.identities import IDENTITIES, TOL
+
+    code, out = run_cli(["verify-identities", "--verbose"])
+    assert code == EXIT_OK
+    with open(os.path.join(GOLDEN_DIR, "verify_identities.txt")) as f:
+        text = f.read()
+    golden = text.splitlines()
+    lines = out.splitlines()
+    assert len(lines) == len(golden) == len(IDENTITIES) == 15
+    for line, want, name in zip(lines, golden, IDENTITIES):
+        head, _, detail = line.rpartition(" ")
+        assert head == want and want.endswith(f" {name}")
+        assert detail.startswith("(") and detail.endswith(")")
+        assert float(detail[1:-1]) <= TOL, line
+    assert run_cli(["verify-identities"]) == (EXIT_OK, text)
+
+
 def test_counts_accept_integral_float_literals(capsys):
     """--k0 and --trials read a count as the documents write it (1e9), and a
     count written either way gives byte-identical output; a fractional,

@@ -171,7 +171,9 @@ def test_odd_weight_gate_only_patterns_rejected():
 def test_as_floats_equals_float_bit_for_bit():
     """as_floats divides numerator by denominator; it must round exactly as
     float(Fraction) does, for every field of every pattern, and for ratios
-    that are not dyadic or whose terms exceed 2**53."""
+    that are not dyadic or whose terms exceed 2**53.  Each verdict converts
+    once: repeated calls return the same tuple, which takes no part in ==,
+    hashing or the dataclass fields."""
     hard = ExactVerdict(
         Fraction(1, 3), Fraction(2**80 + 1, 3**50), Fraction(-7, 10), Fraction(10**400, 10**399 + 1), Fraction(0)
     )
@@ -179,6 +181,11 @@ def test_as_floats_equals_float_bit_for_bit():
         got, want = v.as_floats(), tuple(float(f) for f in astuple(v))
         assert len(got) == 5 and all(type(g) is float for g in got), bits
         assert [g.hex() for g in got] == [w.hex() for w in want], bits
+        assert v.as_floats() is got, bits
+        fresh = ExactVerdict(*astuple(v))
+        assert fresh == v and hash(fresh) == hash(v), bits
+        assert fresh.as_floats() == got and fresh == v and hash(fresh) == hash(v), bits
+        assert astuple(fresh) == astuple(v), bits
 
 
 def test_dense_and_frame_agree_on_all_patterns():

@@ -505,6 +505,14 @@ def test_verdict_table_consistency():
     assert table.cumulative.min() >= 0 and table.cumulative.max() <= 1
     # Pattern 0 is always accepted clean, so it needs no draw.
     assert table.cumulative[:, 0].tolist() == [0, 1, 1, 1]
+    # Read through the cached as_floats, the table is bit-identical to one
+    # built from every verdict's fields converted afresh.
+    laws = []
+    for v in exact_verdicts():
+        acc, err1, err2, both = (float(f) for f in (v.accept, v.err1, v.err2, v.both))
+        laws.append((1 - acc, acc - err1 - err2 + both, err2 - both, err1 - both))
+    fresh = np.cumsum(laws, axis=1).T
+    assert table.cumulative.dtype == fresh.dtype and table.cumulative.tobytes() == fresh.tobytes(order="C")
 
 
 def test_pipeline_noise_free(counted_blocks):

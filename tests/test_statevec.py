@@ -2,10 +2,11 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from c4distill.circuits import Circuit, Element, gates
@@ -95,6 +96,73 @@ def test_identity_circuit_equals_empty():
     a = Circuit(2, tuple(gates(("swap", (0, 1)), ("swap", (0, 1)))))
     b = Circuit(2, ())
     assert channel_distance(a, b) <= 1e-10
+    # Circuits that touch no wire are compared on none.
+    assert channel_distance(Circuit(3, ()), Circuit(3, ())) == 0.0
+    assert channel_distance(Circuit(1, ()), Circuit(1, ()), compare_labels=False) == 0.0
+
+
+def _full_width_distance(a, b, compare_labels):
+    """channel_distance with no wire dropped: every label's Choi deviation
+    on the circuits' own widths."""
+    ka, kb = labeled_kraus(a), labeled_kraus(b)
+    if not compare_labels:
+        ka, kb = ({(): [m for ms in k.values() for m in ms]} for k in (ka, kb))
+    return max(_choi_deviation(ka.get(key, []), kb.get(key, [])) for key in set(ka) | set(kb))
+
+
+@st.composite
+def _gate_list(draw, width):
+    elems = []
+    for name in draw(st.lists(st.sampled_from(sorted(GATE_MATRICES)), max_size=4)):
+        k = GATE_MATRICES[name].shape[0].bit_length() - 1
+        if k <= width:
+            elems.append(Element(name, tuple(draw(st.permutations(range(width)))[:k])))
+    return elems
+
+
+@settings(max_examples=60)
+@given(
+    width=st.integers(1, 3),
+    measure=st.sampled_from([None, "mz", "mx", "my"]),
+    compare_labels=st.booleans(),
+    data=st.data(),
+)
+def test_idle_wire_does_not_change_channel_distance(width, measure, compare_labels, data):
+    """Padding both circuits of a pair with an untouched wire, at any
+    position, leaves the distance as it was, and the distance equals the
+    deviation of the full-width Choi matrices, which keep the padded wire."""
+    a, b = data.draw(_gate_list(width)), data.draw(_gate_list(width))
+    if measure:
+        # The same measured wire on both sides; a pair that measures
+        # different wires keeps its idle wires (see the test below).
+        m = Element(measure, (data.draw(st.integers(0, width - 1)),), label="m")
+        a, b = a + [m], b + [m]
+    pad = data.draw(st.integers(0, width))
+    padded = [
+        Circuit(width + 1, tuple(replace(el, wires=tuple(w + (w >= pad) for w in el.wires)) for el in c))
+        for c in (a, b)
+    ]
+    want = channel_distance(Circuit(width, tuple(a)), Circuit(width, tuple(b)), compare_labels)
+    got = channel_distance(*padded, compare_labels)
+    assert got == want
+    assert got == pytest.approx(_full_width_distance(*padded, compare_labels), rel=1e-12, abs=1e-13)
+
+
+def test_idle_wires_stay_when_the_circuits_measure_different_wires():
+    """An untouched wire drops out of the Choi deviation only when both
+    circuits prepare and measure the same wires.  Here wire 1 is untouched;
+    ``a`` measures wire 0 and ``b`` wire 2, so the untouched wire is the
+    first open output of ``a`` and the second of ``b``.  Without it, each
+    side's one open output carries input wire 2 and the channels agree; with
+    it, the outputs are compared in swapped order and they do not."""
+    a = Circuit(3, (Element("s", (0,)), Element("mz", (0,), label="m")))
+    b = Circuit(3, (Element("swap", (2, 0)), Element("mz", (2,), label="m")))
+    squeezed = [Circuit(2, tuple(replace(el, wires=tuple(w // 2 for w in el.wires)) for el in c.elements))
+                for c in (a, b)]
+    for compare_labels in (True, False):
+        got = channel_distance(a, b, compare_labels)
+        assert got == _full_width_distance(a, b, compare_labels)
+        assert abs(got - channel_distance(*squeezed, compare_labels)) > 1e-3
 
 
 def test_channel_width_mismatch():
