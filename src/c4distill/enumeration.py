@@ -9,17 +9,18 @@ error locations of ``circuits.build_distillation_circuit()``:
 * ``FrameClassifier`` never touches amplitudes on the full register.  Gate
   errors are conjugated (exactly, with phases) through the circuit's own
   Clifford elements to a common reference point, the second controlled-H
-  pair, multiplied out once per value of the eight gate bits, and looked
-  up in a table of the code's 64 normalizer elements (a miss is a detected
-  error); the accepted-branch Kraus operator of the encoded
-  measurement is then assembled on two qubits in the ring Z[i, sqrt2], once
-  per distinct (data bits, logical terms, sign) key.  The single-qubit X and
-  Z are stored times sqrt2, so every operator entry is an integer, and each
-  term is scaled so that the assembled state is exactly 8 times the accepted
-  branch.  Every squared modulus is then an integer (``Exact.abs2`` checks
-  that no sqrt2 part survives), and acceptance and per-output error weights
-  come out as exact rationals over 64, which is what makes the polynomial
-  coefficients exact.
+  pair, multiplied out on (x, z, phase) integers once per value of the
+  eight gate bits, and looked up in a table of the code's 64 normalizer
+  elements (a miss is a detected error); the accepted-branch Kraus operator
+  of the encoded measurement is then assembled on two qubits in the ring
+  Z[i, sqrt2], once per distinct (data bits, logical terms, sign) key.  The
+  single-qubit X and Z are stored times sqrt2, so every operator entry is an
+  integer; each term's scale i^k sqrt2^m is one ``Exact`` product, whose
+  integer parts times integer column products make the assembled state
+  exactly 8 times the accepted branch.  Every squared modulus is then an
+  integer (``Exact.abs2`` checks that no sqrt2 part survives), and
+  acceptance and per-output error weights come out as integers over 64,
+  tallied as such, which is what makes the polynomial coefficients exact.
 
 Both classifiers must agree on all 1024 patterns; the derived acceptance and
 undetected-error polynomials must equal the published integer coefficient
@@ -36,7 +37,7 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
 
 from .circuits import CODE, build_distillation_circuit, reference_outcomes
-from .exactalg import E_ONE, E_ZERO, Exact, ExactPolynomial
+from .exactalg import E_ONE, Exact, ExactPolynomial
 from .pauli import PauliString, _relabel, conjugate_through
 
 N_LOCATIONS = 10
@@ -177,19 +178,19 @@ class FrameClassifier:
         flipped = [conjugate_through(f, h_layer, n) for f in gate_forms[:4]] + gate_forms[4:]
         self._terms: list[Optional[tuple]] = []
         for p1, p2 in zip(_products(gate_forms), _products(flipped)):
-            term1, term2 = self._term(p1), self._term(p2)
+            term1, term2 = self._term(*p1), self._term(*p2)
             detected = term1 is None and term2 is None
-            self._terms.append(None if detected else (term1, term2, p1.z >> a & 1))
+            self._terms.append(None if detected else (term1, term2, p1[1] >> a & 1))
         # The Kraus assembly depends on a pattern only through the key
         # (d1, d2, term1, term2, sign), and the 1024 patterns share a few
         # dozen keys; each is assembled once per classifier.
         self._assembled: dict[tuple, ExactVerdict] = {}
 
-    def _term(self, p: PauliString) -> Optional[tuple[int, tuple[int, int, int, int]]]:
-        """Logical term of ``p`` with its ancilla Z bit dropped: None when a
-        stabilizer detects it, else (i-power, X1,Z1,X2,Z2 exponents)."""
-        hit = self._normalizer.get((p.x, p.z & ~(1 << self.ancilla)))
-        return None if hit is None else ((p.phase - hit[0]) & 3, hit[1])
+    def _term(self, x: int, z: int, phase: int) -> Optional[tuple[int, tuple[int, int, int, int]]]:
+        """Logical term of i^phase X^x Z^z with its ancilla Z bit dropped: None
+        when a stabilizer detects it, else (i-power, X1,Z1,X2,Z2 exponents)."""
+        hit = self._normalizer.get((x, z & ~(1 << self.ancilla)))
+        return None if hit is None else ((phase - hit[0]) & 3, hit[1])
 
     def classify(self, bits: int) -> ExactVerdict:
         terms = self._terms[bits >> 2]
@@ -214,13 +215,15 @@ H_BASIS_OPS: dict[str, tuple[tuple[int, int], tuple[int, int]]] = {
 _SQRT2_POWERS = (E_ONE, Exact(b=1), Exact(2), Exact(b=2), Exact(4))
 
 
-def _products(forms: list[PauliString]) -> list[PauliString]:
-    """products[v]: the product of the forms at v's set bits, higher bits to
-    the left."""
-    products = [PauliString.identity(forms[0].n)]
+def _products(forms: list[PauliString]) -> list[tuple[int, int, int]]:
+    """products[v]: (x, z, phase) of the product of the forms at v's set bits,
+    higher bits to the left, multiplied as ``PauliString.__mul__`` does."""
+    forms = [(f.x, f.z, f.phase) for f in forms]
+    products = [(0, 0, 0)]
     for v in range(1, 1 << len(forms)):
         top = v.bit_length() - 1
-        products.append(forms[top] * products[v ^ 1 << top])
+        (x1, z1, ph1), (x2, z2, ph2) = forms[top], products[v ^ 1 << top]
+        products.append((x1 ^ x2, z1 ^ z2, (ph1 + ph2 + 2 * (z1 & x2).bit_count()) & 3))
     return products
 
 
@@ -246,7 +249,7 @@ def _assemble(d1: int, d2: int, term1, term2, sign: int) -> ExactVerdict:
     state (index q1*2 + q2) 8 times the branch, so each weight is
     |8 amp|^2/64.
     """
-    acc = [E_ZERO] * 4
+    acc = [(0, 0, 0, 0)] * 4
     for term, h_qubit, shift in ((term1, 1, 0), (term2, 0, 2 * sign)):
         if term is None:
             continue
@@ -255,8 +258,10 @@ def _assemble(d1: int, d2: int, term1, term2, sign: int) -> ExactVerdict:
         col2 = _column(d2, a2, b2, h_qubit == 1)
         scale = Exact.i_power(d1 + d2 + om + shift) * _SQRT2_POWERS[4 - a1 - b1 - a2 - b2]
         for idx in range(4):
-            acc[idx] = acc[idx] + scale * Exact(col1[idx >> 1] * col2[idx & 1])
-    w0, w1, w2, w3 = (amp.abs2() for amp in acc)
+            k = col1[idx >> 1] * col2[idx & 1]
+            a, b, c, d = acc[idx]
+            acc[idx] = (a + k * scale.a, b + k * scale.b, c + k * scale.c, d + k * scale.d)
+    w0, w1, w2, w3 = (Exact(*amp).abs2() for amp in acc)
     norm = w0 + w1 + w2 + w3
     return ExactVerdict(*(Fraction(w, 64) for w in (norm, w2 + w3, w1 + w3, w3, norm - w0)))
 
@@ -338,20 +343,21 @@ def _cached_polynomials() -> PolynomialSet:
     Patterns reduce by Hamming weight; the reduction is a plain sum, so any
     enumeration order (or parallel fan-out) gives identical results.
     """
-    # Tallies by Hamming weight of accept, err1, err2, both and either.
-    tallies = [[Fraction(0)] * (N_LOCATIONS + 1) for _ in range(5)]
+    # Tallies by Hamming weight of accept, err1, err2, both and either, in
+    # 64ths: every weight is an integer over 64 (see ``_assemble``).
+    tallies = [[0] * (N_LOCATIONS + 1) for _ in range(5)]
     counts = {"fractional_accept": 0, "half_fidelity": 0}
     for bits, v in enumerate(exact_verdicts()):
         if not v.accept:
             continue
         w = bits.bit_count()
         for tally, q in zip(tallies, (v.accept, v.err1, v.err2, v.both, v.either)):
-            tally[w] += q
+            tally[w] += q.numerator * (64 // q.denominator)
         counts["fractional_accept"] += v.accept != 1
         counts["half_fidelity"] += v.half_fidelity_outputs()
     acceptance, marginal, marginal_second, both, either = (
         sum(
-            (ExactPolynomial.binomial_term(w, N_LOCATIONS).scaled(q) for w, q in enumerate(t) if q),
+            (ExactPolynomial.binomial_term(w, N_LOCATIONS).scaled(Fraction(q, 64)) for w, q in enumerate(t) if q),
             ExactPolynomial.zero(),
         )
         for t in tallies
@@ -363,7 +369,7 @@ def _cached_polynomials() -> PolynomialSet:
         marginal=marginal,
         either=either,
         both=both,
-        accept_by_weight=tuple(tallies[0]),
+        accept_by_weight=tuple(Fraction(q, 64) for q in tallies[0]),
         pattern_counts=MappingProxyType(counts),
     )
 

@@ -54,12 +54,11 @@ class Exact:
 
     @staticmethod
     def i_power(k: int) -> "Exact":
-        return (E_ONE, E_I, -E_ONE, -E_I)[k & 3]
+        return _I_POWERS[k & 3]
 
 
-E_ZERO = Exact()
 E_ONE = Exact(1)
-E_I = Exact(c=1)
+_I_POWERS = (E_ONE, Exact(c=1), Exact(-1), Exact(c=-1))
 
 
 def _as_fraction_list(coeffs: Sequence[Rat]) -> tuple[Fraction, ...]:

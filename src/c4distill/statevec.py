@@ -212,11 +212,11 @@ def _merge_equal_branches(branches: list[Branch]) -> list[Branch]:
     return merged
 
 
-def _open_ends(circuit: Circuit) -> tuple[frozenset[int], frozenset[int]]:
-    """The wires a circuit prepares and the wires it measures."""
-    prepped = frozenset(el.wires[0] for el in circuit.elements if el.op in _PREP_ROTATION)
-    measured = frozenset(el.wires[0] for el in circuit.elements if el.op in _PROJECTORS)
-    return prepped, measured
+def _open_ends(circuit: Circuit) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """A circuit's open wires, in order: those it does not prepare (its
+    channel's inputs) and those it does not measure (its outputs)."""
+    closed = ({el.wires[0] for el in circuit.elements if el.op in ops} for ops in (_PREP_ROTATION, _PROJECTORS))
+    return tuple(tuple(w for w in range(circuit.width) if w not in c) for c in closed)
 
 
 def labeled_kraus(circuit: Circuit) -> dict[tuple, list[np.ndarray]]:
@@ -230,10 +230,8 @@ def labeled_kraus(circuit: Circuit) -> dict[tuple, list[np.ndarray]]:
     what the circuit left on those wires.
     """
     width = circuit.width
-    prepped, measured = _open_ends(circuit)
-    measured = tuple(sorted(measured))
-    ins = [w for w in range(width) if w not in prepped]
-    outs = tuple(w for w in range(width) if w not in measured)
+    ins, outs = _open_ends(circuit)
+    measured = tuple(w for w in range(width) if w not in outs)
     labels = sorted(el.label for el in circuit.elements if el.op in _PROJECTORS)
     d_in = 2 ** len(ins)
     state = np.zeros((2,) * width + (d_in,), dtype=complex)
@@ -270,13 +268,17 @@ def channel_distance(
     compared branch by branch when ``compare_labels`` is set, else as the
     outcome-forgetting channel.
 
-    Circuits of one width that prepare and measure the same wires are first
-    cut down to the wires either of them touches, in their order.  On an
-    untouched wire both channels are Phi (x) id, and J(Phi (x) id) is
-    J(Phi) (x) J(id) up to the order of the factors, the same order on both
-    sides; J(id) has entries 0 and 1, so max |J_a - J_b| does not change.
-    Two circuits that touch no wire are compared on no wires: 0.0."""
-    if circ_a.width == circ_b.width and _open_ends(circ_a) == _open_ends(circ_b):
+    Circuits that leave different wires unprepared or unmeasured raise a
+    ``DimensionError``, as their channels would be paired by rank, not by
+    wire.  Circuits of one width are first cut down to the wires either of
+    them touches, in their order.  On an untouched wire both channels are
+    Phi (x) id, and J(Phi (x) id) is J(Phi) (x) J(id) up to the order of the
+    factors, the same order on both sides; J(id) has entries 0 and 1, so
+    max |J_a - J_b| does not change.  Two circuits that touch no wire are
+    compared on no wires: 0.0."""
+    if _open_ends(circ_a) != _open_ends(circ_b):
+        raise DimensionError("the circuits leave different wires open")
+    if circ_a.width == circ_b.width:
         kept = sorted({w for c in (circ_a, circ_b) for el in c.elements for w in el.wires})
         index = {w: i for i, w in enumerate(kept)}
         circ_a, circ_b = (

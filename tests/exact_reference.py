@@ -1,14 +1,19 @@
-"""Fraction reference for the exact core.
+"""Rational reference for the exact core.
 
-``QExact`` is Q(i, sqrt2) with rational parts, ``OPS`` holds the H-basis
-operators with their true 1/sqrt2 entries (Y included), and ``assemble``
-builds a pattern's accepted branch in that field, term by term at its true
-scale.  The integer ring ``c4distill.exactalg.Exact`` and the scaled
-assembly in ``c4distill.enumeration`` are checked against it.
+``QExact`` is Q(i, sqrt2) with dyadic rational parts (integer numerators
+over one power-of-two denominator), ``OPS`` holds the H-basis operators
+with their true 1/sqrt2 entries (Y included), and ``assemble`` builds a
+pattern's accepted branch in that field, term by term at its true scale,
+with weights as Fractions.  The integer ring ``c4distill.exactalg.Exact``
+and the scaled assembly in ``c4distill.enumeration`` are checked against
+it; none of its arithmetic goes through either module.
 
-``CodeReference`` decomposes a Pauli over the [[4,2,2]] code by commutation
-tests, the way the frame engine once did for every pattern; the engine's
-lookup in its table of the 64 normalizer elements is checked against it.
+``pauli_products`` multiplies Pauli forms as ``PauliString`` products, the
+way the frame engine once built its tables; its integer tables are checked
+against it.  ``CodeReference`` decomposes a Pauli over the [[4,2,2]] code by
+commutation tests, the way the frame engine once did for every pattern; the
+engine's lookup in its table of the 64 normalizer elements is checked
+against it.
 """
 
 from __future__ import annotations
@@ -21,25 +26,43 @@ from c4distill.exactalg import Exact
 from c4distill.pauli import PauliString, _relabel, conjugate_through
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, slots=True)
 class QExact:
-    """(a + b*sqrt2) + i*(c + d*sqrt2) with rational a, b, c, d."""
+    """((a + b*sqrt2) + i*(c + d*sqrt2)) / 2**e with integer a, b, c, d and
+    e >= 0.  Every element the reference meets has a power-of-two
+    denominator, so its four parts share one; equality compares values, not
+    representations."""
 
-    a: Fraction = Fraction(0)
-    b: Fraction = Fraction(0)
-    c: Fraction = Fraction(0)
-    d: Fraction = Fraction(0)
+    a: int = 0
+    b: int = 0
+    c: int = 0
+    d: int = 0
+    e: int = 0
 
     @classmethod
     def of(cls, x: Exact, denominator: int = 1) -> "QExact":
-        """The ring element x divided by an integer denominator."""
-        return cls(*(Fraction(v, denominator) for v in (x.a, x.b, x.c, x.d)))
+        """The ring element x divided by a power of two."""
+        e = denominator.bit_length() - 1
+        assert denominator == 1 << e, denominator
+        return cls(x.a, x.b, x.c, x.d, e)
+
+    def _over(self, e: int) -> tuple[int, int, int, int]:
+        """The four numerators over 2**e, for e >= self.e."""
+        s = e - self.e
+        return self.a << s, self.b << s, self.c << s, self.d << s
+
+    def __eq__(self, o: "QExact") -> bool:
+        e = max(self.e, o.e)
+        return self._over(e) == o._over(e)
 
     def __add__(self, o: "QExact") -> "QExact":
-        return QExact(self.a + o.a, self.b + o.b, self.c + o.c, self.d + o.d)
+        if self.e < o.e:
+            return o + self
+        a, b, c, d = o._over(self.e)
+        return QExact(self.a + a, self.b + b, self.c + c, self.d + d, self.e)
 
     def __neg__(self) -> "QExact":
-        return QExact(-self.a, -self.b, -self.c, -self.d)
+        return QExact(-self.a, -self.b, -self.c, -self.d, self.e)
 
     def __mul__(self, o: "QExact") -> "QExact":
         a, b, c, d = self.a, self.b, self.c, self.d
@@ -49,23 +72,24 @@ class QExact:
             a * f + b * e - c * h - d * g,
             a * g + 2 * b * h + c * e + 2 * d * f,
             a * h + b * g + c * f + d * e,
+            self.e + o.e,
         )
 
     def conj(self) -> "QExact":
-        return QExact(self.a, self.b, -self.c, -self.d)
+        return QExact(self.a, self.b, -self.c, -self.d, self.e)
 
     def abs2(self) -> tuple[Fraction, Fraction]:
         """Squared modulus as (rational part, sqrt2 part)."""
         v = self * self.conj()
         assert v.c == 0 and v.d == 0, v
-        return v.a, v.b
+        return Fraction(v.a, 1 << v.e), Fraction(v.b, 1 << v.e)
 
 
 ZERO = QExact()
-ONE = QExact(Fraction(1))
-I = QExact(c=Fraction(1))
-INV_SQRT2 = QExact(b=Fraction(1, 2))
-HALF = QExact(Fraction(1, 2))
+ONE = QExact(1)
+I = QExact(c=1)
+INV_SQRT2 = QExact(b=1, e=1)
+HALF = QExact(1, e=1)
 
 _R = INV_SQRT2
 # OPS[name][r][c] is <basis_r| op |basis_c> in the (|H>, |-H>) basis.
@@ -126,6 +150,17 @@ def assemble(d1: int, d2: int, term1, term2, sign: int) -> tuple[tuple[Fraction,
 
     norm = add(*w)
     return norm, add(w[2], w[3]), add(w[1], w[3]), w[3], (norm[0] - w[0][0], norm[1] - w[0][1])
+
+
+def pauli_products(forms: list[PauliString]) -> list[PauliString]:
+    """products[v]: the product of the forms at v's set bits, higher bits to
+    the left, as ``PauliString`` products; the frame engine's integer table
+    is checked against it."""
+    products = [PauliString.identity(forms[0].n)]
+    for v in range(1, 1 << len(forms)):
+        top = v.bit_length() - 1
+        products.append(forms[top] * products[v ^ 1 << top])
+    return products
 
 
 class CodeReference:

@@ -24,14 +24,14 @@ from c4distill.enumeration import (
 from c4distill.pauli import PauliString
 from c4distill.statevec import run
 from conftest import h_basis_joint
-from exact_reference import CodeReference, assemble
+from exact_reference import CodeReference, assemble, pauli_products
 
 
 def _unmemoized_classify(fc: FrameClassifier, ref: CodeReference, bits: int):
     """Reference: propagate one pattern, decompose its logical terms by
     commutation tests and assemble its Kraus branch from scratch in
-    Q(i, sqrt2) with Fractions, with no memo shared between patterns.  Each
-    weight comes as (rational part, sqrt2 part)."""
+    Q(i, sqrt2) on dyadic rationals, with no memo shared between patterns.
+    Each weight comes as (rational part, sqrt2 part)."""
     n = fc.forms[2].n
     d1 = bits & 1
     d2 = bits >> 1 & 1
@@ -90,9 +90,11 @@ def test_classifying_all_patterns_makes_few_exact_products(monkeypatch):
     fc = FrameClassifier()
     for bits in range(N_PATTERNS):
         fc.classify(bits)
-    # One assembly per distinct key (at most 10 products each); assembling
-    # every pattern anew took 18,432.
-    assert 0 < calls[0] <= 2500
+    # One product per logical term, its scale i^k sqrt2^m, so two per
+    # assembled key (64 of them); one key's entries scale that product's
+    # integer parts.  Five products per term took 640, and assembling every
+    # pattern anew took 18,432.
+    assert 0 < calls[0] <= 128
 
 
 def test_normalizer_lookup_equals_commutation_decomposition():
@@ -105,11 +107,23 @@ def test_normalizer_lookup_equals_commutation_decomposition():
         z = sum((bits >> (4 + j) & 1) << w for j, w in enumerate(wires))
         for phase in range(4):
             p = PauliString(ref.n, x, z, phase)
-            term = fc._term(p)
+            term = fc._term(p.x, p.z, p.phase)
             assert term == ref.logical_term(p), (bits, phase)
             assert (term is None) == (not p.commutes(ref.sx) or not p.commutes(ref.sz))
             detected += term is None
     assert detected == 3 * 64 * 4
+
+
+def test_integer_products_equal_pauli_string_products():
+    # Both tables over bits 2-9, as the classifier forms them: the gate
+    # forms as they are, and with the first block seen through the H layer.
+    fc, ref = FrameClassifier(), CodeReference()
+    gate_forms = [fc.forms[i] for i in range(2, 10)]
+    flipped = [ref.flip(f) for f in gate_forms[:4]] + gate_forms[4:]
+    for forms in (gate_forms, flipped):
+        want = pauli_products(forms)
+        assert len(want) == 256
+        assert enumeration._products(forms) == [(p.x, p.z, p.phase) for p in want]
 
 
 def test_logical_terms_are_looked_up_not_decomposed(monkeypatch):

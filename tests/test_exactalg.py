@@ -27,6 +27,7 @@ def test_exact_field_arithmetic(x, y, j, k):
     assert QExact.of(x * y, 2 ** (j + k)) == qx * qy
     assert QExact.of(y * x, 2 ** (j + k)) == qx * qy
     assert QExact.of(x + y) == QExact.of(x) + QExact.of(y)
+    assert QExact.of(x * Exact(2**k) + y * Exact(2**j), 2 ** (j + k)) == qx + qy
     assert QExact.of(-x) == -QExact.of(x)
     assert QExact.of(x * Exact.i_power(k)) == QExact.of(x) * i_power(k)
     assert type(x.abs2()) is int
@@ -46,8 +47,8 @@ def test_abs2_rationality_guard(x, k):
 
 def test_h_basis_operators_are_consistent():
     # The integer operators are H itself, sqrt2 X and sqrt2 Z.
-    sqrt2 = QExact(b=Fraction(1))
-    for name, scale in (("H", QExact(Fraction(1))), ("X", sqrt2), ("Z", sqrt2)):
+    sqrt2 = QExact(b=1)
+    for name, scale in (("H", QExact(1)), ("X", sqrt2), ("Z", sqrt2)):
         for r, c in ((0, 0), (0, 1), (1, 0), (1, 1)):
             assert QExact.of(Exact(H_BASIS_OPS[name][r][c])) == scale * OPS[name][r][c]
     # X * Z = -i Y in the eigenbasis representation as well, against an

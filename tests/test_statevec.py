@@ -149,20 +149,26 @@ def test_idle_wire_does_not_change_channel_distance(width, measure, compare_labe
 
 
 def test_idle_wires_stay_when_the_circuits_measure_different_wires():
-    """An untouched wire drops out of the Choi deviation only when both
-    circuits prepare and measure the same wires.  Here wire 1 is untouched;
-    ``a`` measures wire 0 and ``b`` wire 2, so the untouched wire is the
-    first open output of ``a`` and the second of ``b``.  Without it, each
-    side's one open output carries input wire 2 and the channels agree; with
-    it, the outputs are compared in swapped order and they do not."""
+    """Circuits that leave different wires open are refused: their channels'
+    outputs (or inputs) would be paired by rank, not by wire.  Here wire 1 is
+    untouched; ``a`` measures wire 0 and ``b`` wire 2, so paired by rank the
+    untouched wire is the first open output of ``a`` and the second of
+    ``b``.  That reading is 1.0, and 0.0 without the untouched wire, where
+    each side's one open output carries input wire 2."""
     a = Circuit(3, (Element("s", (0,)), Element("mz", (0,), label="m")))
     b = Circuit(3, (Element("swap", (2, 0)), Element("mz", (2,), label="m")))
     squeezed = [Circuit(2, tuple(replace(el, wires=tuple(w // 2 for w in el.wires)) for el in c.elements))
                 for c in (a, b)]
     for compare_labels in (True, False):
-        got = channel_distance(a, b, compare_labels)
-        assert got == _full_width_distance(a, b, compare_labels)
-        assert abs(got - channel_distance(*squeezed, compare_labels)) > 1e-3
+        by_rank = _full_width_distance(a, b, compare_labels)
+        assert abs(by_rank - _full_width_distance(*squeezed, compare_labels)) > 1e-3
+        for pair in ((a, b), squeezed, (b, a)):
+            with pytest.raises(DimensionError, match="different wires open"):
+                channel_distance(*pair, compare_labels)
+    # Preparing different wires is refused the same way.
+    prepared = [Circuit(2, (Element("prep_0", (w,)),)) for w in (0, 1)]
+    with pytest.raises(DimensionError, match="different wires open"):
+        channel_distance(*prepared)
 
 
 def test_channel_width_mismatch():
