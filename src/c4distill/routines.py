@@ -25,6 +25,7 @@ import configparser
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 from .exactalg import ExactPolynomial
 
@@ -145,7 +146,7 @@ def load_routines_config(path: str) -> dict[str, RoutineModel]:
         acc = ExactPolynomial.make(_coeffs(sec["acceptance"]))
         if not 0 < acc(Fraction(0)) <= 1:
             raise ValueError(f"routine [{name}] needs 0 < acceptance <= 1 at p = 0")
-        if _roots_below_half(acc):
+        if _signs_below_half(acc)[1]:
             raise ValueError(f"routine [{name}] has an acceptance that vanishes in (0, 1/2)")
         if _negative_below_half(ExactPolynomial.make([Fraction(m, n)]) - acc):
             raise ValueError(f"routine [{name}] has an acceptance above m/n in [0, 1/2)")
@@ -153,16 +154,14 @@ def load_routines_config(path: str) -> dict[str, RoutineModel]:
         if _negative_below_half(und):
             raise ValueError(f"routine [{name}] has an undetected weight not positive in (0, 1/2)")
         # The planner's threshold bisects on one sign change of e(p) - p, from - to +.
-        gap = _without_low_powers(und - acc * ExactPolynomial.make([0, 1]))  # u - p a
-        if gap.coefficients and _roots_below_half(gap) > (gap.coefficients[0] < 0):  # sign near 0
+        gap = und - acc * ExactPolynomial.make([0, 1])  # u - p a
+        start, roots, end = _signs_below_half(gap)
+        if roots > (start < 0):
             raise ValueError(f"routine [{name}] has an output error equal to p twice, or once from above, in (0, 1/2)")
         if _negative_below_half(acc - und):  # an output error of 1 or more
             raise ValueError(f"routine [{name}] has an undetected weight above the acceptance in (0, 1/2)")
-        if gap.coefficients and gap(Fraction(1, 4)) <= 0:  # a crossing from 1/4 up escapes THRESHOLD_BRACKET
-            while not gap(Fraction(1, 2)):  # divide out 1 - 2p: gap's sign at 1/2 is then its sign just below
-                gap = _divmod(gap, ExactPolynomial.make([1, -2]))[0]
-            if gap(Fraction(1, 2)) > 0:
-                raise ValueError(f"routine [{name}] has an output error that crosses p in [1/4, 1/2)")
+        if end > 0 and gap(Fraction(1, 4)) <= 0:  # a crossing from 1/4 up escapes THRESHOLD_BRACKET
+            raise ValueError(f"routine [{name}] has an output error that crosses p in [1/4, 1/2)")
         models[name] = RoutineModel(name=name, m=m, n=n, acceptance_poly=acc, undetected_poly=und)
     return models
 
@@ -181,34 +180,34 @@ def _coeffs(text: str) -> list[Fraction]:
 
 def _negative_below_half(poly: ExactPolynomial) -> bool:
     """Whether a nonzero ``poly`` is negative or vanishes in (0, 1/2)."""
-    low = _without_low_powers(poly)
-    return bool(low.coefficients) and (low.coefficients[0] < 0 or _roots_below_half(low) > 0)
+    start, roots, _ = _signs_below_half(poly)
+    return start < 0 or roots > 0
 
 
-def _without_low_powers(poly: ExactPolynomial) -> ExactPolynomial:
-    """``poly`` divided by its lowest power of p."""
-    return ExactPolynomial.make(poly.coefficients[poly.leading_term()[0] :])
-
-
-def _roots_below_half(poly: ExactPolynomial) -> int:
-    """Distinct roots of ``poly`` in (0, 1/2), by Sturm's theorem, for a
-    ``poly`` that does not vanish at 0.  The chain is divided by its last
-    member, the gcd of ``poly`` and its derivative, so multiple roots count
-    once and a root at 1/2 is simple."""
-    derivative = ExactPolynomial.make([k * c for k, c in enumerate(poly.coefficients)][1:])
-    chain = [poly, derivative]
-    while chain[-1].coefficients:
+def _signs_below_half(poly: ExactPolynomial) -> tuple[int, int, int]:
+    """(sign just above 0, distinct roots in (0, 1/2), sign just below 1/2)
+    of ``poly``, all 0 for the zero polynomial.  Its lowest power of p and
+    every factor 1 - 2p are divided out, so that neither end is a root, and
+    Sturm's theorem counts the roots between.  Each member of the chain after
+    the first is scaled to coprime integers, so its size grows linearly with
+    the degree, not quadratically (Collins's primitive remainder sequence)."""
+    poly = ExactPolynomial.make(poly.coefficients[poly.leading_term()[0] :])
+    if not poly.coefficients:
+        return 0, 0, 0
+    while not poly(Fraction(1, 2)):
+        poly = _divmod(poly, ExactPolynomial.make([1, -2]))[0]
+    chain = [poly, ExactPolynomial.make([k * c for k, c in enumerate(poly.coefficients)][1:])]
+    while chain[-1].coefficients:  # times lcm(denominators) / gcd(numerators) > 0; ends on 0
+        cs = chain[-1].coefficients
+        chain[-1] = chain[-1].scaled(Fraction(lcm(*(c.denominator for c in cs)), gcd(*(c.numerator for c in cs))))
         chain.append(_divmod(chain[-2], chain[-1])[1].scaled(-1))
-    chain.pop()
-    chain = [_divmod(f, chain[-1])[0] for f in chain]
 
     def sign_changes(p: Fraction) -> int:
         signs = [v > 0 for v in (f(p) for f in chain) if v != 0]
         return sum(a != b for a, b in zip(signs, signs[1:]))
 
-    half = Fraction(1, 2)
-    # Sturm counts the roots in (0, 1/2]; one at 1/2 itself is allowed.
-    return sign_changes(Fraction(0)) - sign_changes(half) - (chain[0](half) == 0)
+    start, end = (1 if v > 0 else -1 for v in (poly.coefficients[0], poly(Fraction(1, 2))))
+    return start, sign_changes(Fraction(0)) - sign_changes(Fraction(1, 2)), end
 
 
 def _divmod(a: ExactPolynomial, b: ExactPolynomial) -> tuple[ExactPolynomial, ExactPolynomial]:

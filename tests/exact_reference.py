@@ -14,6 +14,12 @@ against it.  ``CodeReference`` decomposes a Pauli over the [[4,2,2]] code by
 commutation tests, the way the frame engine once did for every pattern; the
 engine's lookup in its table of the 64 normalizer elements is checked
 against it.
+
+``sturm_signs_below_half`` answers the routines loader's sign questions with
+a Sturm chain of plain Fraction remainders and a loop that divides out
+1 - 2p, the way the loader once did for every rule; the loader's primitive
+integer chain is checked against it.  It divides with its own
+``poly_divmod``, not the loader's.
 """
 
 from __future__ import annotations
@@ -217,3 +223,62 @@ class CodeReference:
         if canon.x != p.x or canon.z != p.z:
             raise AssertionError("decomposition failed")
         return (p.phase - canon.phase) & 3, (a1, b1, a2, b2)
+
+
+def _trimmed(coeffs) -> list[Fraction]:
+    out = [Fraction(c) for c in coeffs]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def poly_value(coeffs: list[Fraction], p: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * p + c
+    return acc
+
+
+def poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of ascending coefficient lists, for a nonzero ``b``."""
+    top = len(b) - 1
+    quotient = [Fraction(0)] * max(len(a) - top, 0)
+    rest = list(a)
+    for shift in reversed(range(len(quotient))):
+        c = quotient[shift] = rest[shift + top] / b[top]
+        for k, bc in enumerate(b):
+            rest[shift + k] -= c * bc
+    return _trimmed(quotient), _trimmed(rest)
+
+
+def sturm_signs_below_half(coeffs) -> tuple[int, int, int]:
+    """(sign of the lowest nonzero coefficient, distinct roots in (0, 1/2),
+    sign at 1/2 once every factor 1 - 2p is divided out) of the polynomial
+    with ascending ``coeffs``; all 0 for the zero polynomial.
+
+    The roots are counted on the polynomial divided by its lowest power of
+    p, by Sturm's theorem on unscaled Fraction remainders.  The chain is
+    divided by its last member, the gcd of the polynomial and its
+    derivative, so multiple roots count once and a root at 1/2 is simple;
+    Sturm counts the roots in (0, 1/2], so one at 1/2 is subtracted."""
+    poly = _trimmed(coeffs)
+    while poly and poly[0] == 0:
+        poly = poly[1:]
+    if not poly:
+        return 0, 0, 0
+    chain = [poly, [k * c for k, c in enumerate(poly)][1:]]
+    while chain[-1]:
+        chain.append([-c for c in poly_divmod(chain[-2], chain[-1])[1]])
+    chain.pop()
+    chain = [poly_divmod(f, chain[-1])[0] for f in chain]
+
+    def sign_changes(p: Fraction) -> int:
+        signs = [v > 0 for v in (poly_value(f, p) for f in chain) if v != 0]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    half = Fraction(1, 2)
+    roots = sign_changes(Fraction(0)) - sign_changes(half) - (poly_value(chain[0], half) == 0)
+    end = poly
+    while not poly_value(end, half):
+        end = poly_divmod(end, [Fraction(1), Fraction(-2)])[0]
+    return (1 if poly[0] > 0 else -1), roots, (1 if poly_value(end, half) > 0 else -1)

@@ -385,13 +385,13 @@ def test_builtin_figures_ignore_routines(tmp_path):
 
 
 def _poly(head):
-    """A polynomial of at most 6 small coefficients whose constant term is
-    drawn from ``head``, as a config writes it."""
+    """A polynomial of at most 8 coefficients, small ones or float literals,
+    whose constant term is drawn from ``head``, as a config writes it."""
     small = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 10]))
     return st.builds(
         lambda c0, rest: " ".join(str(c) for c in [c0, *rest]),
         st.sampled_from(head),
-        st.lists(small, max_size=5),
+        st.lists(st.one_of(small, st.sampled_from(["1e300", "-1e300", "1e-300", "-1e-300"])), max_size=7),
     )
 
 

@@ -1,11 +1,18 @@
 """Routine models: the derived 10-to-2 and the closed-form 15-to-1."""
 
 from fractions import Fraction
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
+from exact_reference import sturm_signs_below_half
+from hypothesis import given
+from hypothesis import strategies as st
 
+from c4distill import routines
+from c4distill.exactalg import ExactPolynomial
 from c4distill.routines import (
+    _signs_below_half,
     builtin_models,
     load_routines_config,
     model_fifteen_to_one,
@@ -190,3 +197,111 @@ def test_readme_config_loads(tmp_path):
     path = tmp_path / "routines.cfg"
     path.write_text(readme.read_text().split("```ini\n")[1].split("```")[0])
     assert list(load_routines_config(str(path))) == ["C"]
+
+
+def test_config_reports_the_earlier_of_two_broken_rules(tmp_path):
+    """Each config breaks two rules that follow each other in the loader;
+    the loader reports the first, so the rules keep their order."""
+    big = "1" + "0" * 400
+    cases = (
+        # A two-character name that lacks m, n and undetected.
+        ("[CD]\nacceptance = 1\n", "needs a one-character name"),
+        # A builtin's name, lacking its keys.
+        ("[A]\nacceptance = 1\n", "would replace the builtin"),
+        # No undetected, and m = 0.
+        ("[C]\nm = 0\nn = 1\nacceptance = 1\n", "lacks undetected"),
+        # m below 1, and m/n beyond float range.
+        (f"[C]\nm = -{big}\nn = 1\nacceptance = 1\nundetected = 0 1\n", "needs m >= 1"),
+        # m/n beyond float range, and an acceptance with a zero denominator.
+        (f"[C]\nm = {big}\nn = 1\nacceptance = 1/0\nundetected = 0 1\n", "m/n beyond float range"),
+        # A zero denominator, and an acceptance of 2 at p = 0.
+        ("[C]\nm = 5\nn = 1\nacceptance = 2 1/0\nundetected = 0 1\n", "coefficient with a zero denominator"),
+        # 2 - 8p is 2 at p = 0 and vanishes at 1/4.
+        ("[C]\nm = 5\nn = 1\nacceptance = 2 -8\nundetected = 0 0 1\n", "needs 0 < acceptance <= 1"),
+        # 1 + p - 8p^2 exceeds m/n = 1 near 0 and vanishes near 0.42.
+        ("[C]\nm = 1\nn = 1\nacceptance = 1 1 -8\nundetected = 0 0 1\n", "acceptance that vanishes"),
+        # 1 + p exceeds m/n = 1, and the undetected weight has a zero denominator.
+        ("[C]\nm = 1\nn = 1\nacceptance = 1 1\nundetected = 0 1/0\n", "acceptance above m/n"),
+        # A zero denominator, and an undetected weight of -p.
+        ("[C]\nm = 5\nn = 1\nacceptance = 1\nundetected = -1 1/0\n", "coefficient with a zero denominator"),
+        # 40p^2 (1 - 4p)^2 vanishes at 1/4 and equals p three times.
+        ("[C]\nm = 5\nn = 1\nacceptance = 1\nundetected = 0 0 40 -320 640\n", "undetected weight not positive"),
+        # p^2 (40 (1 - 4p)^2 + 1/10) equals p three times and passes 1 near 1/2.
+        ("[C]\nm = 5\nn = 1\nacceptance = 1\nundetected = 0 0 401/10 -320 640\n", "output error equal to p twice"),
+        # 3p^2 + 1000p^10 passes 1 near 0.46 and crosses p near 1/3.
+        ("[C]\nm = 5\nn = 1\nacceptance = 1\nundetected = 0 0 3 0 0 0 0 0 0 0 1000\n", "undetected weight above the acceptance"),
+    )
+    path = tmp_path / "routines.cfg"
+    for config, message in cases:
+        path.write_text(config)
+        with pytest.raises(ValueError, match=message):
+            load_routines_config(str(path))
+
+
+def _planted(free, roots):
+    """The polynomial with coefficients ``free`` times (p - r)^k for each
+    (r, k) in ``roots``."""
+    poly = ExactPolynomial.make(free)
+    for r, k in roots:
+        poly = poly * ExactPolynomial.make([-r, 1]) ** k
+    return poly
+
+
+@given(
+    free=st.lists(
+        st.one_of(
+            st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 10])),
+            st.sampled_from(["1e300", "-1e300", "1e-300", "-1e-300"]).map(Fraction),
+        ),
+        max_size=4,
+    ),
+    ends=st.tuples(*[st.tuples(st.just(r), st.integers(0, 2)) for r in (0, Fraction(1, 4), Fraction(1, 2))]),
+    interior=st.lists(
+        st.tuples(st.sampled_from([Fraction(1, 3), Fraction(1, 5), Fraction(3, 10), Fraction(1, 8)]), st.integers(1, 3)),
+        max_size=2,
+    ),
+)
+def test_signs_below_half_match_the_fraction_sturm_oracle(free, ends, interior):
+    """The primitive integer chain gives the sign triple of the unscaled
+    Fraction chain and its 1 - 2p loop, with roots planted at 0, 1/4 and
+    1/2 and double and triple roots inside."""
+    poly = _planted(free, [*ends, *interior])
+    assert _signs_below_half(poly) == sturm_signs_below_half(poly.coefficients)
+
+
+def _bits(poly: ExactPolynomial) -> int:
+    return max((max(abs(c.numerator), c.denominator).bit_length() for c in poly.coefficients), default=0)
+
+
+@pytest.mark.parametrize("size", [16, 32])
+@pytest.mark.parametrize("key", ["acceptance", "undetected"])
+def test_sign_reads_do_bounded_work(tmp_path, monkeypatch, size, key):
+    """Loading a config of large literals divides numbers whose bit length
+    stays within a multiple of deg * L, where L is the bit length of the
+    primitive input.  An unscaled Fraction chain reaches 19-33 deg * L on
+    these configs; the primitive chain stays near 5."""
+    literals = ["104/5", "-756/17", str(2**31 - 1), "1/3", "1e-3", "7/1024"]
+    # Past a leading 1 or 0 0 the lowest coefficient is positive, so no rule
+    # can decide from it alone: each must count this polynomial's roots.
+    head = ["1"] if key == "acceptance" else ["0", "0"]
+    text = " ".join(head + [literals[k % len(literals)] for k in range(size - len(head))])
+    polys = {"acceptance": "1", "undetected": "0 0 1", key: text}
+    path = tmp_path / "routines.cfg"
+    path.write_text("[C]\nm = 100\nn = 1\n" + "".join(f"{k} = {v}\n" for k, v in polys.items()))
+    peak = 0
+    divmod_ = routines._divmod
+
+    def counted(a, b):
+        nonlocal peak
+        out = divmod_(a, b)
+        peak = max(peak, *map(_bits, (a, b, *out)))
+        return out
+
+    monkeypatch.setattr(routines, "_divmod", counted)
+    refusal = {"acceptance": "acceptance above m/n", "undetected": "undetected weight above the acceptance"}[key]
+    with pytest.raises(ValueError, match=refusal):
+        load_routines_config(str(path))
+    poly = ExactPolynomial.make([Fraction(c) for c in text.split()])
+    cs = poly.coefficients
+    L = _bits(poly.scaled(Fraction(lcm(*(c.denominator for c in cs)), gcd(*(c.numerator for c in cs)))))
+    assert 0 < peak <= 8 * poly.degree() * L, (peak, poly.degree(), L)
