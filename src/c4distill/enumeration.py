@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
 from itertools import zip_longest
+from math import comb
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
 
@@ -86,13 +87,6 @@ class ExactVerdict:
             for err in (self.err1, self.err2)
         )
         return _ERROR_CLASSES.get(flips, "partial")
-
-    def half_fidelity_outputs(self) -> int:
-        """Outputs whose error conditional on acceptance is not 0, 1/2 or 1."""
-        return sum(
-            err != 0 and err != self.accept and 2 * err != self.accept
-            for err in (self.err1, self.err2)
-        )
 
 
 class DenseVerdict(NamedTuple):
@@ -340,30 +334,38 @@ def derive_polynomials(validate: bool = True) -> PolynomialSet:
 def _cached_polynomials() -> PolynomialSet:
     """Sum the per-pattern weights into exact polynomials in p.
 
-    Patterns reduce by Hamming weight; the reduction is a plain sum, so any
-    enumeration order (or parallel fan-out) gives identical results.
+    Patterns reduce by Hamming weight into integer tallies t_w of 64ths
+    (every weight is an integer over 64, see ``_assemble``), and the sum
+    over weights of t_w p^w (1-p)^(10-w) is expanded on integers: the
+    coefficient of p^k is one sum over w <= k of t_w (-1)^(k-w) C(10-w, k-w),
+    over 64.  The reduction is a plain sum, so any enumeration order (or
+    parallel fan-out) gives identical results.
     """
-    # Tallies by Hamming weight of accept, err1, err2, both and either, in
-    # 64ths: every weight is an integer over 64 (see ``_assemble``).
+    # Tallies by Hamming weight of accept, err1, err2, both and either.
     tallies = [[0] * (N_LOCATIONS + 1) for _ in range(5)]
     counts = {"fractional_accept": 0, "half_fidelity": 0}
     for bits, v in enumerate(exact_verdicts()):
         if not v.accept:
             continue
         w = bits.bit_count()
-        for tally, q in zip(tallies, (v.accept, v.err1, v.err2, v.both, v.either)):
-            tally[w] += q.numerator * (64 // q.denominator)
-        counts["fractional_accept"] += v.accept != 1
-        counts["half_fidelity"] += v.half_fidelity_outputs()
-    acceptance, marginal, marginal_second, both, either = (
-        sum(
-            (ExactPolynomial.binomial_term(w, N_LOCATIONS).scaled(Fraction(q, 64)) for w, q in enumerate(t) if q),
-            ExactPolynomial.zero(),
-        )
-        for t in tallies
-    )
-    if marginal.coefficients != marginal_second.coefficients:
+        weights = [q.numerator * (64 // q.denominator) for q in (v.accept, v.err1, v.err2, v.both, v.either)]
+        for tally, q in zip(tallies, weights):
+            tally[w] += q
+        accept, err1, err2 = weights[:3]
+        counts["fractional_accept"] += accept != 64
+        # Outputs whose error conditional on acceptance is not 0, 1/2 or 1.
+        counts["half_fidelity"] += sum(err != 0 and err != accept and 2 * err != accept for err in (err1, err2))
+    if tallies[1] != tallies[2]:
         raise AssertionError("marginal error polynomials differ between outputs")
+    acceptance, marginal, both, either = (
+        ExactPolynomial.make(
+            [
+                Fraction(sum(t[w] * (-1) ** (k - w) * comb(N_LOCATIONS - w, k - w) for w in range(k + 1)), 64)
+                for k in range(N_LOCATIONS + 1)
+            ]
+        )
+        for t in (tallies[0], tallies[1], tallies[3], tallies[4])
+    )
     return PolynomialSet(
         acceptance=acceptance,
         marginal=marginal,

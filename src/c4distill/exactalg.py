@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import Sequence, Union
 
 Rat = Union[int, Fraction]
@@ -77,15 +76,6 @@ class ExactPolynomial:
     @classmethod
     def make(cls, coeffs: Sequence[Rat]) -> "ExactPolynomial":
         return cls(_as_fraction_list(coeffs))
-
-    @classmethod
-    def zero(cls) -> "ExactPolynomial":
-        return cls(())
-
-    @classmethod
-    def binomial_term(cls, w: int, total: int) -> "ExactPolynomial":
-        """p**w * (1-p)**(total-w), expanded in closed form."""
-        return cls.make([0] * w + [(-1) ** j * comb(total - w, j) for j in range(total - w + 1)])
 
     def degree(self) -> int:
         return len(self.coefficients) - 1

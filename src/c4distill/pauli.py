@@ -26,7 +26,7 @@ class DimensionError(ValueError):
 
 
 def _parity(mask: int) -> int:
-    return bin(mask).count("1") & 1
+    return mask.bit_count() & 1
 
 
 @dataclass(frozen=True)

@@ -15,17 +15,17 @@ form (with x = 1 - 2p): acceptance (1 + 15 x^8)/16 and undetected weight
 (1 - 15 x^7 + 15 x^8 - x^15) / (2 (1 + 15 x^8)).  Those expressions are
 imported, not derived here, and are only trusted because the planner
 reproduces all published multi-round costs and errors built on them (see
-the test suite).  The undetected weight is expanded symbolically in p so
-that evaluation near p = 0 involves no cancellation.
+the test suite).  Both are expanded in p once, with integer binomials
+C(k, j) (-2)^j for the coefficients of x^k and one division by 16 or 32,
+so that evaluation near p = 0 involves no cancellation.
 """
 
 from __future__ import annotations
 
-import configparser
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from .exactalg import ExactPolynomial
 
@@ -81,15 +81,21 @@ def model_ten_to_two() -> RoutineModel:
 
 @lru_cache(maxsize=1)
 def model_fifteen_to_one() -> RoutineModel:
-    x = ExactPolynomial.make([1, -2])  # x = 1 - 2p
-    one = ExactPolynomial.make([1])
-    x8_15 = (x**8).scaled(15)
     return RoutineModel(
         name="B",
         m=15,
         n=1,
-        acceptance_poly=(one + x8_15).scaled(Fraction(1, 16)),
-        undetected_poly=(one - (x**7).scaled(15) + x8_15 - x**15).scaled(Fraction(1, 32)),
+        acceptance_poly=_in_p(((1, 0), (15, 8)), 16),
+        undetected_poly=_in_p(((1, 0), (-15, 7), (15, 8), (-1, 15)), 32),
+    )
+
+
+def _in_p(terms: tuple[tuple[int, int], ...], den: int) -> ExactPolynomial:
+    """The sum of s x^k over (s, k) in ``terms``, divided by ``den``, with
+    x = 1 - 2p expanded in p on integers: x^k has coefficients C(k, j) (-2)^j."""
+    top = max(k for _, k in terms)
+    return ExactPolynomial.make(
+        [Fraction(sum(s * comb(k, j) for s, k in terms) * (-2) ** j, den) for j in range(top + 1)]
     )
 
 
@@ -119,6 +125,8 @@ def load_routines_config(path: str) -> dict[str, RoutineModel]:
     a section name that is not one character (a sequence names one routine
     per character), or a builtin routine's name raises ValueError.
     """
+    import configparser
+
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         read = parser.read(path)

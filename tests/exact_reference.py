@@ -20,15 +20,26 @@ a Sturm chain of plain Fraction remainders and a loop that divides out
 1 - 2p, the way the loader once did for every rule; the loader's primitive
 integer chain is checked against it.  It divides with its own
 ``poly_divmod``, not the loader's.
+
+``fraction_polynomials`` sums a routine's verdicts into its polynomials the
+way ``enumeration`` once did: Fraction tallies by Hamming weight, each
+times its ``binomial_term`` p^w (1-p)^(10-w) and added up as
+``ExactPolynomial`` values, with the pattern counts read from Fraction
+comparisons.  ``fifteen_to_one_polynomials`` builds the 15-to-1 routine's
+acceptance and undetected weight from powers of x = 1 - 2p.  The integer
+expansions of both are checked against them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
+from types import MappingProxyType
 
 from c4distill.circuits import CODE, build_distillation_circuit
-from c4distill.exactalg import Exact
+from c4distill.enumeration import N_LOCATIONS, PolynomialSet
+from c4distill.exactalg import Exact, ExactPolynomial
 from c4distill.pauli import PauliString, _relabel, conjugate_through
 
 
@@ -282,3 +293,53 @@ def sturm_signs_below_half(coeffs) -> tuple[int, int, int]:
     while not poly_value(end, half):
         end = poly_divmod(end, [Fraction(1), Fraction(-2)])[0]
     return (1 if poly[0] > 0 else -1), roots, (1 if poly_value(end, half) > 0 else -1)
+
+
+def binomial_term(w: int, total: int) -> ExactPolynomial:
+    """p**w * (1-p)**(total-w), expanded in closed form."""
+    return ExactPolynomial.make([0] * w + [(-1) ** j * comb(total - w, j) for j in range(total - w + 1)])
+
+
+def fraction_polynomials(verdicts) -> PolynomialSet:
+    """The polynomial set of the exact ``verdicts`` of all 1024 patterns,
+    summed on Fraction polynomials."""
+    tallies = [[Fraction(0)] * (N_LOCATIONS + 1) for _ in range(5)]
+    counts = {"fractional_accept": 0, "half_fidelity": 0}
+    for bits, v in enumerate(verdicts):
+        if not v.accept:
+            continue
+        w = bits.bit_count()
+        for tally, q in zip(tallies, (v.accept, v.err1, v.err2, v.both, v.either)):
+            tally[w] += q
+        counts["fractional_accept"] += v.accept != 1
+        counts["half_fidelity"] += sum(
+            err != 0 and err != v.accept and 2 * err != v.accept for err in (v.err1, v.err2)
+        )
+    acceptance, marginal, marginal_second, both, either = (
+        sum(
+            (binomial_term(w, N_LOCATIONS).scaled(q) for w, q in enumerate(t) if q),
+            ExactPolynomial(()),
+        )
+        for t in tallies
+    )
+    assert marginal == marginal_second, "marginal error polynomials differ between outputs"
+    return PolynomialSet(
+        acceptance=acceptance,
+        marginal=marginal,
+        either=either,
+        both=both,
+        accept_by_weight=tuple(tallies[0]),
+        pattern_counts=MappingProxyType(counts),
+    )
+
+
+def fifteen_to_one_polynomials() -> tuple[ExactPolynomial, ExactPolynomial]:
+    """(acceptance, undetected weight) of the 15-to-1 routine:
+    (1 + 15 x^8)/16 and (1 - 15 x^7 + 15 x^8 - x^15)/32 with x = 1 - 2p."""
+    x = ExactPolynomial.make([1, -2])
+    one = ExactPolynomial.make([1])
+    x8_15 = (x**8).scaled(15)
+    return (
+        (one + x8_15).scaled(Fraction(1, 16)),
+        (one - (x**7).scaled(15) + x8_15 - x**15).scaled(Fraction(1, 32)),
+    )

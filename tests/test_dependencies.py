@@ -32,3 +32,8 @@ def test_planner_path_imports_without_numpy():
     # Planner-only commands never pay for a numpy import.
     modules = "c4distill.cli, c4distill.planner, c4distill.routines, c4distill.enumeration"
     assert _loaded(modules, "numpy") == "[]"
+
+
+def test_setup_imports_without_configparser():
+    # Only a --routines file needs the config parser; setup never loads it.
+    assert _loaded("c4distill.montecarlo, c4distill.routines", "configparser") == "[]"

@@ -1,10 +1,13 @@
 """Exhaustive pattern classification and the exact polynomials."""
 
 import random
-from dataclasses import astuple, replace
+from dataclasses import astuple, fields, replace
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from c4distill import enumeration, exactalg
 from c4distill.circuits import build_distillation_circuit, insert_pattern, reference_outcomes
@@ -24,7 +27,7 @@ from c4distill.enumeration import (
 from c4distill.pauli import PauliString
 from c4distill.statevec import run
 from conftest import h_basis_joint
-from exact_reference import CodeReference, assemble, pauli_products
+from exact_reference import CodeReference, assemble, fraction_polynomials, pauli_products
 
 
 def _unmemoized_classify(fc: FrameClassifier, ref: CodeReference, bits: int):
@@ -398,6 +401,37 @@ def test_division_by_zero_guard():
 
 def test_accept_weight_per_class(polyset):
     assert [int(q) for q in polyset.accept_by_weight] == [1, 0, 13, 32, 50, 64, 50, 32, 13, 0, 1]
+
+
+def _assert_same_polynomial_set(got, want):
+    """Every field equal, and every coefficient and weight a Fraction."""
+    for field in fields(got):
+        assert getattr(got, field.name) == getattr(want, field.name), field.name
+    for poly in (got.acceptance, got.marginal, got.either, got.both):
+        assert all(type(c) is Fraction for c in poly.coefficients)
+    assert all(type(q) is Fraction for q in got.accept_by_weight)
+
+
+def test_polynomials_match_fraction_oracle(polyset):
+    _assert_same_polynomial_set(polyset, fraction_polynomials(exact_verdicts()))
+
+
+@settings(max_examples=10)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_integer_sum_matches_fraction_oracle_on_drawn_verdicts(seed):
+    # Weights in 64ths with every case of the pattern counts: rejected,
+    # fractional and full acceptance, and errors of 0, 1/2, 1 and others.
+    # Both outputs carry the same error, so the marginals agree.
+    rnd = random.Random(seed)
+    verdicts = []
+    for _ in range(N_PATTERNS):
+        accept = rnd.choice([0, 32, 64, rnd.randrange(65)])
+        err = rnd.choice([0, accept, accept // 2, rnd.randrange(65)])
+        weights = (accept, err, err, rnd.randrange(65), rnd.randrange(65))
+        verdicts.append(ExactVerdict(*(Fraction(q, 64) for q in weights)))
+    with mock.patch.object(enumeration, "exact_verdicts", lambda: verdicts):
+        got = enumeration._cached_polynomials.__wrapped__()
+    _assert_same_polynomial_set(got, fraction_polynomials(verdicts))
 
 
 def test_symmetry_between_outputs():

