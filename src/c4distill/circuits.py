@@ -14,16 +14,14 @@ read it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .pauli import PauliString
 
 GateSpec = tuple[str, tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(NamedTuple):
     """One circuit element: preparation, gate, or measurement."""
 
     op: str
@@ -40,22 +38,32 @@ class Element:
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
 class Circuit:
-    """Ordered elements over ``width`` wires plus semantic wire labels."""
+    """Ordered elements over ``width`` wires plus semantic wire labels;
+    immutable, and unhashable, as its labels are a dict."""
 
-    width: int
-    elements: tuple[Element, ...]
-    labels: dict[str, int] = field(default_factory=dict)
+    __slots__ = ("width", "elements", "labels")
 
-    def __post_init__(self):
-        for el in self.elements:
-            if any(w < 0 or w >= self.width for w in el.wires):
+    def __init__(self, width: int, elements: tuple[Element, ...], labels: Optional[dict[str, int]] = None):
+        labels = {} if labels is None else labels
+        for el in elements:
+            if any(w < 0 or w >= width for w in el.wires):
                 raise ValueError(f"element {el} references wire out of range")
             if len(set(el.wires)) != len(el.wires):
                 raise ValueError(f"element {el} repeats a wire")
-        if len(set(self.labels.values())) != len(self.labels):
+        if len(set(labels.values())) != len(labels):
             raise ValueError("wire labels must be injective")
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "labels", labels)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Circuit:
+            return NotImplemented
+        return (self.width, self.elements, self.labels) == (other.width, other.elements, other.labels)
 
     def serialize(self) -> str:
         lines = [f"wires {self.width}"]
@@ -69,8 +77,7 @@ def gates(*specs: GateSpec) -> list[Element]:
     return [Element(name, wires) for name, wires in specs]
 
 
-@dataclass(frozen=True)
-class CodeDefinition:
+class CodeDefinition(NamedTuple):
     """The [[4,2,2]] error-detecting code and our logical operator choices."""
 
     stabilizers: tuple[PauliString, PauliString]
@@ -85,8 +92,7 @@ CODE = CodeDefinition(
 )
 
 
-@dataclass(frozen=True)
-class ErrorLocation:
+class ErrorLocation(NamedTuple):
     """One of the 10 places a faulty resource state feeds the routine."""
 
     id: int
@@ -201,7 +207,7 @@ def insert_pattern(
     hit = sorted((loc for loc in locations if bits >> loc.id & 1), key=lambda loc: loc.insert_index)
     for loc in reversed(hit):  # from the back, so earlier indices stay valid
         elements[loc.insert_index : loc.insert_index] = [Element(op, (w,)) for op, w in loc.paulis]
-    return replace(circuit, elements=tuple(elements))
+    return Circuit(circuit.width, tuple(elements), circuit.labels)
 
 
 class NondeterministicReference(RuntimeError):
@@ -291,7 +297,7 @@ def build_gadget_distillation() -> tuple[Circuit, list[ErrorLocation]]:
         pair = (next(gate_locations), next(gate_locations))
         gelems, preps = controlled_h_gadget(*el.wires, resources, f"g{pair[0].gadget}")
         for loc, prep, wire in zip(pair, preps, resources):
-            moved.append(replace(loc, insert_index=len(elements) + prep + 1, paulis=(("y", wire),)))
+            moved.append(loc._replace(insert_index=len(elements) + prep + 1, paulis=(("y", wire),)))
         elements += gelems
     labels = {name: circuit.labels[name] for name in ("ancilla", "out1", "out2")}
     labels.update(resource_a=resources[0], resource_b=resources[1])

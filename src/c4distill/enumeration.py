@@ -29,9 +29,9 @@ lists, or ``CoefficientMismatch`` reports a per-degree and per-weight diff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
 from fractions import Fraction
-from functools import cache, cached_property, lru_cache
+from functools import cache, lru_cache
 from itertools import zip_longest
 from math import comb
 from types import MappingProxyType
@@ -56,26 +56,39 @@ class CoefficientMismatch(RuntimeError):
     """Derived polynomials disagree with the published coefficients."""
 
 
-@dataclass(frozen=True)
 class ExactVerdict:
     """Unconditional weights (probabilities given the pattern) as exact
-    rationals: acceptance, per-output error, both-error and either-error."""
+    rationals: acceptance, per-output error, both-error and either-error;
+    immutable."""
 
-    accept: Fraction
-    err1: Fraction
-    err2: Fraction
-    both: Fraction
-    either: Fraction
+    __slots__ = ("accept", "err1", "err2", "both", "either", "_floats")
+
+    def __init__(self, accept: Fraction, err1: Fraction, err2: Fraction, both: Fraction, either: Fraction):
+        object.__setattr__(self, "accept", accept)
+        object.__setattr__(self, "err1", err1)
+        object.__setattr__(self, "err2", err2)
+        object.__setattr__(self, "both", both)
+        object.__setattr__(self, "either", either)
+        # Outside the weights that == and hash read.  float(Fraction) is this
+        # int/int true division, reached through numbers.Rational.
+        object.__setattr__(self, "_floats", tuple(v.numerator / v.denominator for v in self.weights()))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not ExactVerdict:
+            return NotImplemented
+        return self.weights() == other.weights()
+
+    def __hash__(self) -> int:
+        return hash(self.weights())
+
+    def weights(self) -> tuple[Fraction, Fraction, Fraction, Fraction, Fraction]:
+        return self.accept, self.err1, self.err2, self.both, self.either
 
     def as_floats(self) -> tuple[float, float, float, float, float]:
         return self._floats
-
-    @cached_property
-    def _floats(self) -> tuple[float, float, float, float, float]:
-        # Kept in the instance dict, outside the fields that == and hash read.
-        # float(Fraction) is this int/int true division, reached through numbers.Rational.
-        values = (self.accept, self.err1, self.err2, self.both, self.either)
-        return tuple(v.numerator / v.denominator for v in values)
 
     def error_class(self) -> str:
         """Conditional classification of a pattern's accepted branch, by
@@ -301,8 +314,7 @@ class DenseClassifier:
         return self._verdicts[bits]
 
 
-@dataclass(frozen=True)
-class PolynomialSet:
+class PolynomialSet(NamedTuple):
     """The routine's exact polynomials plus enumeration bookkeeping."""
 
     acceptance: ExactPolynomial
@@ -341,20 +353,26 @@ def _cached_polynomials() -> PolynomialSet:
     over 64.  The reduction is a plain sum, so any enumeration order (or
     parallel fan-out) gives identical results.
     """
+    # Accepted patterns per (verdict, Hamming weight).  The classifier shares
+    # one verdict object among the patterns of a Kraus key, so keyed by
+    # identity each of its few dozen verdicts is read once.
+    verdicts, patterns = {}, Counter()
+    for bits, v in enumerate(exact_verdicts()):
+        if v.accept:
+            verdicts[id(v)] = v
+            patterns[id(v), bits.bit_count()] += 1
+    sixty_fourths = {key: [q.numerator * (64 // q.denominator) for q in v.weights()] for key, v in verdicts.items()}
     # Tallies by Hamming weight of accept, err1, err2, both and either.
     tallies = [[0] * (N_LOCATIONS + 1) for _ in range(5)]
     counts = {"fractional_accept": 0, "half_fidelity": 0}
-    for bits, v in enumerate(exact_verdicts()):
-        if not v.accept:
-            continue
-        w = bits.bit_count()
-        weights = [q.numerator * (64 // q.denominator) for q in (v.accept, v.err1, v.err2, v.both, v.either)]
+    for (key, w), n in patterns.items():
+        weights = sixty_fourths[key]
         for tally, q in zip(tallies, weights):
-            tally[w] += q
+            tally[w] += n * q
         accept, err1, err2 = weights[:3]
-        counts["fractional_accept"] += accept != 64
+        counts["fractional_accept"] += n * (accept != 64)
         # Outputs whose error conditional on acceptance is not 0, 1/2 or 1.
-        counts["half_fidelity"] += sum(err != 0 and err != accept and 2 * err != accept for err in (err1, err2))
+        counts["half_fidelity"] += n * sum(err != 0 and err != accept and 2 * err != accept for err in (err1, err2))
     if tallies[1] != tallies[2]:
         raise AssertionError("marginal error polynomials differ between outputs")
     acceptance, marginal, both, either = (

@@ -11,21 +11,36 @@ so coefficient comparisons are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
 Rat = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
 class Exact:
-    """(a + b*sqrt2) + i*(c + d*sqrt2) with integer a, b, c, d."""
+    """(a + b*sqrt2) + i*(c + d*sqrt2) with integer a, b, c, d; immutable."""
 
-    a: int = 0
-    b: int = 0
-    c: int = 0
-    d: int = 0
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a: int = 0, b: int = 0, c: int = 0, d: int = 0):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, o) -> bool:
+        if o.__class__ is not Exact:
+            return NotImplemented
+        return (self.a, self.b, self.c, self.d) == (o.a, o.b, o.c, o.d)
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.c, self.d))
+
+    def __repr__(self) -> str:
+        return f"Exact(a={self.a!r}, b={self.b!r}, c={self.c!r}, d={self.d!r})"
 
     def __add__(self, o: "Exact") -> "Exact":
         return Exact(self.a + o.a, self.b + o.b, self.c + o.c, self.d + o.d)
@@ -67,11 +82,24 @@ def _as_fraction_list(coeffs: Sequence[Rat]) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class ExactPolynomial:
-    """Univariate polynomial, coefficients by ascending degree."""
+    """Univariate polynomial, coefficients by ascending degree; immutable."""
 
-    coefficients: tuple[Fraction, ...]
+    __slots__ = ("coefficients",)
+
+    def __init__(self, coefficients: tuple[Fraction, ...]):
+        object.__setattr__(self, "coefficients", coefficients)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, o) -> bool:
+        if o.__class__ is not ExactPolynomial:
+            return NotImplemented
+        return self.coefficients == o.coefficients
+
+    def __hash__(self) -> int:
+        return hash(self.coefficients)
 
     @classmethod
     def make(cls, coeffs: Sequence[Rat]) -> "ExactPolynomial":

@@ -18,8 +18,8 @@ independent of the chunk size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,8 +87,7 @@ class _Errors:
             last, self.gaps = int(pos[-1]), self.gaps[:0]
 
 
-@dataclass(frozen=True)
-class VerdictTable:
+class VerdictTable(NamedTuple):
     """Float view of the exact per-pattern verdicts, for one draw per instance."""
 
     # (4, 1024): each pattern's law of (reject, clean, output-2 error only,
@@ -129,8 +128,7 @@ def _patterns(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return instances[starts], np.bitwise_or.reduceat(1 << (positions - 10 * instances), starts)
 
 
-@dataclass(frozen=True)
-class SampleStats:
+class SampleStats(NamedTuple):
     p: float
     trials: int
     seed: int
@@ -209,22 +207,22 @@ def sample_routine(p: float, trials: int, seed: int) -> SampleStats:
     return SampleStats(p, trials, seed, trials - rejected, err1 + both, err2 + both, both)
 
 
-@dataclass
 class RoundTally:
     """Counts over one round's output states (round 0: the inputs), each an
     error bit; ``pairs``, ``sx``, ``sy`` and ``sxy`` count the disjoint
     adjacent pairs (x, y) of states 2j and 2j + 1 within blocks, for
-    ``independence_check``."""
+    ``independence_check``.  Tallies compare equal when every count does."""
 
-    round_index: int
-    nominal_p: float
-    blocks: int = 0
-    states: int = 0
-    errors: int = 0
-    pairs: int = 0
-    sx: int = 0
-    sy: int = 0
-    sxy: int = 0
+    __slots__ = ("round_index", "nominal_p", "blocks", "states", "errors", "pairs", "sx", "sy", "sxy")
+
+    def __init__(self, round_index: int, nominal_p: float):
+        self.round_index, self.nominal_p = round_index, nominal_p
+        self.blocks = self.states = self.errors = self.pairs = self.sx = self.sy = self.sxy = 0
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not RoundTally:
+            return NotImplemented
+        return [getattr(self, k) for k in RoundTally.__slots__] == [getattr(other, k) for k in RoundTally.__slots__]
 
     def count(self, positions: np.ndarray, previous: int = -1) -> None:
         """Add the errors at ``positions`` of one block, sorted and past the
@@ -249,8 +247,7 @@ class RoundTally:
         return self.errors / self.states if self.states else float("nan")
 
 
-@dataclass(frozen=True)
-class PipelineResult:
+class PipelineResult(NamedTuple):
     k0: int
     p0: float
     seed: int
@@ -388,8 +385,7 @@ def run_blocked_pipeline(
     return PipelineResult(k0, p0, seed, tuple(m.name for m in model_seq), grouping, tuple(tallies), halted, plan)
 
 
-@dataclass(frozen=True)
-class CorrelationReport:
+class CorrelationReport(NamedTuple):
     pairs: int
     correlation: float
     ci_low: float

@@ -13,7 +13,6 @@ share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
@@ -29,9 +28,8 @@ def _parity(mask: int) -> int:
     return mask.bit_count() & 1
 
 
-@dataclass(frozen=True)
 class PauliString:
-    """An n-qubit Pauli operator with exact phase.
+    """An n-qubit Pauli operator with exact phase; immutable.
 
     Attributes:
         n: number of qubits.
@@ -40,15 +38,26 @@ class PauliString:
         phase: exponent k of the global factor i**k, 0 <= k < 4.
     """
 
-    n: int
-    x: int
-    z: int
-    phase: int = 0
+    __slots__ = ("n", "x", "z", "phase")
 
-    def __post_init__(self):
-        if not 0 <= self.x < (1 << self.n) or not 0 <= self.z < (1 << self.n):
+    def __init__(self, n: int, x: int, z: int, phase: int = 0):
+        if not 0 <= x < (1 << n) or not 0 <= z < (1 << n):
             raise ValueError("bit vectors exceed qubit count")
-        object.__setattr__(self, "phase", self.phase & 3)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "phase", phase & 3)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not PauliString:
+            return NotImplemented
+        return (self.n, self.x, self.z, self.phase) == (other.n, other.x, other.z, other.phase)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.x, self.z, self.phase))
 
     @classmethod
     def identity(cls, n: int) -> "PauliString":
@@ -98,20 +107,32 @@ class PauliString:
         return (_parity(self.x & other.z) ^ _parity(self.z & other.x)) == 0
 
 
-@dataclass(frozen=True)
 class CliffordAction:
-    """A Clifford unitary given by its conjugation action on X_j and Z_j.
+    """A Clifford unitary given by its conjugation action on X_j and Z_j;
+    immutable.
 
     ``image_of_x[j]`` is U X_j U^dagger with exact phase, likewise for Z.
     """
 
-    n: int
-    image_of_x: tuple[PauliString, ...]
-    image_of_z: tuple[PauliString, ...]
+    __slots__ = ("n", "image_of_x", "image_of_z")
 
-    def __post_init__(self):
-        if len(self.image_of_x) != self.n or len(self.image_of_z) != self.n:
+    def __init__(self, n: int, image_of_x: tuple[PauliString, ...], image_of_z: tuple[PauliString, ...]):
+        if len(image_of_x) != n or len(image_of_z) != n:
             raise ValueError("need one X and one Z image per qubit")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "image_of_x", image_of_x)
+        object.__setattr__(self, "image_of_z", image_of_z)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not CliffordAction:
+            return NotImplemented
+        return (self.n, self.image_of_x, self.image_of_z) == (other.n, other.image_of_x, other.image_of_z)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.image_of_x, self.image_of_z))
 
     def conjugate(self, p: PauliString) -> PauliString:
         """Return U p U^dagger, tracking the phase exactly."""

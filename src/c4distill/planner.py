@@ -26,11 +26,10 @@ bisection, which stops once halving no longer moves the midpoint.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from functools import cache
 from heapq import heappop, heappush
 from math import ceil, frexp, inf, ldexp, log, log2
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .routines import RoutineModel, VanishingDenominator, builtin_models
 
@@ -46,8 +45,7 @@ B_ONLY_MAX_ROUNDS = 16
 TABLE_SEQUENCES = ("A", "B", "AA", "BA", "AAA", "BB", "BAA", "AAAA", "BBA", "BAAA")
 
 
-@dataclass(frozen=True)
-class RoundResult:
+class RoundResult(NamedTuple):
     routine: str
     p_in: float
     p_out: float
@@ -55,8 +53,7 @@ class RoundResult:
     cost: float  # cumulative cost after this round
 
 
-@dataclass(frozen=True)
-class DistillationPlan:
+class DistillationPlan(NamedTuple):
     sequence: tuple[str, ...]
     p0: float
     rounds: tuple[RoundResult, ...]
@@ -69,11 +66,10 @@ class DistillationPlan:
         return "".join(self.sequence) or "(none)"
 
     def as_dict(self) -> dict:
-        return {**asdict(self), "sequence": self.name}
+        return {**self._asdict(), "sequence": self.name, "rounds": [r._asdict() for r in self.rounds]}
 
 
-@dataclass(frozen=True)
-class PlannerGoal:
+class PlannerGoal(NamedTuple):
     """Target for the sequence search.
 
     ``e_g`` may be given directly or derived from a computation size R as
@@ -253,8 +249,7 @@ def _float_walk(
                     heappush(heap, (c1, depth + 1, seq + (rnd.name,), x1, s1))
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     plan: Optional[DistillationPlan]  # cheapest plan meeting the goal
     closest: Optional[DistillationPlan]  # best error achieved when none does
 
@@ -346,8 +341,7 @@ def iterate_closed_form(model: RoutineModel, p0: float, rounds: int) -> float:
         return inf
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     sequence: str
     cost: float
     error: float

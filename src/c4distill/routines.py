@@ -22,7 +22,6 @@ so that evaluation near p = 0 involves no cancellation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
@@ -37,21 +36,28 @@ class VanishingDenominator(ZeroDivisionError):
         super().__init__(f"routine {routine}: a denominator vanishes at p = {p}")
 
 
-@dataclass(frozen=True, eq=False)
 class RoutineModel:
     """An m-to-n distillation routine: exact acceptance a(p) and undetected
     weight u(p), with output error u(p)/a(p).  The planner needs a(p) <= m/n
     on [0, 1/2), so that no round lowers a plan's cost.
 
-    Models compare and hash by identity, so a cache keyed on a model hashes
-    none of its coefficients.
+    Models are immutable and compare and hash by identity, so a cache keyed
+    on a model hashes none of its coefficients.
     """
 
-    name: str
-    m: int
-    n: int
-    acceptance_poly: ExactPolynomial
-    undetected_poly: ExactPolynomial
+    __slots__ = ("name", "m", "n", "acceptance_poly", "undetected_poly")
+
+    def __init__(
+        self, name: str, m: int, n: int, acceptance_poly: ExactPolynomial, undetected_poly: ExactPolynomial
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "acceptance_poly", acceptance_poly)
+        object.__setattr__(self, "undetected_poly", undetected_poly)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def acceptance(self, p):
         return self.acceptance_poly(p)

@@ -14,7 +14,6 @@ outcome.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from functools import cache
 from typing import Optional
 
@@ -111,13 +110,15 @@ def apply_unitary(state: np.ndarray, mat: np.ndarray, wires: tuple[int, ...]) ->
     return (mat @ moved.reshape(2**k, -1)).reshape(moved.shape).transpose(inverse)
 
 
-@dataclass
 class Branch:
     """One measurement-outcome branch of a circuit run.  The state is left
     unnormalized, so its squared norm is the branch's weight."""
 
-    state: np.ndarray
-    outcomes: dict[str, int] = field(default_factory=dict)
+    __slots__ = ("state", "outcomes")
+
+    def __init__(self, state: np.ndarray, outcomes: Optional[dict[str, int]] = None):
+        self.state = state
+        self.outcomes = {} if outcomes is None else outcomes
 
     @property
     def prob(self) -> float:
@@ -282,7 +283,7 @@ def channel_distance(
         kept = sorted({w for c in (circ_a, circ_b) for el in c.elements for w in el.wires})
         index = {w: i for i, w in enumerate(kept)}
         circ_a, circ_b = (
-            Circuit(len(kept), tuple(replace(el, wires=tuple(index[w] for w in el.wires)) for el in c.elements))
+            Circuit(len(kept), tuple(el._replace(wires=tuple(index[w] for w in el.wires)) for el in c.elements))
             for c in (circ_a, circ_b)
         )
     ka = labeled_kraus(circ_a)

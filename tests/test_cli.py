@@ -6,7 +6,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -319,7 +318,7 @@ def test_fractional_coefficient_is_a_mismatch(monkeypatch):
     ps = en.derive_polynomials()
     marginal = list(ps.marginal.coefficients)
     marginal[2] = Fraction(17, 2)
-    broken = replace(ps, marginal=exactalg.ExactPolynomial.make(marginal))
+    broken = ps._replace(marginal=exactalg.ExactPolynomial.make(marginal))
     monkeypatch.setattr(en, "_cached_polynomials", lambda: broken)
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):

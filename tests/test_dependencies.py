@@ -37,3 +37,10 @@ def test_planner_path_imports_without_numpy():
 def test_setup_imports_without_configparser():
     # Only a --routines file needs the config parser; setup never loads it.
     assert _loaded("c4distill.montecarlo, c4distill.routines", "configparser") == "[]"
+
+
+def test_modules_import_without_dataclasses():
+    # Records are NamedTuples and slotted classes: no module generates code
+    # for its classes when it is imported.
+    modules = "c4distill.cli, c4distill.identities, c4distill.montecarlo, c4distill.routines, c4distill.statevec"
+    assert _loaded(modules, "dataclasses") == "[]"

@@ -1,7 +1,6 @@
 """Exhaustive pattern classification and the exact polynomials."""
 
 import random
-from dataclasses import astuple, fields, replace
 from fractions import Fraction
 from unittest import mock
 
@@ -65,8 +64,8 @@ def test_memoized_verdicts_equal_unmemoized_reference():
         want = _unmemoized_classify(fc, ref, bits)
         # Exact equality, field for field, and no sqrt2 part in the reference.
         for v in (verdicts[bits], fc.classify(bits)):
-            assert all(type(f) is Fraction for f in astuple(v)), bits
-            assert [(f, 0) for f in astuple(v)] == list(want), bits
+            assert all(type(f) is Fraction for f in v.weights()), bits
+            assert [(f, 0) for f in v.weights()] == list(want), bits
 
 
 def test_assembly_memo_is_small_and_per_instance():
@@ -190,19 +189,19 @@ def test_as_floats_equals_float_bit_for_bit():
     float(Fraction) does, for every field of every pattern, and for ratios
     that are not dyadic or whose terms exceed 2**53.  Each verdict converts
     once: repeated calls return the same tuple, which takes no part in ==,
-    hashing or the dataclass fields."""
+    hashing or the weights."""
     hard = ExactVerdict(
         Fraction(1, 3), Fraction(2**80 + 1, 3**50), Fraction(-7, 10), Fraction(10**400, 10**399 + 1), Fraction(0)
     )
     for bits, v in enumerate(exact_verdicts() + (hard,)):
-        got, want = v.as_floats(), tuple(float(f) for f in astuple(v))
+        got, want = v.as_floats(), tuple(float(f) for f in v.weights())
         assert len(got) == 5 and all(type(g) is float for g in got), bits
         assert [g.hex() for g in got] == [w.hex() for w in want], bits
         assert v.as_floats() is got, bits
-        fresh = ExactVerdict(*astuple(v))
+        fresh = ExactVerdict(*v.weights())
         assert fresh == v and hash(fresh) == hash(v), bits
         assert fresh.as_floats() == got and fresh == v and hash(fresh) == hash(v), bits
-        assert astuple(fresh) == astuple(v), bits
+        assert fresh.weights() == v.weights(), bits
 
 
 def test_dense_and_frame_agree_on_all_patterns():
@@ -226,7 +225,7 @@ def test_engines_follow_the_circuits_location_ids(monkeypatch):
 
     def relabelled():
         circuit, locations = build_distillation_circuit()
-        return circuit, [replace(loc, id=swap.get(loc.id, loc.id)) for loc in locations]
+        return circuit, [loc._replace(id=swap.get(loc.id, loc.id)) for loc in locations]
 
     unswapped = exact_verdicts()
     monkeypatch.setattr(enumeration, "build_distillation_circuit", relabelled)
@@ -405,8 +404,8 @@ def test_accept_weight_per_class(polyset):
 
 def _assert_same_polynomial_set(got, want):
     """Every field equal, and every coefficient and weight a Fraction."""
-    for field in fields(got):
-        assert getattr(got, field.name) == getattr(want, field.name), field.name
+    for field in got._fields:
+        assert getattr(got, field) == getattr(want, field), field
     for poly in (got.acceptance, got.marginal, got.either, got.both):
         assert all(type(c) is Fraction for c in poly.coefficients)
     assert all(type(q) is Fraction for q in got.accept_by_weight)

@@ -21,9 +21,13 @@ def test_failing_property_test_is_reported_and_the_session_goes_on(tmp_path):
         "def test_passes():\n"
         "    pass\n"
     )
+    # The inner session loads only the Hypothesis plugin, not every
+    # installed entry point.
     out = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "test_sample.py"],
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-p", "hypothesis.extra.pytestplugin",
+         "test_sample.py"],
         cwd=tmp_path,
+        env=dict(os.environ, PYTEST_DISABLE_PLUGIN_AUTOLOAD="1"),
         capture_output=True,
         text=True,
     )

@@ -2,7 +2,6 @@
 
 import itertools
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -139,7 +138,7 @@ def test_idle_wire_does_not_change_channel_distance(width, measure, compare_labe
         a, b = a + [m], b + [m]
     pad = data.draw(st.integers(0, width))
     padded = [
-        Circuit(width + 1, tuple(replace(el, wires=tuple(w + (w >= pad) for w in el.wires)) for el in c))
+        Circuit(width + 1, tuple(el._replace(wires=tuple(w + (w >= pad) for w in el.wires)) for el in c))
         for c in (a, b)
     ]
     want = channel_distance(Circuit(width, tuple(a)), Circuit(width, tuple(b)), compare_labels)
@@ -157,7 +156,7 @@ def test_idle_wires_stay_when_the_circuits_measure_different_wires():
     each side's one open output carries input wire 2."""
     a = Circuit(3, (Element("s", (0,)), Element("mz", (0,), label="m")))
     b = Circuit(3, (Element("swap", (2, 0)), Element("mz", (2,), label="m")))
-    squeezed = [Circuit(2, tuple(replace(el, wires=tuple(w // 2 for w in el.wires)) for el in c.elements))
+    squeezed = [Circuit(2, tuple(el._replace(wires=tuple(w // 2 for w in el.wires)) for el in c.elements))
                 for c in (a, b)]
     for compare_labels in (True, False):
         by_rank = _full_width_distance(a, b, compare_labels)
