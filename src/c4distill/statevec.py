@@ -83,6 +83,14 @@ _PREP_ROTATION = {"prep_0": None, "prep_plus": "h", "prep_h": "ry_p4"}
 _MIN_WEIGHT = 1e-24
 # Rows of the Choi difference formed at a time by ``channel_distance``.
 _CHOI_ROWS = 32
+# OpenBLAS hands a call to its thread pool from m*n*k = 65536 multiply-adds
+# in a complex matrix product and from 10001 elements in a dot product.  On
+# a shared host the pool's wake-ups and spinning made some processes build
+# the dense classifier's 32768-amplitude batch ten times slower than others.
+# Wider products and dots are therefore cut into blocks of at most these
+# sizes, half the thresholds or less, which run on the calling thread.
+_PRODUCT_BLOCK = 2**15
+_DOT_BLOCK = 2**13
 
 
 class SimulationError(RuntimeError):
@@ -101,13 +109,29 @@ def apply_unitary(state: np.ndarray, mat: np.ndarray, wires: tuple[int, ...]) ->
     any axes after the wire axes are batch axes and are left in place.
     Ascending adjacent wires take one stacked matmul on a reshaped view;
     other wires take one transpose to the front, the matmul there, and one
-    transpose back."""
+    transpose back.  Columns beyond ``_PRODUCT_BLOCK`` multiply-adds per
+    product are stacked as equal blocks when such blocks divide them, as
+    they do for power-of-two batches."""
     k, lo = len(wires), wires[0]
-    if wires == tuple(range(lo, lo + k)):
-        return (mat @ state.reshape(2**lo, 2**k, -1)).reshape(state.shape)
-    order, inverse = _permutation(wires, state.ndim)
-    moved = state.transpose(order)
-    return (mat @ moved.reshape(2**k, -1)).reshape(moved.shape).transpose(inverse)
+    if wires != tuple(range(lo, lo + k)):
+        order, inverse = _permutation(wires, state.ndim)
+        return apply_unitary(state.transpose(order), mat, tuple(range(k))).transpose(inverse)
+    columns = state.reshape(2**lo, 2**k, -1)
+    step = max(1, _PRODUCT_BLOCK >> 2 * k)
+    if columns.shape[2] <= step or columns.shape[2] % step:
+        return (mat @ columns).reshape(state.shape)
+    # Blocks are cut from contiguous columns: cut straight from a transposed
+    # state, they made the products several times slower.
+    blocks = (2**lo, 2**k, columns.shape[2] // step, step)
+    out = np.empty(blocks, np.result_type(mat, columns))
+    np.matmul(mat, np.ascontiguousarray(columns).reshape(blocks).swapaxes(1, 2), out=out.swapaxes(1, 2))
+    return out.reshape(state.shape)
+
+
+def _vdot(a: np.ndarray, b: np.ndarray) -> complex:
+    """np.vdot summed over blocks of at most ``_DOT_BLOCK`` elements."""
+    a, b = a.reshape(-1), b.reshape(-1)
+    return sum(np.vdot(a[i : i + _DOT_BLOCK], b[i : i + _DOT_BLOCK]) for i in range(0, a.size, _DOT_BLOCK))
 
 
 class Branch:
@@ -122,11 +146,12 @@ class Branch:
 
     @property
     def prob(self) -> float:
-        return float(np.vdot(self.state, self.state).real)
+        return float(_vdot(self.state, self.state).real)
 
 
 def _check_prepped_zero(state: np.ndarray, wire: int):
-    if np.linalg.norm(state.reshape(2**wire, 2, -1)[:, 1]) > 1e-9 * np.linalg.norm(state):
+    excited = state.reshape(2**wire, 2, -1)[:, 1]
+    if _vdot(excited, excited).real > 1e-18 * _vdot(state, state).real:
         raise SimulationError(f"prep on wire {wire} which is not in |0>")
 
 
@@ -205,7 +230,7 @@ def _merge_equal_branches(branches: list[Branch]) -> list[Branch]:
             if keep_vis != visible:
                 continue
             pk, pb = keep.prob, br.prob
-            if abs(abs(np.vdot(keep.state, br.state)) - math.sqrt(pk * pb)) < 1e-9 * math.sqrt(pk * pb):
+            if abs(abs(_vdot(keep.state, br.state)) - math.sqrt(pk * pb)) < 1e-9 * math.sqrt(pk * pb):
                 keep.state = keep.state * math.sqrt((pk + pb) / pk)
                 break
         else:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from c4distill.circuits import Circuit, Element, gates
+from c4distill import statevec
 from c4distill.pauli import GATE_ACTIONS, DimensionError, PauliString, embedded_action
 from c4distill.statevec import (
     _CHOI_ROWS,
@@ -274,6 +275,25 @@ def test_kernel_on_every_gate_and_wire_order():
             for strided in (False, True):
                 _check_kernel(name, wires, 5, (3, 2), strided, seed=len(wires))
 
+
+
+def test_kernel_and_dot_in_blocks(monkeypatch):
+    """With blocks small enough to cut a 5-wire register, products stacked
+    as equal blocks, products whose columns the blocks do not divide (a
+    batch of 3) and products within one block equal the full-register
+    matrix, and dots summed over blocks, a partial last block included,
+    equal one np.vdot."""
+    monkeypatch.setattr(statevec, "_PRODUCT_BLOCK", 16)
+    monkeypatch.setattr(statevec, "_DOT_BLOCK", 24)
+    for name, mat in sorted(GATE_MATRICES.items()):
+        k = mat.shape[0].bit_length() - 1
+        for wires in itertools.permutations(range(5), k):
+            for batch in ((2, 2), (3,)):
+                _check_kernel(name, wires, 5, batch, strided=len(batch) == 1, seed=len(wires))
+    rng = np.random.default_rng(3)
+    for size in (1, 24, 25, 100):
+        a, b = (rng.normal(size=size) + 1j * rng.normal(size=size) for _ in range(2))
+        assert statevec._vdot(a, b) == pytest.approx(np.vdot(a, b), rel=1e-12)
 
 @given(
     name=st.sampled_from(sorted(GATE_MATRICES)),
