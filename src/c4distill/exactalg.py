@@ -42,12 +42,6 @@ class Exact:
     def __repr__(self) -> str:
         return f"Exact(a={self.a!r}, b={self.b!r}, c={self.c!r}, d={self.d!r})"
 
-    def __add__(self, o: "Exact") -> "Exact":
-        return Exact(self.a + o.a, self.b + o.b, self.c + o.c, self.d + o.d)
-
-    def __neg__(self) -> "Exact":
-        return Exact(-self.a, -self.b, -self.c, -self.d)
-
     def __mul__(self, o: "Exact") -> "Exact":
         # (x1 + i y1)(x2 + i y2) with x, y in Z[sqrt2].
         a, b, c, d = self.a, self.b, self.c, self.d

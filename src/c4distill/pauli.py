@@ -13,7 +13,6 @@ share between threads.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable
 
 _PAULI_FROM_BITS = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
@@ -107,109 +106,44 @@ class PauliString:
         return (_parity(self.x & other.z) ^ _parity(self.z & other.x)) == 0
 
 
-class CliffordAction:
-    """A Clifford unitary given by its conjugation action on X_j and Z_j;
-    immutable.
-
-    ``image_of_x[j]`` is U X_j U^dagger with exact phase, likewise for Z.
-    """
-
-    __slots__ = ("n", "image_of_x", "image_of_z")
-
-    def __init__(self, n: int, image_of_x: tuple[PauliString, ...], image_of_z: tuple[PauliString, ...]):
-        if len(image_of_x) != n or len(image_of_z) != n:
-            raise ValueError("need one X and one Z image per qubit")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "image_of_x", image_of_x)
-        object.__setattr__(self, "image_of_z", image_of_z)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not CliffordAction:
-            return NotImplemented
-        return (self.n, self.image_of_x, self.image_of_z) == (other.n, other.image_of_x, other.image_of_z)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.image_of_x, self.image_of_z))
-
-    def conjugate(self, p: PauliString) -> PauliString:
-        """Return U p U^dagger, tracking the phase exactly."""
-        if p.n != self.n:
-            raise DimensionError(f"qubit counts differ: {p.n} != {self.n}")
-        out = PauliString(self.n, 0, 0, p.phase)
-        for j in range(self.n):
-            if p.x >> j & 1:
-                out = out * self.image_of_x[j]
-        for j in range(self.n):
-            if p.z >> j & 1:
-                out = out * self.image_of_z[j]
-        return out
-
-
-def _action_from_labels(pairs: Iterable[tuple[str, str]]) -> CliffordAction:
-    """Build a gate table from (image of X_j, image of Z_j) label pairs.
-
-    Labels may carry a leading ``-`` for a phase of -1.
-    """
-    imgs_x, imgs_z = [], []
-    pairs = list(pairs)
-    for lx, lz in pairs:
-        imgs_x.append(_parse_signed(lx, len(pairs)))
-        imgs_z.append(_parse_signed(lz, len(pairs)))
-    return CliffordAction(len(pairs), tuple(imgs_x), tuple(imgs_z))
-
-
-def _parse_signed(label: str, n: int) -> PauliString:
-    sign = 0
+def _signed(label: str) -> PauliString:
+    """The Pauli with this label; a leading ``-`` is a phase of -1."""
     if label.startswith("-"):
-        sign = 2
-        label = label[1:]
-    return PauliString.from_label(label.ljust(n, "I"), phase=sign)
+        return PauliString.from_label(label[1:], phase=2)
+    return PauliString.from_label(label)
 
 
-# Conjugation tables for the named Clifford gates.  Two-qubit gates take
-# (control, target) wire order; SWAP is symmetric.
-GATE_ACTIONS: dict[str, CliffordAction] = {
-    "h": _action_from_labels([("Z", "X")]),
-    "s": _action_from_labels([("Y", "Z")]),
-    "sdg": _action_from_labels([("-Y", "Z")]),
-    "x": _action_from_labels([("X", "-Z")]),
-    "y": _action_from_labels([("-X", "-Z")]),
-    "z": _action_from_labels([("-X", "Z")]),
-    # pi/2 rotations about Y: Y(pi/2) sends X -> -Z, Z -> X.
-    "ry_p2": _action_from_labels([("-Z", "X")]),
-    "ry_m2": _action_from_labels([("Z", "-X")]),
-    "cx": _action_from_labels([("XX", "ZI"), ("IX", "ZZ")]),
-    "cz": _action_from_labels([("XZ", "ZI"), ("ZX", "IZ")]),
-    "cy": _action_from_labels([("XY", "ZI"), ("ZX", "ZZ")]),
-    "swap": _action_from_labels([("IX", "IZ"), ("XI", "ZI")]),
+# Conjugation tables for the named Clifford gates: U X_j U^dagger and
+# U Z_j U^dagger with exact phase, one pair per wire of the gate.  Two-qubit
+# gates take (control, target) wire order; SWAP is symmetric.
+GATE_ACTIONS: dict[str, tuple[tuple[PauliString, PauliString], ...]] = {
+    name: tuple((_signed(lx), _signed(lz)) for lx, lz in pairs)
+    for name, pairs in (
+        ("h", [("Z", "X")]),
+        ("s", [("Y", "Z")]),
+        ("sdg", [("-Y", "Z")]),
+        ("x", [("X", "-Z")]),
+        ("y", [("-X", "-Z")]),
+        ("z", [("-X", "Z")]),
+        # pi/2 rotations about Y: Y(pi/2) sends X -> -Z, Z -> X.
+        ("ry_p2", [("-Z", "X")]),
+        ("ry_m2", [("Z", "-X")]),
+        ("cx", [("XX", "ZI"), ("IX", "ZZ")]),
+        ("cz", [("XZ", "ZI"), ("ZX", "IZ")]),
+        ("cy", [("XY", "ZI"), ("ZX", "ZZ")]),
+        ("swap", [("IX", "IZ"), ("XI", "ZI")]),
+    )
 }
 
 
-@lru_cache(maxsize=None)
-def embedded_action(name: str, wires: tuple[int, ...], n: int) -> CliffordAction:
-    """The named gate acting on ``wires`` inside an n-qubit register."""
-    table = GATE_ACTIONS[name]
-    if len(wires) != table.n:
-        raise DimensionError(f"gate {name} takes {table.n} wires")
-    imgs_x = [PauliString.single(n, j, "X") for j in range(n)]
-    imgs_z = [PauliString.single(n, j, "Z") for j in range(n)]
-    for local, wire in enumerate(wires):
-        imgs_x[wire] = _relabel(table.image_of_x[local], wires, n)
-        imgs_z[wire] = _relabel(table.image_of_z[local], wires, n)
-    return CliffordAction(n, tuple(imgs_x), tuple(imgs_z))
-
-
 def _relabel(p: PauliString, wires: tuple[int, ...], n: int) -> PauliString:
-    out = PauliString(n, 0, 0, p.phase)
+    """``p``, on len(wires) qubits, with its qubit j moved to ``wires[j]`` of
+    an n-qubit register."""
+    x = z = 0
     for local, wire in enumerate(wires):
-        xb, zb = p.x >> local & 1, p.z >> local & 1
-        out = PauliString(
-            n, out.x | (xb << wire), out.z | (zb << wire), out.phase
-        )
-    return out
+        x |= (p.x >> local & 1) << wire
+        z |= (p.z >> local & 1) << wire
+    return PauliString(n, x, z, p.phase)
 
 
 def conjugate_through(
@@ -221,6 +155,26 @@ def conjugate_through(
     that, placed after the listed gates, acts identically to ``p`` placed
     before them.
     """
+    if p.n != n:
+        raise DimensionError(f"qubit counts differ: {p.n} != {n}")
     for name, wires in gates:
-        p = embedded_action(name, tuple(wires), n).conjugate(p)
+        table = GATE_ACTIONS[name]
+        if len(wires) != len(table):
+            raise DimensionError(f"gate {name} takes {len(table)} wires")
+        on = 0
+        for wire in wires:
+            on |= 1 << wire
+        if not (p.x | p.z) & on:
+            continue
+        # i^phase X^x Z^z is (i^phase X^x Z^z off the gate's wires) times
+        # (X^x Z^z on them): disjoint wires, so the gate conjugates only the
+        # second factor, X images before Z images as in its canonical form.
+        image = PauliString(len(table), 0, 0)
+        for local, wire in enumerate(wires):
+            if p.x >> wire & 1:
+                image = image * table[local][0]
+        for local, wire in enumerate(wires):
+            if p.z >> wire & 1:
+                image = image * table[local][1]
+        p = PauliString(n, p.x & ~on, p.z & ~on, p.phase) * _relabel(image, wires, n)
     return p

@@ -156,13 +156,43 @@ def _reference_flags(rng, p: float, n: int) -> np.ndarray:
 @example(0.05, [0, 1, 0, 699], 0)
 @example(1.0, [3, 0, 5], 1)
 def test_error_positions_do_not_depend_on_takes(p, takes, seed):
-    # Batches of gaps run out within a take and gaps carry across takes, but
-    # the positions equal the whole-array reference's.
+    # Gaps carry across takes, but the positions equal the whole-array
+    # reference's.  Seeded batches hardly ever run out within a take; the
+    # replayed gaps below make them.
     errors = montecarlo._Errors(montecarlo._stream(seed, 0, "inputs"), p)
     starts = np.cumsum([0] + takes)
     got = np.concatenate([errors.take(n) + start for n, start in zip(takes, starts)])
     expected = _reference_positions(montecarlo._stream(seed, 0, "inputs"), p, int(starts[-1]))
     assert got.tolist() == expected.tolist()
+
+
+class _ReplayGaps:
+    """A stand-in generator whose ``geometric`` serves fixed gaps in order,
+    in whatever batch sizes are asked for, whatever the rate."""
+
+    def __init__(self, gaps: np.ndarray):
+        self.gaps, self.served = gaps, 0
+
+    def geometric(self, p: float, size: int) -> np.ndarray:
+        out = self.gaps[self.served : self.served + size]
+        assert len(out) == size, "ran out of replayed gaps"
+        self.served += size
+        return out.copy()
+
+
+def test_error_batches_that_run_out_are_refilled():
+    # At p = 0.001 a batch for 10,000 flags holds 38 gaps, sized for about
+    # 10 errors; gaps far shorter than 1/p use each batch up before the
+    # flags, and the next batch carries on from the last error placed.
+    ones = np.ones(20_000, dtype=np.int64)
+    assert montecarlo._Errors(_ReplayGaps(ones), 0.001).take(10_000).tolist() == list(range(10_000))
+    errors = montecarlo._Errors(_ReplayGaps(ones), 0.001)
+    got = np.concatenate((errors.take(3_000), 3_000 + errors.take(7_000)))
+    assert got.tolist() == list(range(10_000))
+    gaps = np.random.default_rng(5).geometric(0.3, 5_000)
+    want = np.cumsum(gaps) - 1
+    got = montecarlo._Errors(_ReplayGaps(gaps), 0.001).take(10_000)
+    assert got.tolist() == want[want < 10_000].tolist()
 
 
 def test_sampled_pattern_law_is_the_product_bernoulli_law():

@@ -13,7 +13,6 @@ from c4distill.pauli import (
     DimensionError,
     PauliString,
     conjugate_through,
-    embedded_action,
 )
 from conftest import kron_all
 
@@ -114,10 +113,12 @@ def test_gate_actions_match_gate_matrices(p1, p2):
     # Every conjugation table is U P U^dagger of the gate's dense matrix.
     from c4distill.statevec import GATE_MATRICES
 
-    for name, action in GATE_ACTIONS.items():
-        p = (p1, p2)[action.n - 1]
+    for name, table in GATE_ACTIONS.items():
+        n = len(table)
+        p = (p1, p2)[n - 1]
         u = GATE_MATRICES[name]
-        assert np.allclose(dense(action.conjugate(p)), u @ dense(p) @ u.conj().T, atol=1e-12), name
+        got = conjugate_through(p, [(name, tuple(range(n)))], n)
+        assert np.allclose(dense(got), u @ dense(p) @ u.conj().T, atol=1e-12), name
 
 
 def test_commutes_dimension_error():
@@ -125,22 +126,31 @@ def test_commutes_dimension_error():
         PauliString.from_label("X").commutes(PauliString.from_label("XX"))
 
 
+def test_conjugation_dimension_errors():
+    # A gate given the wrong number of wires is refused before the skip of
+    # gates on which the Pauli is the identity, so even I is checked.
+    for p in (PauliString.from_label("XY"), PauliString.identity(2)):
+        with pytest.raises(DimensionError, match="gate cx takes 2 wires"):
+            conjugate_through(p, [("h", (0,)), ("cx", (1,))], 2)
+        with pytest.raises(DimensionError, match="gate h takes 1 wires"):
+            conjugate_through(p, [("h", (0, 1))], 2)
+    with pytest.raises(DimensionError, match="qubit counts differ"):
+        conjugate_through(PauliString.from_label("X"), [("h", (0,))], 2)
+
+
 def test_hadamard_conjugation():
-    h = GATE_ACTIONS["h"]
-    assert h.conjugate(PauliString.from_label("Z")).label() == "+X"
-    assert h.conjugate(PauliString.from_label("Y")).label() == "-Y"
+    assert conjugate_through(PauliString.from_label("Z"), [("h", (0,))], 1).label() == "+X"
+    assert conjugate_through(PauliString.from_label("Y"), [("h", (0,))], 1).label() == "-Y"
 
 
 def test_cx_copies_x():
-    act = embedded_action("cx", (0, 1), 2)
-    assert act.conjugate(PauliString.from_label("XI")).label() == "+XX"
+    assert conjugate_through(PauliString.from_label("XI"), [("cx", (0, 1))], 2).label() == "+XX"
 
 
 def test_cz_kicks_control_z_onto_target_y():
     # The propagated form of a resource error entering before the CZ of the
     # controlled-H construction: Y on the target picks up Z on the control.
-    act = embedded_action("cz", (0, 1), 2)
-    assert act.conjugate(PauliString.from_label("IY")).label() == "+ZY"
+    assert conjugate_through(PauliString.from_label("IY"), [("cz", (0, 1))], 2).label() == "+ZY"
 
 
 _NAMES1 = ("h", "s", "sdg", "x", "y", "z", "ry_p2", "ry_m2")

@@ -19,7 +19,7 @@ from c4distill.montecarlo import (
     SampleStats,
     VerdictTable,
 )
-from c4distill.pauli import CliffordAction, PauliString
+from c4distill.pauli import PauliString
 from c4distill.planner import DistillationPlan, PlannerGoal, RoundResult, SearchResult, TableRow
 from c4distill.routines import RoutineModel
 from c4distill.statevec import Branch
@@ -50,7 +50,6 @@ def _pipeline(errors: int = 3) -> PipelineResult:
 # by identity.
 RECORDS = {
     "PauliString": (lambda: PauliString(2, 1, 2, 3), "value"),
-    "CliffordAction": (lambda: CliffordAction(1, (_Z,), (_X,)), "value"),
     "Element": (lambda: Element("mx", (0,), "m", ("c", 1)), "value"),
     "Circuit": (lambda: Circuit(1, (Element("h", (0,)),), {"q": 0}), "unhashable"),
     "CodeDefinition": (lambda: CodeDefinition((_X, _Z), (_X, _X), (_Z, _Z)), "value"),

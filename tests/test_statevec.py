@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from c4distill.circuits import Circuit, Element, gates
 from c4distill import statevec
-from c4distill.pauli import GATE_ACTIONS, DimensionError, PauliString, embedded_action
+from c4distill.pauli import GATE_ACTIONS, DimensionError, PauliString, conjugate_through
 from c4distill.statevec import (
     _CHOI_ROWS,
     GATE_MATRICES,
@@ -224,13 +224,13 @@ def test_labeled_kraus_is_one_batched_run(monkeypatch):
 
 def test_named_cliffords_match_pauli_tables():
     # Every named Clifford conjugates Paulis identically in both modules.
-    for name, action in GATE_ACTIONS.items():
+    for name, table in GATE_ACTIONS.items():
         mat = GATE_MATRICES[name]
-        n = action.n
+        n = len(table)
         for qubit in range(n):
             for kind in "XZ":
                 p = PauliString.single(n, qubit, kind)
-                img = embedded_action(name, tuple(range(n)), n).conjugate(p)
+                img = conjugate_through(p, [(name, tuple(range(n)))], n)
                 label = img.label()
                 phase = {"+": 1, "-": -1, "+i": 1j, "-i": -1j}[label[:-n]]
                 want = phase * kron_all(label[-n:])
