@@ -53,9 +53,20 @@ class Circuit:
                 raise ValueError(f"element {el} repeats a wire")
         if len(set(labels.values())) != len(labels):
             raise ValueError("wire labels must be injective")
+        measured = [el.label for el in elements if el.label is not None]
+        if len(set(measured)) != len(measured):
+            raise ValueError("measurement labels must be distinct")
         object.__setattr__(self, "width", width)
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "labels", labels)
+
+    @classmethod
+    def unchecked(cls, width: int, elements: tuple[Element, ...]) -> Circuit:
+        """An unlabeled circuit of elements known to be valid on ``width`` wires, not checked again."""
+        circuit = object.__new__(cls)
+        for name, value in zip(cls.__slots__, (width, elements, {})):
+            object.__setattr__(circuit, name, value)
+        return circuit
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -278,19 +278,20 @@ class DenseClassifier:
 
     All 1024 patterns are one batch: the circuit is walked once, each error
     location doubles the batch on its own axis with a copy carrying its
-    Paulis, and the reference outcomes are post-selected.  A pattern's
-    unnormalized weights in the (|H>, |-H>) basis of the outputs give its verdict.
+    Paulis, and each measurement keeps its reference outcome and drops its
+    wire's axis.  A pattern's unnormalized weights in the (|H>, |-H>) basis
+    of the two outputs left give its verdict.
     """
 
     def __init__(self):
         import numpy as np
 
-        from .statevec import GATE_MATRICES, H_BASIS, Branch, apply_element, apply_unitary
+        from .statevec import GATE_MATRICES, H_BASIS, Branch, apply_element, apply_unitary, measure_out
 
         circuit, locations = build_distillation_circuit()
         reference = reference_outcomes(circuit)
-        width = circuit.width
-        branch = Branch(np.zeros((2,) * width + (1,) * N_LOCATIONS, dtype=complex))
+        live = list(range(circuit.width))  # wires still carried, in axis order: a measured-out one raises
+        branch = Branch(np.zeros((2,) * circuit.width + (1,) * N_LOCATIONS, dtype=complex))
         branch.state.flat[0] = 1.0
         for index, el in enumerate(circuit.elements):
             for loc in locations:
@@ -298,14 +299,19 @@ class DenseClassifier:
                     # Bit loc.id's axis, bit 9's first so the flat batch is the pattern index: index 1 has the Paulis.
                     hit = branch.state
                     for op, wire in loc.paulis:
-                        hit = apply_unitary(hit, GATE_MATRICES[op], (wire,))
+                        hit = apply_unitary(hit, GATE_MATRICES[op], (live.index(wire),))
                     branch.state = np.concatenate((branch.state, hit), axis=-1 - loc.id)
-            (branch,) = apply_element(branch, el, reference)
-        out1, out2 = circuit.labels["out1"], circuit.labels["out2"]
-        st = branch.state.reshape((2,) * width + (N_PATTERNS,))
+            wires = tuple(map(live.index, el.wires))
+            if el.label in reference:
+                branch.state = measure_out(branch.state, el.op, wires[0], reference[el.label])
+                live.remove(el.wires[0])
+            else:
+                (branch,) = apply_element(branch, el._replace(wires=wires))
+        out1, out2 = (live.index(circuit.labels[name]) for name in ("out1", "out2"))
+        st = branch.state.reshape(2, 2, N_PATTERNS)
         st = apply_unitary(apply_unitary(st, H_BASIS, (out1,)), H_BASIS, (out2,))
         # w[r, c, bits]: weight of output 1 in |+-H>_r and output 2 in |+-H>_c.
-        w = np.moveaxis(np.abs(st) ** 2, (out1, out2), (0, 1)).sum(axis=tuple(range(2, width)))
+        w = np.moveaxis(np.abs(st) ** 2, (out1, out2), (0, 1))
         accept = w.sum(axis=(0, 1))
         fields = (accept, w[1].sum(axis=0), w[:, 1].sum(axis=0), w[1, 1], accept - w[0, 0])
         self._verdicts = tuple(DenseVerdict(*v) for v in zip(*(f.tolist() for f in fields)))

@@ -66,16 +66,18 @@ H_STATE = np.array([math.cos(math.pi / 8), math.sin(math.pi / 8)], dtype=complex
 H_BASIS = np.stack([H_STATE.conj(), np.array([-H_STATE[1], H_STATE[0]]).conj()])
 
 
-def _projectors(*vecs) -> tuple[np.ndarray, np.ndarray]:
-    return tuple(np.outer(v, v.conj()) for v in vecs)
+# States |b> of each measurement basis by outcome bit (0 <-> +1); their conjugates, the rows <b|, map them to |bit>.
+_BASES = {"mz": np.eye(2, dtype=complex), "mx": _H, "my": np.array([[1, 1j], [1, -1j]]) / math.sqrt(2)}
+_PROJECTORS = {op: tuple(np.outer(b, b.conj()) for b in basis) for op, basis in _BASES.items()}
 
 
-# Projectors per measurement basis, indexed by outcome bit (0 <-> +1).
-_PROJECTORS = {
-    "mz": _projectors(np.array([1, 0], complex), np.array([0, 1], complex)),
-    "mx": _projectors(np.array([1, 1], complex) / math.sqrt(2), np.array([1, -1], complex) / math.sqrt(2)),
-    "my": _projectors(np.array([1, 1j], complex) / math.sqrt(2), np.array([1, -1j], complex) / math.sqrt(2)),
-}
+def measure_out(state: np.ndarray, op: str, wire: int, bit: int) -> np.ndarray:
+    """Post-select outcome ``bit`` of measurement ``op``, unnormalized, on a
+    wire that no later element touches, and drop the wire's axis."""
+    if op != "mz":
+        state = apply_unitary(state, _BASES[op].conj(), (wire,))
+    return state.take(bit, axis=wire)
+
 
 _PREP_ROTATION = {"prep_0": None, "prep_plus": "h", "prep_h": "ry_p4"}
 
@@ -107,7 +109,8 @@ def _permutation(wires: tuple[int, ...], ndim: int) -> tuple[tuple[int, ...], tu
 def apply_unitary(state: np.ndarray, mat: np.ndarray, wires: tuple[int, ...]) -> np.ndarray:
     """Apply a 2^k x 2^k matrix to the given wires of a (2,)*n state tensor;
     any axes after the wire axes are batch axes and are left in place.
-    Ascending adjacent wires take one stacked matmul on a reshaped view;
+    Ascending adjacent wires take one matmul on a reshaped view, a 2-D one
+    when they lead the state, which is cheaper than a stack of one;
     other wires take one transpose to the front, the matmul there, and one
     transpose back.  Columns beyond ``_PRODUCT_BLOCK`` multiply-adds per
     product are stacked as equal blocks when such blocks divide them, as
@@ -119,7 +122,7 @@ def apply_unitary(state: np.ndarray, mat: np.ndarray, wires: tuple[int, ...]) ->
     columns = state.reshape(2**lo, 2**k, -1)
     step = max(1, _PRODUCT_BLOCK >> 2 * k)
     if columns.shape[2] <= step or columns.shape[2] % step:
-        return (mat @ columns).reshape(state.shape)
+        return (mat @ (columns[0] if lo == 0 else columns)).reshape(state.shape)
     # Blocks are cut from contiguous columns: cut straight from a transposed
     # state, they made the products several times slower.
     blocks = (2**lo, 2**k, columns.shape[2] // step, step)
@@ -130,6 +133,8 @@ def apply_unitary(state: np.ndarray, mat: np.ndarray, wires: tuple[int, ...]) ->
 
 def _vdot(a: np.ndarray, b: np.ndarray) -> complex:
     """np.vdot summed over blocks of at most ``_DOT_BLOCK`` elements."""
+    if a.size <= _DOT_BLOCK:
+        return np.vdot(a, b)
     a, b = a.reshape(-1), b.reshape(-1)
     return sum(np.vdot(a[i : i + _DOT_BLOCK], b[i : i + _DOT_BLOCK]) for i in range(0, a.size, _DOT_BLOCK))
 
@@ -245,8 +250,9 @@ def _open_ends(circuit: Circuit) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(tuple(w for w in range(circuit.width) if w not in c) for c in closed)
 
 
-def labeled_kraus(circuit: Circuit) -> dict[tuple, list[np.ndarray]]:
+def labeled_kraus(circuit: Circuit, ends: Optional[tuple] = None) -> dict[tuple, list[np.ndarray]]:
     """Kraus operators per outcome-label tuple, as 2^n_out x 2^n_in matrices.
+    ``ends`` are the circuit's open wires if the caller has them already.
 
     One run on a batch holding every basis state of the open input wires
     gives each branch's Kraus columns.  Measured wires are discarded by
@@ -256,7 +262,7 @@ def labeled_kraus(circuit: Circuit) -> dict[tuple, list[np.ndarray]]:
     what the circuit left on those wires.
     """
     width = circuit.width
-    ins, outs = _open_ends(circuit)
+    ins, outs = _open_ends(circuit) if ends is None else ends
     measured = tuple(w for w in range(width) if w not in outs)
     labels = sorted(el.label for el in circuit.elements if el.op in _PROJECTORS)
     d_in = 2 ** len(ins)
@@ -302,17 +308,19 @@ def channel_distance(
     factors, the same order on both sides; J(id) has entries 0 and 1, so
     max |J_a - J_b| does not change.  Two circuits that touch no wire are
     compared on no wires: 0.0."""
-    if _open_ends(circ_a) != _open_ends(circ_b):
+    ends = _open_ends(circ_a)
+    if ends != _open_ends(circ_b):
         raise DimensionError("the circuits leave different wires open")
     if circ_a.width == circ_b.width:
         kept = sorted({w for c in (circ_a, circ_b) for el in c.elements for w in el.wires})
         index = {w: i for i, w in enumerate(kept)}
         circ_a, circ_b = (
-            Circuit(len(kept), tuple(el._replace(wires=tuple(index[w] for w in el.wires)) for el in c.elements))
+            Circuit.unchecked(len(kept), tuple(el._replace(wires=tuple(map(index.get, el.wires))) for el in c.elements))
             for c in (circ_a, circ_b)
         )
-    ka = labeled_kraus(circ_a)
-    kb = labeled_kraus(circ_b)
+        ends = tuple(tuple(index[w] for w in wires if w in index) for wires in ends)
+    ka = labeled_kraus(circ_a, ends)
+    kb = labeled_kraus(circ_b, ends)
     if not compare_labels:
         ka, kb = ({(): [m for ms in k.values() for m in ms]} for k in (ka, kb))
     return max(_choi_deviation(ka.get(key, []), kb.get(key, [])) for key in set(ka) | set(kb))

@@ -1,15 +1,20 @@
 """Exhaustive pattern classification and the exact polynomials."""
 
+import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from c4distill import enumeration, exactalg
-from c4distill.circuits import build_distillation_circuit, insert_pattern, reference_outcomes
+from c4distill.circuits import Circuit, Element, build_distillation_circuit, insert_pattern, reference_outcomes
 from c4distill.enumeration import (
     N_LOCATIONS,
     N_PATTERNS,
@@ -277,24 +282,35 @@ def test_dense_classifier_is_one_batched_pass(monkeypatch):
     monkeypatch.setattr(enumeration, "insert_pattern", counting_insert, raising=False)
     circ, locations = build_distillation_circuit()
     width = circ.width
-    elements, unbatched = [], [0]
-    apply_element = statevec.apply_element
+    # (element, batch columns, wire axes) of every batched element and
+    # measured-out wire; a batched state carries the N_LOCATIONS batch axes.
+    elements, measured, unbatched = [], [], [0]
+    apply_element, measure_out = statevec.apply_element, statevec.measure_out
+
+    def columns_and_wires(state):
+        wires = state.ndim - N_LOCATIONS
+        return state.size >> wires, wires
 
     def counting_apply_element(branch, el, *args):
         if branch.state.ndim == width:
             unbatched[0] += 1
         else:
-            elements.append((el, branch.state.size >> width, branch.state.ndim))
+            elements.append((el, *columns_and_wires(branch.state)))
         return apply_element(branch, el, *args)
 
-    # (matrix, batch columns) of every gate application; depth skips the
-    # call that apply_unitary makes on itself for non-adjacent wires.
+    def counting_measure_out(state, op, wire, bit):
+        out = measure_out(state, op, wire, bit)
+        measured.append((op, *columns_and_wires(state), out.ndim - N_LOCATIONS))
+        return out
+
+    # (matrix, shape) of every gate application; depth skips the call that
+    # apply_unitary makes on itself for non-adjacent wires.
     products, depth = [], [0]
     apply_unitary = statevec.apply_unitary
 
     def counting_apply_unitary(state, mat, wires):
         if not depth[0]:
-            products.append((mat, state.size >> width))
+            products.append((mat, state.shape))
         depth[0] += 1
         try:
             return apply_unitary(state, mat, wires)
@@ -302,24 +318,69 @@ def test_dense_classifier_is_one_batched_pass(monkeypatch):
             depth[0] -= 1
 
     monkeypatch.setattr(statevec, "apply_element", counting_apply_element)
+    monkeypatch.setattr(statevec, "measure_out", counting_measure_out)
     monkeypatch.setattr(statevec, "apply_unitary", counting_apply_unitary)
     dense = DenseClassifier()
     for bits in range(N_PATTERNS):
         dense.classify(bits)
     assert inserted[0] == 0
-    # Each element once on the batched state, besides the one unbatched
-    # noiseless reference run; the batch has doubled once per location
-    # inserted before it.
+    # Every non-measurement element runs once on the batched state, besides
+    # the one unbatched noiseless reference run, on the wires' axes after
+    # the measured-out wires are dropped; the batch has doubled once per
+    # location inserted before it.
     assert unbatched[0] <= len(circ.elements)
-    assert [el for el, _, _ in elements] == list(circ.elements)
-    for index, (_, columns, ndim) in enumerate(elements):
-        assert ndim == width + N_LOCATIONS
-        assert columns == 1 << sum(loc.insert_index <= index for loc in locations), index
-    # Only the elements after the last insertions and the two H-basis
-    # rotations act on all 1024 columns.
-    full = [mat for mat, columns in products if columns == N_PATTERNS]
-    assert len(full) <= 9
-    assert sum(mat is statevec.H_BASIS for mat in full) == 2
+    gone, expected = [], []
+    for index, el in enumerate(circ.elements):
+        if el.label is not None:
+            gone.append(el.wires[0])
+            continue
+        axes = tuple(w - sum(g < w for g in gone) for w in el.wires)
+        columns = 1 << sum(loc.insert_index <= index for loc in locations)
+        expected.append((el._replace(wires=axes), columns, width - len(gone)))
+    assert elements == expected
+    # Each visible measurement removes exactly one axis, after the last
+    # insertions, and leaves the two outputs.
+    visible = [el.op for el in circ.elements if el.label in reference_outcomes(circ)]
+    assert measured == [(op, N_PATTERNS, width - i, width - i - 1) for i, op in enumerate(visible)]
+    assert measured[-1][-1] == 2
+    # Only the ancilla's basis change spans all 32768 amplitudes, and the
+    # two H-basis rotations act on 2 wires x 1024 columns.
+    full = [mat for mat, shape in products if math.prod(shape) == 2**width * N_PATTERNS]
+    assert len(full) <= 1
+    assert all(np.array_equal(mat, statevec._BASES["mx"].conj()) for mat in full)
+    assert [shape for mat, shape in products if mat is statevec.H_BASIS] == [(2, 2, N_PATTERNS)] * 2
+
+
+def test_dense_classifier_refuses_a_gate_on_a_measured_out_wire(monkeypatch):
+    # The ancilla's axis is gone once it is measured: a later gate on it
+    # must raise, not act on whichever wire took its axis.
+    circ, locations = build_distillation_circuit()
+    late = Circuit(circ.width, circ.elements + (Element("h", (circ.labels["ancilla"],)),), circ.labels)
+    monkeypatch.setattr(enumeration, "build_distillation_circuit", lambda: (late, locations))
+    with pytest.raises(ValueError, match="is not in list"):
+        DenseClassifier()
+
+
+def test_dense_verdicts_do_not_depend_on_blas_threads():
+    # The verdicts are the same bits whether OpenBLAS may use 1 thread or 2.
+    code = (
+        "from c4distill.enumeration import DenseClassifier, N_PATTERNS\n"
+        "dense = DenseClassifier()\n"
+        "print([float.hex(x) for bits in range(N_PATTERNS) for x in dense.classify(bits)])\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(enumeration.__file__)))
+    runs = [
+        subprocess.Popen(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=str(threads)),
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        for threads in (1, 2)
+    ]
+    verdicts = [run.communicate(timeout=60)[0] for run in runs]
+    assert [run.returncode for run in runs] == [0, 0]
+    assert verdicts[0] == verdicts[1]
 
 
 def test_output_fidelity_classes(polyset):

@@ -222,6 +222,27 @@ def test_labeled_kraus_is_one_batched_run(monkeypatch):
             assert np.allclose(k, want, atol=1e-12), (b, i)
 
 
+def test_measurement_labels_must_be_distinct():
+    # Outcomes are keyed by label: two measurements under one label would
+    # merge the branches whose earlier outcomes differ, and the Kraus
+    # operators would no longer sum to the identity.
+    h, mz = Element("h", (0,)), Element("mz", (0,))
+    with pytest.raises(ValueError, match="measurement labels"):
+        Circuit(1, (h, mz._replace(label="m"), h, mz._replace(label="m")))
+    kraus = labeled_kraus(Circuit(1, (h, mz._replace(label="m1"), h, mz._replace(label="m2"))))
+    assert sorted(kraus) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    total = sum(k.conj().T @ k for ks in kraus.values() for k in ks)
+    assert np.allclose(total, np.eye(2), atol=1e-12)
+
+
+def test_unchecked_circuit_equals_checked_one():
+    elems = tuple(gates(("h", (1,)), ("cx", (1, 0)))) + (Element("mx", (0,), label="m"),)
+    circuit = Circuit.unchecked(2, elems)
+    assert circuit == Circuit(2, elems)
+    with pytest.raises(AttributeError):
+        circuit.width = 3
+
+
 def test_named_cliffords_match_pauli_tables():
     # Every named Clifford conjugates Paulis identically in both modules.
     for name, table in GATE_ACTIONS.items():
