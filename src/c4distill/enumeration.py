@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import zip_longest
+from itertools import repeat, zip_longest
 from math import comb
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
@@ -314,7 +314,8 @@ class DenseClassifier:
         w = np.moveaxis(np.abs(st) ** 2, (out1, out2), (0, 1))
         accept = w.sum(axis=(0, 1))
         fields = (accept, w[1].sum(axis=0), w[:, 1].sum(axis=0), w[1, 1], accept - w[0, 0])
-        self._verdicts = tuple(DenseVerdict(*v) for v in zip(*(f.tolist() for f in fields)))
+        # tuple.__new__ on each 5-tuple makes the DenseVerdict without its per-call __new__.
+        self._verdicts = tuple(map(tuple.__new__, repeat(DenseVerdict), zip(*(f.tolist() for f in fields))))
 
     def classify(self, bits: int) -> DenseVerdict:
         return self._verdicts[bits]

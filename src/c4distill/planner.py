@@ -29,7 +29,7 @@ from __future__ import annotations
 from functools import cache
 from heapq import heappop, heappush
 from math import ceil, frexp, inf, ldexp, log, log2
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .routines import RoutineModel, VanishingDenominator, builtin_models
 
@@ -101,12 +101,10 @@ class PlannerGoal(NamedTuple):
 
 def parse_sequence(text: str) -> list[RoutineModel]:
     models = builtin_models()
-    out = []
     for ch in text:
         if ch not in models:
             raise KeyError(f"unknown routine {ch!r}")
-        out.append(models[ch])
-    return out
+    return [models[ch] for ch in text]
 
 
 def evaluate_sequence(seq: Sequence[RoutineModel], p0: float) -> DistillationPlan:
@@ -301,11 +299,8 @@ def _b_only_walk(p0: float) -> Iterator[tuple[tuple[str, ...], float, float]]:
 def shortest_b_only(target_error: float, p0: float) -> Optional[DistillationPlan]:
     """Shortest sequence of up to ``B_ONLY_MAX_ROUNDS`` rounds using only the
     15-to-1 routine with an equal or better final error."""
-    b = builtin_models()["B"]
-    for seq, error, _ in _b_only_walk(p0):
-        if error <= target_error:
-            return evaluate_sequence([b] * len(seq), p0)
-    return None
+    hit = _first_hits(_b_only_walk(p0), [target_error]).get(target_error)
+    return hit and evaluate_sequence(parse_sequence(hit[0]), p0)
 
 
 def improvement_factor(plan: DistillationPlan) -> Optional[float]:
@@ -356,27 +351,15 @@ def table_rows(p0: float = 0.01) -> list[TableRow]:
     rows = []
     for plan in plans:
         ref = refs.get(plan.final_error)
-        rows.append(
-            TableRow(
-                sequence=plan.name,
-                cost=plan.final_cost,
-                error=plan.final_error,
-                improvement=None if ref is None else ref[1] / plan.final_cost,
-            )
-        )
+        improvement = None if ref is None else ref[1] / plan.final_cost
+        rows.append(TableRow(plan.name, plan.final_cost, plan.final_error, improvement))
     return rows
 
 
 def error_curves(sequences: Sequence[str], grid: Sequence[float]) -> list[list[float]]:
     """Rows (p, error per sequence) over the grid."""
-    parsed = {name: parse_sequence(name) for name in sequences}
-    rows = []
-    for p in grid:
-        row = [p]
-        for name in sequences:
-            row.append(evaluate_sequence(parsed[name], p).final_error)
-        rows.append(row)
-    return rows
+    parts = _prefix_parts(sequences)
+    return [[p, *(ldexp(x, s) for x, s in parts(p))] for p in grid]
 
 
 def step_cost_curve(
@@ -404,14 +387,22 @@ def step_cost_curve(
     return rows
 
 
-# Apart from evaluate_sequence on purpose: sharing its loop slowed the crossing gap.
-def _error_parts(seq: Sequence[RoutineModel], p0: float) -> tuple[float, int]:
-    """(mantissa, exponent) of the sequence's output error."""
-    x, s = frexp(p0)
-    cost = 1.0
-    for model in seq:
-        x, s, cost, _ = _float_round(model).step(x, s, cost)
-    return x, s
+def _prefix_parts(names: Sequence[str]) -> Callable[[float], list[tuple[float, int]]]:
+    """A function of p giving each name's output error as (mantissa,
+    exponent), by ``evaluate_sequence``'s steps; each distinct prefix of the
+    names is stepped once per p, from the prefix one round shorter."""
+    steps = {}  # prefix -> (prefix one round shorter, its last round's step)
+    for name in names:
+        for k, model in enumerate(parse_sequence(name), 1):
+            steps.setdefault(name[:k], (name[: k - 1], _float_round(model).step))
+
+    def parts(p: float) -> list[tuple[float, int]]:
+        done = {"": frexp(p)}
+        for prefix, (shorter, step) in steps.items():
+            done[prefix] = step(*done[shorter], 1.0)[:2]
+        return [done[name] for name in names]
+
+    return parts
 
 
 def curve_crossings(
@@ -420,20 +411,29 @@ def curve_crossings(
     """Crossing points between consecutive sequence curves on the grid.
 
     Consecutive means adjacent in the given order (the standard set is cost
-    ordered); the returned p values bound the preference regions.
+    ordered); the returned p values bound the preference regions.  A pair is
+    bisected with its common last rounds stripped (one kept on each side),
+    once per stripped pair: the builtin rounds are strictly increasing on
+    [0, 1/2) and map it into itself, so those rounds move no crossing.
     """
+    parse_sequence("".join(sequences))  # stripped rounds are checked too
+    found = {}
     out = []
     for name_a, name_b in zip(sequences, sequences[1:]):
-        seq_a, seq_b = parse_sequence(name_a), parse_sequence(name_b)
+        a, b = name_a, name_b
+        while len(a) > 1 and len(b) > 1 and a[-1] == b[-1]:
+            a, b = a[:-1], b[:-1]
+        if (a, b) not in found:
+            parts = _prefix_parts([a, b])
 
-        def gap(p: float) -> float:
-            """log(e_a / e_b), from the errors' mantissas and exponents,
-            since deep sequences' errors underflow as floats."""
-            (xa, sa), (xb, sb) = _error_parts(seq_a, p), _error_parts(seq_b, p)
-            return log(xa / xb) + (sa - sb) * log(2)
+            def gap(p: float) -> float:
+                # log(e_a / e_b) from mantissas and exponents: deep errors underflow as floats.
+                (xa, sa), (xb, sb) = parts(p)
+                return log(xa / xb) + (sa - sb) * log(2)
 
-        gaps = [gap(p) for p in grid]
-        for lo, hi, g_lo, g_hi in zip(grid, grid[1:], gaps, gaps[1:]):
-            if g_lo * g_hi < 0:
-                out.append((name_a, name_b, _bisect(gap, lo, hi, g_lo, 60)))
+            gaps = [gap(p) for p in grid]
+            brackets = zip(grid, grid[1:], gaps, gaps[1:])
+            found[a, b] = [_bisect(gap, lo, hi, g_lo, 60) for lo, hi, g_lo, g_hi in brackets
+                           if g_lo * g_hi < 0]
+        out += [(name_a, name_b, p) for p in found[a, b]]
     return out

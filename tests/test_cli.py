@@ -246,6 +246,32 @@ def test_extreme_grids():
     assert out.splitlines()[-1].startswith("1.00000e-04,")
 
 
+def test_wide_regionplot_crossings_are_those_of_the_stripped_pairs():
+    """A pair of sequences that end with the same rounds crosses where the
+    pair without them does.  Unstripped, the deep sequences' float errors
+    reached 1/2 on this grid (AAAA at p = 0.2 gave 0.5000000000000023), and
+    the export printed crossings no monotone round allows."""
+    from c4distill.planner import TABLE_SEQUENCES
+
+    code, out = run_cli(["curve", "--figure", "regionplot", "--pmin", "0.002", "--pmax", "0.3",
+                         "--points", "8", "--boundaries"])
+    assert code == EXIT_OK
+    crossings = {}
+    for row in out.split("\n\n")[1].splitlines()[1:]:
+        a, b, p = row.split(",")
+        crossings.setdefault((a, b), []).append(p)
+    stripped = set()
+    for a, b in zip(TABLE_SEQUENCES, TABLE_SEQUENCES[1:]):
+        pair = a, b
+        while len(a) > 1 and len(b) > 1 and a[-1] == b[-1]:
+            a, b = a[:-1], b[:-1]
+        stripped.add((a, b))
+        assert crossings.get(pair) == crossings.get((a, b)), pair
+    assert stripped == {("A", "B"), ("B", "AA"), ("AAA", "BB"), ("BB", "BAA")}
+    assert crossings[("B", "AA")] == ["3.95644e-02"]
+    assert ("AAAA", "BBA") not in crossings
+
+
 # Mostly probabilities, with nan, infinities, subnormals and out-of-range
 # values.
 _floats = st.one_of(

@@ -17,6 +17,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from exact_reference import sturm_signs_below_half
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -466,14 +467,25 @@ def test_curve_crossings_found():
     a_err = evaluate_sequence(parse_sequence("AA"), p_cross).final_error
     b_err = evaluate_sequence(parse_sequence("B"), p_cross).final_error
     assert a_err == pytest.approx(b_err, rel=1e-6)
+    # A round both names end with is stripped before bisecting, but still read.
+    with pytest.raises(KeyError):
+        curve_crossings(["AZ", "BZ"], grid)
 
 
 def _crossings_by_60_halvings(sequences, grid):
     """``curve_crossings`` as it was computed before its bisection learned
     to stop: 60 halvings of every bracket, however many change nothing."""
 
+    def parts(seq, p):
+        """(mantissa, exponent) of the whole sequence's error, every round stepped."""
+        x, s = math.frexp(p)
+        cost = 1.0
+        for model in seq:
+            x, s, cost, _ = planner._float_round(model).step(x, s, cost)
+        return x, s
+
     def gap(seq_a, seq_b, p):
-        (xa, sa), (xb, sb) = planner._error_parts(seq_a, p), planner._error_parts(seq_b, p)
+        (xa, sa), (xb, sb) = parts(seq_a, p), parts(seq_b, p)
         return math.log(xa / xb) + (sa - sb) * math.log(2)
 
     out = []
@@ -505,6 +517,40 @@ def test_crossings_pinned_to_60_halvings(pmin, pmax, points):
     got = [(a, b, p.hex()) for a, b, p in curve_crossings(TABLE_SEQUENCES, grid)]
     assert got == _crossings_by_60_halvings(TABLE_SEQUENCES, grid)
     assert got
+
+
+def test_builtin_rounds_increase_and_stay_below_half(models):
+    """``curve_crossings`` strips the last rounds two sequences share, which
+    moves no crossing only if every builtin round's error u/a is strictly
+    increasing on [0, 1/2) and stays below 1/2 there: u'a - ua' and a - 2u
+    start positive, have no root in (0, 1/2) and end positive, by an exact
+    Sturm count."""
+    for name in ("A", "B"):
+        a, u = models[name].acceptance_poly, models[name].undetected_poly
+        da, du = (ExactPolynomial.make([k * c for k, c in enumerate(f.coefficients)][1:]) for f in (a, u))
+        assert sturm_signs_below_half((du * a - u * da).coefficients) == (1, 0, 1), name
+        assert sturm_signs_below_half((a - u.scaled(2)).coefficients) == (1, 0, 1), name
+
+
+@pytest.mark.parametrize(
+    "pmin, pmax, points", [(1e-40, 0.4999, 41), (1e-4, 0.12, 60), (0.2, 0.4999, 9)]
+)
+def test_error_curves_equal_evaluate_sequence(pmin, pmax, points, monkeypatch):
+    """Stepping each shared prefix once changes no value: every curve point
+    is bit for bit ``evaluate_sequence``'s final error, from one step per
+    distinct prefix (10 for the standard set, not 25)."""
+    from c4distill.cli import _geom_grid
+
+    grid = _geom_grid(pmin, pmax, points)
+    steps = []
+    step = planner._FloatRound.step
+    monkeypatch.setattr(planner._FloatRound, "step", lambda *args: steps.append(1) or step(*args))
+    rows = error_curves(list(TABLE_SEQUENCES), grid)
+    assert len(steps) == 10 * len(grid)
+    monkeypatch.undo()
+    for p, *errors in rows:
+        want = [evaluate_sequence(parse_sequence(name), p).final_error for name in TABLE_SEQUENCES]
+        assert [e.hex() for e in errors] == [w.hex() for w in want], p
 
 
 def _step_cost_rows_per_point(p0, eg_grid, available, max_rounds):
