@@ -158,7 +158,7 @@ def cmd_curve(args) -> int:
             lines.append("lower_sequence,upper_sequence,p_crossing")
             for a, b, p in curve_crossings(seqs, grid):
                 lines.append(f"{a},{b},{_sci(p)}")
-    elif args.figure == "distplot":
+    else:  # distplot; argparse refuses any other figure
         grid = _geom_grid(_or(args.eg_min, 1e-30), _or(args.eg_max, 1e-3), _or(args.points, 55))
         try:
             PlannerGoal(p0=args.p0, e_g=grid[-1], max_rounds=args.max_rounds).validate()
@@ -168,8 +168,6 @@ def cmd_curve(args) -> int:
         lines.append("e_g,best_cost,best_sequence,b_only_cost,b_only_sequence")
         for eg, cost, name, bcost, bname in rows:
             lines.append(f"{_sci(eg)},{cost:.4f},{name},{bcost:.4f},{bname}")
-    else:
-        raise UsageError(f"unknown figure {args.figure!r}")
     _emit("\n".join(lines), args.output)
     return EXIT_OK
 

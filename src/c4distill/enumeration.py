@@ -5,7 +5,8 @@ error locations of ``circuits.build_distillation_circuit()``:
 
 * ``DenseClassifier`` runs the 5-wire circuit on the state-vector oracle
   once for all patterns, each location branching the batch on its own axis
-  where it is inserted, and post-selects the noiseless reference outcomes.
+  where it is inserted, and post-selects the outcomes of its error-free
+  column, which is the noiseless run.
 * ``FrameClassifier`` never touches amplitudes on the full register.  Gate
   errors are conjugated (exactly, with phases) through the circuit's own
   Clifford elements to a common reference point, the second controlled-H
@@ -37,7 +38,7 @@ from math import comb
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
 
-from .circuits import CODE, build_distillation_circuit, reference_outcomes
+from .circuits import CODE, NondeterministicReference, build_distillation_circuit
 from .exactalg import E_ONE, Exact, ExactPolynomial
 from .pauli import PauliString, _relabel, conjugate_through
 
@@ -167,14 +168,12 @@ class FrameClassifier:
                 raise AssertionError("ancilla picked up a non-diagonal component")
             self.forms[loc.id] = form
         # The code's 64 normalizer elements lx1^a1 lz1^b1 lx2^a2 lz2^b2 sx^c sz^d,
-        # multiplied in that order and keyed by (x, z); a miss is detected.
-        self._normalizer: dict[tuple[int, int], tuple[int, tuple[int, int, int, int]]] = {}
-        for e in range(64):
-            p = PauliString.identity(n)
-            for j, gen in enumerate((lx[0], lz[0], lx[1], lz[1], sx, sz)):
-                if e >> j & 1:
-                    p = p * gen
-            self._normalizer[p.x, p.z] = p.phase, (e & 1, e >> 1 & 1, e >> 2 & 1, e >> 3 & 1)
+        # multiplied in that order (bits 5 to 0 of e) and keyed by (x, z); a
+        # miss is detected.
+        self._normalizer: dict[tuple[int, int], tuple[int, tuple[int, int, int, int]]] = {
+            (x, z): (phase, (e >> 5, e >> 4 & 1, e >> 3 & 1, e >> 2 & 1))
+            for e, (x, z, phase) in enumerate(_products([sz, sx, lz[1], lx[1], lz[0], lx[0]]))
+        }
         # Everything but the data bits depends only on bits 2-9: the product
         # of their forms (higher ids to the left) gives term 1 and, with the
         # first block seen through H on every code wire but the third (which
@@ -278,8 +277,9 @@ class DenseClassifier:
 
     All 1024 patterns are one batch: the circuit is walked once, each error
     location doubles the batch on its own axis with a copy carrying its
-    Paulis, and each measurement keeps its reference outcome and drops its
-    wire's axis.  A pattern's unnormalized weights in the (|H>, |-H>) basis
+    Paulis, and each measurement keeps the outcome of the error-free column
+    (the noiseless run, which must be deterministic) and drops its wire's
+    axis.  A pattern's unnormalized weights in the (|H>, |-H>) basis
     of the two outputs left give its verdict.
     """
 
@@ -289,7 +289,6 @@ class DenseClassifier:
         from .statevec import GATE_MATRICES, H_BASIS, Branch, apply_element, apply_unitary, measure_out
 
         circuit, locations = build_distillation_circuit()
-        reference = reference_outcomes(circuit)
         live = list(range(circuit.width))  # wires still carried, in axis order: a measured-out one raises
         branch = Branch(np.zeros((2,) * circuit.width + (1,) * N_LOCATIONS, dtype=complex))
         branch.state.flat[0] = 1.0
@@ -302,8 +301,13 @@ class DenseClassifier:
                         hit = apply_unitary(hit, GATE_MATRICES[op], (live.index(wire),))
                     branch.state = np.concatenate((branch.state, hit), axis=-1 - loc.id)
             wires = tuple(map(live.index, el.wires))
-            if el.label in reference:
-                branch.state = measure_out(branch.state, el.op, wires[0], reference[el.label])
+            if el.label is not None:
+                # Column 0, the error-free pattern, is the noiseless run: its outcome is the reference.
+                noiseless = branch.state[(...,) + (0,) * N_LOCATIONS]
+                w0, w1 = (np.vdot(c, c).real for c in (measure_out(noiseless, el.op, wires[0], b) for b in (0, 1)))
+                if min(w0, w1) > 1e-9 * (w0 + w1):
+                    raise NondeterministicReference(f"noiseless outcome of {el.label!r} is random")
+                branch.state = measure_out(branch.state, el.op, wires[0], int(w1 > w0))
                 live.remove(el.wires[0])
             else:
                 (branch,) = apply_element(branch, el._replace(wires=wires))

@@ -414,7 +414,10 @@ def curve_crossings(
     ordered); the returned p values bound the preference regions.  A pair is
     bisected with its common last rounds stripped (one kept on each side),
     once per stripped pair: the builtin rounds are strictly increasing on
-    [0, 1/2) and map it into itself, so those rounds move no crossing.
+    [0, 1/2) and map it into itself, so those rounds move no crossing.  A
+    bracket is skipped where either stripped error at either end is within
+    2^-40 of 1/2: there both errors have saturated, and the sign of their
+    log-ratio is float noise.
     """
     parse_sequence("".join(sequences))  # stripped rounds are checked too
     found = {}
@@ -426,14 +429,17 @@ def curve_crossings(
         if (a, b) not in found:
             parts = _prefix_parts([a, b])
 
-            def gap(p: float) -> float:
+            def gap(ends: list[tuple[float, int]]) -> float:
                 # log(e_a / e_b) from mantissas and exponents: deep errors underflow as floats.
-                (xa, sa), (xb, sb) = parts(p)
+                (xa, sa), (xb, sb) = ends
                 return log(xa / xb) + (sa - sb) * log(2)
 
-            gaps = [gap(p) for p in grid]
-            brackets = zip(grid, grid[1:], gaps, gaps[1:])
-            found[a, b] = [_bisect(gap, lo, hi, g_lo, 60) for lo, hi, g_lo, g_hi in brackets
-                           if g_lo * g_hi < 0]
+            ends = [parts(p) for p in grid]
+            gaps = [gap(e) for e in ends]
+            saturated = [any(abs(ldexp(x, s) - 0.5) <= 2**-40 for x, s in e) for e in ends]
+            brackets = zip(grid, grid[1:], gaps, gaps[1:], saturated, saturated[1:])
+            found[a, b] = [_bisect(lambda p: gap(parts(p)), lo, hi, g_lo, 60)
+                           for lo, hi, g_lo, g_hi, sat_lo, sat_hi in brackets
+                           if g_lo * g_hi < 0 and not (sat_lo or sat_hi)]
         out += [(name_a, name_b, p) for p in found[a, b]]
     return out

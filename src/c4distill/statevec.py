@@ -2,13 +2,12 @@
 
 A state is a (2,)*width tensor, optionally followed by batch axes that every
 element acts on alike.  Circuits are executed with explicit measurement
-branching: ``run`` either enumerates every outcome branch or post-selects a
-target outcome per label.  Measurements project without renormalizing, so a
-branch's state carries its weight: run on a batch of basis inputs, each
-branch holds the columns of its Kraus operators.  Channel comparison works on
-Choi matrices built from those Kraus operators, so unitary identities are
-checked up to global phase and measurement circuits are checked outcome by
-outcome.
+branching: ``run`` enumerates every outcome branch.  Measurements project
+without renormalizing, so a branch's state carries its weight: run on a
+batch of basis inputs, each branch holds the columns of its Kraus
+operators.  Channel comparison works on Choi matrices built from those
+Kraus operators, so unitary identities are checked up to global phase and
+measurement circuits are checked outcome by outcome.
 """
 
 from __future__ import annotations
@@ -85,14 +84,12 @@ _PREP_ROTATION = {"prep_0": None, "prep_plus": "h", "prep_h": "ry_p4"}
 _MIN_WEIGHT = 1e-24
 # Rows of the Choi difference formed at a time by ``channel_distance``.
 _CHOI_ROWS = 32
-# OpenBLAS hands a call to its thread pool from m*n*k = 65536 multiply-adds
-# in a complex matrix product and from 10001 elements in a dot product.  On
-# a shared host the pool's wake-ups and spinning made some processes build
-# the dense classifier's 32768-amplitude batch ten times slower than others.
-# Wider products and dots are therefore cut into blocks of at most these
-# sizes, half the thresholds or less, which run on the calling thread.
+# OpenBLAS hands a complex matrix product to its thread pool from m*n*k =
+# 65536 multiply-adds.  On a shared host the pool's wake-ups and spinning
+# made some processes build the dense classifier's 32768-amplitude batch ten
+# times slower than others.  Wider products are therefore cut into blocks of
+# at most this size, half the threshold, which run on the calling thread.
 _PRODUCT_BLOCK = 2**15
-_DOT_BLOCK = 2**13
 
 
 class SimulationError(RuntimeError):
@@ -131,14 +128,6 @@ def apply_unitary(state: np.ndarray, mat: np.ndarray, wires: tuple[int, ...]) ->
     return out.reshape(state.shape)
 
 
-def _vdot(a: np.ndarray, b: np.ndarray) -> complex:
-    """np.vdot summed over blocks of at most ``_DOT_BLOCK`` elements."""
-    if a.size <= _DOT_BLOCK:
-        return np.vdot(a, b)
-    a, b = a.reshape(-1), b.reshape(-1)
-    return sum(np.vdot(a[i : i + _DOT_BLOCK], b[i : i + _DOT_BLOCK]) for i in range(0, a.size, _DOT_BLOCK))
-
-
 class Branch:
     """One measurement-outcome branch of a circuit run.  The state is left
     unnormalized, so its squared norm is the branch's weight."""
@@ -151,24 +140,22 @@ class Branch:
 
     @property
     def prob(self) -> float:
-        return float(_vdot(self.state, self.state).real)
+        return float(np.vdot(self.state, self.state).real)
 
 
 def _check_prepped_zero(state: np.ndarray, wire: int):
     excited = state.reshape(2**wire, 2, -1)[:, 1]
-    if _vdot(excited, excited).real > 1e-18 * _vdot(state, state).real:
+    if np.vdot(excited, excited).real > 1e-18 * np.vdot(state, state).real:
         raise SimulationError(f"prep on wire {wire} which is not in |0>")
 
 
-def apply_element(
-    branch: Branch, el: Element, postselect: Optional[dict[str, int]] = None
-) -> list[Branch]:
+def apply_element(branch: Branch, el: Element) -> list[Branch]:
     """Apply one element to a branch, returning the resulting branches.
 
     Unitary elements preserve the norm; preparations require the wire to be
-    in |0>; measurements record an outcome bit (both, or the post-selected
-    target) and project without renormalizing, dropping an outcome whose
-    weight vanishes.  Conditioned elements demand their classical bit be set.
+    in |0>; measurements record each outcome bit on its own branch and
+    project without renormalizing, dropping an outcome whose weight
+    vanishes.  Conditioned elements demand their classical bit be set.
     """
     if el.cond is not None:
         name, want = el.cond
@@ -186,12 +173,8 @@ def apply_element(
         branch.state = apply_unitary(branch.state, GATE_MATRICES[el.op], el.wires)
         return [branch]
     if el.op in _PROJECTORS:
-        if postselect is not None and el.label in postselect:
-            bits = (postselect[el.label],)
-        else:
-            bits = (0, 1)
         outs = []
-        for bit in bits:
+        for bit in (0, 1):
             state = apply_unitary(branch.state, _PROJECTORS[el.op][bit], el.wires)
             nb = Branch(state, {**branch.outcomes, el.label: bit})
             if nb.prob > _MIN_WEIGHT:
@@ -200,17 +183,11 @@ def apply_element(
     raise SimulationError(f"unknown element {el.op!r}")
 
 
-def run(
-    circuit: Circuit,
-    state: Optional[np.ndarray] = None,
-    postselect: Optional[dict[str, int]] = None,
-    merge_hidden: bool = False,
-) -> list[Branch]:
+def run(circuit: Circuit, state: Optional[np.ndarray] = None, merge_hidden: bool = False) -> list[Branch]:
     """Execute a circuit from ``state`` (default all wires |0>), which may
-    carry batch axes after its wire axes, and return its outcome branches.
+    carry batch axes after its wire axes, and return its outcome branches,
+    both outcomes of every measurement enumerated.
 
-    Measurement handling: if the label appears in ``postselect`` the branch is
-    projected onto that outcome; otherwise both outcomes are enumerated.
     With ``merge_hidden`` branches that agree on every label not starting
     with ``_`` and hold the same state up to a phase and a scale are merged
     into one carrying both weights, which keeps gadget-heavy circuits cheap.
@@ -220,7 +197,7 @@ def run(
         state[(0,) * circuit.width] = 1.0
     branches = [Branch(state)]
     for el in circuit.elements:
-        branches = [nb for br in branches for nb in apply_element(br, el, postselect)]
+        branches = [nb for br in branches for nb in apply_element(br, el)]
         if merge_hidden and len(branches) > 1:
             branches = _merge_equal_branches(branches)
     return branches
@@ -235,7 +212,7 @@ def _merge_equal_branches(branches: list[Branch]) -> list[Branch]:
             if keep_vis != visible:
                 continue
             pk, pb = keep.prob, br.prob
-            if abs(abs(_vdot(keep.state, br.state)) - math.sqrt(pk * pb)) < 1e-9 * math.sqrt(pk * pb):
+            if abs(abs(np.vdot(keep.state, br.state)) - math.sqrt(pk * pb)) < 1e-9 * math.sqrt(pk * pb):
                 keep.state = keep.state * math.sqrt((pk + pb) / pk)
                 break
         else:

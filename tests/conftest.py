@@ -36,6 +36,11 @@ def h_basis_joint(state: np.ndarray, wire1: int, wire2: int) -> np.ndarray:
     return joint
 
 
+def postselected(branches: list, outcomes: dict) -> list:
+    """The branches of ``run`` whose outcomes include every given one."""
+    return [br for br in branches if outcomes.items() <= br.outcomes.items()]
+
+
 def kron_all(labels: str) -> np.ndarray:
     """Dense matrix of a Pauli label string (leftmost letter = qubit 0)."""
     out = np.array([[1]], dtype=complex)

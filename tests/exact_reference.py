@@ -13,7 +13,8 @@ way the frame engine once built its tables; its integer tables are checked
 against it.  ``CodeReference`` decomposes a Pauli over the [[4,2,2]] code by
 commutation tests, the way the frame engine once did for every pattern; the
 engine's lookup in its table of the 64 normalizer elements is checked
-against it.
+against it, and its ``normalizer`` builds that table from ``PauliString``
+products, the way the frame engine once did.
 
 ``sturm_signs_below_half`` answers the routines loader's sign questions with
 a Sturm chain of plain Fraction remainders and a loop that divides out
@@ -197,6 +198,19 @@ class CodeReference:
         # H on every code wire except the third, which the eliminated
         # controlled-H pair targeted.
         self.h_layer = [("h", (code[0],)), ("h", (code[1],)), ("h", (code[3],))]
+
+    def normalizer(self) -> dict[tuple[int, int], tuple[int, tuple[int, int, int, int]]]:
+        """The 64 normalizer elements lx1^a1 lz1^b1 lx2^a2 lz2^b2 sx^c sz^d,
+        multiplied in that order, keyed by (x, z): their phase and
+        (a1, b1, a2, b2)."""
+        table = {}
+        for e in range(64):
+            p = PauliString.identity(self.n)
+            for j, gen in enumerate((self.lx[0], self.lz[0], self.lx[1], self.lz[1], self.sx, self.sz)):
+                if e >> j & 1:
+                    p = p * gen
+            table[p.x, p.z] = p.phase, (e & 1, e >> 1 & 1, e >> 2 & 1, e >> 3 & 1)
+        return table
 
     def split_ancilla(self, p: PauliString) -> tuple[int, PauliString]:
         """(ancilla Z bit, ``p`` without its ancilla part)."""

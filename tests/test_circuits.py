@@ -18,7 +18,7 @@ from c4distill.circuits import (
 )
 from c4distill.pauli import PauliString
 from c4distill.statevec import run
-from conftest import h_basis_joint, h_fidelity, kron_all
+from conftest import h_basis_joint, h_fidelity, kron_all, postselected
 
 
 def test_code_definition_invariants():
@@ -34,12 +34,6 @@ def test_code_definition_invariants():
         for kind in "XYZ":
             p = PauliString.single(4, qubit, kind)
             assert not (p.commutes(sx) and p.commutes(sz))
-
-
-def _run_codec(pre=(), between=(), postselect=None):
-    enc, dec = build_c4_codec()
-    elems = list(pre) + list(enc.elements) + list(between) + list(dec.elements)
-    return run(Circuit(4, tuple(elems), dict(enc.labels)), postselect=postselect)
 
 
 def test_codec_roundtrip_on_basis_states():
@@ -123,7 +117,7 @@ def test_noiseless_run_reference_and_outputs():
     circ, _ = build_distillation_circuit()
     ref = reference_outcomes(circ)
     assert set(ref) == {"meas_encoded", "check_z", "check_x"}
-    (br,) = run(circ, postselect=ref)
+    (br,) = postselected(run(circ), ref)
     assert br.prob == pytest.approx(1.0, abs=1e-12)
     assert h_fidelity(br.state, circ.labels["out1"]) == pytest.approx(1.0, abs=1e-12)
     assert h_fidelity(br.state, circ.labels["out2"]) == pytest.approx(1.0, abs=1e-12)
@@ -154,7 +148,7 @@ def test_double_data_error_accepted_with_both_outputs_flipped():
     circ, locations = build_distillation_circuit()
     ref = reference_outcomes(circ)
     noisy = insert_pattern(circ, locations, 0b0000000011)
-    (br,) = run(noisy, postselect=ref)
+    (br,) = postselected(run(noisy), ref)
     assert br.prob == pytest.approx(1.0, abs=1e-10)
     assert h_fidelity(br.state, circ.labels["out1"]) == pytest.approx(0.0, abs=1e-10)
     assert h_fidelity(br.state, circ.labels["out2"]) == pytest.approx(0.0, abs=1e-10)
@@ -215,7 +209,7 @@ def test_serialization_stable():
 
 def _gadget_verdict(circ, locations, ref, bits):
     noisy = insert_pattern(circ, locations, bits)
-    branches = run(noisy, postselect=ref, merge_hidden=True)
+    branches = postselected(run(noisy, merge_hidden=True), ref)
     weight = sum(br.prob for br in branches)
     if weight < 1e-12:
         return 0.0, None

@@ -14,7 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from c4distill import enumeration, exactalg
-from c4distill.circuits import Circuit, Element, build_distillation_circuit, insert_pattern, reference_outcomes
+from c4distill.circuits import (
+    Circuit,
+    Element,
+    NondeterministicReference,
+    build_distillation_circuit,
+    insert_pattern,
+    reference_outcomes,
+)
 from c4distill.enumeration import (
     N_LOCATIONS,
     N_PATTERNS,
@@ -30,7 +37,7 @@ from c4distill.enumeration import (
 )
 from c4distill.pauli import PauliString
 from c4distill.statevec import run
-from conftest import h_basis_joint
+from conftest import h_basis_joint, postselected
 from exact_reference import CodeReference, assemble, fraction_polynomials, pauli_products
 
 
@@ -119,6 +126,15 @@ def test_normalizer_lookup_equals_commutation_decomposition():
             assert (term is None) == (not p.commutes(ref.sx) or not p.commutes(ref.sz))
             detected += term is None
     assert detected == 3 * 64 * 4
+
+
+def test_normalizer_equals_pauli_string_products():
+    # The table from the integer product recurrence, entry for entry, is the
+    # one that 64 loops of PauliString products build.
+    want = CodeReference().normalizer()
+    got = FrameClassifier()._normalizer
+    assert len(want) == 64
+    assert sorted(got.items()) == sorted(want.items())
 
 
 def test_integer_products_equal_pauli_string_products():
@@ -246,7 +262,7 @@ def test_engines_follow_the_circuits_location_ids(monkeypatch):
 
 def _per_pattern_verdict(circ, locations, reference, bits):
     """Oracle: insert one pattern's Paulis and run the circuit for it alone."""
-    branches = run(insert_pattern(circ, locations, bits), postselect=reference)
+    branches = postselected(run(insert_pattern(circ, locations, bits)), reference)
     if not branches:
         return (0.0,) * 5
     (br,) = branches
@@ -284,7 +300,8 @@ def test_dense_classifier_is_one_batched_pass(monkeypatch):
     width = circ.width
     # (element, batch columns, wire axes) of every batched element and
     # measured-out wire; a batched state carries the N_LOCATIONS batch axes.
-    elements, measured, unbatched = [], [], [0]
+    # The reference reads measure the error-free column, which has none.
+    elements, measured, unbatched, column_reads = [], [], [0], []
     apply_element, measure_out = statevec.apply_element, statevec.measure_out
 
     def columns_and_wires(state):
@@ -300,7 +317,10 @@ def test_dense_classifier_is_one_batched_pass(monkeypatch):
 
     def counting_measure_out(state, op, wire, bit):
         out = measure_out(state, op, wire, bit)
-        measured.append((op, *columns_and_wires(state), out.ndim - N_LOCATIONS))
+        if state.ndim > N_LOCATIONS:
+            measured.append((op, *columns_and_wires(state), out.ndim - N_LOCATIONS))
+        else:
+            column_reads.append((op, state.shape, bit))
         return out
 
     # (matrix, shape) of every gate application; depth skips the call that
@@ -324,11 +344,11 @@ def test_dense_classifier_is_one_batched_pass(monkeypatch):
     for bits in range(N_PATTERNS):
         dense.classify(bits)
     assert inserted[0] == 0
-    # Every non-measurement element runs once on the batched state, besides
-    # the one unbatched noiseless reference run, on the wires' axes after
-    # the measured-out wires are dropped; the batch has doubled once per
-    # location inserted before it.
-    assert unbatched[0] <= len(circ.elements)
+    # Every non-measurement element runs once on the batched state, and
+    # none runs unbatched: no separate noiseless reference run is made.  It
+    # runs on the wires' axes after the measured-out wires are dropped; the
+    # batch has doubled once per location inserted before it.
+    assert unbatched[0] == 0
     gone, expected = [], []
     for index, el in enumerate(circ.elements):
         if el.label is not None:
@@ -338,11 +358,14 @@ def test_dense_classifier_is_one_batched_pass(monkeypatch):
         columns = 1 << sum(loc.insert_index <= index for loc in locations)
         expected.append((el._replace(wires=axes), columns, width - len(gone)))
     assert elements == expected
-    # Each visible measurement removes exactly one axis, after the last
-    # insertions, and leaves the two outputs.
+    # Each of the three measurements removes exactly one axis of the full
+    # batch, after the last insertions, and leaves the two outputs; its
+    # reference is read from both outcomes of the error-free column.
     visible = [el.op for el in circ.elements if el.label in reference_outcomes(circ)]
+    assert len(visible) == 3
     assert measured == [(op, N_PATTERNS, width - i, width - i - 1) for i, op in enumerate(visible)]
     assert measured[-1][-1] == 2
+    assert column_reads == [(op, (2,) * (width - i), b) for i, op in enumerate(visible) for b in (0, 1)]
     # Only the ancilla's basis change spans all 32768 amplitudes, and the
     # two H-basis rotations act on 2 wires x 1024 columns.
     full = [mat for mat, shape in products if math.prod(shape) == 2**width * N_PATTERNS]
@@ -359,6 +382,35 @@ def test_dense_classifier_refuses_a_gate_on_a_measured_out_wire(monkeypatch):
     monkeypatch.setattr(enumeration, "build_distillation_circuit", lambda: (late, locations))
     with pytest.raises(ValueError, match="is not in list"):
         DenseClassifier()
+
+
+def _with_check_z(edit):
+    """The distillation circuit with ``edit(check_z's element)`` in place of its check_z measurement."""
+    circ, locations = build_distillation_circuit()
+    (at,) = [i for i, el in enumerate(circ.elements) if el.label == "check_z"]
+    assert all(loc.insert_index <= at for loc in locations)  # so every location's index stays valid
+    elements = circ.elements[:at] + tuple(edit(circ.elements[at])) + circ.elements[at + 1 :]
+    return Circuit(circ.width, elements, circ.labels), locations
+
+
+def test_dense_classifier_refuses_a_random_noiseless_measurement(monkeypatch):
+    # check_z's wire ends in |0>: measured in the X basis instead, its
+    # noiseless outcome is random, and the error-free column shows it.
+    patched = _with_check_z(lambda el: [el._replace(op="mx")])
+    monkeypatch.setattr(enumeration, "build_distillation_circuit", lambda: patched)
+    with pytest.raises(NondeterministicReference, match="check_z"):
+        DenseClassifier()
+
+
+def test_dense_classifier_keeps_a_reference_outcome_of_one(monkeypatch):
+    # An X just before check_z flips its outcome in every pattern alike, so
+    # keeping the noiseless outcome 1 gives the same verdicts.
+    want = DenseClassifier()
+    patched = _with_check_z(lambda el: [Element("x", el.wires), el])
+    monkeypatch.setattr(enumeration, "build_distillation_circuit", lambda: patched)
+    got = DenseClassifier()
+    for bits in range(N_PATTERNS):
+        assert got.classify(bits) == pytest.approx(want.classify(bits), abs=1e-15), bits
 
 
 def test_dense_verdicts_do_not_depend_on_blas_threads():

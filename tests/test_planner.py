@@ -472,6 +472,21 @@ def test_curve_crossings_found():
         curve_crossings(["AZ", "BZ"], grid)
 
 
+def test_curve_crossings_skip_saturated_errors():
+    """Deep sequences' float errors reach 1/2 past about p = 0.3, where the
+    sign of their log-ratio is noise: no crossing is read there, while a
+    crossing of unsaturated errors on the same grid stays."""
+    from c4distill.cli import _geom_grid
+
+    grid = _geom_grid(0.002, 0.45, 12)
+    assert curve_crossings(["AAA", "BB"], grid) == []
+    ((_, _, p),) = curve_crossings(["BB", "BAA"], grid)
+    assert p == pytest.approx(0.0944, abs=1e-4)
+    ((_, _, p),) = curve_crossings(["A", "B"], grid)
+    assert p == pytest.approx(0.2370, abs=1e-4)
+    assert evaluate_sequence(parse_sequence("A"), p).final_error == pytest.approx(0.4232, abs=1e-4)
+
+
 def _crossings_by_60_halvings(sequences, grid):
     """``curve_crossings`` as it was computed before its bisection learned
     to stop: 60 halvings of every bracket, however many change nothing."""
