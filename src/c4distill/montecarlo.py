@@ -6,18 +6,24 @@ the errors, not the flags.  A 10-to-2 instance's pattern is the OR of
 ``1 << (pos % 10)`` over its locations' error positions, and an instance
 with a nonzero pattern draws one uniform against its pattern's exact
 cumulative law of (reject, clean, output-2 error, output-1 error, both);
-pattern 0 is always accepted clean.  This kernel serves ``sample_routine``
-and the pipeline's 10-to-2 rounds.  The 15-to-1 routine is simulated at the
+pattern 0 is always accepted clean.  Every weight of that law is a multiple
+of 1/4, so the draw reads one cell of a (pattern, quarter) table
+(``VerdictTable``).  This kernel serves ``sample_routine`` and the
+pipeline's 10-to-2 rounds.  The 15-to-1 routine is simulated at the
 model level: sparse rejections and errors at the block's nominal rates.
 
 Randomness is counter-based (Philox) keyed by (seed, round, purpose), and
 each stream is consumed strictly in order, so tallies are reproducible and
-independent of the chunk size.
+independent of the chunk size.  The error locations of ``sample_routine``
+and the pipeline's input states are drawn one chunk ahead on one worker
+thread (``_read_ahead``), which changes no draw: each stream still has one
+reader, which takes its chunks in order.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from functools import cache
 from typing import NamedTuple
 
@@ -28,7 +34,7 @@ from .planner import DistillationPlan, evaluate_sequence, parse_sequence
 
 _PURPOSE = {"inputs": 0, "patterns": 1, "category": 2, "rejects": 3, "errors": 4}
 # Trials (or instances, or input states) per step of a stream.
-SAMPLE_CHUNK = 1 << 16
+SAMPLE_CHUNK = 1 << 15
 # Half-width of the within-block correlation interval, in standard errors.
 CORRELATION_Z = 3.0
 
@@ -88,32 +94,81 @@ class _Errors:
 
 
 class VerdictTable(NamedTuple):
-    """Float view of the exact per-pattern verdicts, for one draw per instance."""
+    """The exact per-pattern verdicts as categories, for one raw Philox word
+    per instance.
 
-    # (4, 1024): each pattern's law of (reject, clean, output-2 error only,
-    # output-1 error only), cumulative; an error on both outputs takes the
-    # rest up to 1.
-    cumulative: np.ndarray
+    An instance's category is the number of its pattern's cumulative
+    thresholds, of the law of (reject, clean, output-2 error only, output-1
+    error only), at or below its uniform u: 0 is a rejection, 1 a clean
+    acceptance, 2 an output-2 error only, 3 an output-1 error only and 4 an
+    error on both outputs.  ``Generator.random`` makes u = (w >> 11) 2^-53
+    from a raw word w, and every threshold t is a multiple of 1/4, so
+    u >= t exactly when (w >> 62) >= 4 t: the quarter w >> 62 decides."""
 
-    def categories(self, patterns: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Each instance's category from its pattern and its uniform u: the
-        number of the pattern's cumulative thresholds at or below u, so 0 is
-        a rejection, 1 a clean acceptance, 2 an output-2 error only, 3 an
-        output-1 error only and 4 an error on both outputs."""
-        cat = np.greater_equal(u, self.cumulative[0].take(patterns)).view(np.uint8)
-        for row in self.cumulative[1:]:
-            cat += u >= row.take(patterns)
-        return cat
+    # (4096,) uint8: cell pattern << 2 | q holds the category of an instance
+    # with that pattern whose uniform lies in [q/4, (q+1)/4).
+    cells: np.ndarray
+
+    @staticmethod
+    def cell(patterns: np.ndarray, words: np.ndarray) -> np.ndarray:
+        """Each instance's cell from its pattern and its raw word."""
+        return patterns << 2 | (words >> 62).view(np.int64)
+
+    def categories(self, patterns: np.ndarray, words: np.ndarray) -> np.ndarray:
+        return self.cells.take(self.cell(patterns, words))
 
 
 @cache
 def verdict_table() -> VerdictTable:
-    laws = []
-    for v in exact_verdicts():
-        acc, err1, err2, both, _ = v.as_floats()
-        laws.append((1 - acc, acc - err1 - err2 + both, err2 - both, err1 - both))
-    # Every weight is a multiple of 1/4, so these float sums are exact.
-    return VerdictTable(cumulative=np.ascontiguousarray(np.cumsum(laws, axis=1).T))
+    """The cell table of the exact verdicts' float weights; refuses a law
+    off the 1/4 grid, whose draw a quarter would not decide."""
+    acc, err1, err2, both, _ = 4 * np.array([v.as_floats() for v in exact_verdicts()]).T
+    # In quarters, where every weight and sum on the grid is a small integer.
+    thresholds = np.cumsum((4 - acc, acc - err1 - err2 + both, err2 - both, err1 - both), axis=0).T
+    off = np.flatnonzero((thresholds != np.rint(thresholds)).any(axis=1))
+    if len(off):
+        raise ValueError(f"the verdict of pattern {off[0]} is not on the 1/4 grid")
+    cells = (thresholds[:, None, :] <= np.arange(4)[:, None]).sum(axis=2, dtype=np.uint8)
+    return VerdictTable(cells=cells.ravel())
+
+
+def _read_ahead(take, sizes):
+    """Yield ``take(n)`` for each n in sizes: the calls and their order are
+    a plain loop's, but each is made on one worker thread while the caller
+    works on the chunk before, so at most two chunks are alive.  A worker's
+    exception is raised in the caller, and the thread is joined when the
+    generator ends or is closed."""
+    import queue  # here, so that importing the package imports no more
+
+    chunks, permits = queue.SimpleQueue(), queue.SimpleQueue()
+    # The worker takes a permit before each call after the first: call 1
+    # runs at once, call i + 2 once the caller is done with chunk i and asks
+    # for the next.
+    permits.put(True)
+
+    def work() -> None:
+        try:
+            for n in sizes:
+                chunks.put(take(n))
+                if not permits.get():
+                    return
+        except BaseException as exc:  # handed on, or the caller would wait forever
+            chunks.put(exc)
+            return
+        chunks.put(None)
+
+    # A daemon, so that a generator left open cannot hold up the exit.
+    thread = threading.Thread(target=work, daemon=True)
+    thread.start()
+    try:
+        while (chunk := chunks.get()) is not None:
+            if isinstance(chunk, BaseException):
+                raise chunk
+            yield chunk
+            permits.put(True)
+    finally:
+        permits.put(False)
+        thread.join()
 
 
 def _patterns(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -198,11 +253,14 @@ def sample_routine(p: float, trials: int, seed: int) -> SampleStats:
     _check_inputs(p, trials, "p", "trials")
     table = verdict_table()
     locations = _Errors(_stream(seed, 0, "patterns"), p)
-    rng = _stream(seed, 0, "category")
-    counts = np.zeros(5, dtype=np.int64)  # per category, over instances with an error
-    for start in range(0, trials, SAMPLE_CHUNK):
-        _, patterns = _patterns(locations.take(10 * min(SAMPLE_CHUNK, trials - start)))
-        counts += np.bincount(table.categories(patterns, rng.random(len(patterns))), minlength=5)
+    words = _stream(seed, 0, "category").bit_generator.random_raw
+    sizes = (10 * min(SAMPLE_CHUNK, trials - start) for start in range(0, trials, SAMPLE_CHUNK))
+    cells = np.zeros(len(table.cells), dtype=np.int64)  # per cell, over instances with an error
+    for positions in _read_ahead(locations.take, sizes):
+        _, patterns = _patterns(positions)
+        cells += np.bincount(table.cell(patterns, words(len(patterns))), minlength=len(cells))
+    counts = np.zeros(5, dtype=np.int64)
+    np.add.at(counts, table.cells, cells)
     rejected, _, err2, err1, both = map(int, counts)
     return SampleStats(p, trials, seed, trials - rejected, err1 + both, err2 + both, both)
 
@@ -341,7 +399,7 @@ def run_blocked_pipeline(
     tallies = [RoundTally(0, p0)]
     blocks: list = [_Inputs(k0, p0, seed, tallies[0])]
     for l, (model, nominal) in enumerate(zip(model_seq, plan.rounds), start=1):
-        rng_cat = _stream(seed, l, "category")
+        words = _stream(seed, l, "category").bit_generator.random_raw
         rejects = _Errors(_stream(seed, l, "rejects"), 1 - nominal.acceptance)
         errors = _Errors(_stream(seed, l, "errors"), nominal.p_out)
         ten_to_two = model.name == "A" and model.m == 10
@@ -353,12 +411,15 @@ def run_blocked_pipeline(
             block = blocks.pop(0)
             nb = block.length // model.m
             outs = [_Block(tally, keep) for _ in range(width if nb else 0)]
-            for start in range(0, nb, SAMPLE_CHUNK):
-                k = min(SAMPLE_CHUNK, nb - start)
-                positions = block.take(model.m * k)
+            sizes = [model.m * min(SAMPLE_CHUNK, nb - start) for start in range(0, nb, SAMPLE_CHUNK)]
+            # Drawing the inputs is worth a second CPU; reading a kept block
+            # is a slice, cheaper than the handoff.
+            read = _read_ahead if isinstance(block, _Inputs) else map
+            for positions, n in zip(read(block.take, sizes), sizes):
+                k = n // model.m
                 if ten_to_two:
                     instances, patterns = _patterns(positions)
-                    cat = table.categories(patterns, rng_cat.random(len(patterns)))
+                    cat = table.categories(patterns, words(len(patterns)))
                     rejected, erring = instances[cat == 0], cat >= 2
                     index = instances[erring] - rejected.searchsorted(instances[erring])
                     cat = cat[erring]

@@ -414,10 +414,11 @@ def curve_crossings(
     ordered); the returned p values bound the preference regions.  A pair is
     bisected with its common last rounds stripped (one kept on each side),
     once per stripped pair: the builtin rounds are strictly increasing on
-    [0, 1/2) and map it into itself, so those rounds move no crossing.  A
-    bracket is skipped where either stripped error at either end is within
-    2^-40 of 1/2: there both errors have saturated, and the sign of their
-    log-ratio is float noise.
+    [0, 1/2) and map it into itself, so those rounds move no crossing.  An
+    error within 2^-40 of 1/2 has saturated, and there the sign of the
+    log-ratio is float noise: a bracket is skipped when a stripped error
+    has saturated at both of its ends, and a crossing is dropped when one
+    has saturated at the crossing itself.
     """
     parse_sequence("".join(sequences))  # stripped rounds are checked too
     found = {}
@@ -434,12 +435,16 @@ def curve_crossings(
                 (xa, sa), (xb, sb) = ends
                 return log(xa / xb) + (sa - sb) * log(2)
 
+            def saturated(ends: list[tuple[float, int]]) -> bool:
+                return any(abs(ldexp(x, s) - 0.5) <= 2**-40 for x, s in ends)
+
             ends = [parts(p) for p in grid]
             gaps = [gap(e) for e in ends]
-            saturated = [any(abs(ldexp(x, s) - 0.5) <= 2**-40 for x, s in e) for e in ends]
-            brackets = zip(grid, grid[1:], gaps, gaps[1:], saturated, saturated[1:])
-            found[a, b] = [_bisect(lambda p: gap(parts(p)), lo, hi, g_lo, 60)
-                           for lo, hi, g_lo, g_hi, sat_lo, sat_hi in brackets
-                           if g_lo * g_hi < 0 and not (sat_lo or sat_hi)]
+            sat = [saturated(e) for e in ends]
+            brackets = zip(grid, grid[1:], gaps, gaps[1:], sat, sat[1:])
+            roots = [_bisect(lambda p: gap(parts(p)), lo, hi, g_lo, 60)
+                     for lo, hi, g_lo, g_hi, sat_lo, sat_hi in brackets
+                     if g_lo * g_hi < 0 and not (sat_lo and sat_hi)]
+            found[a, b] = [p for p in roots if not saturated(parts(p))]
         out += [(name_a, name_b, p) for p in found[a, b]]
     return out

@@ -2,7 +2,10 @@
 
 import itertools
 import math
+import threading
+import time
 import tracemalloc
+from fractions import Fraction
 from functools import cache
 
 import numpy as np
@@ -11,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from c4distill import montecarlo
-from c4distill.enumeration import exact_verdicts
+from c4distill.enumeration import ExactVerdict, exact_verdicts
 from c4distill.montecarlo import (
     RoundTally,
     SampleStats,
@@ -47,7 +50,7 @@ def test_tallies_bounded():
 # sample_routine(p, trials, seed=2024) as (p, trials, accepts, errors_out1,
 # errors_out2, errors_both), recorded with the sparse-error kernel (geometric
 # gaps and one category draw per instance with an error).  The trial counts
-# straddle the chunk size, 2**16.
+# straddle 2**16, a multiple of the chunk size.
 _PINNED_TALLIES = [
     (0, 1, 1, 0, 0, 0),
     (0, 65536, 65536, 0, 0, 0),
@@ -255,15 +258,16 @@ def _pattern_classes() -> dict[str, list[int]]:
 
 
 def test_category_law_is_exact():
-    # The category step, driven by N stratified uniforms (j + 1/2) / N per
-    # pattern, puts N times each category's exact probability into it, to
-    # within one.  Of the 128 always-accepted patterns only 32 are clean, so
-    # an instance must draw unless its pattern is 0.
+    # The category step, driven by the raw words of N stratified uniforms
+    # (j + 1/2) / N per pattern, puts N times each category's exact
+    # probability into it, to within one.  Of the 128 always-accepted
+    # patterns only 32 are clean, so an instance must draw unless its
+    # pattern is 0.
     classes = _pattern_classes()
     assert {name: len(bits) for name, bits in classes.items()} == {
         "always rejected": 640, "always clean": 32, "accepted with an error": 96, "others": 256}
     n = 4096
-    u = (np.arange(n) + 0.5) / n
+    u = (2 * np.arange(n, dtype=np.uint64) + 1) << np.uint64(64 - 13)  # (j + 1/2) / n * 2**64
     table = verdict_table()
     exact = _reference_table()
     for bits in range(1024):
@@ -527,22 +531,102 @@ def test_three_sigma_agreement_at_five_percent(polyset):
 
 
 def test_verdict_table_consistency():
+    # Every cell pattern << 2 | q holds the category the exact Fraction law
+    # gives at u = q/4: every threshold is a multiple of 1/4, so no
+    # category changes inside [q/4, (q+1)/4).
     table = verdict_table()
-    # The float table is the exact cumulative law, rounded once (here exactly).
-    assert table.cumulative.shape == (4, 1024) and table.cumulative.flags.c_contiguous
-    assert table.cumulative.T.tolist() == _reference_table().tolist()
-    assert np.all(np.diff(table.cumulative, axis=0) >= 0)
-    assert table.cumulative.min() >= 0 and table.cumulative.max() <= 1
-    # Pattern 0 is always accepted clean, so it needs no draw.
-    assert table.cumulative[:, 0].tolist() == [0, 1, 1, 1]
-    # Read through the cached as_floats, the table is bit-identical to one
-    # built from every verdict's fields converted afresh.
-    laws = []
-    for v in exact_verdicts():
-        acc, err1, err2, both = (float(f) for f in (v.accept, v.err1, v.err2, v.both))
-        laws.append((1 - acc, acc - err1 - err2 + both, err2 - both, err1 - both))
-    fresh = np.cumsum(laws, axis=1).T
-    assert table.cumulative.dtype == fresh.dtype and table.cumulative.tobytes() == fresh.tobytes(order="C")
+    assert table.cells.shape == (4096,) and table.cells.dtype == np.uint8
+    expected = [sum(t <= Fraction(q, 4) for t in row) for row in _reference_table() for q in range(4)]
+    assert table.cells.tolist() == expected
+    # Pattern 0 is always accepted clean, whatever its draw.
+    assert table.cells[:4].tolist() == [1, 1, 1, 1]
+
+
+def test_raw_words_give_the_uniforms_quarter():
+    # Generator.random makes u = (w >> 11) 2**-53 from the raw word w, so
+    # floor(4 u) is w >> 62, and random_raw consumes the words random does.
+    # Each stream switches between the two calls, so a call that took other
+    # words, or kept some back, would shift every later comparison.
+    first, second = (montecarlo._stream(9, 1, "category") for _ in range(2))
+    for i, n in enumerate((1, 3, 0, 1000, 7, 4, 5000, 2)):
+        raw, uniform = (first, second) if i % 2 else (second, first)
+        quarters = raw.bit_generator.random_raw(n) >> np.uint64(62)
+        assert quarters.tolist() == np.floor(4 * uniform.random(n)).astype(int).tolist(), n
+
+
+def test_verdicts_off_the_quarter_grid_are_refused(monkeypatch):
+    # An acceptance of 1/3, and errors of 1/8 under an acceptance of 1/2,
+    # whose cumulative law reaches 7/8.
+    for bad in (ExactVerdict(Fraction(1, 3), *[Fraction(0)] * 4),
+                ExactVerdict(Fraction(1, 2), *[Fraction(1, 8)] * 3, Fraction(1, 8))):
+        verdicts = list(exact_verdicts())
+        verdicts[37] = bad
+        monkeypatch.setattr(montecarlo, "exact_verdicts", lambda: verdicts)
+        with pytest.raises(ValueError, match="pattern 37 is not on the 1/4 grid"):
+            montecarlo.verdict_table.__wrapped__()
+
+
+def test_read_ahead_raises_a_workers_exception_in_the_caller():
+    before = threading.active_count()
+    calls = []
+
+    def take(n):
+        calls.append(n)
+        if len(calls) == 3:
+            raise KeyError(n)
+        return n
+
+    got = []
+    with pytest.raises(KeyError):
+        for chunk in montecarlo._read_ahead(take, range(10)):
+            got.append(chunk)
+    assert got == [0, 1] and calls == [0, 1, 2]
+    assert threading.active_count() == before
+
+
+def test_read_ahead_makes_a_plain_loops_calls_one_chunk_ahead():
+    # Call i + 2 starts only once chunk i has been yielded, so at most two
+    # chunks are alive; the caller's pauses give the worker every chance to
+    # run further ahead.
+    events = []
+
+    def take(n):
+        events.append(("start", n))
+        return n
+
+    for chunk in montecarlo._read_ahead(take, range(20)):
+        events.append(("yielded", chunk))
+        time.sleep(0.002)
+    assert [n for kind, n in events if kind == "start"] == list(range(20))
+    assert [n for kind, n in events if kind == "yielded"] == list(range(20))
+    for i in range(18):
+        assert events.index(("yielded", i)) < events.index(("start", i + 2)), i
+
+
+def test_each_call_runs_one_worker_thread_and_joins_it(monkeypatch):
+    # Every stream of _Errors is read on the worker or on the caller while
+    # the worker lives; the thread counts seen there, and after each call,
+    # show one worker per call, joined before it returns.
+    before = threading.active_count()
+    seen = set()
+    take = montecarlo._Errors.take
+
+    def counted_take(self, n):
+        seen.add(threading.active_count())
+        return take(self, n)
+
+    monkeypatch.setattr(montecarlo._Errors, "take", counted_take)
+    sample_routine(0.05, 100_000, seed=1)
+    assert seen == {before + 1} and threading.active_count() == before
+    for seq in ("AA", "BA"):
+        seen.clear()
+        run_blocked_pipeline(100_000, seq, 0.05, seed=1)
+        assert before + 1 in seen and max(seen) == before + 1, seq
+        assert threading.active_count() == before, seq
+    chunks = montecarlo._read_ahead(lambda n: n, range(100))
+    assert next(chunks) == 0
+    chunks.close()
+    assert threading.active_count() == before
 
 
 def test_pipeline_noise_free(counted_blocks):

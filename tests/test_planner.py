@@ -485,6 +485,14 @@ def test_curve_crossings_skip_saturated_errors():
     ((_, _, p),) = curve_crossings(["A", "B"], grid)
     assert p == pytest.approx(0.2370, abs=1e-4)
     assert evaluate_sequence(parse_sequence("A"), p).final_error == pytest.approx(0.4232, abs=1e-4)
+    # A bracket with one saturated end is still bisected: on these grids
+    # the last bracket runs from 0.213 and 0.185 to an end where A's and
+    # B's errors are within 2**-40 of 1/2, and holds the same crossing.
+    # Within about 1e-14 of it the gap's sign is rounding noise, so each
+    # bracket stops at its own float there.
+    for coarse in (_geom_grid(0.00132, 0.4975, 8), _geom_grid(2.69e-5, 0.4932, 11)):
+        ((_, _, q),) = curve_crossings(["A", "B"], coarse)
+        assert q == pytest.approx(p, abs=1e-13)
 
 
 def _crossings_by_60_halvings(sequences, grid):
