@@ -9,15 +9,15 @@ cumulative law of (reject, clean, output-2 error, output-1 error, both);
 pattern 0 is always accepted clean.  Every weight of that law is a multiple
 of 1/4, so the draw reads one cell of a (pattern, quarter) table
 (``VerdictTable``).  This kernel serves ``sample_routine`` and the
-pipeline's 10-to-2 rounds.  The 15-to-1 routine is simulated at the
-model level: sparse rejections and errors at the block's nominal rates.
+pipeline's 10-to-2 rounds.  The 15-to-1 routine is simulated at the model
+level: one binomial accepted count per block, sparse errors at its p_out.
 
 Randomness is counter-based (Philox) keyed by (seed, round, purpose), and
 each stream is consumed strictly in order, so tallies are reproducible and
-independent of the chunk size.  The error locations of ``sample_routine``
-and the pipeline's input states are drawn one chunk ahead on one worker
-thread (``_read_ahead``), which changes no draw: each stream still has one
-reader, which takes its chunks in order.
+independent of the chunk size.  The pipeline runs on the calling thread;
+only ``sample_routine`` draws its error locations one chunk ahead on one
+worker thread (``_read_ahead``), which changes no draw: the stream still
+has one reader, which takes its chunks in order.
 """
 
 from __future__ import annotations
@@ -67,6 +67,18 @@ class _Errors:
     def __init__(self, rng: np.random.Generator, p: float):
         self.rng, self.p = rng, min(p, 1.0)
         self.gaps = np.empty(0, dtype=np.int64)  # the first counts from the flag before the next
+        self.scale = -math.log1p(-self.p) if 0 < self.p < 1 / 3 else None
+
+    def _geometric(self, size: int) -> np.ndarray:
+        """``rng.geometric(p, size)`` from the same raw words: below 1/3 numpy
+        takes ceil(E / -log1p(-p)) capped at INT64_MAX, E exponential."""
+        if self.scale is None:
+            return self.rng.geometric(self.p, size)
+        z = self.rng.standard_exponential(size)
+        with np.errstate(over="ignore", invalid="ignore"):  # a subnormal p overflows
+            gaps = np.ceil(np.divide(z, self.scale, out=z), out=z).astype(np.int64)
+        gaps[z >= 2.0**63] = np.iinfo(np.int64).max
+        return gaps
 
     def take(self, n: int) -> np.ndarray:
         """The positions, counted from 0, of the errors among the next n flags."""
@@ -77,7 +89,7 @@ class _Errors:
             expected = (n - 1 - last) * self.p
             short = int(expected + 4 * math.sqrt(expected)) + 16 - len(self.gaps)
             if short > 0:
-                self.gaps = np.concatenate((self.gaps, self.rng.geometric(self.p, short)))
+                self.gaps = np.concatenate((self.gaps, self._geometric(short)))
             # A gap clipped to n + 1 still reaches past the n flags, and the
             # sum stays far from overflow.
             pos = np.minimum(self.gaps, n + 1)
@@ -176,11 +188,14 @@ def _patterns(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the sorted error positions of their locations, ten per instance:
     location j of instance i is at 10 i + j and sets bit j."""
     instances = positions // 10
-    first = np.empty(len(instances), dtype=bool)
-    first[:1] = True
-    np.not_equal(instances[1:], instances[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    return instances[starts], np.bitwise_or.reduceat(1 << (positions - 10 * instances), starts)
+    sums = np.cumsum(1 << (positions - 10 * instances))  # distinct bits: sums differ by the OR
+    last = np.empty(len(instances), dtype=bool)
+    last[-1:] = True
+    np.not_equal(instances[1:], instances[:-1], out=last[:-1])
+    ends = np.flatnonzero(last)
+    patterns = sums[ends]
+    patterns[1:] -= sums[ends[:-1]]
+    return instances[ends], patterns
 
 
 class SampleStats(NamedTuple):
@@ -289,8 +304,8 @@ class RoundTally:
         self.errors += len(positions)
         self.sx += len(positions) - n_odd
         self.sy += n_odd
-        pair = np.concatenate(([previous >> 1], positions >> 1))  # repeats where both states err
-        self.sxy += int(np.count_nonzero(pair[1:] == pair[:-1]))
+        pair = positions >> 1  # repeats where both states err
+        self.sxy += int(np.count_nonzero(pair[1:] == pair[:-1])) + int(len(pair) > 0 and pair[0] == previous >> 1)
 
     def close(self, length: int, last: int) -> None:
         """Add a block of ``length`` states whose last error is at ``last``;
@@ -324,9 +339,8 @@ class _Block:
     to back with ``take``."""
 
     def __init__(self, tally: RoundTally, keep: bool):
-        self.tally, self.length, self.last = tally, 0, -1
+        self.tally, self.length, self.last, self.read = tally, 0, -1, 0
         self.pieces: list[np.ndarray] | None = [] if keep else None
-        self.read = 0
 
     def append(self, length: int, positions: np.ndarray) -> None:
         positions = positions + self.length
@@ -382,13 +396,14 @@ def run_blocked_pipeline(
 
     A block is its length and sorted error positions; each state is counted
     into its round's ``RoundTally`` as it is produced.  Rounds run
-    ``SAMPLE_CHUNK`` instances at a time, and accepted instance i becomes
-    output i minus the instances rejected before it.  The inputs are drawn
-    straight into round 1, a later block lives until the next round has read
-    it, and the last round's outputs are not kept; the output does not
-    depend on the chunk size.  Beside a per-chunk working set, memory holds
-    the error positions of one round's outputs (at p0 = 0.02 under 0.01 B
-    per input state; a one-round pipeline keeps none).
+    ``SAMPLE_CHUNK`` instances at a time, on the calling thread.  Accepted
+    10-to-2 instance i becomes output i minus the instances rejected before
+    it; a 15-to-1 round draws one binomial count of accepted instances per
+    block.  The inputs are drawn straight into round 1, a later block lives
+    until the next round has read it, and the last round's outputs are not
+    kept; the output does not depend on the chunk size.  Beside a per-chunk
+    working set, memory holds the error positions of one round's outputs (at
+    p0 = 0.02 under 0.01 B per input state; a one-round pipeline keeps none).
     """
     if grouping not in ("blocked", "instance"):
         raise ValueError("grouping must be 'blocked' or 'instance'")
@@ -400,7 +415,7 @@ def run_blocked_pipeline(
     blocks: list = [_Inputs(k0, p0, seed, tallies[0])]
     for l, (model, nominal) in enumerate(zip(model_seq, plan.rounds), start=1):
         words = _stream(seed, l, "category").bit_generator.random_raw
-        rejects = _Errors(_stream(seed, l, "rejects"), 1 - nominal.acceptance)
+        rejects, reject_rate = _stream(seed, l, "rejects"), min(max(1 - nominal.acceptance, 0.0), 1.0)
         errors = _Errors(_stream(seed, l, "errors"), nominal.p_out)
         ten_to_two = model.name == "A" and model.m == 10
         width = 1 if ten_to_two and grouping == "instance" else model.n
@@ -412,24 +427,23 @@ def run_blocked_pipeline(
             nb = block.length // model.m
             outs = [_Block(tally, keep) for _ in range(width if nb else 0)]
             sizes = [model.m * min(SAMPLE_CHUNK, nb - start) for start in range(0, nb, SAMPLE_CHUNK)]
-            # Drawing the inputs is worth a second CPU; reading a kept block
-            # is a slice, cheaper than the handoff.
-            read = _read_ahead if isinstance(block, _Inputs) else map
-            for positions, n in zip(read(block.take, sizes), sizes):
+            accepted = nb - int(rejects.binomial(nb, reject_rate)) if nb and not ten_to_two else 0
+            for positions, n in zip(map(block.take, sizes), sizes):
                 k = n // model.m
                 if ten_to_two:
                     instances, patterns = _patterns(positions)
                     cat = table.categories(patterns, words(len(patterns)))
-                    rejected, erring = instances[cat == 0], cat >= 2
-                    index = instances[erring] - rejected.searchsorted(instances[erring])
+                    rejected, erring = np.cumsum(cat == 0), np.flatnonzero(cat >= 2)  # rejected: at or before
+                    index = instances[erring] - rejected[erring]
                     cat = cat[erring]
-                    err1, err2, length = index[cat >= 3], index[cat % 2 == 0], k - len(rejected)
+                    err1, err2, length = index[cat >= 3], index[cat % 2 == 0], k - int(rejected[-1:].sum())
                     if grouping == "blocked":
                         pieces = [(length, err1), (length, err2)]
                     else:
                         pieces = [(2 * length, np.sort(np.concatenate((2 * err1, 2 * err2 + 1))))]
                 else:
-                    length = k - len(rejects.take(k))
+                    length = min(k, accepted)
+                    accepted -= length
                     pieces = [(length, errors.take(length)) for _ in outs]
                 for out, piece in zip(outs, pieces):
                     out.append(*piece)
@@ -470,11 +484,11 @@ def independence_check(tally: RoundTally) -> CorrelationReport:
 
         r = (n Sxy - Sx Sy) / sqrt((n Sx - Sx Sx) (n Sy - Sy Sy)).
 
-    The counts are exact integers and r is rounded once: the integer square
+    The counts are exact Python ints and r is rounded once: the integer square
     root keeps 64 fractional bits and the integer division rounds correctly.
     The data are degenerate when either variance is 0.
     """
-    n, sx, sy, sxy = tally.pairs, tally.sx, tally.sy, tally.sxy
+    n, sx, sy, sxy = int(tally.pairs), int(tally.sx), int(tally.sy), int(tally.sxy)
     var = (n * sx - sx * sx) * (n * sy - sy * sy)
     if n < 8 or var == 0:
         return CorrelationReport(n, 0.0, 0.0, 0.0, True)
