@@ -14,7 +14,7 @@ import os
 import sys
 from contextlib import suppress
 from functools import cache
-from math import exp, log
+from math import exp, log, log1p, ulp
 from typing import Optional, Sequence
 
 from .routines import VanishingDenominator
@@ -47,15 +47,28 @@ def _check_grid(lo: float, hi: float, points: int):
         raise UsageError("grid needs at least 2 points")
 
 
+def _check_step(span: float, points: int, resolution: float):
+    """Refuse a grid whose step span / (points - 1) is below the float
+    resolution at one of its ends, where its points would repeat.  Checked
+    before the grid is built, as an int against a float, which cannot
+    overflow."""
+    if points - 1 > span / resolution:
+        raise UsageError(f"{points} grid points are finer than the floats between the grid's ends")
+
+
 def _geom_grid(lo: float, hi: float, points: int) -> list[float]:
     """Spaced evenly in log space, where max/min cannot overflow."""
     _check_grid(lo, hi, points)
-    step = (log(hi) - log(lo)) / (points - 1)
+    span = log(hi) - log(lo)
+    # log(lo) has the larger magnitude, and each end its own relative spacing.
+    _check_step(span, points, max(ulp(log(lo)), log1p(ulp(lo) / lo), log1p(ulp(hi) / hi)))
+    step = span / (points - 1)
     return [exp(log(lo) + step * i) for i in range(points)]
 
 
 def _lin_grid(lo: float, hi: float, points: int) -> list[float]:
     _check_grid(lo, hi, points)
+    _check_step(hi - lo, points, ulp(hi))
     step = (hi - lo) / (points - 1)
     return [lo + step * i for i in range(points)]
 
@@ -241,6 +254,8 @@ def cmd_simulate(args) -> int:
     _check_seed(args.seed)
     if args.trials < 1:
         raise UsageError("--trials must be positive")
+    if args.trials >= 1 << 63:  # numpy counts in int64
+        raise UsageError("--trials must be below 2**63")
     if not 0 <= args.p < 0.5:
         raise UsageError("--p must be in [0, 0.5)")
     stats = sample_routine(args.p, args.trials, args.seed)

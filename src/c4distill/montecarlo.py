@@ -1,29 +1,29 @@
 """Seeded Monte Carlo validation and the blocked multi-round pipeline.
 
-Every stream of Bernoulli flags is drawn sparsely (``_Errors``): its error
-positions are running sums of geometric gaps, so work and memory scale with
-the errors, not the flags.  A 10-to-2 instance's pattern is the OR of
-``1 << (pos % 10)`` over its locations' error positions, and an instance
-with a nonzero pattern draws one uniform against its pattern's exact
-cumulative law of (reject, clean, output-2 error, output-1 error, both);
-pattern 0 is always accepted clean.  Every weight of that law is a multiple
-of 1/4, so the draw reads one cell of a (pattern, quarter) table
-(``VerdictTable``).  This kernel serves ``sample_routine`` and the
-pipeline's 10-to-2 rounds.  The 15-to-1 routine is simulated at the model
-level: one binomial accepted count per block, sparse errors at its p_out.
+Every verdict of the 10-to-2 routine is read from the exact per-pattern
+law of (reject, clean, output-2 error, output-1 error, both), whose
+weights are multiples of 1/4, so it is one cell of a (pattern, quarter)
+table (``VerdictTable``).  ``sample_routine`` observes only the five
+category counts, so it draws them as one multinomial from that table under
+the float pattern law, at a cost that does not depend on the trials.
+
+The pipeline draws every state.  Every stream of Bernoulli flags is drawn
+sparsely (``_Errors``): its error positions are running sums of geometric
+gaps, so work and memory scale with the errors, not the flags.  A 10-to-2
+instance's pattern is the OR of ``1 << (pos % 10)`` over its locations'
+error positions, and an instance with a nonzero pattern reads one raw
+Philox word, whose quarter picks the cell; pattern 0 is always accepted
+clean.  The 15-to-1 routine is simulated at the model level: one binomial
+accepted count per block, sparse errors at its p_out.
 
 Randomness is counter-based (Philox) keyed by (seed, round, purpose), and
-each stream is consumed strictly in order, so tallies are reproducible and
-independent of the chunk size.  The pipeline runs on the calling thread;
-only ``sample_routine`` draws its error locations one chunk ahead on one
-worker thread (``_read_ahead``), which changes no draw: the stream still
-has one reader, which takes its chunks in order.
+each stream is consumed strictly in order on the calling thread, so
+outputs are reproducible and independent of the chunk size.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from functools import cache
 from typing import NamedTuple
 
@@ -32,8 +32,8 @@ import numpy as np
 from .enumeration import exact_verdicts
 from .planner import DistillationPlan, evaluate_sequence, parse_sequence
 
-_PURPOSE = {"inputs": 0, "patterns": 1, "category": 2, "rejects": 3, "errors": 4}
-# Trials (or instances, or input states) per step of a stream.
+_PURPOSE = {"inputs": 0, "counts": 1, "category": 2, "rejects": 3, "errors": 4}
+# Routine instances per step of a pipeline round.
 SAMPLE_CHUNK = 1 << 15
 # Half-width of the within-block correlation interval, in standard errors.
 CORRELATION_Z = 3.0
@@ -129,6 +129,16 @@ class VerdictTable(NamedTuple):
     def categories(self, patterns: np.ndarray, words: np.ndarray) -> np.ndarray:
         return self.cells.take(self.cell(patterns, words))
 
+    def law(self, p: float) -> np.ndarray:
+        """The five categories' probabilities at error rate p.  Cell
+        pattern << 2 | q has p^w (1 - p)^(10 - w) / 4, w the pattern's
+        weight, so the cells are counted per weight and category, and each
+        category sums 11 terms, not thousands of rounded ones."""
+        w = np.bitwise_count(np.arange(len(self.cells)) >> 2)
+        counts = np.bincount(5 * w + self.cells, minlength=55).reshape(11, 5)
+        k = np.arange(11)
+        return p**k * (1 - p) ** (10 - k) / 4 @ counts
+
 
 @cache
 def verdict_table() -> VerdictTable:
@@ -142,45 +152,6 @@ def verdict_table() -> VerdictTable:
         raise ValueError(f"the verdict of pattern {off[0]} is not on the 1/4 grid")
     cells = (thresholds[:, None, :] <= np.arange(4)[:, None]).sum(axis=2, dtype=np.uint8)
     return VerdictTable(cells=cells.ravel())
-
-
-def _read_ahead(take, sizes):
-    """Yield ``take(n)`` for each n in sizes: the calls and their order are
-    a plain loop's, but each is made on one worker thread while the caller
-    works on the chunk before, so at most two chunks are alive.  A worker's
-    exception is raised in the caller, and the thread is joined when the
-    generator ends or is closed."""
-    import queue  # here, so that importing the package imports no more
-
-    chunks, permits = queue.SimpleQueue(), queue.SimpleQueue()
-    # The worker takes a permit before each call after the first: call 1
-    # runs at once, call i + 2 once the caller is done with chunk i and asks
-    # for the next.
-    permits.put(True)
-
-    def work() -> None:
-        try:
-            for n in sizes:
-                chunks.put(take(n))
-                if not permits.get():
-                    return
-        except BaseException as exc:  # handed on, or the caller would wait forever
-            chunks.put(exc)
-            return
-        chunks.put(None)
-
-    # A daemon, so that a generator left open cannot hold up the exit.
-    thread = threading.Thread(target=work, daemon=True)
-    thread.start()
-    try:
-        while (chunk := chunks.get()) is not None:
-            if isinstance(chunk, BaseException):
-                raise chunk
-            yield chunk
-            permits.put(True)
-    finally:
-        permits.put(False)
-        thread.join()
 
 
 def _patterns(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -260,23 +231,19 @@ def _within_3sigma(count: int, n: int, p_true: float) -> dict:
 
 
 def sample_routine(p: float, trials: int, seed: int) -> SampleStats:
-    """Draw i.i.d. 10-bit patterns at error rate p and tally the verdicts.
+    """Tally the verdicts of ``trials`` i.i.d. 10-bit patterns at error rate p.
 
-    Trials are taken ``SAMPLE_CHUNK`` at a time; each stream continues where
-    the previous chunk stopped, so the tallies do not depend on the chunk
-    size, and memory grows with neither ``trials`` nor the errors drawn."""
+    Only the five category counts are observed, so they are drawn as one
+    multinomial of the verdict table's law.  numpy draws it as conditional
+    binomials and gives the last category what the others leave.  Clean
+    goes last: at low p its conditional rate lies within a few 2^-53 of 1,
+    and that rounding would shift the rare categories' counts by about
+    trials * 2^-53.  numpy counts in int64, which bounds ``trials``."""
     _check_inputs(p, trials, "p", "trials")
-    table = verdict_table()
-    locations = _Errors(_stream(seed, 0, "patterns"), p)
-    words = _stream(seed, 0, "category").bit_generator.random_raw
-    sizes = (10 * min(SAMPLE_CHUNK, trials - start) for start in range(0, trials, SAMPLE_CHUNK))
-    cells = np.zeros(len(table.cells), dtype=np.int64)  # per cell, over instances with an error
-    for positions in _read_ahead(locations.take, sizes):
-        _, patterns = _patterns(positions)
-        cells += np.bincount(table.cell(patterns, words(len(patterns))), minlength=len(cells))
-    counts = np.zeros(5, dtype=np.int64)
-    np.add.at(counts, table.cells, cells)
-    rejected, _, err2, err1, both = map(int, counts)
+    if trials >= 1 << 63:
+        raise ValueError(f"trials must be below 2**63, got {trials}")
+    law = verdict_table().law(p)[[0, 2, 3, 4, 1]]
+    rejected, err2, err1, both, _ = map(int, _stream(seed, 0, "counts").multinomial(trials, law))
     return SampleStats(p, trials, seed, trials - rejected, err1 + both, err2 + both, both)
 
 

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -552,3 +553,24 @@ def test_counts_accept_integral_float_literals(capsys):
             capsys.readouterr()
             assert run_cli(argv)[0] == EXIT_USAGE, argv
             assert f"{bad!r} is not a finite whole number" in capsys.readouterr().err, argv
+
+
+def test_counts_past_their_range_are_refused_at_once(capsys):
+    """numpy counts trials in int64, and a grid's step must resolve its
+    points as floats: past either, the command exits 1 with a message
+    before any work, never 3 or after a long run."""
+    too_fine = ["--points", str(10**30)]
+    for argv in (
+        ["simulate", "--p", "0.05", "--trials", "1e30"],
+        ["simulate", "--p", "0.05", "--trials", str(1 << 63)],
+        ["curve", "--figure", "both-thresh", "--pmin", "0.02", "--pmax", "0.05"] + too_fine,
+        ["curve", "--figure", "distplot"] + too_fine,
+        ["curve", "--figure", "regionplot"] + too_fine,
+    ):
+        capsys.readouterr()
+        start = time.perf_counter()
+        assert run_cli(argv)[0] == EXIT_USAGE, argv
+        assert time.perf_counter() - start < 1, argv
+        assert capsys.readouterr().err.startswith("usage error:"), argv
+    code, out = run_cli(["simulate", "--p", "0.05", "--trials", str((1 << 63) - 1), "--seed", "7"])
+    assert code == EXIT_OK and json.loads(out)["trials"] == (1 << 63) - 1

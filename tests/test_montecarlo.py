@@ -2,8 +2,6 @@
 
 import itertools
 import math
-import threading
-import time
 import tracemalloc
 from fractions import Fraction
 from functools import cache
@@ -48,30 +46,29 @@ def test_tallies_bounded():
 
 
 # sample_routine(p, trials, seed=2024) as (p, trials, accepts, errors_out1,
-# errors_out2, errors_both), recorded with the sparse-error kernel (geometric
-# gaps and one category draw per instance with an error).  The trial counts
-# straddle 2**16, a multiple of the chunk size.
+# errors_out2, errors_both), recorded with the one multinomial draw of the
+# five category counts.
 _PINNED_TALLIES = [
     (0, 1, 1, 0, 0, 0),
     (0, 65536, 65536, 0, 0, 0),
     (0, 65537, 65537, 0, 0, 0),
     (0, 200003, 200003, 0, 0, 0),
-    (0.005, 1, 0, 0, 0, 0),
-    (0.005, 65536, 62290, 17, 5, 4),
-    (0.005, 65537, 62291, 17, 5, 4),
-    (0.005, 200003, 190168, 40, 27, 19),
-    (0.05, 1, 0, 0, 0, 0),
-    (0.05, 65536, 40837, 1064, 1079, 568),
-    (0.05, 65537, 40838, 1064, 1079, 568),
-    (0.05, 200003, 124771, 3370, 3383, 1876),
+    (0.005, 1, 1, 0, 0, 0),
+    (0.005, 65536, 62383, 19, 17, 10),
+    (0.005, 65537, 62384, 19, 17, 10),
+    (0.005, 200003, 190342, 52, 49, 28),
+    (0.05, 1, 1, 0, 0, 0),
+    (0.05, 65536, 40920, 1083, 1107, 615),
+    (0.05, 65537, 40921, 1083, 1107, 615),
+    (0.05, 200003, 124789, 3219, 3202, 1714),
     (0.1, 1, 0, 0, 0, 0),
-    (0.1, 65536, 27671, 3100, 3034, 1645),
-    (0.1, 65537, 27671, 3100, 3034, 1645),
-    (0.1, 200003, 84456, 9409, 9371, 5017),
+    (0.1, 65536, 27653, 3050, 3035, 1602),
+    (0.1, 65537, 27653, 3050, 3035, 1602),
+    (0.1, 200003, 84481, 9394, 9374, 5010),
     (0.49, 1, 0, 0, 0, 0),
-    (0.49, 65536, 16284, 8230, 8202, 4140),
-    (0.49, 65537, 16284, 8230, 8202, 4140),
-    (0.49, 200003, 49998, 25063, 25139, 12600),
+    (0.49, 65536, 16323, 8066, 8054, 3962),
+    (0.49, 65537, 16323, 8066, 8054, 3962),
+    (0.49, 200003, 49894, 24776, 24760, 12267),
 ]
 
 
@@ -79,16 +76,6 @@ def test_sample_tallies_are_pinned():
     for p, trials, *counts in _PINNED_TALLIES:
         s = sample_routine(p, trials, seed=2024)
         assert [s.accepts, s.errors_out1, s.errors_out2, s.errors_both] == counts, (p, trials)
-
-
-def test_sample_tallies_do_not_depend_on_chunking(monkeypatch):
-    # Recorded like _PINNED_TALLIES, at seed 23.
-    pinned = {0.05: (10_007, 6217, 147, 138, 76), 0.2: (3001, 888, 335, 337, 202)}
-    for chunk in (montecarlo.SAMPLE_CHUNK, 1, 7, 1000):  # none divides the trial counts
-        monkeypatch.setattr(montecarlo, "SAMPLE_CHUNK", chunk)
-        for p, (trials, *counts) in pinned.items():
-            s = sample_routine(p, trials, seed=23)
-            assert [s.accepts, s.errors_out1, s.errors_out2, s.errors_both] == counts, (chunk, p)
 
 
 def test_bad_rates_and_counts_are_refused():
@@ -104,6 +91,11 @@ def test_bad_rates_and_counts_are_refused():
             run_blocked_pipeline(count, "A", 0.05, seed=1)
     # The ends of [0, 1] are rates.
     assert sample_routine(1.0, 10, seed=1).trials == 10
+    # numpy counts the trials in int64.
+    for count in (1 << 63, 10**30):
+        with pytest.raises(ValueError, match="below 2\\*\\*63"):
+            sample_routine(0.05, count, seed=1)
+    assert sample_routine(0.05, (1 << 63) - 1, seed=1).trials == (1 << 63) - 1
     assert run_blocked_pipeline(1, "A", 0.0, seed=1).halted
 
 
@@ -222,7 +214,7 @@ def test_sampled_pattern_law_is_the_product_bernoulli_law():
     # 10**6 instances.
     weights = np.array([bin(bits).count("1") for bits in range(1024)])
     for p, seed in ((0.3, 1), (0.45, 2)):
-        errors = montecarlo._Errors(montecarlo._stream(seed, 0, "patterns"), p)
+        errors = montecarlo._Errors(montecarlo._stream(seed, 0, "inputs"), p)
         counts = np.zeros(1024, dtype=np.int64)
         for _ in range(10):
             _, patterns = montecarlo._patterns(errors.take(10**6))
@@ -391,14 +383,41 @@ def _whole_block_pipeline(k0, seq, p0, seed, grouping) -> list[list[np.ndarray]]
     return rounds
 
 
+def _reference_law(p: float) -> list[Fraction]:
+    """The five categories' exact probabilities at the float p, folded from
+    the Fraction verdicts, summed per pattern weight."""
+    by_weight = [[Fraction(0)] * 5 for _ in range(11)]
+    for bits, v in enumerate(exact_verdicts()):
+        row = by_weight[bits.bit_count()]
+        for c, f in enumerate((1 - v.accept, v.accept - v.err1 - v.err2 + v.both, v.err2 - v.both, v.err1 - v.both, v.both)):
+            row[c] += f
+    p = Fraction(p)
+    return [sum(p**w * (1 - p) ** (10 - w) * row[c] for w, row in enumerate(by_weight)) for c in range(5)]
+
+
 def test_sampling_matches_reference_instances():
-    # sample_routine's tallies, recomputed from the streams by the reference.
-    trials, p, seed = 30_011, 0.08, 37
-    groups = _reference_flags(montecarlo._stream(seed, 0, "patterns"), p, 10 * trials).reshape(trials, 10)
-    err1, err2 = _reference_instances(groups, montecarlo._stream(seed, 0, "category"))
-    s = sample_routine(p, trials, seed)
-    assert (s.accepts, s.errors_out1, s.errors_out2, s.errors_both) == (
-        len(err1), err1.sum(), err2.sum(), (err1 & err2).sum())
+    # sample_routine's tallies, redrawn from its stream by one multinomial
+    # of the reference law, clean last, after the float law is checked
+    # against it.
+    for p, trials, seed in ((0.08, 30_011, 37), (0.005, 10**6, 3), (0.3, 7, 5), (1e-7, (1 << 63) - 1, 11)):
+        law = _reference_law(p)
+        assert verdict_table().law(p).tolist() == pytest.approx([float(f) for f in law], rel=1e-14, abs=1e-300)
+        rng = montecarlo._stream(seed, 0, "counts")
+        rejected, err2, err1, both, _ = rng.multinomial(trials, [float(law[c]) for c in (0, 2, 3, 4, 1)]).tolist()
+        s = sample_routine(p, trials, seed)
+        assert (s.accepts, s.errors_out1, s.errors_out2, s.errors_both) == (
+            trials - rejected, err1 + both, err2 + both, both), p
+
+
+def test_category_law_is_the_derived_polynomials(polyset):
+    # The float law folded from the verdict table gives a, u and u2: an
+    # accepted output 1 errs under categories 3 and 4, output 2 under 2 and
+    # 4, either under 2 to 4.
+    for p in (0.0, 1e-9, 0.001, 0.005, 0.05, 0.1, 0.3, 0.49, 1.0):
+        reject, clean, err2, err1, both = verdict_table().law(p).tolist()
+        a, u, u2 = (float(f(p)) for f in (polyset.acceptance, polyset.marginal, polyset.either))
+        got = (1 - reject, clean + err2 + err1 + both, err1 + both, err2 + both, err2 + err1 + both)
+        assert max(abs(g - w) for g, w in zip(got, (a, a, u, u, u2))) <= 1e-14, p
 
 
 _flag_rows = st.integers(0, 40).flatmap(
@@ -543,13 +562,11 @@ def _sample_peak_bytes(trials: int) -> int:
         tracemalloc.stop()
 
 
-def test_sample_memory_does_not_grow_with_trials(monkeypatch):
-    for chunk in (montecarlo.SAMPLE_CHUNK, 1 << 14):
-        monkeypatch.setattr(montecarlo, "SAMPLE_CHUNK", chunk)
-        small, large = _sample_peak_bytes(10**5), _sample_peak_bytes(10**6)
-        assert large / 10**6 <= small / 10**5, chunk
-    # Once both runs take several chunks, the peak itself stays put.
-    assert large <= 1.5 * small
+def test_sample_memory_does_not_grow_with_trials():
+    # The draw holds the law of the verdict table's 4096 cells, whatever
+    # the number of trials.
+    for trials in (10**5, 10**18):
+        assert _sample_peak_bytes(trials) <= 256 * 1024, trials
 
 
 def test_three_sigma_agreement_at_five_percent(polyset):
@@ -596,68 +613,6 @@ def test_verdicts_off_the_quarter_grid_are_refused(monkeypatch):
         monkeypatch.setattr(montecarlo, "exact_verdicts", lambda: verdicts)
         with pytest.raises(ValueError, match="pattern 37 is not on the 1/4 grid"):
             montecarlo.verdict_table.__wrapped__()
-
-
-def test_read_ahead_raises_a_workers_exception_in_the_caller():
-    before = threading.active_count()
-    calls = []
-
-    def take(n):
-        calls.append(n)
-        if len(calls) == 3:
-            raise KeyError(n)
-        return n
-
-    got = []
-    with pytest.raises(KeyError):
-        for chunk in montecarlo._read_ahead(take, range(10)):
-            got.append(chunk)
-    assert got == [0, 1] and calls == [0, 1, 2]
-    assert threading.active_count() == before
-
-
-def test_read_ahead_makes_a_plain_loops_calls_one_chunk_ahead():
-    # Call i + 2 starts only once chunk i has been yielded, so at most two
-    # chunks are alive; the caller's pauses give the worker every chance to
-    # run further ahead.
-    events = []
-
-    def take(n):
-        events.append(("start", n))
-        return n
-
-    for chunk in montecarlo._read_ahead(take, range(20)):
-        events.append(("yielded", chunk))
-        time.sleep(0.002)
-    assert [n for kind, n in events if kind == "start"] == list(range(20))
-    assert [n for kind, n in events if kind == "yielded"] == list(range(20))
-    for i in range(18):
-        assert events.index(("yielded", i)) < events.index(("start", i + 2)), i
-
-
-def test_each_call_runs_one_worker_thread_and_joins_it(monkeypatch):
-    # The thread counts seen wherever a stream of _Errors is read, and after
-    # each call, show one worker per sample_routine call, joined before it
-    # returns, and none in a pipeline, which draws on the calling thread.
-    before = threading.active_count()
-    seen = set()
-    take = montecarlo._Errors.take
-
-    def counted_take(self, n):
-        seen.add(threading.active_count())
-        return take(self, n)
-
-    monkeypatch.setattr(montecarlo._Errors, "take", counted_take)
-    sample_routine(0.05, 100_000, seed=1)
-    assert seen == {before + 1} and threading.active_count() == before
-    for seq in ("AA", "BA"):
-        seen.clear()
-        run_blocked_pipeline(100_000, seq, 0.05, seed=1)
-        assert seen == {before}, seq
-    chunks = montecarlo._read_ahead(lambda n: n, range(100))
-    assert next(chunks) == 0
-    chunks.close()
-    assert threading.active_count() == before
 
 
 def test_fifteen_to_one_accepted_count_is_binomial():
