@@ -271,6 +271,8 @@ def cmd_pipeline(args) -> int:
     _check_seed(args.seed)
     if args.k0 < 1:
         raise UsageError("--k0 must be positive")
+    if args.k0 >= 1 << 63:  # numpy counts in int64
+        raise UsageError("--k0 must be below 2**63")
     if not 0 <= args.p0 < 0.5:
         raise UsageError("--p0 must be in [0, 0.5)")
     result = run_blocked_pipeline(

@@ -7,14 +7,16 @@ table (``VerdictTable``).  ``sample_routine`` observes only the five
 category counts, so it draws them as one multinomial from that table under
 the float pattern law, at a cost that does not depend on the trials.
 
-The pipeline draws every state.  Every stream of Bernoulli flags is drawn
-sparsely (``_Errors``): its error positions are running sums of geometric
-gaps, so work and memory scale with the errors, not the flags.  A 10-to-2
-instance's pattern is the OR of ``1 << (pos % 10)`` over its locations'
-error positions, and an instance with a nonzero pattern reads one raw
-Philox word, whose quarter picks the cell; pattern 0 is always accepted
-clean.  The 15-to-1 routine is simulated at the model level: one binomial
-accepted count per block, sparse errors at its p_out.
+A pipeline's inputs are i.i.d., so round 1 and every 15-to-1 round are
+drawn at the model level: one binomial rejected count per block, then
+sparse output errors (``_Errors``: running sums of geometric gaps, so work
+scales with the errors), and round 0 as counts split by round 1's
+categories.  A 10-to-2 round from round 2 on reads blocks that earlier
+instances grouped, so it draws every state with the whole Bernoulli-location
+kernel: sparse errors, each instance's pattern as the OR of
+``1 << (pos % 10)`` over its error positions (``_patterns``), and one raw
+Philox word per instance with a nonzero pattern, whose quarter picks the
+cell.
 
 Randomness is counter-based (Philox) keyed by (seed, round, purpose), and
 each stream is consumed strictly in order on the calling thread, so
@@ -51,6 +53,8 @@ def _check_inputs(p: float, count: int, p_name: str, count_name: str) -> None:
         raise ValueError(f"{p_name} must lie in [0, 1], got {p}")
     if count < 1:
         raise ValueError(f"{count_name} must be at least 1, got {count}")
+    if count >= 1 << 63:  # numpy counts in int64
+        raise ValueError(f"{count_name} must be below 2**63, got {count}")
 
 
 class _Errors:
@@ -121,13 +125,9 @@ class VerdictTable(NamedTuple):
     # with that pattern whose uniform lies in [q/4, (q+1)/4).
     cells: np.ndarray
 
-    @staticmethod
-    def cell(patterns: np.ndarray, words: np.ndarray) -> np.ndarray:
-        """Each instance's cell from its pattern and its raw word."""
-        return patterns << 2 | (words >> 62).view(np.int64)
-
     def categories(self, patterns: np.ndarray, words: np.ndarray) -> np.ndarray:
-        return self.cells.take(self.cell(patterns, words))
+        """Each instance's category, from its pattern and its raw word."""
+        return self.cells.take(patterns << 2 | (words >> 62).view(np.int64))
 
     def law(self, p: float) -> np.ndarray:
         """The five categories' probabilities at error rate p.  Cell
@@ -240,8 +240,6 @@ def sample_routine(p: float, trials: int, seed: int) -> SampleStats:
     and that rounding would shift the rare categories' counts by about
     trials * 2^-53.  numpy counts in int64, which bounds ``trials``."""
     _check_inputs(p, trials, "p", "trials")
-    if trials >= 1 << 63:
-        raise ValueError(f"trials must be below 2**63, got {trials}")
     law = verdict_table().law(p)[[0, 2, 3, 4, 1]]
     rejected, err2, err1, both, _ = map(int, _stream(seed, 0, "counts").multinomial(trials, law))
     return SampleStats(p, trials, seed, trials - rejected, err1 + both, err2 + both, both)
@@ -331,21 +329,33 @@ class _Block:
         return positions
 
 
-class _Inputs:
-    """Round 0: the k0 input states, drawn as round 1 takes them and counted
-    into the round's tally."""
+@cache
+def _input_classes() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(classes, cells, clean): classes of round 0's (errors, sx, sy, sxy),
+    where a group of draw row r is in class c with probability cells[r, c]
+    p^errors (1 - p)^clean[r, c].  Rows 0-4: the 10-to-2 instances of each
+    category (cell pattern << 2 | q adds 1/4; pairs are bits 2j, 2j + 1);
+    row 5: a pair outside them; row 6: an odd last input, in no pair."""
+    bits = np.arange(1024)
+    x, y = bits & 0x155, bits >> 1 & 0x155
+    sx, sy, sxy = (np.bitwise_count(v).astype(np.int64) for v in (x, y, x & y))
+    features = np.vstack((np.stack((sx + sy, sx, sy, sxy), axis=1), [1, 0, 0, 0]))
+    classes, index = np.unique(features, axis=0, return_inverse=True)
+    cells = np.zeros((7, len(classes)))
+    np.add.at(cells, (verdict_table().cells, np.repeat(index[:1024], 4)), 0.25)
+    cells[5, index[:4]] = cells[6, index[[0, 1024]]] = 1
+    return classes, cells, np.maximum(np.array([[10]] * 5 + [[2], [1]]) - classes[:, 0], 0)
 
-    def __init__(self, k0: int, p0: float, seed: int, tally: RoundTally):
-        self.length = k0
-        self.errors = _Errors(_stream(seed, 0, "inputs"), p0)
-        self.block = _Block(tally, keep=False)
 
-    def take(self, n: int) -> np.ndarray:
-        positions = self.errors.take(n)
-        self.block.append(n, positions)
-        if self.block.length == self.length:
-            self.block.close()
-        return positions
+def _input_law(p: float) -> tuple[np.ndarray, np.ndarray]:
+    """(classes, pvals) of each draw row at error rate p: its classes in
+    increasing order of probability, so that the largest is last, and their
+    probabilities given the row (0 in a row of probability 0)."""
+    classes, cells, clean = _input_classes()
+    weights = cells * p ** classes[:, 0] * (1 - p) ** clean
+    order, total = weights.argsort(axis=1, kind="stable"), weights.sum(axis=1, keepdims=True)
+    pvals = np.take_along_axis(weights, order, axis=1)
+    return classes[order], np.divide(pvals, total, out=np.zeros_like(pvals), where=total > 0)
 
 
 def run_blocked_pipeline(
@@ -361,16 +371,18 @@ def run_blocked_pipeline(
     outputs of each 10-to-2 instance adjacent in a single block, which
     reintroduces the pairwise output correlation.
 
-    A block is its length and sorted error positions; each state is counted
-    into its round's ``RoundTally`` as it is produced.  Rounds run
-    ``SAMPLE_CHUNK`` instances at a time, on the calling thread.  Accepted
-    10-to-2 instance i becomes output i minus the instances rejected before
-    it; a 15-to-1 round draws one binomial count of accepted instances per
-    block.  The inputs are drawn straight into round 1, a later block lives
-    until the next round has read it, and the last round's outputs are not
-    kept; the output does not depend on the chunk size.  Beside a per-chunk
-    working set, memory holds the error positions of one round's outputs (at
-    p0 = 0.02 under 0.01 B per input state; a one-round pipeline keeps none).
+    A block is its length and sorted error positions, counted into its
+    round's ``RoundTally`` ``SAMPLE_CHUNK`` instances at a time.  Round 1 and
+    every 15-to-1 round draw one binomial rejected count per block and
+    sparse errors over the accepted outputs: at p_out, or in a 10-to-2 round
+    1 at P(any error | accepted), with one category per erring instance.
+    Round 0 is then one multinomial, each row's largest class last (numpy
+    gives the last the remainder).  From round 2 on, accepted 10-to-2
+    instance i becomes output i minus the instances rejected before it.  A
+    block lives until the next round has read it; the last round's are not
+    kept, so memory holds one round's error positions beside a per-chunk
+    working set (under 0.01 B per input state at p0 = 0.02).  The output
+    does not depend on the chunk size.
     """
     if grouping not in ("blocked", "instance"):
         raise ValueError("grouping must be 'blocked' or 'instance'")
@@ -379,46 +391,60 @@ def run_blocked_pipeline(
     plan = evaluate_sequence(model_seq, p0)
     table = verdict_table()
     tallies = [RoundTally(0, p0)]
-    blocks: list = [_Inputs(k0, p0, seed, tallies[0])]
+    blocks: list = [(k0, None)]  # (length, _Block): round 0 has no positions
     for l, (model, nominal) in enumerate(zip(model_seq, plan.rounds), start=1):
-        words = _stream(seed, l, "category").bit_generator.random_raw
-        rejects, reject_rate = _stream(seed, l, "rejects"), min(max(1 - nominal.acceptance, 0.0), 1.0)
-        errors = _Errors(_stream(seed, l, "errors"), nominal.p_out)
-        ten_to_two = model.name == "A" and model.m == 10
+        ten_to_two, per_state = model.name == "A", model.name == "A" and l > 1
+        category = _stream(seed, l, "category")
+        reject, error_rate = 1 - nominal.acceptance, nominal.p_out
+        if ten_to_two and l == 1:  # cumulative (output 2 only, output 1 only, both)
+            law = table.law(p0)
+            thresholds = np.cumsum(law[2:])
+            reject, error_rate = law[0], thresholds[-1] / (law[1] + thresholds[-1])
+        rejects, errors = _stream(seed, l, "rejects"), _Errors(_stream(seed, l, "errors"), error_rate)
         width = 1 if ten_to_two and grouping == "instance" else model.n
         keep = l < len(model_seq)
         tally = RoundTally(l, nominal.p_out)
         new_blocks = []
         while blocks:
-            block = blocks.pop(0)
-            nb = block.length // model.m
+            length, block = blocks.pop(0)
+            nb = length // model.m
             outs = [_Block(tally, keep) for _ in range(width if nb else 0)]
-            sizes = [model.m * min(SAMPLE_CHUNK, nb - start) for start in range(0, nb, SAMPLE_CHUNK)]
-            accepted = nb - int(rejects.binomial(nb, reject_rate)) if nb and not ten_to_two else 0
-            for positions, n in zip(map(block.take, sizes), sizes):
-                k = n // model.m
-                if ten_to_two:
-                    instances, patterns = _patterns(positions)
-                    cat = table.categories(patterns, words(len(patterns)))
+            accepted = nb - int(rejects.binomial(nb, min(max(reject, 0.0), 1.0))) if nb and not per_state else 0
+            instances = np.zeros(5, dtype=np.int64)  # of each category, in round 1
+            for start in range(0, nb, SAMPLE_CHUNK):
+                k = min(SAMPLE_CHUNK, nb - start)
+                if per_state:
+                    found, patterns = _patterns(block.take(model.m * k))
+                    cat = table.categories(patterns, category.bit_generator.random_raw(len(patterns)))
                     rejected, erring = np.cumsum(cat == 0), np.flatnonzero(cat >= 2)  # rejected: at or before
-                    index = instances[erring] - rejected[erring]
-                    cat = cat[erring]
-                    err1, err2, length = index[cat >= 3], index[cat % 2 == 0], k - int(rejected[-1:].sum())
-                    if grouping == "blocked":
-                        pieces = [(length, err1), (length, err2)]
-                    else:
-                        pieces = [(2 * length, np.sort(np.concatenate((2 * err1, 2 * err2 + 1))))]
+                    index, cat, n = found[erring] - rejected[erring], cat[erring], k - int(rejected[-1:].sum())
                 else:
-                    length = min(k, accepted)
-                    accepted -= length
-                    pieces = [(length, errors.take(length)) for _ in outs]
+                    n = min(k, accepted)
+                    accepted -= n
+                    index = errors.take(n)
+                    if ten_to_two:
+                        u = category.random(len(index)) * thresholds[-1]
+                        cat = 2 + thresholds[:2].searchsorted(u, side="right")
+                        instances += np.bincount(cat, minlength=5)
+                        instances[:2] += k - n, n - len(index)
+                if not ten_to_two:
+                    pieces = [(n, index)]
+                elif grouping == "blocked":
+                    pieces = [(n, index[cat >= 3]), (n, index[cat % 2 == 0])]
+                else:
+                    pieces = [(2 * n, np.sort(np.concatenate((2 * index[cat >= 3], 2 * index[cat % 2 == 0] + 1))))]
                 for out, piece in zip(outs, pieces):
                     out.append(*piece)
-            if block.length > nb * model.m:
-                block.take(block.length - nb * model.m)  # round 0 counts every input
+            if block is None:  # round 0: round 1's instances, then the pairs and odd input outside them
+                classes, pvals = _input_law(p0)
+                rest = length - nb * model.m if ten_to_two else length
+                drawn = _stream(seed, 0, "inputs").multinomial([*instances, rest // 2, rest % 2], pvals)
+                t = tallies[0]
+                t.errors, t.sx, t.sy, t.sxy = (drawn[..., None] * classes).sum(axis=(0, 1)).tolist()
+                t.blocks, t.states, t.pairs = 1, length, length // 2
             for out in outs:
                 out.close()
-            new_blocks += outs
+            new_blocks += [(out.length, out) for out in outs]
         blocks = new_blocks if keep else []
         tallies.append(tally)
         if not tally.states:

@@ -306,14 +306,48 @@ _planner_argv = st.one_of(
 )
 
 
-@settings(max_examples=100)
-@given(_planner_argv)
-def test_planner_commands_exit_0_or_1(argv):
+def _exits_0_or_1(argv):
+    """Runs argv, dropping empty arguments: exit 0, or exit 1 with a usage message."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main([arg for arg in argv if arg])
     assert code in (EXIT_OK, EXIT_USAGE), (argv, err.getvalue())
     assert (code == EXIT_USAGE) == err.getvalue().startswith("usage error:"), argv
+
+
+@settings(max_examples=100)
+@given(_planner_argv)
+def test_planner_commands_exit_0_or_1(argv):
+    _exits_0_or_1(argv)
+
+
+# Whole numbers, the edge of numpy's int64 counts and literals the count
+# parser refuses.  A state count stays small, since a pipeline's work grows
+# with it; a trial count costs the same at any size.
+_literals = st.sampled_from(["1e30", str(1 << 63), "inf", "nan", "2.5", "0x10", "1_000", "-0", "1e3"])
+_seeds = st.builds("--seed={}".format, st.one_of(st.integers(0, 99), st.integers(-2, 2**64 + 2), st.just("1.5")))
+_monte_carlo_argv = st.one_of(
+    st.tuples(
+        st.just("simulate"),
+        st.builds("--p={!r}".format, _floats),
+        st.builds("--trials={}".format, st.one_of(st.integers(-3, (1 << 63) + 3), _literals)),
+        _seeds,
+    ),
+    st.tuples(
+        st.just("pipeline"),
+        st.builds("--k0={}".format, st.one_of(st.integers(-3, 10**5), _literals)),
+        st.builds("--seq={}".format, st.one_of(st.text("AB", min_size=1, max_size=5), st.text("ABa", max_size=3))),
+        st.builds("--p0={!r}".format, _floats),
+        _seeds,
+        st.sampled_from(["--grouping=blocked", "--grouping=instance", "--grouping=pairs", ""]),
+    ),
+)
+
+
+@settings(max_examples=100)
+@given(_monte_carlo_argv)
+def test_monte_carlo_commands_exit_0_or_1(argv):
+    _exits_0_or_1(argv)
 
 
 def test_output_path_checked_before_work(tmp_path, monkeypatch):
@@ -556,13 +590,15 @@ def test_counts_accept_integral_float_literals(capsys):
 
 
 def test_counts_past_their_range_are_refused_at_once(capsys):
-    """numpy counts trials in int64, and a grid's step must resolve its
-    points as floats: past either, the command exits 1 with a message
-    before any work, never 3 or after a long run."""
+    """numpy counts trials and states in int64, and a grid's step must
+    resolve its points as floats: past either, the command exits 1 with a
+    message before any work, never 3 or after a long run."""
     too_fine = ["--points", str(10**30)]
     for argv in (
         ["simulate", "--p", "0.05", "--trials", "1e30"],
         ["simulate", "--p", "0.05", "--trials", str(1 << 63)],
+        ["pipeline", "--seq", "A", "--p0", "0.05", "--k0", "1e30"],
+        ["pipeline", "--seq", "A", "--p0", "0.05", "--k0", str(1 << 63)],
         ["curve", "--figure", "both-thresh", "--pmin", "0.02", "--pmax", "0.05"] + too_fine,
         ["curve", "--figure", "distplot"] + too_fine,
         ["curve", "--figure", "regionplot"] + too_fine,

@@ -91,10 +91,12 @@ def test_bad_rates_and_counts_are_refused():
             run_blocked_pipeline(count, "A", 0.05, seed=1)
     # The ends of [0, 1] are rates.
     assert sample_routine(1.0, 10, seed=1).trials == 10
-    # numpy counts the trials in int64.
+    # numpy counts the trials and states in int64.
     for count in (1 << 63, 10**30):
         with pytest.raises(ValueError, match="below 2\\*\\*63"):
             sample_routine(0.05, count, seed=1)
+        with pytest.raises(ValueError, match="below 2\\*\\*63"):
+            run_blocked_pipeline(count, "A", 0.05, seed=1)
     assert sample_routine(0.05, (1 << 63) - 1, seed=1).trials == (1 << 63) - 1
     assert run_blocked_pipeline(1, "A", 0.0, seed=1).halted
 
@@ -296,7 +298,7 @@ def test_category_law_is_exact():
 def counted_blocks(monkeypatch):
     """Calls return the (round, length, error positions) of each block the
     pipelines since the last call have produced, in order, and forget
-    them."""
+    them.  Round 0 is drawn as counts and has no blocks."""
     log: list[tuple[int, list]] = []
 
     class RecordingBlock(montecarlo._Block):  # one per block, counted into its round
@@ -324,17 +326,18 @@ def test_pipeline_does_not_depend_on_chunking(monkeypatch, counted_blocks, group
     def run(seq):
         res = run_blocked_pipeline(30_007, seq, 0.05, seed=29, grouping=grouping)
         blocks = counted_blocks()
-        # Each state is counted once, into its own round's tally.
-        for tally in res.tallies:
+        # Each state of round 1 on is counted once, into its own round's tally.
+        for tally in res.tallies[1:]:
             mine = [(n, pos) for r, n, pos in blocks if r == tally.round_index]
             assert (len(mine), sum(n for n, _ in mine), sum(len(pos) for _, pos in mine)) == (
                 tally.blocks, tally.states, tally.errors)
-        return pipeline_report(res), blocks
+        # Round 0's counts are compared whole, pair counts included.
+        return res.tallies, pipeline_report(res), blocks
 
     sequences = ("AA", "BA", "A", "B")
     whole = {seq: run(seq) for seq in sequences}  # one chunk per draw
     # Round 1 has a non-degenerate correlation, so the reports compare it too.
-    assert all(whole[seq][0]["rounds"][1]["within_block_correlation"]["value"] for seq in sequences)
+    assert all(whole[seq][1]["rounds"][1]["within_block_correlation"]["value"] for seq in sequences)
     for chunk in (1, 7, 777, 1000):  # only 1000 divides an instance count
         monkeypatch.setattr(montecarlo, "SAMPLE_CHUNK", chunk)
         for seq in sequences:
@@ -355,24 +358,70 @@ def _reference_instances(groups: np.ndarray, rng) -> tuple[np.ndarray, np.ndarra
     return cat >= 3, (cat == 2) | (cat == 4)
 
 
-def _whole_block_pipeline(k0, seq, p0, seed, grouping) -> list[list[np.ndarray]]:
-    """Every round's blocks as bool arrays, each drawn and kept whole: the
-    pipeline's streams and regrouping, written without chunks, tallies or
-    the sampling kernel.  A 15-to-1 round draws one binomial count of
-    rejected instances for each block of at least one instance, in block
-    order, then its errors over all its accepted outputs."""
+def _round_one_categories(block_length, p0, seed) -> tuple[int, np.ndarray]:
+    """(rejected instances, categories of the accepted ones) of a 10-to-2
+    round 1, drawn whole: one binomial count of rejections, Bernoulli flags
+    at P(any error | accepted) over the accepted instances, and one uniform
+    per erring instance against the cumulative (output 2 only, output 1
+    only, both) law."""
+    nb = block_length // 10
+    reject, clean, *erring = verdict_table().law(p0).tolist()
+    rejected = int(montecarlo._stream(seed, 1, "rejects").binomial(nb, reject)) if nb else 0
+    t2, t3, t4 = itertools.accumulate(erring)
+    flags = _reference_flags(montecarlo._stream(seed, 1, "errors"), t4 / (clean + t4), nb - rejected)
+    u = montecarlo._stream(seed, 1, "category").random(int(flags.sum())) * t4
+    cat = np.ones(nb - rejected, dtype=int)
+    cat[flags] = 2 + (u >= t2) + (u >= t3)
+    return rejected, cat
+
+
+def _round_zero_counts(k0, instances, rest, p0, seed) -> tuple[int, ...]:
+    """(blocks, states, errors, pairs, sx, sy, sxy) of round 0 from one
+    multinomial on its stream: one row per category of round 1's
+    ``instances`` over the classes of ``_input_classes``, then rest // 2
+    pairs and rest % 2 odd inputs, each row normalized and in increasing
+    order, so that numpy's remainder goes to its largest class."""
+    classes, cells, clean = montecarlo._input_classes()
+    law = cells * p0 ** classes[:, 0] * (1 - p0) ** clean
+    orders = [sorted(range(len(classes)), key=weights.__getitem__) for weights in law]
+    pvals = [weights[order] / (weights.sum() or 1) for weights, order in zip(law, orders)]
+    drawn = montecarlo._stream(seed, 0, "inputs").multinomial([*instances, rest // 2, rest % 2], pvals)
+    counts = [0, 0, 0, 0]
+    for order, row in zip(orders, drawn.tolist()):
+        for c, n in zip(order, row):
+            counts = [total + n * int(f) for total, f in zip(counts, classes[c])]
+    errors, sx, sy, sxy = counts
+    return 1, k0, errors, k0 // 2, sx, sy, sxy
+
+
+def _whole_block_pipeline(k0, seq, p0, seed, grouping) -> tuple[tuple[int, ...], list[list[np.ndarray]]]:
+    """Round 0's tally, and every later round's blocks as bool arrays, each
+    drawn and kept whole: the pipeline's streams and regrouping, written
+    without chunks, tallies or the sampling kernel.  Round 1 is drawn at the
+    model level.  A 15-to-1 round draws one binomial count of rejected
+    instances for each block of at least one instance, in block order, then
+    its errors over all its accepted outputs."""
     models = parse_sequence(seq)
-    rounds = [[_reference_flags(montecarlo._stream(seed, 0, "inputs"), p0, k0)]]
+    rounds = [[np.zeros(k0, dtype=bool)]]  # round 0's length alone is read
     for l, (model, nominal) in enumerate(zip(models, evaluate_sequence(models, p0).rounds), 1):
         nbs = [len(block) // model.m for block in rounds[-1]]
         blocks = []
-        if model.name == "A":
+        if model.name == "A" and l == 1:
+            rejected, cat = _round_one_categories(k0, p0, seed)
+            instances = [rejected, *np.bincount(cat, minlength=5)[1:]]
+            tally0 = _round_zero_counts(k0, instances, k0 % 10, p0, seed)
+            err1, err2 = cat >= 3, cat % 2 == 0
+            if nbs[0]:
+                blocks += [err1, err2] if grouping == "blocked" else [np.stack((err1, err2), 1).ravel()]
+        elif model.name == "A":
             rng = montecarlo._stream(seed, l, "category")
             for block, nb in zip(rounds[-1], nbs):
                 if nb:
                     err1, err2 = _reference_instances(block[: nb * 10].reshape(nb, 10), rng)
                     blocks += [err1, err2] if grouping == "blocked" else [np.stack((err1, err2), 1).ravel()]
         else:
+            if l == 1:
+                tally0 = _round_zero_counts(k0, [0] * 5, k0, p0, seed)
             rng, q = montecarlo._stream(seed, l, "rejects"), min(max(1 - nominal.acceptance, 0.0), 1.0)
             kept = [nb - int(rng.binomial(nb, q)) if nb else 0 for nb in nbs]
             errors = _reference_flags(montecarlo._stream(seed, l, "errors"), nominal.p_out, sum(kept))
@@ -380,7 +429,7 @@ def _whole_block_pipeline(k0, seq, p0, seed, grouping) -> list[list[np.ndarray]]
         rounds.append(blocks)
         if not sum(map(len, blocks)):
             break
-    return rounds
+    return tally0, rounds[1:]
 
 
 def _reference_law(p: float) -> list[Fraction]:
@@ -420,6 +469,100 @@ def test_category_law_is_the_derived_polynomials(polyset):
         assert max(abs(g - w) for g, w in zip(got, (a, a, u, u, u2))) <= 1e-14, p
 
 
+def _pair_counts(bits: int) -> list[int]:
+    """(errors, sx, sy, sxy) of a pattern whose pairs are bits 2j and 2j + 1."""
+    x, y = bits & 0x155, bits >> 1 & 0x155
+    return [bits.bit_count(), x.bit_count(), y.bit_count(), (x & y).bit_count()]
+
+
+def test_input_classes_are_the_exact_law():
+    # The class table read as Fractions (its cells are quarters): each
+    # category's classes sum to its exact law, and their pair counts to the
+    # sums over its patterns, so an instance has E[sx] = E[sy] = 5p and
+    # E[sxy] = 5p^2; a pair outside any instance has E[sxy] = p^2, and an odd
+    # input errs in no pair.  The float draw rows lie within 1e-14 of these,
+    # each in increasing order.
+    classes, cells, clean = montecarlo._input_classes()
+    by_weight = [[[Fraction(0)] * 4 for _ in range(5)] for _ in range(11)]
+    for bits, v in enumerate(exact_verdicts()):
+        law = (1 - v.accept, v.accept - v.err1 - v.err2 + v.both, v.err2 - v.both, v.err1 - v.both, v.both)
+        for c, f in enumerate(law):
+            row = by_weight[bits.bit_count()][c]
+            row[:] = [total + f * n for total, n in zip(row, _pair_counts(bits))]
+    for p in (0.0, 1e-9, 0.005, 0.05, 0.3, 0.49, 1.0):
+        q = Fraction(p)
+        exact = [[Fraction(n) * q ** int(e) * (1 - q) ** int(k) for n, e, k in zip(cells[r], classes[:, 0], clean[r])]
+                 for r in range(7)]
+        sums = [[sum(w * int(f[i]) for w, f in zip(row, classes)) for i in range(4)] for row in exact]
+        assert [sum(row) for row in exact[:5]] == _reference_law(p), p
+        assert sums[:5] == [[sum(q**w * (1 - q) ** (10 - w) * by_weight[w][c][i] for w in range(11)) for i in range(4)]
+                            for c in range(5)], p
+        assert [sum(s[i] for s in sums[:5]) for i in range(4)] == [10 * q, 5 * q, 5 * q, 5 * q**2], p
+        assert [sum(exact[5]), *sums[5]] == [1, 2 * q, q, q, q**2], p
+        assert [sum(exact[6]), *sums[6]] == [1, q, 0, 0, 0], p
+        assert [float(sum(row)) for row in exact[:5]] == pytest.approx(verdict_table().law(p).tolist(), rel=1e-14)
+        ordered, pvals = montecarlo._input_law(p)
+        for row, got, kinds in zip(exact, pvals, ordered):
+            total = sum(row) or 1
+            want = {tuple(f): float(w / total) for f, w in zip(classes.tolist(), row)}
+            assert got.tolist() == pytest.approx([want[tuple(f)] for f in kinds.tolist()], rel=1e-14, abs=1e-300), p
+            assert (np.diff(got) >= 0).all(), p
+
+
+def _sum_moments(groups) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and covariance of a sum of independent groups, each given as
+    (count, probabilities of its outcomes, their feature rows)."""
+    mean, cov = 0.0, 0.0
+    for count, prob, features in groups:
+        m = prob @ features
+        mean, cov = mean + count * m, cov + count * ((features - m).T * prob) @ (features - m)
+    return mean, cov
+
+
+def test_first_rounds_have_the_exact_moments():
+    # Over 300 seeds, round 0's tally (errors, sx, sy, sxy) and round 1's
+    # (states, errors, pairs, sx, sy, sxy) have their exact means to within
+    # 4 sigma, and Cov(round-0 errors, round-1 states) its exact value: the
+    # inputs of rejected instances err more.  Instance grouping makes round
+    # 1's pairs the accepted instances' two outputs.  The exact values sum
+    # the cell table's law over the instances, the pairs and the odd input
+    # outside them.  k0 = 3007 leaves 7 inputs outside the instances and
+    # k0 = 7 all of them; a 15-to-1 round 1 reads no input.
+    p0, seeds = 0.05, 300
+    bits = np.arange(4096) >> 2
+    cat = verdict_table().cells
+    err1, err2, both = cat >= 3, (cat == 2) | (cat == 4), cat == 4
+    zeros = [0] * 6
+    instance = (np.stack([_pair_counts(int(b)) for b in bits], axis=0),
+                np.stack((2 * (cat > 0), 1 * err1 + err2, cat > 0, err1, err2, both), axis=1))
+    pair = [_pair_counts(b) + zeros for b in range(4)]
+    odd = [[b, 0, 0, 0] + zeros for b in range(2)]
+    weight = np.bitwise_count(bits)
+    groups = [(p0**weight * (1 - p0) ** (10 - weight) / 4, np.hstack(instance)),
+              (np.array([(1 - p0) ** 2, p0 * (1 - p0), p0 * (1 - p0), p0**2]), np.array(pair)),
+              (np.array([1 - p0, p0]), np.array(odd))]
+    for seq, k0 in (("A", 3000), ("A", 3007), ("A", 7), ("B", 3001)):
+        nb, rest = (k0 // 10, k0 % 10) if seq == "A" else (0, k0)
+        mean, cov = _sum_moments([(n, *g) for n, g in zip((nb, rest // 2, rest % 2), groups)])
+        runs = [run_blocked_pipeline(k0, seq, p0, seed=s, grouping="instance").tallies for s in range(seeds)]
+        data = np.array([[r[0].errors, r[0].sx, r[0].sy, r[0].sxy, r[1].states, r[1].errors, r[1].pairs,
+                          r[1].sx, r[1].sy, r[1].sxy] for r in runs], dtype=float)
+        checked = 10 if seq == "A" else 4
+        sigma = np.sqrt(np.diag(cov)[:checked] / seeds)
+        assert (np.abs(data.mean(axis=0)[:checked] - mean[:checked]) <= 4 * sigma).all(), (seq, k0)
+        if seq == "A" and nb:
+            x, y = data[:, 0] - data[:, 0].mean(), data[:, 4] - data[:, 4].mean()
+            spread = np.std(x * y, ddof=1) / math.sqrt(seeds)
+            assert abs((x * y).sum() / (seeds - 1) - cov[0, 4]) <= 4 * spread, (seq, k0)
+            assert cov[0, 4] < 0
+    # At p0 = 0 and 1 every count is fixed.
+    for p0 in (0.0, 1.0):
+        for seq, k0 in itertools.product("AB", (7, 3000, 3007)):
+            t = run_blocked_pipeline(k0, seq, p0, seed=1).tallies[0]
+            assert (t.blocks, t.states, t.pairs) == (1, k0, k0 // 2), (seq, k0, p0)
+            assert [t.errors, t.sx, t.sy, t.sxy] == [int(p0) * n for n in (k0, k0 // 2, k0 // 2, k0 // 2)], (seq, k0, p0)
+
+
 _flag_rows = st.integers(0, 40).flatmap(
     lambda k: st.lists(st.booleans(), min_size=10 * k, max_size=10 * k).map(
         lambda flat: np.array(flat, dtype=bool).reshape(k, 10)))
@@ -441,10 +584,12 @@ def test_pipeline_matches_whole_block_reference(counted_blocks, grouping):
     for seq in ("AA", "BA", "AB", "AAA", "B"):
         for k0 in (25, 2003, 30_007):
             res = run_blocked_pipeline(k0, seq, 0.05, seed=31, grouping=grouping)
-            rounds = _whole_block_pipeline(k0, seq, 0.05, 31, grouping)
-            expected = [(r, len(b), np.flatnonzero(b).tolist()) for r, blocks in enumerate(rounds) for b in blocks]
+            tally0, rounds = _whole_block_pipeline(k0, seq, 0.05, 31, grouping)
+            t = res.tallies[0]
+            assert (t.blocks, t.states, t.errors, t.pairs, t.sx, t.sy, t.sxy) == tally0, (seq, k0)
+            expected = [(r, len(b), np.flatnonzero(b).tolist()) for r, blocks in enumerate(rounds, 1) for b in blocks]
             assert counted_blocks() == expected, (seq, k0)
-            assert [t.blocks for t in res.tallies] == [len(blocks) for blocks in rounds], (seq, k0)
+            assert [t.blocks for t in res.tallies[1:]] == [len(blocks) for blocks in rounds], (seq, k0)
             assert res.halted == (sum(map(len, rounds[-1])) == 0), (seq, k0)
 
 
