@@ -18,9 +18,12 @@ kernel: sparse errors, each instance's pattern as the OR of
 Philox word per instance with a nonzero pattern, whose quarter picks the
 cell.
 
-Randomness is counter-based (Philox) keyed by (seed, round, purpose), and
-each stream is consumed strictly in order on the calling thread, so
-outputs are reproducible and independent of the chunk size.
+A round advances in steps sized by its expected errors (``_step``), so a
+step holds about ``SAMPLE_CHUNK / 4`` errors when they are sparse and
+``SAMPLE_CHUNK`` instances when they are dense.  Randomness is
+counter-based (Philox) keyed by (seed, round, purpose), and each stream is
+consumed strictly in order on the calling thread, so outputs are
+reproducible and independent of the step size.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .enumeration import exact_verdicts
 from .planner import DistillationPlan, evaluate_sequence, parse_sequence
 
 _PURPOSE = {"inputs": 0, "counts": 1, "category": 2, "rejects": 3, "errors": 4}
-# Routine instances per step of a pipeline round.
+# Routine instances per step of a pipeline round whose errors are dense.
 SAMPLE_CHUNK = 1 << 15
 # Half-width of the within-block correlation interval, in standard errors.
 CORRELATION_Z = 3.0
@@ -46,6 +49,17 @@ def _stream(seed: int, round_index: int, purpose: str) -> np.random.Generator:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     key = np.array([seed, (round_index << 8) | _PURPOSE[purpose]], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _step(e: float) -> int:
+    """Instances per step of a pipeline round with e expected errors per
+    instance: SAMPLE_CHUNK / min(1, 4e), so that a sparse step holds about
+    SAMPLE_CHUNK / 4 errors.  Steps are at most 2^48 instances, where
+    ``_Errors.take``'s sums of about 2^13 gaps clipped to the step fit in
+    int64; a round without errors takes each block in one step."""
+    if not e > 0:  # also nan
+        return 1 << 63
+    return int(min(SAMPLE_CHUNK / min(1.0, 4 * e), 2.0**48))  # inf for a subnormal e
 
 
 def _check_inputs(p: float, count: int, p_name: str, count_name: str) -> None:
@@ -95,7 +109,7 @@ class _Errors:
             if short > 0:
                 self.gaps = np.concatenate((self.gaps, self._geometric(short)))
             # A gap clipped to n + 1 still reaches past the n flags, and the
-            # sum stays far from overflow.
+            # sum stays in int64 for the steps that ``_step`` sizes.
             pos = np.minimum(self.gaps, n + 1)
             np.cumsum(pos, out=pos)
             pos += last
@@ -299,9 +313,9 @@ class PipelineResult(NamedTuple):
 class _Block:
     """One block of a round's output states: its length and sorted error
     positions.  Pieces are appended as the round produces them and counted
-    into the round's tally at once.  Unless the round is the last, the
-    positions are kept, and once closed the next round reads the block front
-    to back with ``take``."""
+    into the round's tally at once.  When the next round is a 10-to-2 round,
+    the positions are kept, and once closed it reads the block front to back
+    with ``take``; a 15-to-1 round reads only the length."""
 
     def __init__(self, tally: RoundTally, keep: bool):
         self.tally, self.length, self.last, self.read = tally, 0, -1, 0
@@ -372,17 +386,21 @@ def run_blocked_pipeline(
     reintroduces the pairwise output correlation.
 
     A block is its length and sorted error positions, counted into its
-    round's ``RoundTally`` ``SAMPLE_CHUNK`` instances at a time.  Round 1 and
+    round's ``RoundTally`` one step at a time.  A step is
+    ``SAMPLE_CHUNK / min(1, 4e)`` instances, where e is the expected errors
+    per instance: the drawn rate in a model-level round, m times the
+    previous round's nominal p_out in a per-state one.  Round 1 and
     every 15-to-1 round draw one binomial rejected count per block and
     sparse errors over the accepted outputs: at p_out, or in a 10-to-2 round
     1 at P(any error | accepted), with one category per erring instance.
     Round 0 is then one multinomial, each row's largest class last (numpy
     gives the last the remainder).  From round 2 on, accepted 10-to-2
     instance i becomes output i minus the instances rejected before it.  A
-    block lives until the next round has read it; the last round's are not
-    kept, so memory holds one round's error positions beside a per-chunk
-    working set (under 0.01 B per input state at p0 = 0.02).  The output
-    does not depend on the chunk size.
+    block lives until the next round has read it, and its positions are
+    kept only for a 10-to-2 round, so memory holds one round's error
+    positions (under 0.01 B per input state at p0 = 0.02) beside a
+    per-step working set of about ``SAMPLE_CHUNK / 4`` expected errors.
+    The output does not depend on the step size.
     """
     if grouping not in ("blocked", "instance"):
         raise ValueError("grouping must be 'blocked' or 'instance'")
@@ -402,7 +420,8 @@ def run_blocked_pipeline(
             reject, error_rate = law[0], thresholds[-1] / (law[1] + thresholds[-1])
         rejects, errors = _stream(seed, l, "rejects"), _Errors(_stream(seed, l, "errors"), error_rate)
         width = 1 if ten_to_two and grouping == "instance" else model.n
-        keep = l < len(model_seq)
+        keep = l < len(model_seq) and model_seq[l].name == "A"  # only a 10-to-2 round reads positions
+        step = _step(model.m * plan.rounds[l - 2].p_out if per_state else error_rate)
         tally = RoundTally(l, nominal.p_out)
         new_blocks = []
         while blocks:
@@ -411,8 +430,8 @@ def run_blocked_pipeline(
             outs = [_Block(tally, keep) for _ in range(width if nb else 0)]
             accepted = nb - int(rejects.binomial(nb, min(max(reject, 0.0), 1.0))) if nb and not per_state else 0
             instances = np.zeros(5, dtype=np.int64)  # of each category, in round 1
-            for start in range(0, nb, SAMPLE_CHUNK):
-                k = min(SAMPLE_CHUNK, nb - start)
+            for start in range(0, nb, step):
+                k = min(step, nb - start)
                 if per_state:
                     found, patterns = _patterns(block.take(model.m * k))
                     cat = table.categories(patterns, category.bit_generator.random_raw(len(patterns)))
@@ -445,7 +464,7 @@ def run_blocked_pipeline(
             for out in outs:
                 out.close()
             new_blocks += [(out.length, out) for out in outs]
-        blocks = new_blocks if keep else []
+        blocks = new_blocks
         tallies.append(tally)
         if not tally.states:
             break

@@ -298,7 +298,9 @@ def test_category_law_is_exact():
 def counted_blocks(monkeypatch):
     """Calls return the (round, length, error positions) of each block the
     pipelines since the last call have produced, in order, and forget
-    them.  Round 0 is drawn as counts and has no blocks."""
+    them; with ``pieces=True`` each entry also lists the lengths of the
+    pieces the block was appended in.  Round 0 is drawn as counts and has
+    no blocks."""
     log: list[tuple[int, list]] = []
 
     class RecordingBlock(montecarlo._Block):  # one per block, counted into its round
@@ -313,8 +315,12 @@ def counted_blocks(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "_Block", RecordingBlock)
 
-    def blocks() -> list[tuple[int, int, list[int]]]:
-        out = [(r, sum(n for n, _ in pieces), [i for _, pos in pieces for i in pos]) for r, pieces in log]
+    def blocks(pieces: bool = False) -> list[tuple]:
+        out = []
+        for r, logged in log:
+            lengths = [n for n, _ in logged]
+            block = (r, sum(lengths), [i for _, pos in logged for i in pos])
+            out.append(block + (lengths,) if pieces else block)
         log.clear()
         return out
 
@@ -325,23 +331,31 @@ def counted_blocks(monkeypatch):
 def test_pipeline_does_not_depend_on_chunking(monkeypatch, counted_blocks, grouping):
     def run(seq):
         res = run_blocked_pipeline(30_007, seq, 0.05, seed=29, grouping=grouping)
-        blocks = counted_blocks()
+        blocks = counted_blocks(pieces=True)
         # Each state of round 1 on is counted once, into its own round's tally.
         for tally in res.tallies[1:]:
-            mine = [(n, pos) for r, n, pos in blocks if r == tally.round_index]
+            mine = [(n, pos) for r, n, pos, _ in blocks if r == tally.round_index]
             assert (len(mine), sum(n for n, _ in mine), sum(len(pos) for _, pos in mine)) == (
                 tally.blocks, tally.states, tally.errors)
         # Round 0's counts are compared whole, pair counts included.
-        return res.tallies, pipeline_report(res), blocks
+        steps = [(r, len(lengths)) for r, *_, lengths in blocks]
+        return (res.tallies, pipeline_report(res), [b[:3] for b in blocks]), steps
 
     sequences = ("AA", "BA", "A", "B")
-    whole = {seq: run(seq) for seq in sequences}  # one chunk per draw
+    whole = {}
+    for seq in sequences:  # one step per block
+        whole[seq], pieces = run(seq)
+        assert all(n == 1 for _, n in pieces), seq
     # Round 1 has a non-degenerate correlation, so the reports compare it too.
     assert all(whole[seq][1]["rounds"][1]["within_block_correlation"]["value"] for seq in sequences)
     for chunk in (1, 7, 777, 1000):  # only 1000 divides an instance count
-        monkeypatch.setattr(montecarlo, "SAMPLE_CHUNK", chunk)
+        monkeypatch.setattr(montecarlo, "_step", lambda e: chunk)
         for seq in sequences:
-            assert run(seq) == whole[seq], (seq, chunk)
+            out, pieces = run(seq)
+            assert out == whole[seq], (seq, chunk)
+            # Blocks took more than one step: in round 1 at every size, and in
+            # every round at sizes 1 and 7.
+            assert all(n > 1 for r, n in pieces if r == 1 or chunk < 10), (seq, chunk)
 
 
 def _reference_instances(groups: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -603,16 +617,49 @@ def _pipeline_peak_bytes(k0: int, seq: str, grouping: str) -> int:
         tracemalloc.stop()
 
 
+def test_pipeline_steps_are_sized_by_expected_errors(counted_blocks):
+    chunk = montecarlo.SAMPLE_CHUNK
+    assert [montecarlo._step(e) for e in (0.25, 1.0, 7.0)] == [chunk] * 3
+    assert montecarlo._step(2**-10) == chunk << 8  # 2^13 expected errors
+    assert montecarlo._step(1e-300) == 1 << 48  # within int64 for _Errors.take
+    assert montecarlo._step(0.0) == montecarlo._step(math.nan) >= 1 << 63  # one step per block
+    # Sparse errors: a step holds about SAMPLE_CHUNK / 4 expected errors, so
+    # no block of these pipelines needs a second one.
+    for seq in ("AA", "BA", "A"):
+        for grouping in ("blocked", "instance"):
+            run_blocked_pipeline(4 * 10**6, seq, 0.02, seed=3, grouping=grouping)
+            blocks = counted_blocks(pieces=True)
+            assert blocks and all(len(lengths) == 1 for *_, lengths in blocks), (seq, grouping)
+    # Dense errors: steps of SAMPLE_CHUNK instances, as with a fixed step.
+    for seq in ("AA", "BA", "A"):
+        run_blocked_pipeline(4 * 10**6, seq, 0.3, seed=3)
+        blocks = counted_blocks(pieces=True)
+        steps = -(-(4 * 10**6 // parse_sequence(seq)[0].m) // chunk)
+        assert all(len(lengths) == steps for r, *_, lengths in blocks if r == 1), seq
+        assert max(n for *_, lengths in blocks for n in lengths) <= chunk, seq
+    # Round 2 reads m inputs at round 1's nominal rate per instance.
+    run_blocked_pipeline(4 * 10**7, "AA", 0.02, seed=3)
+    blocks = counted_blocks(pieces=True)
+    step = montecarlo._step(10 * evaluate_sequence(parse_sequence("AA"), 0.02).rounds[0].p_out)
+    pieces = [len(lengths) for r, *_, lengths in blocks if r == 2]
+    assert pieces == [-(-(n // 10) // step) for r, n, *_ in blocks if r == 1 for _ in range(2)]
+    assert max(pieces) > 1
+
+
 @pytest.mark.parametrize("grouping", ["blocked", "instance"])
 def test_pipeline_memory_is_about_a_byte_per_state(grouping):
-    # Only counts and the error positions of the first round's outputs
-    # (under 0.01 B/state at p0 = 0.02) are kept, beside a per-chunk working
-    # set; the last round's outputs are counted as they are produced.
-    for seq in ("AA", "BA", "A"):
+    # Only counts and the error positions of outputs that a 10-to-2 round
+    # reads next (under 0.01 B/state at p0 = 0.02) are kept, beside a
+    # per-step working set of about SAMPLE_CHUNK / 4 expected errors; other
+    # rounds' outputs are counted as they are produced.
+    peaks = {}
+    for seq in ("AA", "BA", "A", "AB", "AAB"):
         small = _pipeline_peak_bytes(4 * 10**6, seq, grouping)
-        large = _pipeline_peak_bytes(4 * 10**7, seq, grouping)
+        peaks[seq] = large = _pipeline_peak_bytes(4 * 10**7, seq, grouping)
         assert small <= 2 * 4 * 10**6, seq
         assert (large - small) / (36 * 10**6) <= 0.03, seq
+    # A 15-to-1 round reads no positions, so none are kept for it.
+    assert (peaks["AB"] - peaks["A"]) / (4 * 10**7) <= 0.001
 
 
 def _tally_reference(block: np.ndarray) -> tuple[int, ...]:
