@@ -1,5 +1,6 @@
 """The package's own dependencies."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -44,3 +45,9 @@ def test_modules_import_without_dataclasses():
     # for its classes when it is imported.
     modules = "c4distill.cli, c4distill.identities, c4distill.montecarlo, c4distill.routines, c4distill.statevec"
     assert _loaded(modules, "dataclasses") == "[]"
+
+
+def test_montecarlo_imports_without_numpy_random():
+    # Its streams' seed-sequence class is made on the first stream, so that
+    # set-up does not load the generators.
+    assert "numpy.random" not in ast.literal_eval(_loaded("c4distill.montecarlo", "numpy"))

@@ -1,6 +1,8 @@
 """Seeded Monte Carlo runs against the exact predictions."""
 
+import hashlib
 import itertools
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -78,6 +80,27 @@ def test_sample_tallies_are_pinned():
         assert [s.accepts, s.errors_out1, s.errors_out2, s.errors_both] == counts, (p, trials)
 
 
+# sha256 of the sorted-key JSON of seeded reports, beyond the one pipeline
+# golden: a change to a stream's key, its consumption order or the
+# report's float arithmetic moves them.
+_PIPELINE_DIGEST = "bf3143dc0ed2e3f5bfa558f818edf7de51e17f639fe03f86bdbe90bd65f8820b"
+_SAMPLE_DIGEST = "6be1ef934f870c9c74b293ab625283abc5f5693de50e55f37f45cc2b0826c07e"
+
+
+def test_seeded_reports_are_pinned():
+    digest = hashlib.sha256()
+    cases = itertools.product(("AA", "BA", "A", "AB", "B", "AAA"), ("blocked", "instance"),
+                              (0, 0.005, 0.05, 0.3), (1, 25, 30007), (5, 2**64 - 1))
+    for seq, grouping, p0, k0, seed in cases:
+        report = pipeline_report(run_blocked_pipeline(k0, seq, p0, seed, grouping))
+        digest.update(json.dumps(report, sort_keys=True).encode())
+    assert digest.hexdigest() == _PIPELINE_DIGEST
+    digest = hashlib.sha256()
+    for p in (0, 0.005, 0.05, 0.3, 1):
+        digest.update(json.dumps(sample_routine(p, 10**6, 3).report(), sort_keys=True).encode())
+    assert digest.hexdigest() == _SAMPLE_DIGEST
+
+
 def test_bad_rates_and_counts_are_refused():
     for p in (math.nan, math.inf, -math.inf, -0.01, 1.01):
         with pytest.raises(ValueError, match="must lie in"):
@@ -99,6 +122,9 @@ def test_bad_rates_and_counts_are_refused():
             run_blocked_pipeline(count, "A", 0.05, seed=1)
     assert sample_routine(0.05, (1 << 63) - 1, seed=1).trials == (1 << 63) - 1
     assert run_blocked_pipeline(1, "A", 0.0, seed=1).halted
+    # A pipeline without rounds would report round 0 as empty and halted.
+    with pytest.raises(ValueError, match="at least one round"):
+        run_blocked_pipeline(1000, "", 0.05, seed=1)
 
 
 def test_degenerate_rates_give_fixed_counts():
@@ -116,6 +142,42 @@ def test_degenerate_rates_give_fixed_counts():
                 assert [t.states for t in res.tallies] == counts, (seq, p0, grouping)
                 assert [t.errors for t in res.tallies] == [round(p0 * n) for n in counts], (seq, p0, grouping)
                 assert not res.halted
+
+
+def test_streams_are_philox_keyed_by_seed_round_and_purpose():
+    def state(generator):
+        return json.dumps(generator.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
+
+    for seed in (0, 1, 2**64 - 1):
+        for r, purpose in itertools.product((0, 1, 7), montecarlo._PURPOSE):
+            ours = montecarlo._stream(seed, r, purpose)
+            # A list key passes through float64, which cannot hold 2**64 - 1.
+            key = np.array([seed, r << 8 | montecarlo._PURPOSE[purpose]], dtype=np.uint64)
+            assert state(ours) == state(np.random.Generator(np.random.Philox(key=key))), (seed, r, purpose)
+            # The key is the seed sequence's state: no SeedSequence reads OS entropy.
+            assert not isinstance(ours.bit_generator.seed_seq, np.random.SeedSequence)
+
+
+def test_rounds_open_only_the_streams_they_read(monkeypatch):
+    opened = []
+    stream = montecarlo._stream
+
+    def recorded(seed, round_index, purpose):
+        opened.append((round_index, purpose))
+        return stream(seed, round_index, purpose)
+
+    monkeypatch.setattr(montecarlo, "_stream", recorded)
+    sample_routine(0.05, 1000, seed=3)
+    assert opened == [(0, "counts")]
+    for seq, grouping in itertools.product(("AA", "BA", "A", "AB", "B"), ("blocked", "instance")):
+        opened.clear()
+        assert not run_blocked_pipeline(30_007, seq, 0.05, seed=3, grouping=grouping).halted
+        reads = [(0, "inputs")]  # round 0's counts, drawn once round 1's categories are
+        for l, name in enumerate(seq, start=1):
+            # Round 1 and every 15-to-1 round are drawn at the model level.
+            purposes = ("category",) * (name == "A") + ("rejects", "errors") * (name == "B" or l == 1)
+            reads += [(l, purpose) for purpose in purposes]
+        assert sorted(opened) == sorted(reads), (seq, grouping)
 
 
 def test_seeds_outside_64_bits_are_refused():
@@ -759,6 +821,18 @@ def test_sample_memory_does_not_grow_with_trials():
     # the number of trials.
     for trials in (10**5, 10**18):
         assert _sample_peak_bytes(trials) <= 256 * 1024, trials
+
+
+@given(st.floats(0, 1))
+@example(0)
+@example(1)
+@example(5e-324)
+def test_report_polynomials_are_the_derived_ones(polyset, p):
+    # The float coefficients, evaluated by the same Horner steps, give the
+    # floats that the exact polynomials give.
+    exact = (polyset.acceptance, polyset.marginal, polyset.either)
+    for coefficients, poly in zip(montecarlo._report_polynomials(), exact):
+        assert montecarlo._horner(coefficients, p) == float(poly(p)), (poly, p)
 
 
 def test_three_sigma_agreement_at_five_percent(polyset):
