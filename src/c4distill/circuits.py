@@ -1,4 +1,4 @@
-"""Circuit IR and builders for the distillation routine and its gadgets.
+"""Circuit IR and the builders of the distillation routine.
 
 The main product is the 5-wire distillation circuit: an ancilla prepared in
 |+>, two data wires carrying the resource states to be improved, and two
@@ -9,7 +9,8 @@ controlled-H gadgets (inserted in their propagated form after the ideal
 gate: Z-on-control with Y-on-target for the first resource state of a
 gadget, a bare Y-on-target for the second).  ``build_distillation_circuit``
 is the one description of the routine: both classifiers in ``enumeration``
-read it.
+read it.  The gadgets themselves, and the gadget-level variant of the
+routine, are built in ``identities``, which checks them.
 """
 
 from __future__ import annotations
@@ -249,67 +250,3 @@ def reference_outcomes(circuit: Circuit) -> dict[str, int]:
     if abs(prob - 1.0) > 1e-9:
         raise NondeterministicReference("noiseless outcome probability != 1")
     return dict(key)
-
-
-def rotation_gadget(
-    target: int, resource: int, sign: int, tag: str
-) -> list[Element]:
-    """Teleport a Y(+-pi/4) rotation onto ``target`` consuming one |H> state.
-
-    The resource wire must be in |0>; it is measured in the Y basis, the
-    correction fires on the outcome that needs it, and the wire is restored
-    to |0> so it can be reused.  Measurement labels are hidden (``_`` prefix).
-    """
-    lbl = f"_{tag}"
-    rot = "ry_p2" if sign > 0 else "ry_m2"
-    fire = 1 if sign > 0 else 0
-    return [
-        Element("prep_h", (resource,)),
-        Element("cy", (resource, target)),
-        Element("my", (resource,), label=lbl),
-        Element(rot, (target,), cond=(lbl, fire)),
-        Element("sdg", (resource,)),
-        Element("h", (resource,)),
-        Element("x", (resource,), cond=(lbl, 1)),
-    ]
-
-
-def controlled_h_gadget(
-    control: int, target: int, resources: tuple[int, int], tag: str
-) -> tuple[list[Element], list[int]]:
-    """Controlled-H from a CZ between two rotation gadgets.
-
-    Returns the elements and the indices (relative to the returned list) of
-    the two resource-state preparations, in consumption order.
-    """
-    first = rotation_gadget(target, resources[0], -1, tag + "a")
-    second = rotation_gadget(target, resources[1], +1, tag + "b")
-    elems = first + [Element("cz", (control, target))] + second
-    return elems, [0, len(first) + 1]
-
-
-def build_gadget_distillation() -> tuple[Circuit, list[ErrorLocation]]:
-    """Gadget-level variant of the routine: controlled-H gates realized with
-    explicit resource states on two reused wires (7 wires total), built from
-    the 5-wire circuit by replacing each controlled-H with its gadget.
-
-    Error locations point at the resource-state preparations themselves, so
-    this build checks the propagated error forms used everywhere else.
-    """
-    circuit, locations = build_distillation_circuit()
-    resources = (5, 6)
-    gate_locations = iter(locations[2:])
-    elements: list[Element] = []
-    moved = locations[:2]
-    for el in circuit.elements:
-        if el.op != "ch":
-            elements.append(el)
-            continue
-        pair = (next(gate_locations), next(gate_locations))
-        gelems, preps = controlled_h_gadget(*el.wires, resources, f"g{pair[0].gadget}")
-        for loc, prep, wire in zip(pair, preps, resources):
-            moved.append(loc._replace(insert_index=len(elements) + prep + 1, paulis=(("y", wire),)))
-        elements += gelems
-    labels = {name: circuit.labels[name] for name in ("ancilla", "out1", "out2")}
-    labels.update(resource_a=resources[0], resource_b=resources[1])
-    return Circuit(7, tuple(elements), labels), moved

@@ -17,8 +17,6 @@ from functools import cache
 from math import exp, log, log1p, ulp
 from typing import Optional, Sequence
 
-from .routines import VanishingDenominator
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MISMATCH = 2
@@ -118,8 +116,35 @@ def _load_models(config: Optional[str]):
     return models
 
 
+def classification_report() -> dict:
+    """JSON-ready summary: coefficient lists plus pattern tallies."""
+    from .enumeration import derive_polynomials, exact_verdicts
+
+    ps = derive_polynomials()
+    by_class: dict[str, int] = {}
+    for v in exact_verdicts():
+        cls = v.error_class()
+        by_class[cls] = by_class.get(cls, 0) + 1
+    rejected = by_class.pop("rejected", 0)
+    clean = by_class.pop("clean", 0)
+    return {
+        "a": ps.acceptance.as_integers(),
+        "u": ps.marginal.as_integers(),
+        "u2": ps.either.as_integers(),
+        "both": ps.both.as_integers(),
+        "patterns": {
+            "rejected": rejected,
+            "clean": clean,
+            "error": by_class,
+            "fractional_accept": ps.pattern_counts["fractional_accept"],
+            "half_fidelity": ps.pattern_counts["half_fidelity"],
+        },
+        "accept_weight_by_pattern_weight": [str(q) for q in ps.accept_by_weight],
+    }
+
+
 def cmd_polynomials(args) -> int:
-    from .enumeration import CoefficientMismatch, classification_report
+    from .enumeration import CoefficientMismatch
 
     try:
         report = classification_report()
@@ -298,12 +323,11 @@ def cmd_verify_identities(args) -> int:
 
 
 def cmd_dump_circuit(args) -> int:
-    from .circuits import build_distillation_circuit, build_gadget_distillation
-
     if args.gadget_level:
-        circuit, _ = build_gadget_distillation()
+        from .identities import build_gadget_distillation as build
     else:
-        circuit, _ = build_distillation_circuit()
+        from .circuits import build_distillation_circuit as build
+    circuit, _ = build()
     _emit(circuit.serialize(), args.output)
     return EXIT_OK
 
@@ -380,12 +404,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
         args.output = _output_path(args.output)
         return args.fn(args)
-    except (UsageError, VanishingDenominator) as exc:
-        sys.stderr.write(f"usage error: {exc}\n")
-        return EXIT_USAGE
     except BrokenPipeError:
         return EXIT_OK
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
+        from .routines import VanishingDenominator  # loaded by any code that raises it
+
+        if isinstance(exc, (UsageError, VanishingDenominator)):
+            sys.stderr.write(f"usage error: {exc}\n")
+            return EXIT_USAGE
         sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return EXIT_INTERNAL
 

@@ -421,28 +421,3 @@ def _validate(ps: PolynomialSet):
         raise CoefficientMismatch(
             "\n".join(problems) + f"\nacceptance weight per pattern class: {weights}"
         )
-
-
-def classification_report() -> dict:
-    """JSON-ready summary: coefficient lists plus pattern tallies."""
-    ps = derive_polynomials()
-    by_class: dict[str, int] = {}
-    for v in exact_verdicts():
-        cls = v.error_class()
-        by_class[cls] = by_class.get(cls, 0) + 1
-    rejected = by_class.pop("rejected", 0)
-    clean = by_class.pop("clean", 0)
-    return {
-        "a": ps.acceptance.as_integers(),
-        "u": ps.marginal.as_integers(),
-        "u2": ps.either.as_integers(),
-        "both": ps.both.as_integers(),
-        "patterns": {
-            "rejected": rejected,
-            "clean": clean,
-            "error": by_class,
-            "fractional_accept": ps.pattern_counts["fractional_accept"],
-            "half_fidelity": ps.pattern_counts["half_fidelity"],
-        },
-        "accept_weight_by_pattern_weight": [str(q) for q in ps.accept_by_weight],
-    }

@@ -14,6 +14,9 @@ Groups:
 
 ``verify_all`` returns name -> (ok, max Choi deviation); everything must
 hold at 1e-10.
+
+The gadget builders live next to the identities that check them, with the
+7-wire gadget-level routine that ``dump-circuit --gadget-level`` prints.
 """
 
 from __future__ import annotations
@@ -23,16 +26,80 @@ from typing import Callable
 from .circuits import (
     Circuit,
     Element,
+    ErrorLocation,
     build_c4_codec,
-    controlled_h_gadget,
+    build_distillation_circuit,
     gates,
     logical_middle_block,
     middle_block,
-    rotation_gadget,
 )
 from .statevec import channel_distance
 
 TOL = 1e-10
+
+
+def rotation_gadget(
+    target: int, resource: int, sign: int, tag: str
+) -> list[Element]:
+    """Teleport a Y(+-pi/4) rotation onto ``target`` consuming one |H> state.
+
+    The resource wire must be in |0>; it is measured in the Y basis, the
+    correction fires on the outcome that needs it, and the wire is restored
+    to |0> so it can be reused.  Measurement labels are hidden (``_`` prefix).
+    """
+    lbl = f"_{tag}"
+    rot = "ry_p2" if sign > 0 else "ry_m2"
+    fire = 1 if sign > 0 else 0
+    return [
+        Element("prep_h", (resource,)),
+        Element("cy", (resource, target)),
+        Element("my", (resource,), label=lbl),
+        Element(rot, (target,), cond=(lbl, fire)),
+        Element("sdg", (resource,)),
+        Element("h", (resource,)),
+        Element("x", (resource,), cond=(lbl, 1)),
+    ]
+
+
+def controlled_h_gadget(
+    control: int, target: int, resources: tuple[int, int], tag: str
+) -> tuple[list[Element], list[int]]:
+    """Controlled-H from a CZ between two rotation gadgets.
+
+    Returns the elements and the indices (relative to the returned list) of
+    the two resource-state preparations, in consumption order.
+    """
+    first = rotation_gadget(target, resources[0], -1, tag + "a")
+    second = rotation_gadget(target, resources[1], +1, tag + "b")
+    elems = first + [Element("cz", (control, target))] + second
+    return elems, [0, len(first) + 1]
+
+
+def build_gadget_distillation() -> tuple[Circuit, list[ErrorLocation]]:
+    """Gadget-level variant of the routine: controlled-H gates realized with
+    explicit resource states on two reused wires (7 wires total), built from
+    the 5-wire circuit by replacing each controlled-H with its gadget.
+
+    Error locations point at the resource-state preparations themselves, so
+    this build checks the propagated error forms used everywhere else.
+    """
+    circuit, locations = build_distillation_circuit()
+    resources = (5, 6)
+    gate_locations = iter(locations[2:])
+    elements: list[Element] = []
+    moved = locations[:2]
+    for el in circuit.elements:
+        if el.op != "ch":
+            elements.append(el)
+            continue
+        pair = (next(gate_locations), next(gate_locations))
+        gelems, preps = controlled_h_gadget(*el.wires, resources, f"g{pair[0].gadget}")
+        for loc, prep, wire in zip(pair, preps, resources):
+            moved.append(loc._replace(insert_index=len(elements) + prep + 1, paulis=(("y", wire),)))
+        elements += gelems
+    labels = {name: circuit.labels[name] for name in ("ancilla", "out1", "out2")}
+    labels.update(resource_a=resources[0], resource_b=resources[1])
+    return Circuit(7, tuple(elements), labels), moved
 
 
 def _circ(width: int, elements: list[Element]) -> Circuit:

@@ -43,7 +43,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .enumeration import exact_verdicts
-from .planner import DistillationPlan, evaluate_sequence, parse_sequence
 
 _PURPOSE = {"inputs": 0, "counts": 1, "category": 2, "rejects": 3, "errors": 4}
 # Routine instances per step of a pipeline round whose errors are dense.
@@ -358,7 +357,7 @@ class PipelineResult(NamedTuple):
     grouping: str
     tallies: tuple[RoundTally, ...]  # rounds 0 (the inputs) to the last one run
     halted: bool
-    plan: DistillationPlan  # the planner's rounds, whose p_out are the nominal rates
+    plan: DistillationPlan  # planner.DistillationPlan: its rounds' p_out are the nominal rates
 
 
 class _Block:
@@ -458,6 +457,8 @@ def run_blocked_pipeline(
     _check_inputs(p0, k0, "p0", "k0")
     if not seq:
         raise ValueError("seq must name at least one round")
+    from .planner import evaluate_sequence, parse_sequence  # set-up never compiles the planner
+
     model_seq = parse_sequence(seq)
     plan = evaluate_sequence(model_seq, p0)
     table = verdict_table()

@@ -12,10 +12,10 @@ from c4distill.circuits import (
     NondeterministicReference,
     build_c4_codec,
     build_distillation_circuit,
-    build_gadget_distillation,
     insert_pattern,
     reference_outcomes,
 )
+from c4distill.identities import build_gadget_distillation
 from c4distill.pauli import PauliString
 from c4distill.statevec import run
 from conftest import h_basis_joint, h_fidelity, kron_all, postselected

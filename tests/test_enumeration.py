@@ -22,6 +22,7 @@ from c4distill.circuits import (
     insert_pattern,
     reference_outcomes,
 )
+from c4distill.cli import classification_report
 from c4distill.enumeration import (
     N_LOCATIONS,
     N_PATTERNS,
@@ -31,7 +32,6 @@ from c4distill.enumeration import (
     DenseClassifier,
     ExactVerdict,
     FrameClassifier,
-    classification_report,
     derive_polynomials,
     exact_verdicts,
 )
