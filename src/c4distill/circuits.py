@@ -20,6 +20,8 @@ from typing import NamedTuple, Optional, Sequence
 from .pauli import PauliString
 
 GateSpec = tuple[str, tuple[int, ...]]
+# Element ops that measure a wire; each records its outcome under its label.
+MEASUREMENTS = ("mx", "my", "mz")
 
 
 class Element(NamedTuple):
@@ -52,6 +54,8 @@ class Circuit:
                 raise ValueError(f"element {el} references wire out of range")
             if len(set(el.wires)) != len(el.wires):
                 raise ValueError(f"element {el} repeats a wire")
+            if (el.label is None) == (el.op in MEASUREMENTS):
+                raise ValueError(f"element {el}: measurements, and only they, carry a label")
         if len(set(labels.values())) != len(labels):
             raise ValueError("wire labels must be injective")
         measured = [el.label for el in elements if el.label is not None]

@@ -105,10 +105,12 @@ def _emit(text: str, path: Optional[str]):
 
 
 def _load_models(config: Optional[str]):
-    from .routines import builtin_models, load_routines_config
+    from .routines import builtin_models
 
     models = builtin_models()
     if config:
+        from .routines_config import load_routines_config
+
         try:
             models.update(load_routines_config(config))
         except (OSError, ValueError) as exc:

@@ -19,7 +19,7 @@ error locations of ``circuits.build_distillation_circuit()``:
   integer; each term's scale i^k sqrt2^m is one ``Exact`` product, whose
   integer parts times integer column products make the assembled state
   exactly 8 times the accepted branch.  Every squared modulus is then an
-  integer (``Exact.abs2`` checks that no sqrt2 part survives), and
+  integer (``exactalg.abs2`` checks that no sqrt2 part survives), and
   acceptance and per-output error weights come out as integers over 64,
   tallied as such, which is what makes the polynomial coefficients exact.
 
@@ -39,7 +39,7 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
 
 from .circuits import CODE, NondeterministicReference, build_distillation_circuit
-from .exactalg import E_ONE, Exact, ExactPolynomial
+from .exactalg import E_ONE, Exact, ExactPolynomial, abs2
 from .pauli import PauliString, _relabel, conjugate_through
 
 N_LOCATIONS = 10
@@ -219,6 +219,8 @@ H_BASIS_OPS: dict[str, tuple[tuple[int, int], tuple[int, int]]] = {
 }
 # sqrt2**k for k = 0..4.
 _SQRT2_POWERS = (E_ONE, Exact(b=1), Exact(2), Exact(b=2), Exact(4))
+# w/64 for every weight w an accepted branch can have.
+_SIXTY_FOURTHS = tuple(Fraction(w, 64) for w in range(65))
 
 
 def _products(forms: list[PauliString]) -> list[tuple[int, int, int]]:
@@ -267,9 +269,9 @@ def _assemble(d1: int, d2: int, term1, term2, sign: int) -> ExactVerdict:
             k = col1[idx >> 1] * col2[idx & 1]
             a, b, c, d = acc[idx]
             acc[idx] = (a + k * scale.a, b + k * scale.b, c + k * scale.c, d + k * scale.d)
-    w0, w1, w2, w3 = (Exact(*amp).abs2() for amp in acc)
+    w0, w1, w2, w3 = (abs2(*amp) for amp in acc)
     norm = w0 + w1 + w2 + w3
-    return ExactVerdict(*(Fraction(w, 64) for w in (norm, w2 + w3, w1 + w3, w3, norm - w0)))
+    return ExactVerdict(*(_SIXTY_FOURTHS[w] for w in (norm, w2 + w3, w1 + w3, w3, norm - w0)))
 
 
 class DenseClassifier:

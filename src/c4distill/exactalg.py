@@ -17,6 +17,15 @@ from typing import Sequence, Union
 Rat = Union[int, Fraction]
 
 
+def abs2(a: int, b: int, c: int, d: int) -> int:
+    """Squared modulus of (a + b*sqrt2) + i*(c + d*sqrt2), exactly; an
+    AssertionError when it is irrational (a sqrt2 part survives), which no
+    amplitude of the routine allows."""
+    if a * b + c * d:
+        raise AssertionError(f"squared modulus of {Exact(a, b, c, d)} is irrational")
+    return a * a + 2 * b * b + c * c + 2 * d * d
+
+
 class Exact:
     """(a + b*sqrt2) + i*(c + d*sqrt2) with integer a, b, c, d; immutable."""
 
@@ -53,12 +62,7 @@ class Exact:
         return Exact(ra, rb, rc, rd)
 
     def abs2(self) -> int:
-        """Squared modulus, exactly; an AssertionError when it is irrational
-        (a sqrt2 part survives), which no amplitude of the routine allows."""
-        a, b, c, d = self.a, self.b, self.c, self.d
-        if a * b + c * d:
-            raise AssertionError(f"squared modulus of {self} is irrational")
-        return a * a + 2 * b * b + c * c + 2 * d * d
+        return abs2(self.a, self.b, self.c, self.d)
 
     @staticmethod
     def i_power(k: int) -> "Exact":

@@ -12,8 +12,10 @@ Groups:
 * ``appendix``: the rewrite chain that justifies trading the controlled-H
   pair on the untargeted code wires for two ancilla CZs.
 
-``verify_all`` returns name -> (ok, max Choi deviation); everything must
-hold at 1e-10.
+Each identity's function builds its two sides.  ``IDENTITIES`` holds its
+check, which builds and prepares the pair once per process and compares it
+on every call; ``verify_all`` returns name -> (ok, max Choi deviation), and
+everything must hold at 1e-10.
 
 The gadget builders live next to the identities that check them, with the
 7-wire gadget-level routine that ``dump-circuit --gadget-level`` prints.
@@ -21,6 +23,7 @@ The gadget builders live next to the identities that check them, with the
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Callable
 
 from .circuits import (
@@ -33,7 +36,7 @@ from .circuits import (
     logical_middle_block,
     middle_block,
 )
-from .statevec import channel_distance
+from .statevec import channel_distance, prepare_pair
 
 TOL = 1e-10
 
@@ -106,31 +109,31 @@ def _circ(width: int, elements: list[Element]) -> Circuit:
     return Circuit(width, tuple(elements))
 
 
-def controlled_h_as_cz_sandwich() -> float:
+def controlled_h_as_cz_sandwich() -> tuple[Circuit, Circuit]:
     lhs = _circ(2, gates(("ch", (0, 1))))
     rhs = _circ(2, gates(("ry_m4", (1,)), ("cz", (0, 1)), ("ry_p4", (1,))))
-    return channel_distance(lhs, rhs)
+    return lhs, rhs
 
 
-def rotation_gadget_plus() -> float:
+def rotation_gadget_plus() -> tuple[Circuit, Circuit]:
     lhs = _circ(1, gates(("ry_p4", (0,))))
     rhs = _circ(2, rotation_gadget(target=0, resource=1, sign=+1, tag="g"))
-    return channel_distance(lhs, rhs, compare_labels=False)
+    return lhs, rhs
 
 
-def rotation_gadget_minus() -> float:
+def rotation_gadget_minus() -> tuple[Circuit, Circuit]:
     lhs = _circ(1, gates(("ry_m4", (0,))))
     rhs = _circ(2, rotation_gadget(target=0, resource=1, sign=-1, tag="g"))
-    return channel_distance(lhs, rhs, compare_labels=False)
+    return lhs, rhs
 
 
-def controlled_h_gadget_realization() -> float:
+def controlled_h_gadget_realization() -> tuple[Circuit, Circuit]:
     lhs = _circ(2, gates(("ch", (0, 1))))
     elems, _ = controlled_h_gadget(0, 1, (2, 3), "g")
-    return channel_distance(lhs, _circ(4, elems), compare_labels=False)
+    return lhs, _circ(4, elems)
 
 
-def unencoded_measurement_swap_form() -> float:
+def unencoded_measurement_swap_form() -> tuple[Circuit, Circuit]:
     lhs = _circ(
         3,
         [Element("prep_plus", (0,))]
@@ -151,7 +154,7 @@ def unencoded_measurement_swap_form() -> float:
         )
         + [Element("mx", (0,), label="m")],
     )
-    return channel_distance(lhs, rhs)
+    return lhs, rhs
 
 
 def _four_gadget_measurement() -> Circuit:
@@ -172,62 +175,62 @@ def _two_gadget_measurement() -> Circuit:
     return _circ(5, elems)
 
 
-def encoded_measurement_gadget_reduction() -> float:
-    return channel_distance(_four_gadget_measurement(), _two_gadget_measurement())
+def encoded_measurement_gadget_reduction() -> tuple[Circuit, Circuit]:
+    return _four_gadget_measurement(), _two_gadget_measurement()
 
 
-def transversal_h_is_logical_hh_swap() -> float:
+def transversal_h_is_logical_hh_swap() -> tuple[Circuit, Circuit]:
     enc, _ = build_c4_codec()
     lhs = _circ(4, list(enc.elements) + gates(("h", (0,)), ("h", (1,)), ("h", (2,)), ("h", (3,))))
     rhs = _circ(4, gates(("h", (0,)), ("h", (2,)), ("swap", (0, 2))) + list(enc.elements))
-    return channel_distance(lhs, rhs)
+    return lhs, rhs
 
 
-def resource_error_acts_after_rotation() -> float:
+def resource_error_acts_after_rotation() -> tuple[Circuit, Circuit]:
     gadget = rotation_gadget(target=0, resource=1, sign=+1, tag="g")
     noisy = [gadget[0], Element("y", (1,))] + gadget[1:]
     lhs = _circ(2, noisy)
     rhs = _circ(1, gates(("ry_p4", (0,)), ("y", (0,))))
-    return channel_distance(lhs, rhs, compare_labels=False)
+    return lhs, rhs
 
 
-def first_gate_state_error_rule() -> float:
+def first_gate_state_error_rule() -> tuple[Circuit, Circuit]:
     lhs = _circ(
         2, gates(("ry_m4", (1,)), ("y", (1,)), ("cz", (0, 1)), ("ry_p4", (1,)))
     )
     rhs = _circ(2, gates(("ch", (0, 1)), ("z", (0,)), ("y", (1,))))
-    return channel_distance(lhs, rhs)
+    return lhs, rhs
 
 
-def second_gate_state_error_rule() -> float:
+def second_gate_state_error_rule() -> tuple[Circuit, Circuit]:
     elems, prep_idx = controlled_h_gadget(0, 1, (2, 3), "g")
     noisy = list(elems)
     noisy.insert(prep_idx[1] + 1, Element("y", (3,)))
     lhs = _circ(4, noisy)
     rhs = _circ(2, gates(("ch", (0, 1)), ("y", (1,))))
-    return channel_distance(lhs, rhs, compare_labels=False)
+    return lhs, rhs
 
 
-def cy_pushthrough_spawns_cz() -> float:
+def cy_pushthrough_spawns_cz() -> tuple[Circuit, Circuit]:
     lhs = _circ(3, gates(("ch", (0, 2)), ("cy", (1, 2))))
     rhs = _circ(3, gates(("cz", (0, 1)), ("cy", (1, 2)), ("ch", (0, 2))))
-    return channel_distance(lhs, rhs)
+    return lhs, rhs
 
 
-def cy_pushthrough_reversed() -> float:
+def cy_pushthrough_reversed() -> tuple[Circuit, Circuit]:
     lhs = _circ(3, gates(("cy", (1, 2)), ("ch", (0, 2))))
     rhs = _circ(3, gates(("ch", (0, 2)), ("cz", (0, 1)), ("cy", (1, 2))))
-    return channel_distance(lhs, rhs)
+    return lhs, rhs
 
 
-def ch_commutes_into_middle() -> float:
+def ch_commutes_into_middle() -> tuple[Circuit, Circuit]:
     prefix = gates(("h", (3,)), ("h", (2,)), ("s", (2,)), ("sdg", (4,)), ("cz", (2, 4)))
     lhs = _circ(5, gates(("ch", (0, 3))) + prefix)
     rhs = _circ(5, prefix + gates(("ch", (0, 3))))
-    return channel_distance(lhs, rhs)
+    return lhs, rhs
 
 
-def middle_block_cz_reduction() -> float:
+def middle_block_cz_reduction() -> tuple[Circuit, Circuit]:
     lhs = _circ(5, gates(*middle_block(0, 1, 2, 3, 4)))
     rhs = _circ(
         5,
@@ -235,32 +238,44 @@ def middle_block_cz_reduction() -> float:
         + gates(*logical_middle_block(1, 2, 3, 4))
         + gates(("ch", (0, 3))),
     )
-    return channel_distance(lhs, rhs)
+    return lhs, rhs
 
 
-def middle_block_is_encoded_h2() -> float:
+def middle_block_is_encoded_h2() -> tuple[Circuit, Circuit]:
     enc, _ = build_c4_codec()
     lhs = _circ(4, list(enc.elements) + gates(*logical_middle_block(0, 1, 2, 3)))
     rhs = _circ(4, gates(("h", (2,))) + list(enc.elements))
-    return channel_distance(lhs, rhs)
+    return lhs, rhs
+
+
+def _check(build: Callable[[], tuple[Circuit, Circuit]], compare_labels: bool = True) -> Callable[[], float]:
+    """An identity's check: its two sides are built and prepared once per
+    process, and each call compares them afresh."""
+    prepared = cache(lambda: prepare_pair(*build()))
+
+    def distance() -> float:
+        lhs, rhs, ends = prepared()
+        return channel_distance(lhs, rhs, compare_labels, ends=ends)
+
+    return distance
 
 
 IDENTITIES: dict[str, tuple[str, Callable[[], float]]] = {
-    "controlled-h-as-cz-sandwich": ("gadget", controlled_h_as_cz_sandwich),
-    "rotation-gadget-plus": ("gadget", rotation_gadget_plus),
-    "rotation-gadget-minus": ("gadget", rotation_gadget_minus),
-    "controlled-h-gadget-realization": ("gadget", controlled_h_gadget_realization),
-    "unencoded-measurement-swap-form": ("measurement", unencoded_measurement_swap_form),
-    "encoded-measurement-gadget-reduction": ("measurement", encoded_measurement_gadget_reduction),
-    "transversal-h-is-logical-hh-swap": ("measurement", transversal_h_is_logical_hh_swap),
-    "resource-error-acts-after-rotation": ("errors", resource_error_acts_after_rotation),
-    "first-gate-state-error-rule": ("errors", first_gate_state_error_rule),
-    "second-gate-state-error-rule": ("errors", second_gate_state_error_rule),
-    "cy-pushthrough-spawns-cz": ("appendix", cy_pushthrough_spawns_cz),
-    "cy-pushthrough-reversed": ("appendix", cy_pushthrough_reversed),
-    "ch-commutes-into-middle": ("appendix", ch_commutes_into_middle),
-    "middle-block-cz-reduction": ("appendix", middle_block_cz_reduction),
-    "middle-block-is-encoded-h2": ("appendix", middle_block_is_encoded_h2),
+    "controlled-h-as-cz-sandwich": ("gadget", _check(controlled_h_as_cz_sandwich)),
+    "rotation-gadget-plus": ("gadget", _check(rotation_gadget_plus, compare_labels=False)),
+    "rotation-gadget-minus": ("gadget", _check(rotation_gadget_minus, compare_labels=False)),
+    "controlled-h-gadget-realization": ("gadget", _check(controlled_h_gadget_realization, compare_labels=False)),
+    "unencoded-measurement-swap-form": ("measurement", _check(unencoded_measurement_swap_form)),
+    "encoded-measurement-gadget-reduction": ("measurement", _check(encoded_measurement_gadget_reduction)),
+    "transversal-h-is-logical-hh-swap": ("measurement", _check(transversal_h_is_logical_hh_swap)),
+    "resource-error-acts-after-rotation": ("errors", _check(resource_error_acts_after_rotation, compare_labels=False)),
+    "first-gate-state-error-rule": ("errors", _check(first_gate_state_error_rule)),
+    "second-gate-state-error-rule": ("errors", _check(second_gate_state_error_rule, compare_labels=False)),
+    "cy-pushthrough-spawns-cz": ("appendix", _check(cy_pushthrough_spawns_cz)),
+    "cy-pushthrough-reversed": ("appendix", _check(cy_pushthrough_reversed)),
+    "ch-commutes-into-middle": ("appendix", _check(ch_commutes_into_middle)),
+    "middle-block-cz-reduction": ("appendix", _check(middle_block_cz_reduction)),
+    "middle-block-is-encoded-h2": ("appendix", _check(middle_block_is_encoded_h2)),
 }
 
 

@@ -231,7 +231,7 @@ def _float_walk(
     name, as the search ranks them; a diverged sequence's subtree is skipped.
     A popped prefix is yielded before it is extended, so a caller that stops
     at its hit extends nothing past it.  The order holds if no round lowers
-    the cost (a(p) <= m/n, which ``load_routines_config`` checks): then a
+    the cost (a(p) <= m/n, which ``routines_config`` checks): then a
     sequence sorts after its prefix, on a tie by its extra round.
     """
     heap = [(1.0, 0, (), *frexp(p0))]

@@ -269,22 +269,15 @@ def _choi_deviation(a: list[np.ndarray], b: list[np.ndarray]) -> float:
     return max(float(np.abs(left[i : i + _CHOI_ROWS] @ right[:, i:]).max()) for i in range(0, size, _CHOI_ROWS))
 
 
-def channel_distance(
-    circ_a: Circuit, circ_b: Circuit, compare_labels: bool = True
-) -> float:
-    """Max absolute Choi-matrix deviation between the two circuits' channels
-    (so a global phase does not count).  Circuits with measurements are
-    compared branch by branch when ``compare_labels`` is set, else as the
-    outcome-forgetting channel.
-
-    Circuits that leave different wires unprepared or unmeasured raise a
+def prepare_pair(circ_a: Circuit, circ_b: Circuit) -> tuple[Circuit, Circuit, tuple]:
+    """The two circuits as ``channel_distance`` compares them, and their open
+    ends.  Circuits that leave different wires open raise a
     ``DimensionError``, as their channels would be paired by rank, not by
-    wire.  Circuits of one width are first cut down to the wires either of
-    them touches, in their order.  On an untouched wire both channels are
+    wire.  Circuits of one width are cut down to the wires either of them
+    touches, in their order.  On an untouched wire both channels are
     Phi (x) id, and J(Phi (x) id) is J(Phi) (x) J(id) up to the order of the
     factors, the same order on both sides; J(id) has entries 0 and 1, so
-    max |J_a - J_b| does not change.  Two circuits that touch no wire are
-    compared on no wires: 0.0."""
+    max |J_a - J_b| does not change."""
     ends = _open_ends(circ_a)
     if ends != _open_ends(circ_b):
         raise DimensionError("the circuits leave different wires open")
@@ -296,8 +289,21 @@ def channel_distance(
             for c in (circ_a, circ_b)
         )
         ends = tuple(tuple(index[w] for w in wires if w in index) for wires in ends)
-    ka = labeled_kraus(circ_a, ends)
-    kb = labeled_kraus(circ_b, ends)
+    return circ_a, circ_b, ends
+
+
+def channel_distance(
+    circ_a: Circuit, circ_b: Circuit, compare_labels: bool = True, *, ends: Optional[tuple] = None
+) -> float:
+    """Max absolute Choi-matrix deviation between the two circuits' channels
+    (so a global phase does not count), 0.0 for two that touch no wire.
+    Circuits with measurements are compared branch by branch when
+    ``compare_labels`` is set, else as the outcome-forgetting channel.  A
+    pair from ``prepare_pair`` is passed with its ``ends`` and compared as
+    it is: one ``labeled_kraus`` run per side, one Choi deviation per label."""
+    if ends is None:
+        circ_a, circ_b, ends = prepare_pair(circ_a, circ_b)
+    ka, kb = (labeled_kraus(c, ends) for c in (circ_a, circ_b))
     if not compare_labels:
         ka, kb = ({(): [m for ms in k.values() for m in ms]} for k in (ka, kb))
     return max(_choi_deviation(ka.get(key, []), kb.get(key, [])) for key in set(ka) | set(kb))

@@ -569,6 +569,27 @@ def test_verify_identities_verbose_prints_each_distance():
     assert run_cli(["verify-identities"]) == (EXIT_OK, text)
 
 
+def test_verify_identities_reports_a_failing_identity(monkeypatch):
+    """A wrong pair put into the registry, the CZ sandwich with Y(pi/4) on
+    both sides, is checked on the next call although the other pairs were
+    prepared earlier in the process: it prints FAIL and the command exits
+    EXIT_MISMATCH, while the others still pass."""
+    from c4distill import identities
+    from c4distill.circuits import gates
+    from c4distill.statevec import channel_distance
+
+    ch = identities._circ(2, gates(("ch", (0, 1))))
+    wrong = identities._circ(2, gates(("ry_p4", (1,)), ("cz", (0, 1)), ("ry_p4", (1,))))
+    name = "controlled-h-as-cz-sandwich"
+    assert run_cli(["verify-identities"])[0] == EXIT_OK
+    monkeypatch.setitem(identities.IDENTITIES, name, ("gadget", lambda: channel_distance(ch, wrong)))
+    code, out = run_cli(["verify-identities"])
+    assert code == EXIT_MISMATCH
+    lines = out.splitlines()
+    assert lines[0] == f"FAIL [gadget] {name}"
+    assert len(lines) == 15 and all(line.startswith("PASS ") for line in lines[1:])
+
+
 def test_counts_accept_integral_float_literals(capsys):
     """--k0 and --trials read a count as the documents write it (1e9), and a
     count written either way gives byte-identical output; a fractional,

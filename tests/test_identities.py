@@ -1,8 +1,10 @@
 """Every named circuit identity must hold on the dense oracle at 1e-10."""
 
+from collections import Counter
+
 import pytest
 
-from c4distill.circuits import gates, logical_middle_block, middle_block
+from c4distill.circuits import Circuit, gates, logical_middle_block, middle_block
 from c4distill.identities import IDENTITIES, TOL, _circ, verify_all
 from c4distill.statevec import channel_distance
 
@@ -25,6 +27,35 @@ def test_verify_all_shape():
     results = verify_all()
     assert set(results) == set(IDENTITIES)
     assert all(ok for ok, _ in results.values())
+
+
+def test_verify_all_prepares_once_and_compares_every_call(monkeypatch):
+    """Each identity's pair is built and prepared once per process, so a
+    second ``verify_all`` constructs no ``Circuit``; no result is kept, so it
+    simulates both sides of all 15 identities again and forms one Choi
+    deviation per compared label: 17, as two identities compare both
+    outcomes of their measurement."""
+    from c4distill import statevec
+
+    counts = Counter()
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner, name in ((Circuit, "__init__"), (statevec, "labeled_kraus"), (statevec, "_choi_deviation")):
+        counting(owner, name)
+    first = verify_all()
+    calls = counts.copy()
+    counts.clear()
+    assert verify_all() == first
+    assert counts == {"labeled_kraus": 30, "_choi_deviation": 17}
+    assert calls["labeled_kraus"] == 30 and calls["_choi_deviation"] == 17
 
 
 def test_appendix_identities_run_without_their_idle_wire(monkeypatch):

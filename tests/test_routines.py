@@ -9,15 +9,10 @@ from exact_reference import fifteen_to_one_polynomials, sturm_signs_below_half
 from hypothesis import given
 from hypothesis import strategies as st
 
-from c4distill import enumeration, routines
+from c4distill import enumeration, routines_config
 from c4distill.exactalg import ExactPolynomial
-from c4distill.routines import (
-    _signs_below_half,
-    builtin_models,
-    load_routines_config,
-    model_fifteen_to_one,
-    model_ten_to_two,
-)
+from c4distill.routines import builtin_models, model_fifteen_to_one, model_ten_to_two
+from c4distill.routines_config import _signs_below_half, load_routines_config
 
 
 def test_model_a_basics():
@@ -316,7 +311,7 @@ def test_sign_reads_do_bounded_work(tmp_path, monkeypatch, size, key):
     path = tmp_path / "routines.cfg"
     path.write_text("[C]\nm = 100\nn = 1\n" + "".join(f"{k} = {v}\n" for k, v in polys.items()))
     peak = 0
-    divmod_ = routines._divmod
+    divmod_ = routines_config._divmod
 
     def counted(a, b):
         nonlocal peak
@@ -324,7 +319,7 @@ def test_sign_reads_do_bounded_work(tmp_path, monkeypatch, size, key):
         peak = max(peak, *map(_bits, (a, b, *out)))
         return out
 
-    monkeypatch.setattr(routines, "_divmod", counted)
+    monkeypatch.setattr(routines_config, "_divmod", counted)
     refusal = {"acceptance": "acceptance above m/n", "undetected": "undetected weight above the acceptance"}[key]
     with pytest.raises(ValueError, match=refusal):
         load_routines_config(str(path))

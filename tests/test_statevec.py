@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -233,6 +234,26 @@ def test_measurement_labels_must_be_distinct():
     assert sorted(kraus) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     total = sum(k.conj().T @ k for ks in kraus.values() for k in ks)
     assert np.allclose(total, np.eye(2), atol=1e-12)
+
+
+@pytest.mark.parametrize("op", ["mx", "my", "mz"])
+def test_measurements_need_a_label(op):
+    # Unlabelled, both outcomes of each measurement would be keyed under
+    # None: (h, mz, h, mz) would put its 4 branches on 2 keys, and
+    # labeled_kraus could not sort None among other labels.
+    h, m = Element("h", (0,)), Element(op, (0,))
+    for elements in ((h, m, h, m), (h, m), (m._replace(label="a"), h, m)):
+        with pytest.raises(ValueError, match=re.escape(f"element {m}: measurements, and only they, carry a label")):
+            Circuit(1, elements)
+
+
+@pytest.mark.parametrize(
+    "el", [Element("h", (0,), label="x"), Element("cx", (0, 1), label="x"), Element("prep_0", (1,), label="x")]
+)
+def test_only_measurements_carry_a_label(el):
+    # DenseClassifier measures out every labelled element's wire.
+    with pytest.raises(ValueError, match="measurements, and only they, carry a label"):
+        Circuit(2, (el, Element("mz", (0,), label="m")))
 
 
 def test_unchecked_circuit_equals_checked_one():
