@@ -22,6 +22,13 @@ from .pauli import PauliString
 GateSpec = tuple[str, tuple[int, ...]]
 # Element ops that measure a wire; each records its outcome under its label.
 MEASUREMENTS = ("mx", "my", "mz")
+# The wire count of every element op the engines know.
+OP_WIRES = {
+    **dict.fromkeys(("prep_0", "prep_plus", "prep_h", *MEASUREMENTS), 1),
+    **dict.fromkeys(("h", "s", "sdg", "x", "y", "z", "ry_p4", "ry_m4", "ry_p2", "ry_m2"), 1),
+    **dict.fromkeys(("cx", "cz", "cy", "ch", "swap"), 2),
+    "cswap": 3,
+}
 
 
 class Element(NamedTuple):
@@ -50,6 +57,8 @@ class Circuit:
     def __init__(self, width: int, elements: tuple[Element, ...], labels: Optional[dict[str, int]] = None):
         labels = {} if labels is None else labels
         for el in elements:
+            if OP_WIRES.get(el.op) != len(el.wires):
+                raise ValueError(f"element {el}: unknown op, or a wrong wire count for it")
             if any(w < 0 or w >= width for w in el.wires):
                 raise ValueError(f"element {el} references wire out of range")
             if len(set(el.wires)) != len(el.wires):
@@ -64,14 +73,6 @@ class Circuit:
         object.__setattr__(self, "width", width)
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "labels", labels)
-
-    @classmethod
-    def unchecked(cls, width: int, elements: tuple[Element, ...]) -> Circuit:
-        """An unlabeled circuit of elements known to be valid on ``width`` wires, not checked again."""
-        circuit = object.__new__(cls)
-        for name, value in zip(cls.__slots__, (width, elements, {})):
-            object.__setattr__(circuit, name, value)
-        return circuit
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

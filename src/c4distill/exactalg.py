@@ -4,9 +4,11 @@
 Every amplitude of the routine's Kraus assembly is such an element once
 the assembly's one power-of-sqrt2 scale is taken out (see
 ``enumeration``), so the exact core needs no rational arithmetic.
-``ExactPolynomial`` holds univariate polynomials with rational coefficients;
+``ExactPolynomial`` holds a univariate polynomial's rational coefficients;
 the acceptance and undetected-error polynomials of every routine live here
-so coefficient comparisons are exact.
+so coefficient comparisons are exact.  It only evaluates: its callers do
+their arithmetic on integer coefficient lists.  ``horner`` evaluates float
+coefficients, converted once, for the planner and the Monte Carlo report.
 """
 
 from __future__ import annotations
@@ -73,13 +75,6 @@ E_ONE = Exact(1)
 _I_POWERS = (E_ONE, Exact(c=1), Exact(-1), Exact(c=-1))
 
 
-def _as_fraction_list(coeffs: Sequence[Rat]) -> tuple[Fraction, ...]:
-    out = [Fraction(c) for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
 class ExactPolynomial:
     """Univariate polynomial, coefficients by ascending degree; immutable."""
 
@@ -101,46 +96,11 @@ class ExactPolynomial:
 
     @classmethod
     def make(cls, coeffs: Sequence[Rat]) -> "ExactPolynomial":
-        return cls(_as_fraction_list(coeffs))
-
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def __add__(self, o: "ExactPolynomial") -> "ExactPolynomial":
-        n = max(len(self.coefficients), len(o.coefficients))
-        cs = [Fraction(0)] * n
-        for i, c in enumerate(self.coefficients):
-            cs[i] += c
-        for i, c in enumerate(o.coefficients):
-            cs[i] += c
-        return ExactPolynomial(_as_fraction_list(cs))
-
-    def __sub__(self, o: "ExactPolynomial") -> "ExactPolynomial":
-        return self + o.scaled(-1)
-
-    def scaled(self, s: Rat) -> "ExactPolynomial":
-        return ExactPolynomial(_as_fraction_list([Fraction(s) * c for c in self.coefficients]))
-
-    def __mul__(self, o: "ExactPolynomial") -> "ExactPolynomial":
-        if not self.coefficients or not o.coefficients:
-            return ExactPolynomial(())
-        cs = [Fraction(0)] * (len(self.coefficients) + len(o.coefficients) - 1)
-        for i, a in enumerate(self.coefficients):
-            if a == 0:
-                continue
-            for j, b in enumerate(o.coefficients):
-                cs[i + j] += a * b
-        return ExactPolynomial(_as_fraction_list(cs))
-
-    def __pow__(self, k: int) -> "ExactPolynomial":
-        out = ExactPolynomial.make([1])
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        """The polynomial with ascending ``coeffs``, zero top ones dropped."""
+        out = [Fraction(c) for c in coeffs]
+        while out and out[-1] == 0:
+            out.pop()
+        return cls(tuple(out))
 
     def __call__(self, p):
         """Evaluate by Horner's rule; exact for Fraction inputs, and works
@@ -168,3 +128,11 @@ class ExactPolynomial:
             out.append(int(c))
         return out
 
+
+def horner(coefficients: tuple[float, ...], p: float) -> float:
+    """The steps of ``ExactPolynomial.__call__`` on float coefficients,
+    highest degree first."""
+    acc = 0.0
+    for c in coefficients:
+        acc = acc * p + c
+    return acc

@@ -43,6 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .enumeration import exact_verdicts
+from .exactalg import horner
 
 _PURPOSE = {"inputs": 0, "counts": 1, "category": 2, "rejects": 3, "errors": 4}
 # Routine instances per step of a pipeline round whose errors are dense.
@@ -163,6 +164,8 @@ class VerdictTable(NamedTuple):
     # (4096,) uint8: cell pattern << 2 | q holds the category of an instance
     # with that pattern whose uniform lies in [q/4, (q+1)/4).
     cells: np.ndarray
+    # (11, 5) counts of the cells per pattern weight and category.
+    weight_counts: np.ndarray
 
     def categories(self, patterns: np.ndarray, words: np.ndarray) -> np.ndarray:
         """Each instance's category, from its pattern and its raw word."""
@@ -171,19 +174,11 @@ class VerdictTable(NamedTuple):
     def law(self, p: float) -> np.ndarray:
         """The five categories' probabilities at error rate p.  Cell
         pattern << 2 | q has p^w (1 - p)^(10 - w) / 4, w the pattern's
-        weight, so the cells are counted per weight and category, once per
-        table (``_weight_counts``), and each category sums 11 terms, not
-        thousands of rounded ones."""
+        weight, so the cells are counted per weight and category once, in
+        ``weight_counts``, and each category sums 11 terms, not thousands
+        of rounded ones."""
         k = np.arange(11)
-        return p**k * (1 - p) ** (10 - k) / 4 @ _weight_counts(self.cells.tobytes())
-
-
-@cache
-def _weight_counts(cells: bytes) -> np.ndarray:
-    """(11, 5) counts of a table's cells per pattern weight and category."""
-    categories = np.frombuffer(cells, dtype=np.uint8)
-    w = np.bitwise_count(np.arange(len(categories)) >> 2)
-    return np.bincount(5 * w + categories, minlength=55).reshape(11, 5)
+        return p**k * (1 - p) ** (10 - k) / 4 @ self.weight_counts
 
 
 @cache
@@ -196,8 +191,9 @@ def verdict_table() -> VerdictTable:
     off = np.flatnonzero((thresholds != np.rint(thresholds)).any(axis=1))
     if len(off):
         raise ValueError(f"the verdict of pattern {off[0]} is not on the 1/4 grid")
-    cells = (thresholds[:, None, :] <= np.arange(4)[:, None]).sum(axis=2, dtype=np.uint8)
-    return VerdictTable(cells=cells.ravel())
+    cells = (thresholds[:, None, :] <= np.arange(4)[:, None]).sum(axis=2, dtype=np.uint8).ravel()
+    w = np.bitwise_count(np.arange(len(cells)) >> 2)
+    return VerdictTable(cells=cells, weight_counts=np.bincount(5 * w + cells, minlength=55).reshape(11, 5))
 
 
 def _patterns(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -225,7 +221,7 @@ class SampleStats(NamedTuple):
     errors_both: int
 
     def report(self) -> dict:
-        a, u, u2 = (_horner(coefficients, self.p) for coefficients in _report_polynomials())
+        a, u, u2 = (horner(coefficients, self.p) for coefficients in _report_polynomials())
         e_cond = u / a
         both_cond = (2 * u - u2) / a
         out = {
@@ -262,7 +258,7 @@ class SampleStats(NamedTuple):
 def _report_polynomials() -> tuple[tuple[float, ...], ...]:
     """The acceptance, marginal and either polynomials of one validated
     derivation, as float coefficients from the highest degree down: each is
-    the term ``ExactPolynomial.__call__`` adds at a float p, so ``_horner``
+    the term ``ExactPolynomial.__call__`` adds at a float p, so ``horner``
     returns its floats."""
     from .enumeration import derive_polynomials
 
@@ -271,14 +267,6 @@ def _report_polynomials() -> tuple[tuple[float, ...], ...]:
         tuple(float(c.numerator) / c.denominator for c in reversed(poly.coefficients))
         for poly in (ps.acceptance, ps.marginal, ps.either)
     )
-
-
-def _horner(coefficients: tuple[float, ...], p: float) -> float:
-    """The steps of ``ExactPolynomial.__call__``, highest degree first."""
-    acc = 0.0
-    for c in coefficients:
-        acc = acc * p + c
-    return acc
 
 
 def _within_3sigma(count: int, n: int, p_true: float) -> dict:

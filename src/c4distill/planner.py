@@ -31,6 +31,7 @@ from heapq import heappop, heappush
 from math import ceil, frexp, inf, ldexp, log, log2
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
+from .exactalg import horner
 from .routines import RoutineModel, VanishingDenominator, builtin_models
 
 THRESHOLD_TOL = 1e-6
@@ -176,8 +177,8 @@ class _FloatRound:
         """(mantissa, exponent, cost, acceptance) after this round."""
         p = ldexp(x, s)
         try:
-            a = _horner(self.acc, p)
-            q = _horner(self.und, p) / a
+            a = horner(self.acc, p)
+            q = horner(self.und, p) / a
             cost_out = cost * self.ratio / a
         except ZeroDivisionError:
             raise VanishingDenominator(self.name, p) from None
@@ -214,13 +215,6 @@ def _bisect(f, lo: float, hi: float, f_lo: float, steps: int) -> float:
         else:
             lo, f_lo = mid, f_mid
     return (lo + hi) / 2
-
-
-def _horner(coefficients: tuple[float, ...], p: float) -> float:
-    acc = 0.0
-    for c in coefficients:
-        acc = acc * p + c
-    return acc
 
 
 def _float_walk(

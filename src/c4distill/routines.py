@@ -21,6 +21,8 @@ so that evaluation near p = 0 involves no cancellation.
 
 Routines from a ``--routines`` file are read and checked by
 ``routines_config``, which only the CLI loads, and only for that option.
+Its sign reads run on integer coefficient lists: ``ExactPolynomial`` only
+evaluates.
 """
 
 from __future__ import annotations

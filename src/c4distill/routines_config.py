@@ -7,9 +7,12 @@ from __future__ import annotations
 
 import configparser
 from fractions import Fraction
+from itertools import accumulate, zip_longest
 from math import gcd, lcm
+from typing import Sequence
 
 from .exactalg import ExactPolynomial
+from .planner import THRESHOLD_BRACKET
 from .routines import RoutineModel
 
 
@@ -62,21 +65,24 @@ def load_routines_config(path: str) -> dict[str, RoutineModel]:
         acc = ExactPolynomial.make(_coeffs(sec["acceptance"]))
         if not 0 < acc(Fraction(0)) <= 1:
             raise ValueError(f"routine [{name}] needs 0 < acceptance <= 1 at p = 0")
-        if _signs_below_half(acc)[1]:
+        a = acc.coefficients
+        if _signs_below_half(a)[1]:
             raise ValueError(f"routine [{name}] has an acceptance that vanishes in (0, 1/2)")
-        if _negative_below_half(ExactPolynomial.make([Fraction(m, n)]) - acc):
+        if _negative_below_half(_minus([Fraction(m, n)], a)):
             raise ValueError(f"routine [{name}] has an acceptance above m/n in [0, 1/2)")
         und = ExactPolynomial.make(_coeffs(sec["undetected"]))
-        if _negative_below_half(und):
+        u = und.coefficients
+        if _negative_below_half(u):
             raise ValueError(f"routine [{name}] has an undetected weight not positive in (0, 1/2)")
         # The planner's threshold bisects on one sign change of e(p) - p, from - to +.
-        gap = und - acc * ExactPolynomial.make([0, 1])  # u - p a
+        gap = _minus(u, [0, *a])  # u - p a
         start, roots, end = _signs_below_half(gap)
         if roots > (start < 0):
             raise ValueError(f"routine [{name}] has an output error equal to p twice, or once from above, in (0, 1/2)")
-        if _negative_below_half(acc - und):  # an output error of 1 or more
+        if _negative_below_half(_minus(a, u)):  # an output error of 1 or more
             raise ValueError(f"routine [{name}] has an undetected weight above the acceptance in (0, 1/2)")
-        if end > 0 and gap(Fraction(1, 4)) <= 0:  # a crossing from 1/4 up escapes THRESHOLD_BRACKET
+        # A crossing from THRESHOLD_BRACKET's top, 1/4, up escapes the bracket.
+        if end > 0 and ExactPolynomial.make(gap)(Fraction(THRESHOLD_BRACKET[1])) <= 0:
             raise ValueError(f"routine [{name}] has an output error that crosses p in [1/4, 1/2)")
         models[name] = RoutineModel(name=name, m=m, n=n, acceptance_poly=acc, undetected_poly=und)
     return models
@@ -94,45 +100,64 @@ def _coeffs(text: str) -> list[Fraction]:
     return coeffs
 
 
-def _negative_below_half(poly: ExactPolynomial) -> bool:
-    """Whether a nonzero ``poly`` is negative or vanishes in (0, 1/2)."""
-    start, roots, _ = _signs_below_half(poly)
+def _minus(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
+    """The coefficients of a - b."""
+    return [x - y for x, y in zip_longest(a, b, fillvalue=0)]
+
+
+def _negative_below_half(coeffs: Sequence[Fraction]) -> bool:
+    """Whether a nonzero polynomial is negative or vanishes in (0, 1/2)."""
+    start, roots, _ = _signs_below_half(coeffs)
     return start < 0 or roots > 0
 
 
-def _signs_below_half(poly: ExactPolynomial) -> tuple[int, int, int]:
+def _signs_below_half(coeffs: Sequence[Fraction]) -> tuple[int, int, int]:
     """(sign just above 0, distinct roots in (0, 1/2), sign just below 1/2)
-    of ``poly``, all 0 for the zero polynomial.  Its lowest power of p and
-    every factor 1 - 2p are divided out, so that neither end is a root, and
-    Sturm's theorem counts the roots between.  Each member of the chain after
-    the first is scaled to coprime integers, so its size grows linearly with
-    the degree, not quadratically (Collins's primitive remainder sequence)."""
-    poly = ExactPolynomial.make(poly.coefficients[poly.leading_term()[0] :])
-    if not poly.coefficients:
+    of the polynomial with ascending rational ``coeffs``, all 0 for the zero
+    polynomial.  Its denominators and content are cleared, its lowest power
+    of p and every factor 1 - 2p are divided out, so that neither end is a
+    root, and Sturm's theorem counts the roots between.  Each member of the
+    chain after the first is the primitive part of a pseudo-remainder, so
+    its size grows linearly with the degree, not quadratically (Collins's
+    primitive remainder sequence)."""
+    scale = lcm(*(c.denominator for c in coeffs))
+    poly = _primitive([c.numerator * (scale // c.denominator) for c in coeffs])
+    poly = poly[next((k for k, c in enumerate(poly) if c), len(poly)) :]
+    if not poly:
         return 0, 0, 0
-    while not poly(Fraction(1, 2)):
-        poly = _divmod(poly, ExactPolynomial.make([1, -2]))[0]
-    chain = [poly, ExactPolynomial.make([k * c for k, c in enumerate(poly.coefficients)][1:])]
-    while chain[-1].coefficients:  # times lcm(denominators) / gcd(numerators) > 0; ends on 0
-        cs = chain[-1].coefficients
-        chain[-1] = chain[-1].scaled(Fraction(lcm(*(c.denominator for c in cs)), gcd(*(c.numerator for c in cs))))
-        chain.append(_divmod(chain[-2], chain[-1])[1].scaled(-1))
-
-    def sign_changes(p: Fraction) -> int:
-        signs = [v > 0 for v in (f(p) for f in chain) if v != 0]
-        return sum(a != b for a, b in zip(signs, signs[1:]))
-
-    start, end = (1 if v > 0 else -1 for v in (poly.coefficients[0], poly(Fraction(1, 2))))
-    return start, sign_changes(Fraction(0)) - sign_changes(Fraction(1, 2)), end
+    # Partial sums of Horner's rule at 2 from the constant term up: the last
+    # is 2^d poly(1/2), and when it is 0 the others are poly / (1 - 2p),
+    # on integers by Gauss's lemma.
+    while not (halves := list(accumulate(poly, lambda acc, c: 2 * acc + c)))[-1]:
+        poly = halves[:-1]
+    chain = [poly, _primitive([k * c for k, c in enumerate(poly)][1:])]
+    while chain[-1]:
+        chain.append(_primitive([-c for c in _remainder(chain[-2], chain[-1])]))
+    at_zero = _variations(f[0] for f in chain[:-1])
+    at_half = _variations(sum(c << k for k, c in enumerate(reversed(f))) for f in chain[:-1])
+    return (1 if poly[0] > 0 else -1), at_zero - at_half, (1 if halves[-1] > 0 else -1)
 
 
-def _divmod(a: ExactPolynomial, b: ExactPolynomial) -> tuple[ExactPolynomial, ExactPolynomial]:
-    """Quotient and remainder of exact polynomial division by a nonzero ``b``."""
-    top = b.degree()
-    quotient = [Fraction(0)] * max(a.degree() - top + 1, 0)
-    rest = list(a.coefficients)
-    for shift in reversed(range(len(quotient))):
-        c = quotient[shift] = rest[shift + top] / b.coefficients[top]
-        for k, bc in enumerate(b.coefficients):
-            rest[shift + k] -= c * bc
-    return ExactPolynomial.make(quotient), ExactPolynomial.make(rest)
+def _primitive(poly: list[int]) -> list[int]:
+    """``poly`` without zero top coefficients, divided by its content."""
+    while poly and not poly[-1]:
+        poly.pop()
+    content = gcd(*poly)
+    return [c // content for c in poly] if content > 1 else poly
+
+
+def _remainder(a: list[int], b: list[int]) -> list[int]:
+    """The remainder of ``a`` divided by a nonzero ``b``, times |lead(b)| for
+    each step of the division: a positive multiple, so it has the signs of
+    the remainder, and integer coefficients."""
+    scale, rest = abs(b[-1]), list(a)
+    for shift in reversed(range(len(a) - len(b) + 1)):
+        q = rest.pop() if b[-1] > 0 else -rest.pop()
+        rest = [scale * r for r in rest[:shift]] + [scale * r - q * c for r, c in zip(rest[shift:], b)]
+    return rest
+
+
+def _variations(values) -> int:
+    """Sign changes along ``values``, zeros skipped."""
+    signs = [v > 0 for v in values if v]
+    return sum(x != y for x, y in zip(signs, signs[1:]))

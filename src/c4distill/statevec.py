@@ -285,7 +285,7 @@ def prepare_pair(circ_a: Circuit, circ_b: Circuit) -> tuple[Circuit, Circuit, tu
         kept = sorted({w for c in (circ_a, circ_b) for el in c.elements for w in el.wires})
         index = {w: i for i, w in enumerate(kept)}
         circ_a, circ_b = (
-            Circuit.unchecked(len(kept), tuple(el._replace(wires=tuple(map(index.get, el.wires))) for el in c.elements))
+            Circuit(len(kept), tuple(el._replace(wires=tuple(map(index.get, el.wires))) for el in c.elements))
             for c in (circ_a, circ_b)
         )
         ends = tuple(tuple(index[w] for w in wires if w in index) for wires in ends)

@@ -18,17 +18,18 @@ products, the way the frame engine once did.
 
 ``sturm_signs_below_half`` answers the routines loader's sign questions with
 a Sturm chain of plain Fraction remainders and a loop that divides out
-1 - 2p, the way the loader once did for every rule; the loader's primitive
-integer chain is checked against it.  It divides with its own
-``poly_divmod``, not the loader's.
+1 - 2p, the way the loader once did for every rule; the loader's chain of
+primitive integer pseudo-remainders is checked against it.
 
 ``fraction_polynomials`` sums a routine's verdicts into its polynomials the
 way ``enumeration`` once did: Fraction tallies by Hamming weight, each
-times its ``binomial_term`` p^w (1-p)^(10-w) and added up as
-``ExactPolynomial`` values, with the pattern counts read from Fraction
-comparisons.  ``fifteen_to_one_polynomials`` builds the 15-to-1 routine's
-acceptance and undetected weight from powers of x = 1 - 2p.  The integer
-expansions of both are checked against them.
+times its ``binomial_term`` p^w (1-p)^(10-w) and added up, with the pattern
+counts read from Fraction comparisons.  ``fifteen_to_one_polynomials``
+builds the 15-to-1 routine's acceptance and undetected weight from powers
+of x = 1 - 2p.  The integer expansions of both are checked against them.
+Their arithmetic runs on Fraction coefficient lists (``poly_sum``,
+``poly_scaled``, ``poly_product``, ``poly_power``); only the results are
+wrapped as ``ExactPolynomial`` values, which do no arithmetic.
 """
 
 from __future__ import annotations
@@ -257,6 +258,36 @@ def _trimmed(coeffs) -> list[Fraction]:
     return out
 
 
+def poly_sum(*polys) -> list[Fraction]:
+    """The sum of ascending coefficient lists."""
+    out = [Fraction(0)] * max(map(len, polys), default=0)
+    for poly in polys:
+        for k, c in enumerate(poly):
+            out[k] += c
+    return _trimmed(out)
+
+
+def poly_scaled(poly, s) -> list[Fraction]:
+    """``poly`` times the number ``s``."""
+    return _trimmed([s * c for c in poly])
+
+
+def poly_product(*polys) -> list[Fraction]:
+    """The product of ascending coefficient lists, [1] for none."""
+    out = [Fraction(1)]
+    for poly in polys:
+        prod = [Fraction(0)] * (len(out) + len(poly) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(poly):
+                prod[i + j] += a * b
+        out = prod
+    return _trimmed(out)
+
+
+def poly_power(poly, k: int) -> list[Fraction]:
+    return poly_product(*[poly] * k)
+
+
 def poly_value(coeffs: list[Fraction], p: Fraction) -> Fraction:
     acc = Fraction(0)
     for c in reversed(coeffs):
@@ -330,9 +361,8 @@ def fraction_polynomials(verdicts) -> PolynomialSet:
             err != 0 and err != v.accept and 2 * err != v.accept for err in (v.err1, v.err2)
         )
     acceptance, marginal, marginal_second, both, either = (
-        sum(
-            (binomial_term(w, N_LOCATIONS).scaled(q) for w, q in enumerate(t) if q),
-            ExactPolynomial(()),
+        ExactPolynomial.make(
+            poly_sum(*(poly_scaled(binomial_term(w, N_LOCATIONS).coefficients, q) for w, q in enumerate(t) if q))
         )
         for t in tallies
     )
@@ -350,10 +380,15 @@ def fraction_polynomials(verdicts) -> PolynomialSet:
 def fifteen_to_one_polynomials() -> tuple[ExactPolynomial, ExactPolynomial]:
     """(acceptance, undetected weight) of the 15-to-1 routine:
     (1 + 15 x^8)/16 and (1 - 15 x^7 + 15 x^8 - x^15)/32 with x = 1 - 2p."""
-    x = ExactPolynomial.make([1, -2])
-    one = ExactPolynomial.make([1])
-    x8_15 = (x**8).scaled(15)
+    x = [Fraction(1), Fraction(-2)]
+    one = [Fraction(1)]
+    x8_15 = poly_scaled(poly_power(x, 8), 15)
     return (
-        (one + x8_15).scaled(Fraction(1, 16)),
-        (one - (x**7).scaled(15) + x8_15 - x**15).scaled(Fraction(1, 32)),
+        ExactPolynomial.make(poly_scaled(poly_sum(one, x8_15), Fraction(1, 16))),
+        ExactPolynomial.make(
+            poly_scaled(
+                poly_sum(one, poly_scaled(poly_power(x, 7), -15), x8_15, poly_scaled(poly_power(x, 15), -1)),
+                Fraction(1, 32),
+            )
+        ),
     )

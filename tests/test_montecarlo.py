@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from c4distill import montecarlo
 from c4distill.enumeration import ExactVerdict, exact_verdicts
+from c4distill.exactalg import horner
 from c4distill.montecarlo import (
     RoundTally,
     SampleStats,
@@ -832,7 +833,7 @@ def test_report_polynomials_are_the_derived_ones(polyset, p):
     # floats that the exact polynomials give.
     exact = (polyset.acceptance, polyset.marginal, polyset.either)
     for coefficients, poly in zip(montecarlo._report_polynomials(), exact):
-        assert montecarlo._horner(coefficients, p) == float(poly(p)), (poly, p)
+        assert horner(coefficients, p) == float(poly(p)), (poly, p)
 
 
 def test_three_sigma_agreement_at_five_percent(polyset):

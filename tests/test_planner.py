@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from exact_reference import sturm_signs_below_half
+from exact_reference import poly_power, poly_product, poly_scaled, poly_sum, sturm_signs_below_half
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -80,10 +80,10 @@ def _fraction_oracle():
     coefficient lists (independent of the enumeration and the planner)."""
     a_pub = ExactPolynomial.make([1, -10, 58, -192, 400, -544, 480, -256, 64])
     u_pub = ExactPolynomial.make([0, 0, 9, -56, 160, -256, 240, -128, 32])
-    x = ExactPolynomial.make([1, -2])
-    b_acc_num = ExactPolynomial.make([1]) + (x**8).scaled(15)
-    b_err_num = (
-        ExactPolynomial.make([1]) - (x**7).scaled(15) + (x**8).scaled(15) - x**15
+    x = [1, -2]
+    b_acc_num = ExactPolynomial.make(poly_sum([1], poly_scaled(poly_power(x, 8), 15)))
+    b_err_num = ExactPolynomial.make(
+        poly_sum([1], *(poly_scaled(poly_power(x, k), s) for s, k in ((-15, 7), (15, 8), (-1, 15))))
     )
 
     def step(name: str, p: Fraction) -> tuple[Fraction, Fraction, Fraction]:
@@ -549,10 +549,11 @@ def test_builtin_rounds_increase_and_stay_below_half(models):
     start positive, have no root in (0, 1/2) and end positive, by an exact
     Sturm count."""
     for name in ("A", "B"):
-        a, u = models[name].acceptance_poly, models[name].undetected_poly
-        da, du = (ExactPolynomial.make([k * c for k, c in enumerate(f.coefficients)][1:]) for f in (a, u))
-        assert sturm_signs_below_half((du * a - u * da).coefficients) == (1, 0, 1), name
-        assert sturm_signs_below_half((a - u.scaled(2)).coefficients) == (1, 0, 1), name
+        a, u = models[name].acceptance_poly.coefficients, models[name].undetected_poly.coefficients
+        da, du = ([k * c for k, c in enumerate(f)][1:] for f in (a, u))
+        slope = poly_sum(poly_product(du, a), poly_scaled(poly_product(u, da), -1))
+        assert sturm_signs_below_half(slope) == (1, 0, 1), name
+        assert sturm_signs_below_half(poly_sum(a, poly_scaled(u, -2))) == (1, 0, 1), name
 
 
 @pytest.mark.parametrize(

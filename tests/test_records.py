@@ -29,6 +29,7 @@ _POLY = ExactPolynomial((Fraction(1), Fraction(-1, 2)))
 _ROUND = RoundResult("A", 0.01, 1e-3, 0.9, 5.5)
 _PLAN = DistillationPlan(("A",), 0.01, (_ROUND,), 1e-3, 5.5, False)
 _CELLS = np.zeros(4096, dtype=np.uint8)
+_WEIGHT_COUNTS = np.zeros((11, 5), dtype=np.int64)
 _STATE = np.zeros(2, dtype=complex)
 
 
@@ -67,7 +68,7 @@ RECORDS = {
     "PlannerGoal": (lambda: PlannerGoal(0.01, R=1e6), "value"),
     "SearchResult": (lambda: SearchResult(None, _PLAN), "value"),
     "TableRow": (lambda: TableRow("AA", 31.4, 1e-9, 2.5), "value"),
-    "VerdictTable": (lambda: VerdictTable(_CELLS), "unhashable"),
+    "VerdictTable": (lambda: VerdictTable(_CELLS, _WEIGHT_COUNTS), "unhashable"),
     "SampleStats": (lambda: SampleStats(0.01, 1000, 7, 900, 3, 4, 1), "value"),
     "RoundTally": (_tally, "tally"),
     "PipelineResult": (_pipeline, "unhashable"),

@@ -5,11 +5,11 @@ from math import gcd, lcm
 from pathlib import Path
 
 import pytest
-from exact_reference import fifteen_to_one_polynomials, sturm_signs_below_half
+from exact_reference import fifteen_to_one_polynomials, poly_power, poly_product, sturm_signs_below_half
 from hypothesis import given
 from hypothesis import strategies as st
 
-from c4distill import enumeration, routines_config
+from c4distill import routines_config
 from c4distill.exactalg import ExactPolynomial
 from c4distill.routines import builtin_models, model_fifteen_to_one, model_ten_to_two
 from c4distill.routines_config import _signs_below_half, load_routines_config
@@ -60,24 +60,6 @@ def test_model_b_matches_fraction_oracle():
     assert b.undetected_poly == undetected
     for poly in (b.acceptance_poly, b.undetected_poly):
         assert all(type(c) is Fraction for c in poly.coefficients)
-
-
-def test_builtin_polynomials_take_no_polynomial_arithmetic(monkeypatch):
-    # Both builtin routines' polynomials are summed on integers; the
-    # uncached calls build fresh values without replacing the cached ones.
-    calls = []
-    for name in ("__add__", "__mul__", "scaled", "__pow__"):
-        def counted(*args, _name=name, _method=getattr(ExactPolynomial, name)):
-            calls.append(_name)
-            return _method(*args)
-
-        monkeypatch.setattr(ExactPolynomial, name, counted)
-    enumeration._cached_polynomials.__wrapped__()
-    model_fifteen_to_one.__wrapped__()
-    assert calls == []
-    one = ExactPolynomial.make([1])
-    assert (one + one).scaled(2) ** 2 == ExactPolynomial.make([16])
-    assert set(calls) == {"__add__", "scaled", "__pow__", "__mul__"}
 
 
 def test_models_map_into_unit_interval():
@@ -263,10 +245,7 @@ def test_config_reports_the_earlier_of_two_broken_rules(tmp_path):
 def _planted(free, roots):
     """The polynomial with coefficients ``free`` times (p - r)^k for each
     (r, k) in ``roots``."""
-    poly = ExactPolynomial.make(free)
-    for r, k in roots:
-        poly = poly * ExactPolynomial.make([-r, 1]) ** k
-    return poly
+    return ExactPolynomial.make(poly_product(free, *(poly_power([-r, 1], k) for r, k in roots)))
 
 
 @given(
@@ -288,21 +267,29 @@ def test_signs_below_half_match_the_fraction_sturm_oracle(free, ends, interior):
     Fraction chain and its 1 - 2p loop, with roots planted at 0, 1/4 and
     1/2 and double and triple roots inside."""
     poly = _planted(free, [*ends, *interior])
-    assert _signs_below_half(poly) == sturm_signs_below_half(poly.coefficients)
+    assert _signs_below_half(poly.coefficients) == sturm_signs_below_half(poly.coefficients)
 
 
-def _bits(poly: ExactPolynomial) -> int:
-    return max((max(abs(c.numerator), c.denominator).bit_length() for c in poly.coefficients), default=0)
+_LITERALS = ["104/5", "-756/17", str(2**31 - 1), "1/3", "1e-3", "7/1024"]
+# Mixed with +-1e300 and +-1e-300 the primitive input is about 2,000 bits long.
+_HUGE_LITERALS = ["1e300", "-1e-300", "104/5", "-756/17", str(2**31 - 1), "1/3", "-1e300", "1e-300"]
 
 
-@pytest.mark.parametrize("size", [16, 32])
+@pytest.mark.parametrize(
+    "size, literals",
+    [
+        pytest.param(16, _LITERALS, id="16"),
+        pytest.param(32, _LITERALS, id="32"),
+        pytest.param(16, _HUGE_LITERALS, id="16-1e300"),
+    ],
+)
 @pytest.mark.parametrize("key", ["acceptance", "undetected"])
-def test_sign_reads_do_bounded_work(tmp_path, monkeypatch, size, key):
-    """Loading a config of large literals divides numbers whose bit length
-    stays within a multiple of deg * L, where L is the bit length of the
-    primitive input.  An unscaled Fraction chain reaches 19-33 deg * L on
-    these configs; the primitive chain stays near 5."""
-    literals = ["104/5", "-756/17", str(2**31 - 1), "1/3", "1e-3", "7/1024"]
+def test_sign_reads_do_bounded_work(tmp_path, monkeypatch, size, literals, key):
+    """Loading a config of large literals takes pseudo-remainders whose
+    integer coefficients stay within a multiple of deg * L bits, where L is
+    the bit length of the primitive input: near 5 deg * L on these configs,
+    where an unscaled Fraction chain reached 19-33 deg * L on those of small
+    literals."""
     # Past a leading 1 or 0 0 the lowest coefficient is positive, so no rule
     # can decide from it alone: each must count this polynomial's roots.
     head = ["1"] if key == "acceptance" else ["0", "0"]
@@ -311,19 +298,20 @@ def test_sign_reads_do_bounded_work(tmp_path, monkeypatch, size, key):
     path = tmp_path / "routines.cfg"
     path.write_text("[C]\nm = 100\nn = 1\n" + "".join(f"{k} = {v}\n" for k, v in polys.items()))
     peak = 0
-    divmod_ = routines_config._divmod
+    remainder = routines_config._remainder
 
     def counted(a, b):
         nonlocal peak
-        out = divmod_(a, b)
-        peak = max(peak, *map(_bits, (a, b, *out)))
+        out = remainder(a, b)
+        peak = max(peak, *(abs(c).bit_length() for c in (*a, *b, *out)))
         return out
 
-    monkeypatch.setattr(routines_config, "_divmod", counted)
+    monkeypatch.setattr(routines_config, "_remainder", counted)
     refusal = {"acceptance": "acceptance above m/n", "undetected": "undetected weight above the acceptance"}[key]
     with pytest.raises(ValueError, match=refusal):
         load_routines_config(str(path))
-    poly = ExactPolynomial.make([Fraction(c) for c in text.split()])
-    cs = poly.coefficients
-    L = _bits(poly.scaled(Fraction(lcm(*(c.denominator for c in cs)), gcd(*(c.numerator for c in cs)))))
-    assert 0 < peak <= 8 * poly.degree() * L, (peak, poly.degree(), L)
+    cs = [Fraction(c) for c in text.split()]
+    scale = Fraction(lcm(*(c.denominator for c in cs)), gcd(*(c.numerator for c in cs)))
+    L = max(abs(c * scale).numerator.bit_length() for c in cs)
+    degree = len(cs) - 1
+    assert 0 < peak <= 8 * degree * L, (peak / (degree * L), degree, L)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from c4distill.circuits import Circuit, Element, gates
+from c4distill.circuits import OP_WIRES, Circuit, Element, gates
 from c4distill import statevec
 from c4distill.pauli import GATE_ACTIONS, DimensionError, PauliString, conjugate_through
 from c4distill.statevec import (
@@ -256,12 +256,24 @@ def test_only_measurements_carry_a_label(el):
         Circuit(2, (el, Element("mz", (0,), label="m")))
 
 
-def test_unchecked_circuit_equals_checked_one():
-    elems = tuple(gates(("h", (1,)), ("cx", (1, 0)))) + (Element("mx", (0,), label="m"),)
-    circuit = Circuit.unchecked(2, elems)
-    assert circuit == Circuit(2, elems)
-    with pytest.raises(AttributeError):
-        circuit.width = 3
+@pytest.mark.parametrize(
+    "el", [Element("cx", (0,)), Element("h", (0, 1)), Element("cswap", (0, 1)), Element("t", (0,))]
+)
+def test_circuit_refuses_an_unknown_op_or_a_wrong_wire_count(el):
+    # Refused when the circuit is built, not as a numpy shape error inside
+    # run or a DimensionError inside conjugate_through.
+    with pytest.raises(ValueError, match=re.escape(f"element {el}: unknown op, or a wrong wire count")):
+        Circuit(3, (el,))
+
+
+def test_op_table_matches_the_engines():
+    # The table names every op the dense engine runs, with the wire count of
+    # its matrix and of the frame engine's conjugation table.
+    assert set(OP_WIRES) == set(GATE_MATRICES) | set(statevec._PREP_ROTATION) | set(statevec._PROJECTORS)
+    for name, mat in GATE_MATRICES.items():
+        assert mat.shape == (2 ** OP_WIRES[name],) * 2, name
+    for name, table in GATE_ACTIONS.items():
+        assert len(table) == OP_WIRES[name], name
 
 
 def test_named_cliffords_match_pauli_tables():
